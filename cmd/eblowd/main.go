@@ -11,11 +11,12 @@
 // instead of growing the queue without limit.
 //
 // With -wal the job queue is durable: every accepted job is fsynced to a
-// write-ahead log before the 202 ack, so a crash or kill -9 loses nothing —
-// on restart the log replays, unfinished jobs re-enqueue in their original
-// order (re-solving is deterministic for fixed seeds), finished jobs stay
-// readable as digest-only records, and the log compacts itself once it
-// outgrows -wal-max-bytes.
+// write-ahead log before the 202 ack (concurrent submits share one fsync;
+// start and finish records ride the next one), so a crash or kill -9 loses
+// nothing — on restart the log replays, unfinished jobs re-enqueue in their
+// original order (re-solving is deterministic for fixed seeds), finished
+// jobs stay readable as digest-only records, and the log compacts itself
+// once it outgrows -wal-max-bytes.
 //
 // With -auth-keys every request must present an API key from the given file
 // (one "name secret [readonly] [pending=N] [rate=R] [burst=B]" per line)
@@ -47,8 +48,9 @@
 // node's learn store and batch cohorts stay hot. Status, results, cancels
 // and event streams are proxied back; GET /v1/stats and GET /v1/learn
 // aggregate across the fleet. With -wal the dispatcher keeps its own log of
-// accepted submissions: when a backend node dies (detected after -fail-after
-// failed probes, probed every -health-interval), its unfinished jobs are
+// accepted submissions, with the same format and fsync policy as a node's
+// job log: when a backend node dies (detected after -fail-after failed
+// probes, probed every -health-interval), its unfinished jobs are
 // re-dispatched to the surviving nodes from the logged specs — deterministic
 // re-solving makes the failed-over results bit-identical. Solver-side flags
 // (-workers, -batch, -learn-path, ...) are ignored in dispatch mode; they

@@ -204,7 +204,7 @@ func checkScope(pass *analysis.Pass, guards map[*types.Var]guard, scope *ast.Blo
 		if !ok {
 			return
 		}
-		g, ok := guards[fobj]
+		g, ok := guards[fobj.Origin()] // a field of a generic type instance maps to its declaration
 		if !ok {
 			return
 		}

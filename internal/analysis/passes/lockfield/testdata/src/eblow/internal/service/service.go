@@ -68,3 +68,21 @@ type Broken struct {
 	// guarded by missing
 	data int // want `'guarded by missing' names no mutex field of Broken`
 }
+
+// Log is generic, like internal/journal's: fields reached through a
+// Log[R] receiver are checked like any other.
+type Log[R any] struct {
+	mu sync.Mutex
+	// guarded by mu
+	recs []R
+}
+
+func (l *Log[R]) Append(r R) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.recs = append(l.recs, r)
+}
+
+func (l *Log[R]) Len() int {
+	return len(l.recs) // want `field Log.recs is guarded by mu but this function never locks l.mu`
+}

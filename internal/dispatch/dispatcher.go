@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"eblow"
+	"eblow/internal/journal"
 	"eblow/internal/learn"
 	"eblow/internal/service"
 )
@@ -44,8 +45,8 @@ type Config struct {
 	FailAfter int
 	// WAL is the dispatcher's durable log of accepted submissions (see
 	// OpenWAL); nil disables durability. The dispatcher owns it from here
-	// on: New replays it, Submit fsyncs the accepted spec before the ack,
-	// and Close closes it.
+	// on: New replays it, Submit flushes the accepted spec to disk before
+	// the ack (group commit), and Close closes it.
 	WAL *WAL
 	// Transport overrides the HTTP transport used for backend calls (nil
 	// uses http.DefaultTransport). Tests inject httptest transports here.
@@ -85,13 +86,13 @@ type jobRecord struct {
 	// while holding the Dispatcher's mu, like every field below.
 	node        string
 	backendID   string
+	assigned    uint64 // Dispatcher.assigns at the job's latest assignment
 	state       string
 	digest      string
 	errMsg      string
 	status      map[string]any
-	terminal    bool
+	terminal    bool // set only by terminateLocked (or replay), with the WAL record
 	replayed    bool
-	walDone     bool // the terminal WAL record has been written
 	dispatching bool // a dispatch attempt is in flight; don't start another
 }
 
@@ -124,6 +125,10 @@ type Dispatcher struct {
 	order []string
 	// guarded by mu
 	nextID int
+	// guarded by mu — node assignments made so far; stamps jobRecord.assigned
+	assigns uint64
+	// guarded by mu — first lifecycle-record append failure not yet logged
+	walErr error
 	// guarded by mu
 	closed bool
 
@@ -226,7 +231,7 @@ func (d *Dispatcher) Submit(body []byte) (map[string]any, error) {
 		routingKey: shape.Key(),
 		name:       spec.Instance.Name,
 		kind:       spec.Instance.Kind.String(),
-		solver:     specLabel(spec),
+		solver:     service.SolverLabel(spec),
 		label:      spec.Label,
 		submitted:  time.Now(),
 		state:      string(service.StateQueued),
@@ -241,42 +246,20 @@ func (d *Dispatcher) Submit(body []byte) (map[string]any, error) {
 	}
 	d.mu.Unlock()
 
+	var walErr error
 	if d.cfg.WAL != nil {
-		if err := d.cfg.WAL.Append(rec); err != nil {
-			// The job will run, but the ack must not promise durability it
-			// cannot keep — same contract as the single-node service.
-			d.tryDispatch(j.id)
-			return d.snapshot(j.id), fmt.Errorf("%w: job %s: %v", service.ErrNotDurable, j.id, err)
+		if walErr = d.cfg.WAL.Append(rec); walErr == nil {
+			walErr = d.cfg.WAL.Flush()
 		}
 	}
 	d.tryDispatch(j.id)
-	return d.snapshot(j.id), nil
-}
-
-// snapshot returns the job's current public status document.
-func (d *Dispatcher) snapshot(id string) map[string]any {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j := d.jobs[id]
-	if j == nil {
-		return nil
+	_, snap, _, _ := d.route(j.id)
+	if walErr != nil {
+		// The job will run, but the ack must not promise durability it
+		// cannot keep — same contract as the single-node service.
+		return snap.status, fmt.Errorf("%w: job %s: %v", service.ErrNotDurable, j.id, walErr)
 	}
-	return j.status
-}
-
-// specLabel mirrors the service's solver labeling for synthesized
-// statuses.
-func specLabel(spec service.JobSpec) string {
-	switch {
-	case spec.Solver != "":
-		return spec.Solver
-	case len(spec.Params.Strategies) == 1:
-		return spec.Params.Strategies[0]
-	case len(spec.Params.Strategies) > 1:
-		return fmt.Sprintf("portfolio of %v", spec.Params.Strategies)
-	default:
-		return "eblow"
-	}
+	return snap.status, nil
 }
 
 // synthStatus renders a public status document from the dispatcher's own
@@ -350,19 +333,17 @@ func (d *Dispatcher) tryDispatch(id string) {
 	}
 	j.node = owner
 	j.backendID = backendID
+	d.assigns++
+	j.assigned = d.assigns
+	d.walAppendLocked(walRecord{Op: walOpDispatched, Job: id, Time: time.Now(), Node: owner, BackendID: backendID})
 	d.applyBackendDocLocked(j, doc)
-	terminalRec, ok := d.terminalRecordLocked(j)
 	d.mu.Unlock()
-
-	d.walAppend(walRecord{Op: walOpDispatched, Job: id, Time: time.Now(), Node: owner, BackendID: backendID})
-	if ok {
-		d.walAppend(terminalRec)
-	}
 }
 
 // applyBackendDocLocked folds a backend job document into the record: the
 // public rewritten form becomes the status snapshot, and state/digest/error
-// are lifted out for the dispatcher's own bookkeeping. Callers hold d.mu.
+// are lifted out for the dispatcher's own bookkeeping (a terminal state
+// terminates the record). Callers hold d.mu.
 func (d *Dispatcher) applyBackendDocLocked(j *jobRecord, doc map[string]any) {
 	pub := rewriteJobDoc(doc, j.id, j.node)
 	state, digest, errMsg := jobDocFields(pub)
@@ -378,34 +359,35 @@ func (d *Dispatcher) applyBackendDocLocked(j *jobRecord, doc map[string]any) {
 	}
 	j.status = pub
 	if service.State(state).Terminal() {
-		j.terminal = true
+		d.terminateLocked(j)
 	}
 }
 
-// terminalRecordLocked builds the job's terminal WAL record the first time
-// the job is seen terminal; ok is false when no record should be written
-// (not terminal yet, already written, or no WAL). Callers hold d.mu.
-func (d *Dispatcher) terminalRecordLocked(j *jobRecord) (walRecord, bool) {
-	if !j.terminal || j.walDone || d.cfg.WAL == nil {
-		return walRecord{}, false
+// terminateLocked marks the job terminal and, the first time, appends its
+// terminal WAL record. Callers hold d.mu.
+func (d *Dispatcher) terminateLocked(j *jobRecord) {
+	if j.terminal {
+		return
 	}
-	j.walDone = true
-	return walRecord{
+	j.terminal = true
+	d.walAppendLocked(walRecord{
 		Op: walOpTerminal, Job: j.id, Time: time.Now(),
 		Node: j.node, BackendID: j.backendID,
 		State: j.state, Digest: j.digest, Error: j.errMsg,
-	}, true
+	})
 }
 
-// walAppend appends a record, logging (not failing) on error: losing a
-// dispatched or terminal record only means extra deterministic re-work
-// after a dispatcher restart.
-func (d *Dispatcher) walAppend(rec walRecord) {
+// walAppendLocked appends a lifecycle record without waiting for it to
+// reach disk (it rides the next group commit). Callers hold d.mu, so
+// records land in transition order. A failure is kept for the janitor to
+// log and never fails the transition: losing a dispatched or terminal
+// record only means extra deterministic re-work after a restart.
+func (d *Dispatcher) walAppendLocked(rec walRecord) {
 	if d.cfg.WAL == nil {
 		return
 	}
-	if err := d.cfg.WAL.Append(rec); err != nil && !errors.Is(err, ErrWALClosed) {
-		d.logf("WAL append failed: %v", err)
+	if err := d.cfg.WAL.Append(rec); err != nil && !errors.Is(err, journal.ErrClosed) && d.walErr == nil {
+		d.walErr = err
 	}
 }
 
@@ -427,6 +409,9 @@ func (d *Dispatcher) watchNode(name string) {
 			return
 		case <-time.After(delay):
 		}
+		d.mu.Lock()
+		asked := d.assigns
+		d.mu.Unlock()
 		ctx, cancel := context.WithTimeout(context.Background(), shortTimeout)
 		list, err := ns.client.listJobs(ctx)
 		cancel()
@@ -435,7 +420,7 @@ func (d *Dispatcher) watchNode(name string) {
 			continue
 		}
 		delay = d.cfg.HealthInterval
-		d.nodeProbeOK(ns, list)
+		d.nodeProbeOK(ns, list, asked)
 	}
 }
 
@@ -479,8 +464,11 @@ func (d *Dispatcher) nodeProbeFailed(ns *nodeState, probeErr error) time.Duratio
 }
 
 // nodeProbeOK folds a successful probe's job list into the dispatcher's
-// records and rejoins the node if it had been marked dead.
-func (d *Dispatcher) nodeProbeOK(ns *nodeState, list []map[string]any) {
+// records and rejoins the node if it had been marked dead. asked is the
+// assignment count read before the list was requested: a job assigned
+// after it may be missing from a list the node rendered before the submit
+// landed, so only older assignments are checked against the list.
+func (d *Dispatcher) nodeProbeOK(ns *nodeState, list []map[string]any, asked uint64) {
 	byID := make(map[string]map[string]any, len(list))
 	for _, doc := range list {
 		if id, _ := doc["id"].(string); id != "" {
@@ -494,11 +482,10 @@ func (d *Dispatcher) nodeProbeOK(ns *nodeState, list []map[string]any) {
 		ns.alive = true
 		d.ring.Add(ns.name)
 	}
-	var terminalRecs []walRecord
 	var lost []string
 	for _, id := range d.order {
 		j := d.jobs[id]
-		if j.node != ns.name || j.terminal {
+		if j.node != ns.name || j.terminal || j.assigned > asked {
 			continue
 		}
 		doc, known := byID[j.backendID]
@@ -514,17 +501,11 @@ func (d *Dispatcher) nodeProbeOK(ns *nodeState, list []map[string]any) {
 			continue
 		}
 		d.applyBackendDocLocked(j, doc)
-		if rec, ok := d.terminalRecordLocked(j); ok {
-			terminalRecs = append(terminalRecs, rec)
-		}
 	}
 	d.mu.Unlock()
 
 	if rejoined {
 		d.logf("node %s rejoined the ring", ns.name)
-	}
-	for _, rec := range terminalRecs {
-		d.walAppend(rec)
 	}
 	for _, id := range lost {
 		d.tryDispatch(id)
@@ -540,7 +521,7 @@ func (d *Dispatcher) aliveCount() int {
 
 // janitor periodically re-dispatches unassigned jobs — submissions that
 // arrived while their owner was down, and failover orphans whose first
-// re-dispatch attempt failed.
+// re-dispatch attempt failed — and logs WAL append failures.
 func (d *Dispatcher) janitor() {
 	defer d.wg.Done()
 	tick := time.NewTicker(d.cfg.HealthInterval)
@@ -559,7 +540,12 @@ func (d *Dispatcher) janitor() {
 				waiting = append(waiting, id)
 			}
 		}
+		walErr := d.walErr
+		d.walErr = nil
 		d.mu.Unlock()
+		if walErr != nil {
+			d.logf("WAL append failed: %v", walErr)
+		}
 		for _, id := range waiting {
 			d.tryDispatch(id)
 		}
@@ -570,76 +556,60 @@ func (d *Dispatcher) janitor() {
 // live when possible and falling back to the dispatcher's last snapshot
 // when the job is unassigned, terminal, or its node cannot answer.
 func (d *Dispatcher) Status(ctx context.Context, id string) (map[string]any, error) {
-	d.mu.Lock()
-	j := d.jobs[id]
-	if j == nil {
-		d.mu.Unlock()
-		return nil, ErrNotFound
+	j, snap, ns, err := d.route(id)
+	if err != nil {
+		return nil, err
 	}
-	node, backendID, cached := j.node, j.backendID, j.status
-	terminal := j.terminal
-	var ns *nodeState
-	if node != "" {
-		ns = d.nodes[node]
+	if ns == nil || snap.terminal {
+		return snap.status, nil
 	}
-	d.mu.Unlock()
-
-	if ns == nil || terminal {
-		return cached, nil
-	}
-	doc, code, err := ns.client.get(ctx, "/v1/jobs/"+backendID)
+	doc, code, err := ns.client.get(ctx, "/v1/jobs/"+snap.backendID)
 	if err != nil || code != http.StatusOK {
-		return cached, nil
+		return snap.status, nil
 	}
 	d.mu.Lock()
-	if j.node == node { // not failed over while we asked
+	defer d.mu.Unlock()
+	if j.node == snap.node { // not failed over while we asked
 		d.applyBackendDocLocked(j, doc)
 	}
-	rec, ok := d.terminalRecordLocked(j)
-	out := j.status
-	d.mu.Unlock()
-	if ok {
-		d.walAppend(rec)
-	}
-	return out, nil
+	return j.status, nil
 }
 
 // Result proxies the job's full result (stencil plan included) from the
 // owning node. A terminal job whose node no longer has the record answers
 // with the dispatcher's digest-only snapshot, like a WAL-replayed record.
 func (d *Dispatcher) Result(ctx context.Context, id string) (map[string]any, int, error) {
-	d.mu.Lock()
-	j := d.jobs[id]
-	if j == nil {
-		d.mu.Unlock()
-		return nil, 0, ErrNotFound
+	_, snap, ns, err := d.route(id)
+	if err != nil {
+		return nil, 0, err
 	}
-	node, backendID, cached := j.node, j.backendID, j.status
-	terminal := j.terminal
-	var ns *nodeState
-	if node != "" {
-		ns = d.nodes[node]
-	}
-	d.mu.Unlock()
-
 	if ns != nil {
-		doc, code, err := ns.client.get(ctx, "/v1/jobs/"+backendID+"/result")
+		// Backend refusals (409 not ready, 404 evicted) pass through with
+		// the backend's own document and status code.
+		doc, code, err := ns.client.get(ctx, "/v1/jobs/"+snap.backendID+"/result")
 		if err == nil {
-			if code != http.StatusOK {
-				// Pass backend refusals (409 not ready, 404 evicted)
-				// through with the backend's own document.
-				return rewriteJobDoc(doc, id, node), code, nil
-			}
-			return rewriteJobDoc(doc, id, node), http.StatusOK, nil
+			return rewriteJobDoc(doc, id, snap.node), code, nil
 		}
 	}
-	if terminal {
-		return cached, http.StatusOK, nil
+	if snap.terminal {
+		return snap.status, http.StatusOK, nil
 	}
 	if ns == nil {
 		return nil, 0, fmt.Errorf("%w: job %s is waiting for a node", ErrNodeDown, id)
 	}
-	return nil, 0, fmt.Errorf("%w: job %s on node %s", ErrNodeDown, id, node)
+	return nil, 0, fmt.Errorf("%w: job %s on node %s", ErrNodeDown, id, snap.node)
+}
+
+// route returns the job's record, a copy of it taken under d.mu, and the
+// owning node (nil while the job is unassigned).
+func (d *Dispatcher) route(id string) (*jobRecord, jobRecord, *nodeState, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j := d.jobs[id]
+	if j == nil {
+		return nil, jobRecord{}, nil, ErrNotFound
+	}
+	return j, *j, d.nodes[j.node], nil
 }
 
 // Cancel proxies a cancellation. An unassigned job is cancelled locally;
@@ -659,15 +629,11 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (map[string]any, err
 	}
 	if j.node == "" {
 		j.state = string(service.StateCanceled)
-		j.terminal = true
 		j.errMsg = context.Canceled.Error()
+		d.terminateLocked(j)
 		j.status = synthStatus(j)
-		rec, ok := d.terminalRecordLocked(j)
 		out := j.status
 		d.mu.Unlock()
-		if ok {
-			d.walAppend(rec)
-		}
 		return out, nil
 	}
 	node, backendID := j.node, j.backendID
@@ -682,16 +648,11 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (map[string]any, err
 		return nil, fmt.Errorf("%w: job %s on node %s: %v", ErrNodeDown, id, node, err)
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if j.node == node {
 		d.applyBackendDocLocked(j, doc)
 	}
-	rec, ok := d.terminalRecordLocked(j)
-	out := j.status
-	d.mu.Unlock()
-	if ok {
-		d.walAppend(rec)
-	}
-	return out, nil
+	return j.status, nil
 }
 
 // List returns every public job's last status snapshot in submission
@@ -746,19 +707,7 @@ func (d *Dispatcher) Stats(ctx context.Context) FleetStats {
 	out := FleetStats{Dispatcher: DispatcherStats{Nodes: len(d.nodeOrder), AliveNodes: d.ring.Len()}}
 	for _, id := range d.order {
 		j := d.jobs[id]
-		switch service.State(j.state) {
-		case service.StateQueued:
-			out.Dispatcher.Jobs.Queued++
-		case service.StateRunning:
-			out.Dispatcher.Jobs.Running++
-		case service.StateDone:
-			out.Dispatcher.Jobs.Done++
-		case service.StateFailed:
-			out.Dispatcher.Jobs.Failed++
-		case service.StateCanceled:
-			out.Dispatcher.Jobs.Canceled++
-		}
-		out.Dispatcher.Jobs.Total++
+		out.Dispatcher.Jobs.Add(service.State(j.state))
 		if j.node == "" && !j.terminal {
 			out.Dispatcher.Unassigned++
 		}
@@ -905,7 +854,7 @@ func (d *Dispatcher) Close() {
 // deterministic re-dispatch). Called from New before the loops start;
 // d.mu is held.
 func (d *Dispatcher) replayWALLocked() {
-	recs := d.cfg.WAL.replayRecords()
+	recs := d.cfg.WAL.Replay()
 	type slot struct {
 		accepted   *walRecord
 		dispatched *walRecord
@@ -966,7 +915,6 @@ func (d *Dispatcher) replayWALLocked() {
 			j.node = s.terminal.Node
 			j.backendID = s.terminal.BackendID
 			j.terminal = true
-			j.walDone = true
 			terminal++
 		case s.dispatched != nil:
 			j.node = s.dispatched.Node
@@ -982,7 +930,7 @@ func (d *Dispatcher) replayWALLocked() {
 	if maxID > d.nextID {
 		d.nextID = maxID
 	}
-	d.cfg.WAL.setReplayStats(resumed, terminal)
+	d.cfg.WAL.SetReplayStats(resumed, terminal)
 }
 
 // Healthy reports whether the named node is currently on the ring.

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -112,43 +113,46 @@ func referenceDigests(t *testing.T, bodies [][]byte) map[string]string {
 	return out
 }
 
+// waitManagerTerminal follows the job's event stream, which ends right
+// after its terminal event, and returns the final status.
 func waitManagerTerminal(t *testing.T, m *service.Manager, id string, within time.Duration) service.JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		s, err := m.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.State.Terminal() {
-			return s
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s after %v", id, s.State, within)
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	events, err := m.Events(ctx, id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for range events {
+	}
+	s, err := m.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.State.Terminal() {
+		t.Fatalf("job %s still %s after %v", id, s.State, within)
+	}
+	return s
 }
 
-// waitDispatchTerminal polls the dispatcher until the job is terminal and
-// returns its public document.
+// waitDispatchTerminal follows the job's proxied event stream, which ends
+// after exactly one terminal state (re-attaching across failover), and
+// returns the job's public document.
 func waitDispatchTerminal(t *testing.T, d *Dispatcher, id string, within time.Duration) map[string]any {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		doc, err := d.Status(context.Background(), id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		state, _, _ := jobDocFields(doc)
-		if service.State(state).Terminal() {
-			return doc
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %q after %v", id, state, within)
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	if err := d.StreamEvents(ctx, id, io.Discard, nil); err != nil {
+		t.Fatal(err)
 	}
+	doc, err := d.Status(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state, _, _ := jobDocFields(doc); !service.State(state).Terminal() {
+		t.Fatalf("job %s still %q after %v", id, state, within)
+	}
+	return doc
 }
 
 func docDigest(doc map[string]any) string {
@@ -539,5 +543,52 @@ func TestDispatchCancelUnassigned(t *testing.T) {
 	}
 	if ev["job"] != id || ev["state"] != string(service.StateCanceled) || ev["synthesized"] != true {
 		t.Fatalf("synthesized terminal event = %v", ev)
+	}
+}
+
+// TestDispatchStaleProbeKeepsFreshJob pins the probe/dispatch race: a
+// health probe whose job list the node rendered before a submit landed
+// must not declare the freshly assigned job lost and dispatch it again.
+// The node's list reply is held on a channel until the submit is done.
+func TestDispatchStaleProbeKeepsFreshJob(t *testing.T) {
+	m := service.New(service.Config{Workers: 1})
+	defer m.Close()
+	inner := service.NewHandler(m)
+	listed := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/jobs" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r) // the list is rendered now...
+		select {
+		case listed <- struct{}{}:
+		default:
+		}
+		<-release // ...and delivered once the test lets it go
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer srv.Close()
+	d, err := New(Config{Nodes: []NodeConfig{{Name: "n1", URL: srv.URL}}, HealthInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	<-listed // the first probe holds a list rendered before the job exists
+	doc, err := d.Submit(submitBody(t, eblow.OneD, 30, 501, "greedy", "fresh"))
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc["node"] != "n1" {
+		t.Fatalf("job not assigned by Submit: %v", doc)
+	}
+	<-listed // the second probe started, so the stale list has been folded in
+	if got := len(m.List()); got != 1 {
+		t.Fatalf("node holds %d copies of the job, want 1", got)
 	}
 }

@@ -119,8 +119,8 @@ func NewHandler(d *Dispatcher) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		if d.snapshot(id) == nil {
-			writeError(w, http.StatusNotFound, ErrNotFound)
+		if _, _, _, err := d.route(id); err != nil {
+			writeError(w, http.StatusNotFound, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -151,24 +151,14 @@ func (d *Dispatcher) StreamEvents(ctx context.Context, id string, w io.Writer, f
 		flush = func() {}
 	}
 	for {
-		d.mu.Lock()
-		j := d.jobs[id]
-		if j == nil {
-			d.mu.Unlock()
-			return ErrNotFound
+		_, snap, ns, err := d.route(id)
+		if err != nil {
+			return err
 		}
-		node, backendID := j.node, j.backendID
-		terminal, state, errMsg := j.terminal, j.state, j.errMsg
-		var ns *nodeState
-		if node != "" {
-			ns = d.nodes[node]
-		}
-		d.mu.Unlock()
-
 		if ns != nil {
-			body, err := ns.client.events(ctx, backendID)
+			body, err := ns.client.events(ctx, snap.backendID)
 			if err == nil {
-				lastState, werr := proxyEvents(w, body, id, node, flush)
+				lastState, werr := proxyEvents(w, body, id, snap.node, flush)
 				body.Close()
 				if werr != nil && ctx.Err() != nil {
 					return nil // client went away
@@ -179,13 +169,13 @@ func (d *Dispatcher) StreamEvents(ctx context.Context, id string, w io.Writer, f
 				// The stream broke mid-job (backend died, or the job was
 				// evicted): fall through, wait, and re-resolve the owner.
 			}
-		} else if terminal {
+		} else if snap.terminal {
 			// The job finished without a reachable backend (cancelled while
 			// unassigned, or restored terminal from the WAL): synthesize the
 			// one terminal event the contract promises.
-			ev := map[string]any{"job": id, "state": state, "time": time.Now(), "synthesized": true}
-			if errMsg != "" {
-				ev["message"] = errMsg
+			ev := map[string]any{"job": id, "state": snap.state, "time": time.Now(), "synthesized": true}
+			if snap.errMsg != "" {
+				ev["message"] = snap.errMsg
 			}
 			b, err := json.Marshal(ev)
 			if err != nil {

@@ -2,21 +2,17 @@
 // transition. Accepted records carry the original submit body verbatim, so
 // a dead node's jobs can be re-dispatched to a surviving peer (and a
 // restarted dispatcher can rebuild its whole table) from the log alone.
-// Unlike the service WAL, records here are fsynced synchronously — the
-// dispatcher's per-record payload is one HTTP request body, and the ack
-// must not promise durability before the spec is on disk.
+// The file mechanics live in internal/journal; this file is the record
+// schema. The durability policy is the service's: Submit flushes the
+// accepted record before the ack (concurrent submits share one fsync),
+// and dispatched and terminal records ride the next group commit.
 package dispatch
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"os"
-	"sync"
 	"time"
+
+	"eblow/internal/journal"
 )
 
 // WAL record ops, in lifecycle order. A "dispatched" record is advisory —
@@ -54,161 +50,18 @@ type walRecord struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// WALStats summarizes what a boot-time replay found in the log.
-type WALStats struct {
-	// Records is the number of well-formed records read at open.
-	Records int
-	// SkippedLines counts unparseable lines (typically one torn tail line
-	// after a hard kill mid-append); they are ignored, never fatal.
-	SkippedLines int
-	// Resumed is the number of non-terminal jobs the dispatcher picked back
-	// up (re-attached or re-dispatched).
-	Resumed int
-	// Terminal is the number of finished job records restored.
-	Terminal int
-}
-
-// ErrWALClosed is returned by WAL operations after Close.
-var ErrWALClosed = errors.New("dispatch: WAL is closed")
+// valid reports whether a decoded line is a usable record.
+func (r *walRecord) valid() bool { return r.Op != "" && r.Job != "" }
 
 // WAL is the dispatcher's durable job log. Open it with OpenWAL and hand
 // it to Config.WAL; the Dispatcher owns it from then on.
-type WAL struct {
-	path string
-	// tornTail records (at load) that the file does not end in a newline;
-	// OpenWAL terminates the fragment before appending.
-	tornTail bool
-
-	mu sync.Mutex
-	// guarded by mu
-	f *os.File
-	// guarded by mu
-	closed bool
-	// guarded by mu — parsed at open, consumed once by New
-	replay []walRecord
-	// guarded by mu
-	stats WALStats
-}
+type WAL = journal.Log[walRecord]
 
 // OpenWAL opens (creating if needed) the dispatcher log at path and parses
 // its existing records for replay. Unparseable lines — e.g. a torn tail
-// after kill -9 mid-append — are counted in Stats and skipped.
+// after kill -9 mid-append — are counted in Stats and skipped. The log is
+// never compacted: the dispatcher keeps every job, so a snapshot would
+// only drop dispatched records.
 func OpenWAL(path string) (*WAL, error) {
-	w := &WAL{path: path}
-	if err := w.load(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: opening WAL: %w", err)
-	}
-	if w.tornTail {
-		// A kill mid-append left a partial last line. Terminate it now so
-		// the next record starts on its own line instead of concatenating
-		// onto the fragment (which would corrupt that record too).
-		if _, err := f.Write([]byte("\n")); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dispatch: terminating torn WAL tail: %w", err)
-		}
-	}
-	w.f = f
-	return w, nil
-}
-
-// load parses the existing log into w.replay, tolerating a torn tail.
-func (w *WAL) load() error {
-	f, err := os.Open(w.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("dispatch: reading WAL: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var recs []walRecord
-	var skipped int
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF && len(line) > 0 {
-			w.tornTail = true
-		}
-		if len(bytes.TrimSpace(line)) > 0 {
-			var rec walRecord
-			if json.Unmarshal(line, &rec) != nil || rec.Op == "" || rec.Job == "" {
-				skipped++
-			} else {
-				recs = append(recs, rec)
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("dispatch: reading WAL: %w", err)
-		}
-	}
-	w.mu.Lock()
-	w.replay, w.stats = recs, WALStats{Records: len(recs), SkippedLines: skipped}
-	w.mu.Unlock()
-	return nil
-}
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
-// Stats reports what the boot-time replay found; the Resumed/Terminal
-// counts are filled in once a Dispatcher consumed the log.
-func (w *WAL) Stats() WALStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
-}
-
-// replayRecords hands the parsed records to the dispatcher, once.
-func (w *WAL) replayRecords() []walRecord {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	recs := w.replay
-	w.replay = nil
-	return recs
-}
-
-func (w *WAL) setReplayStats(resumed, terminal int) {
-	w.mu.Lock()
-	w.stats.Resumed, w.stats.Terminal = resumed, terminal
-	w.mu.Unlock()
-}
-
-// Append writes one record and fsyncs it before returning: when Append
-// returns nil the record survives any crash.
-func (w *WAL) Append(rec walRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("dispatch: encoding WAL record: %w", err)
-	}
-	b = append(b, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWALClosed
-	}
-	if _, err := w.f.Write(b); err != nil {
-		return fmt.Errorf("dispatch: appending WAL record: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("dispatch: syncing WAL: %w", err)
-	}
-	return nil
-}
-
-// Close closes the log. Idempotent and safe for concurrent callers.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	return w.f.Close()
+	return journal.Open(path, 0, (*walRecord).valid)
 }

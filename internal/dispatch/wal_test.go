@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -26,12 +25,6 @@ func TestWALAppendLoadRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if err := w.Append(walRecord{Op: walOpAccepted, Job: "j2"}); err != ErrWALClosed {
-		t.Fatalf("Append after Close = %v, want ErrWALClosed", err)
-	}
 
 	w2, err := OpenWAL(path)
 	if err != nil {
@@ -41,63 +34,14 @@ func TestWALAppendLoadRoundTrip(t *testing.T) {
 	if s := w2.Stats(); s.Records != 3 || s.SkippedLines != 0 {
 		t.Fatalf("Stats = %+v, want 3 records, 0 skipped", s)
 	}
-	got := w2.replayRecords()
+	got := w2.Replay()
 	if len(got) != 3 || got[0].Op != walOpAccepted || got[2].Digest != "sha" {
-		t.Fatalf("replayRecords = %+v", got)
+		t.Fatalf("Replay = %+v", got)
 	}
 	if string(got[0].Body) != `{"benchmark":"1T-1"}` {
 		t.Fatalf("accepted body = %s", got[0].Body)
 	}
-	if again := w2.replayRecords(); again != nil {
-		t.Fatalf("replayRecords must hand the log over once, got %d more", len(again))
-	}
-}
-
-// TestWALTornTailSkipped pins the kill -9 contract: a partial final line is
-// skipped and counted, never fatal, and the log stays appendable.
-func TestWALTornTailSkipped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dispatch.wal")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(walRecord{Op: walOpAccepted, Job: "j1", Body: []byte(`{}`)}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"terminal","job":"j1","sta`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	w2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatalf("OpenWAL after torn tail: %v", err)
-	}
-	defer w2.Close()
-	if s := w2.Stats(); s.Records != 1 || s.SkippedLines != 1 {
-		t.Fatalf("Stats = %+v, want 1 record, 1 skipped line", s)
-	}
-	if err := w2.Append(walRecord{Op: walOpTerminal, Job: "j1", State: "done"}); err != nil {
-		t.Fatalf("Append after torn-tail open: %v", err)
-	}
-	w3, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w3.Close()
-	// OpenWAL terminated the torn fragment before w2's append, so the
-	// record written after the crash must replay intact alongside the
-	// original one.
-	if s := w3.Stats(); s.Records != 2 || s.SkippedLines != 1 {
-		t.Fatalf("Stats after reopen = %+v, want 2 records, 1 skipped line", s)
-	}
-	got := w3.replayRecords()
-	if len(got) != 2 || got[1].Op != walOpTerminal || got[1].State != "done" {
-		t.Fatalf("replay after torn-tail append = %+v", got)
+	if again := w2.Replay(); again != nil {
+		t.Fatalf("Replay must hand the log over once, got %d more", len(again))
 	}
 }

@@ -434,14 +434,14 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	m.order = append(m.order, j.id)
 	m.pending++
 	m.keyPendingAddLocked(j, 1)
-	m.appendEventLocked(j, "queued for "+solverLabel(spec))
+	m.appendEventLocked(j, "queued for "+SolverLabel(spec))
 	// The accepted record is buffered under mu so the WAL's record order
 	// matches the queue order; the fsync wait happens after unlock.
 	var walErr error
 	if m.cfg.WAL != nil {
 		rec, err := m.walAccepted(j)
 		if err == nil {
-			err = m.cfg.WAL.append(rec)
+			err = m.cfg.WAL.Append(rec)
 		}
 		walErr = err
 	}
@@ -492,7 +492,8 @@ func checkStrategies(spec JobSpec) error {
 	return nil
 }
 
-func solverLabel(spec JobSpec) string {
+// SolverLabel names what the spec runs, as job statuses report it.
+func SolverLabel(spec JobSpec) string {
 	switch {
 	case spec.Solver != "":
 		return spec.Solver
@@ -885,7 +886,7 @@ func (m *Manager) statusLocked(j *job) JobStatus {
 	return JobStatus{
 		ID:        j.id,
 		Label:     j.spec.Label,
-		Solver:    solverLabel(j.spec),
+		Solver:    SolverLabel(j.spec),
 		Instance:  j.instName,
 		Kind:      j.instKind,
 		State:     j.state,

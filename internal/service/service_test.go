@@ -11,23 +11,26 @@ import (
 	"eblow"
 )
 
-// waitTerminal polls until the job leaves the queue/run states.
+// waitTerminal follows the job's event stream, which ends right after its
+// terminal event, and returns the final status.
 func waitTerminal(t *testing.T, m *Manager, id string, within time.Duration) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		s, err := m.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.State.Terminal() {
-			return s
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s after %s", id, s.State, within)
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	events, err := m.Events(ctx, id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for range events {
+	}
+	s, err := m.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.State.Terminal() {
+		t.Fatalf("job %s still %s after %s", id, s.State, within)
+	}
+	return s
 }
 
 // waitState polls until the job reaches the given state.

@@ -13,6 +13,23 @@ type StateCounts struct {
 	Total    int `json:"total"`
 }
 
+// Add counts one job in the given state.
+func (c *StateCounts) Add(state State) {
+	switch state {
+	case StateQueued:
+		c.Queued++
+	case StateRunning:
+		c.Running++
+	case StateDone:
+		c.Done++
+	case StateFailed:
+		c.Failed++
+	case StateCanceled:
+		c.Canceled++
+	}
+	c.Total++
+}
+
 // BatchStats reports the cost-model scheduler's activity counters.
 type BatchStats struct {
 	// Enabled mirrors Config.Batch.Enabled.
@@ -54,19 +71,7 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	s := Stats{Workers: m.pool.Workers(), QueueDepth: m.pending}
 	for _, id := range m.order {
-		switch m.jobs[id].state {
-		case StateQueued:
-			s.Jobs.Queued++
-		case StateRunning:
-			s.Jobs.Running++
-		case StateDone:
-			s.Jobs.Done++
-		case StateFailed:
-			s.Jobs.Failed++
-		case StateCanceled:
-			s.Jobs.Canceled++
-		}
-		s.Jobs.Total++
+		s.Jobs.Add(m.jobs[id].state)
 	}
 	s.InFlight = s.Jobs.Running
 	if m.queue != nil {

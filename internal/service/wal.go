@@ -1,20 +1,21 @@
-// Durable write-ahead job log for the service: one NDJSON record per job
-// transition (accepted spec, started, terminal outcome), so a crashed or
-// killed server loses no accepted work. The manager appends records as jobs
-// move through their lifecycle and fsyncs them in batches (group commit: a
-// submit blocks until its accepted record is on disk, but concurrent
-// submits share one fsync). On boot the manager replays the log: jobs that
-// were accepted but never reached a terminal state are re-enqueued in their
-// original submission order — re-solving is deterministic for a fixed seed,
-// so a replayed job reproduces the result the uninterrupted run would have
-// produced — while terminal records become readable digest-only job records
-// (state, objective, result digest; the stencil plan itself is not logged).
-// Once the log outgrows its size threshold it is compacted to one snapshot
-// record per live job via an atomic temp-file + rename rewrite.
+// The service's write-ahead job log: one NDJSON record per job transition
+// (accepted spec, started, terminal outcome), so a crashed or killed server
+// loses no accepted work. The file mechanics — group-commit fsync, torn-tail
+// handling, compaction — live in internal/journal; this file holds the
+// record schema and the manager's replay and snapshot glue. A submit blocks
+// until its accepted record is on disk (concurrent submits share one
+// fsync); started and terminal records ride the next group commit. On boot
+// the manager replays the log: jobs that were accepted but never reached a
+// terminal state are re-enqueued in their original submission order —
+// re-solving is deterministic for a fixed seed, so a replayed job
+// reproduces the result the uninterrupted run would have produced — while
+// terminal records become readable digest-only job records (state,
+// objective, result digest; the stencil plan itself is not logged). Once the
+// log outgrows its size threshold it is compacted to one snapshot record
+// per live job.
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -22,15 +23,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"eblow"
+	"eblow/internal/journal"
 )
 
 // WAL record ops, in lifecycle order.
@@ -39,11 +37,6 @@ const (
 	walOpStarted  = "started"
 	walOpTerminal = "terminal"
 )
-
-// walFlushInterval bounds how long an appended record may sit in the buffer
-// before the background flusher fsyncs it; it is also the worst-case extra
-// latency a Submit pays for its durability guarantee.
-const walFlushInterval = 5 * time.Millisecond
 
 // DefaultWALMaxBytes is the compaction threshold used when OpenWAL is given
 // a non-positive one.
@@ -115,54 +108,13 @@ type walRecord struct {
 	Digest    string `json:"digest,omitempty"`
 }
 
-// WALStats summarizes what a boot-time replay found in the log.
-type WALStats struct {
-	// Records is the number of well-formed records read at open.
-	Records int
-	// SkippedLines counts unparseable lines (typically one torn tail line
-	// after a hard kill mid-append); they are ignored, never fatal.
-	SkippedLines int
-	// Resumed is the number of non-terminal jobs the manager re-enqueued.
-	Resumed int
-	// Terminal is the number of digest-only terminal records restored.
-	Terminal int
-}
+// valid reports whether a decoded line is a usable record.
+func (r *walRecord) valid() bool { return r.Op != "" && r.Job != "" }
 
 // WAL is the durable job log. Open it with OpenWAL and hand it to
 // Config.WAL; the manager owns it from then on (replays it in New, appends
 // per-transition records, compacts it, and flushes + closes it in Close).
-type WAL struct {
-	path     string
-	maxBytes int64
-
-	mu sync.Mutex
-	// guarded by mu
-	f *os.File
-	// guarded by mu
-	w *bufio.Writer
-	// guarded by mu
-	size int64
-	// guarded by mu
-	dirty bool
-	// guarded by mu
-	waiters []chan error
-	// guarded by mu
-	closed bool
-	// guarded by mu
-	compactFloor int64 // minimum size before the next compaction attempt
-
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	// guarded by mu — parsed at open, consumed once by Manager.New
-	replay []walRecord
-	// guarded by mu
-	stats WALStats
-}
-
-// ErrWALClosed is returned by WAL operations after Close.
-var ErrWALClosed = errors.New("service: WAL is closed")
+type WAL = journal.Log[walRecord]
 
 // OpenWAL opens (creating if needed) the job log at path and parses its
 // existing records for replay. maxBytes is the compaction threshold
@@ -172,287 +124,7 @@ func OpenWAL(path string, maxBytes int64) (*WAL, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultWALMaxBytes
 	}
-	w := &WAL{
-		path:     path,
-		maxBytes: maxBytes,
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	if err := w.load(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("service: opening WAL: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("service: opening WAL: %w", err)
-	}
-	w.f = f
-	w.size = st.Size()
-	w.w = bufio.NewWriter(f)
-	go w.flusher()
-	return w, nil
-}
-
-// load parses the existing log into w.replay, tolerating a torn tail.
-func (w *WAL) load() error {
-	f, err := os.Open(w.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("service: reading WAL: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var recs []walRecord
-	var skipped int
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(bytes.TrimSpace(line)) > 0 {
-			var rec walRecord
-			if json.Unmarshal(line, &rec) != nil || rec.Op == "" || rec.Job == "" {
-				skipped++
-			} else {
-				recs = append(recs, rec)
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("service: reading WAL: %w", err)
-		}
-	}
-	//eblow:nondet-ok open-time load: the flusher goroutine does not exist yet, so nothing can race this publication
-	w.replay, w.stats = recs, WALStats{Records: len(recs), SkippedLines: skipped}
-	return nil
-}
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
-// Stats reports what the boot-time replay found; the Resumed/Terminal
-// counts are filled in once a Manager consumed the log.
-func (w *WAL) Stats() WALStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
-}
-
-// replayRecords hands the parsed records to the manager, once.
-func (w *WAL) replayRecords() []walRecord {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	recs := w.replay
-	w.replay = nil
-	return recs
-}
-
-func (w *WAL) setReplayStats(resumed, terminal int) {
-	w.mu.Lock()
-	w.stats.Resumed, w.stats.Terminal = resumed, terminal
-	w.mu.Unlock()
-}
-
-// append buffers one record. It does not wait for durability — pair it
-// with Flush for the group-commit guarantee, or let the background flusher
-// sync it within walFlushInterval.
-func (w *WAL) append(rec walRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("service: encoding WAL record: %w", err)
-	}
-	b = append(b, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWALClosed
-	}
-	if _, err := w.w.Write(b); err != nil {
-		return fmt.Errorf("service: appending WAL record: %w", err)
-	}
-	w.size += int64(len(b))
-	w.dirty = true
-	w.kickLocked()
-	return nil
-}
-
-// Flush blocks until every record appended so far is fsynced. Concurrent
-// callers coalesce into one fsync (group commit).
-func (w *WAL) Flush() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrWALClosed
-	}
-	if !w.dirty {
-		w.mu.Unlock()
-		return nil
-	}
-	ch := make(chan error, 1)
-	w.waiters = append(w.waiters, ch)
-	w.kickLocked()
-	w.mu.Unlock()
-	return <-ch
-}
-
-func (w *WAL) kickLocked() {
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
-}
-
-// flusher is the single goroutine that performs fsyncs: appenders and Flush
-// callers only kick it, so any number of concurrent transitions share one
-// disk sync per cycle.
-func (w *WAL) flusher() {
-	defer close(w.done)
-	tick := time.NewTicker(walFlushInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-w.kick:
-		case <-tick.C:
-		}
-		w.mu.Lock()
-		w.flushLocked()
-		w.mu.Unlock()
-	}
-}
-
-// flushLocked flushes the buffer, fsyncs, and releases waiters. Callers
-// hold w.mu.
-func (w *WAL) flushLocked() {
-	waiters := w.waiters
-	w.waiters = nil
-	var err error
-	if w.dirty {
-		if err = w.w.Flush(); err == nil {
-			err = w.f.Sync()
-		}
-		w.dirty = false
-	}
-	for _, ch := range waiters {
-		ch <- err
-	}
-}
-
-// needsCompact reports whether the log outgrew its threshold. After a
-// compaction attempt (successful or not) the log must grow another 25%
-// before the next one, so a snapshot that is itself above the threshold —
-// or a failing rewrite — cannot trigger a compaction storm.
-func (w *WAL) needsCompact() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return !w.closed && w.size > w.maxBytes && w.size >= w.compactFloor
-}
-
-// compactTo atomically replaces the log with the given snapshot records:
-// they are written to a temp file, fsynced, and renamed over the old log.
-// Any failure leaves the old log intact.
-func (w *WAL) compactTo(recs []walRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWALClosed
-	}
-	// Whatever happens below, require real growth before trying again.
-	defer func() { w.compactFloor = w.size + w.size/4 }()
-	// Flush the tail first: a record buffered but unwritten must not be
-	// lost if the rewrite fails midway.
-	w.flushLocked()
-
-	tmp := w.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: compacting WAL: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	var size int64
-	for _, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err == nil {
-			b = append(b, '\n')
-			_, err = bw.Write(b)
-		}
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("service: compacting WAL: %w", err)
-		}
-		size += int64(len(b))
-	}
-	err = bw.Flush()
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting WAL: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting WAL: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting WAL: %w", err)
-	}
-	// Best effort: make the rename itself durable.
-	if dir, err := os.Open(filepath.Dir(w.path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	nf, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// The compacted log is on disk but we lost our handle; keep
-		// appending to the old (now unlinked) file so no records vanish,
-		// and surface the error.
-		return fmt.Errorf("service: reopening compacted WAL: %w", err)
-	}
-	old := w.f
-	w.f = nf
-	w.w = bufio.NewWriter(nf)
-	w.size = size
-	w.dirty = false
-	old.Close()
-	return nil
-}
-
-// Size returns the log's current byte size (buffered bytes included).
-func (w *WAL) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
-
-// Close flushes and fsyncs any buffered records and closes the log.
-// Idempotent and safe for concurrent callers: the first caller performs the
-// shutdown, later callers wait for the flusher to stop and return nil.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		<-w.done
-		return nil
-	}
-	w.closed = true
-	w.mu.Unlock()
-	close(w.stop)
-	<-w.done
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.flushLocked()
-	return w.f.Close()
+	return journal.Open(path, maxBytes, (*walRecord).valid)
 }
 
 // resultDigest fingerprints a finished result: a hex SHA-256 over the
@@ -527,7 +199,7 @@ func (m *Manager) walAppendLocked(j *job, rec walRecord) {
 	if m.cfg.WAL == nil {
 		return
 	}
-	if err := m.cfg.WAL.append(rec); err != nil && !errors.Is(err, ErrWALClosed) {
+	if err := m.cfg.WAL.Append(rec); err != nil && !errors.Is(err, journal.ErrClosed) {
 		m.appendEventLocked(j, "warning: WAL append failed: "+err.Error())
 	}
 }
@@ -540,7 +212,7 @@ func (m *Manager) walAppendLocked(j *job, rec walRecord) {
 // m.mu.
 func (m *Manager) maybeCompactWALLocked() {
 	w := m.cfg.WAL
-	if w == nil || !w.needsCompact() {
+	if w == nil || !w.NeedsCompact() {
 		return
 	}
 	m.evictLocked(time.Now()) // expired records need no snapshot
@@ -557,7 +229,7 @@ func (m *Manager) maybeCompactWALLocked() {
 		}
 		recs = append(recs, rec)
 	}
-	_ = w.compactTo(recs)
+	_ = w.CompactTo(recs)
 }
 
 // replayWALLocked rebuilds the manager's job table from the log read at
@@ -567,7 +239,7 @@ func (m *Manager) maybeCompactWALLocked() {
 // mid-solve when the process died. Called from New before any other
 // goroutine can touch the manager; m.mu is held for the pool handoff.
 func (m *Manager) replayWALLocked() {
-	recs := m.cfg.WAL.replayRecords()
+	recs := m.cfg.WAL.Replay()
 	type slot struct {
 		accepted *walRecord
 		terminal *walRecord
@@ -613,25 +285,18 @@ func (m *Manager) replayWALLocked() {
 	if maxID > m.nextID {
 		m.nextID = maxID
 	}
-	m.cfg.WAL.setReplayStats(resumed, terminal)
+	m.cfg.WAL.SetReplayStats(resumed, terminal)
 }
 
 // replayTerminalLocked restores a finished job as a digest-only record:
 // readable (and TTL-evictable) like any terminal job, but with a nil
 // Solution — the WAL logs the result digest, not the plan.
 func (m *Manager) replayTerminalLocked(id string, rec *walRecord) {
-	j := &job{
-		id:        id,
-		spec:      JobSpec{Solver: rec.Solver, Label: rec.Label, Key: rec.Key, KeyPending: rec.KeyPending, Params: rec.Params.params()},
-		instName:  rec.Name,
-		instKind:  kindFromString(rec.Kind),
-		state:     State(rec.State),
-		digest:    rec.Digest,
-		replayed:  true,
-		submitted: rec.Submitted,
-		finished:  rec.Time,
-		changed:   make(chan struct{}),
-	}
+	j := m.replayedJobLocked(id, rec)
+	j.state = State(rec.State)
+	j.digest = rec.Digest
+	j.replayed = true
+	j.finished = rec.Time
 	if !j.state.Terminal() {
 		j.state = StateFailed
 	}
@@ -646,8 +311,6 @@ func (m *Manager) replayTerminalLocked(id string, rec *walRecord) {
 			Elapsed:   time.Duration(rec.ElapsedMs) * time.Millisecond,
 		}
 	}
-	m.jobs[id] = j
-	m.order = append(m.order, id)
 	m.appendEventLocked(j, fmt.Sprintf("replayed terminal record from WAL: %s", j.state))
 }
 
@@ -656,14 +319,7 @@ func (m *Manager) replayTerminalLocked(id string, rec *walRecord) {
 // record instead, so the ID stays visible rather than silently vanishing.
 // Reports whether the job was actually re-enqueued.
 func (m *Manager) replayAcceptedLocked(id string, rec *walRecord) bool {
-	j := &job{
-		id:        id,
-		spec:      JobSpec{Solver: rec.Solver, Label: rec.Label, Key: rec.Key, KeyPending: rec.KeyPending, Params: rec.Params.params()},
-		instName:  rec.Name,
-		instKind:  kindFromString(rec.Kind),
-		submitted: rec.Submitted,
-		changed:   make(chan struct{}),
-	}
+	j := m.replayedJobLocked(id, rec)
 	if j.submitted.IsZero() {
 		j.submitted = rec.Time
 	}
@@ -672,8 +328,6 @@ func (m *Manager) replayAcceptedLocked(id string, rec *walRecord) bool {
 		j.state = StateFailed
 		j.err = fmt.Errorf("service: replaying job spec from WAL: %w", err)
 		j.finished = time.Now()
-		m.jobs[id] = j
-		m.order = append(m.order, id)
 		m.appendEventLocked(j, "failed: "+j.err.Error())
 		m.walAppendLocked(j, m.walTerminal(j))
 		return false
@@ -684,13 +338,27 @@ func (m *Manager) replayAcceptedLocked(id string, rec *walRecord) bool {
 	j.state = StateQueued
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j.ctx, j.cancel = ctx, cancel
-	m.jobs[id] = j
-	m.order = append(m.order, id)
 	m.pending++
 	m.keyPendingAddLocked(j, 1)
-	m.appendEventLocked(j, "queued for "+solverLabel(j.spec)+" (replayed from WAL)")
+	m.appendEventLocked(j, "queued for "+SolverLabel(j.spec)+" (replayed from WAL)")
 	m.enqueueLocked(j)
 	return true
+}
+
+// replayedJobLocked rebuilds a job's submission identity from a WAL record
+// and enters it into the job table. Callers hold m.mu.
+func (m *Manager) replayedJobLocked(id string, rec *walRecord) *job {
+	j := &job{
+		id:        id,
+		spec:      JobSpec{Solver: rec.Solver, Label: rec.Label, Key: rec.Key, KeyPending: rec.KeyPending, Params: rec.Params.params()},
+		instName:  rec.Name,
+		instKind:  kindFromString(rec.Kind),
+		submitted: rec.Submitted,
+		changed:   make(chan struct{}),
+	}
+	m.jobs[id] = j
+	m.order = append(m.order, id)
+	return j
 }
 
 // kindFromString parses the Kind string a WAL record stores.

@@ -1,10 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -132,7 +133,9 @@ func TestWALReplayTerminalRecordReadable(t *testing.T) {
 }
 
 // A torn tail line — the footprint of kill -9 mid-append — must be skipped,
-// not fail the open, and the intact records before it must replay.
+// not fail the open, and the intact records before it must replay. A job
+// submitted after that boot must survive the next restart too: its
+// accepted record may not be glued onto the torn fragment.
 func TestWALTornTailSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.wal")
 	m := New(Config{Workers: 1, WAL: openTestWAL(t, path)})
@@ -152,9 +155,16 @@ func TestWALTornTailSkipped(t *testing.T) {
 	}
 	f.Close()
 
+	orig := solveSpec
+	defer func() { solveSpec = orig }()
+	started := make(chan struct{}, 1)
+	solveSpec = func(ctx context.Context, spec JobSpec) (*eblow.Result, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
 	w2 := openTestWAL(t, path)
 	m2 := New(Config{Workers: 1, WAL: w2})
-	defer m2.Close()
 	st := w2.Stats()
 	if st.SkippedLines != 1 {
 		t.Errorf("skipped lines %d, want 1", st.SkippedLines)
@@ -164,6 +174,24 @@ func TestWALTornTailSkipped(t *testing.T) {
 	}
 	if _, err := m2.Status("j9"); err == nil {
 		t.Error("torn record materialized a job")
+	}
+	// Interrupt a fresh job mid-solve: only its accepted record is on disk.
+	fresh, err := m2.Submit(JobSpec{Instance: eblow.SmallInstance(eblow.OneD, 30, 2, 7), Solver: "greedy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	m2.Close()
+
+	w3 := openTestWAL(t, path)
+	m3 := New(Config{Workers: 1, WAL: w3})
+	defer m3.Close()
+	if st := w3.Stats(); st.Resumed != 1 || st.SkippedLines != 1 {
+		t.Fatalf("replay after the torn-tail boot: %+v, want 1 resumed job and 1 skipped line", st)
+	}
+	<-started // the interrupted job re-runs from its accepted record
+	if got, err := m3.Status(fresh.ID); err != nil || got.State.Terminal() {
+		t.Fatalf("job submitted after the torn tail did not replay: %+v, %v", got, err)
 	}
 }
 
@@ -294,13 +322,14 @@ func TestWALSubmitAckIsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Read the file directly, before the job finishes or the WAL closes.
-	probe := &WAL{path: path}
-	if err := probe.load(); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, rec := range probe.replay {
-		if rec.Op == walOpAccepted && rec.Job == s.ID {
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		var rec walRecord
+		if json.Unmarshal(line, &rec) == nil && rec.Op == walOpAccepted && rec.Job == s.ID {
 			found = true
 			if len(rec.Instance) == 0 {
 				t.Error("accepted record has no instance payload")
@@ -311,38 +340,4 @@ func TestWALSubmitAckIsDurable(t *testing.T) {
 		t.Fatalf("accepted record for %s not on disk when Submit returned", s.ID)
 	}
 	waitTerminal(t, m, s.ID, 30*time.Second)
-}
-
-// WAL operations after Close must fail cleanly, and Close must be idempotent.
-func TestWALClosed(t *testing.T) {
-	w := openTestWAL(t, filepath.Join(t.TempDir(), "jobs.wal"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-	if err := w.append(walRecord{Op: walOpStarted, Job: "j1"}); err != ErrWALClosed {
-		t.Errorf("append after Close: %v", err)
-	}
-	if err := w.Flush(); err != ErrWALClosed {
-		t.Errorf("Flush after Close: %v", err)
-	}
-}
-
-// Concurrent Close calls must not race on the stop channel (close of a
-// closed channel panics); every caller returns without error.
-func TestWALCloseConcurrent(t *testing.T) {
-	w := openTestWAL(t, filepath.Join(t.TempDir(), "jobs.wal"))
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Close(); err != nil {
-				t.Errorf("concurrent Close: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
 }
