@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"eblow"
+	"eblow/internal/journal"
 )
 
 // openTestWAL opens a WAL in a per-test temp dir and fails the test on error.
@@ -340,4 +343,39 @@ func TestWALSubmitAckIsDurable(t *testing.T) {
 		t.Fatalf("accepted record for %s not on disk when Submit returned", s.ID)
 	}
 	waitTerminal(t, m, s.ID, 30*time.Second)
+}
+
+// Job-log operations after Close must fail cleanly, and Close must be
+// idempotent.
+func TestWALClosed(t *testing.T) {
+	w := openTestWAL(t, filepath.Join(t.TempDir(), "jobs.wal"))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if err := w.Append(walRecord{Op: walOpStarted, Job: "j1"}); !errors.Is(err, journal.ErrClosed) {
+		t.Errorf("Append after Close: %v", err)
+	}
+	if err := w.Flush(); !errors.Is(err, journal.ErrClosed) {
+		t.Errorf("Flush after Close: %v", err)
+	}
+}
+
+// Concurrent Close calls on the job log must not race on the stop channel
+// (close of a closed channel panics); every caller returns without error.
+func TestWALCloseConcurrent(t *testing.T) {
+	w := openTestWAL(t, filepath.Join(t.TempDir(), "jobs.wal"))
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Close(); err != nil {
+				t.Errorf("concurrent Close: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
 }
