@@ -224,7 +224,7 @@ func BenchmarkEBlow1DLarge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Solve1D(context.Background(), in, Defaults1D()); err != nil {
+		if _, err := SolveWith(context.Background(), in, Params{}); err != nil {
 			b.Fatal(err)
 		}
 	}

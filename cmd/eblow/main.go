@@ -135,7 +135,7 @@ func reportLearned(in *eblow.Instance, path string) error {
 	fmt.Printf("instance      : %s (%s)\n", in.Name, in.Kind)
 	fmt.Printf("shape         : %s\n", shape)
 	fmt.Printf("store         : %s\n", path)
-	fmt.Printf("static order  : %v\n", eblow.PortfolioStrategies(in.Kind))
+	fmt.Printf("static order  : %v\n", raceOrder(in.Kind))
 	if plan.Learned {
 		fmt.Printf("learned order : %v\n", plan.Order)
 		if len(plan.Pruned) > 0 {
@@ -148,7 +148,7 @@ func reportLearned(in *eblow.Instance, path string) error {
 	}
 	if ss := store.Shape(shape); ss != nil {
 		fmt.Printf("recorded races: %d\n", ss.Races)
-		for _, name := range eblow.PortfolioStrategies(in.Kind) {
+		for _, name := range raceOrder(in.Kind) {
 			s := ss.Strategies[name]
 			if s == nil {
 				continue
@@ -160,6 +160,18 @@ func reportLearned(in *eblow.Instance, path string) error {
 		fmt.Printf("recorded races: 0\n")
 	}
 	return nil
+}
+
+// raceOrder lists the strategies of the default portfolio race for the
+// kind, in race (registry) order.
+func raceOrder(kind eblow.Kind) []string {
+	var names []string
+	for _, s := range eblow.SolverInfos() {
+		if s.Racing && s.Supports(kind) {
+			names = append(names, s.Name)
+		}
+	}
+	return names
 }
 
 // run dispatches through the unified solver API: every algorithm name is a

@@ -34,8 +34,8 @@
 // instead of FIFO order: cheap jobs are estimated (chars x regions x
 // strategy, sharpened by the learn store's measured runtimes when one is
 // loaded) and may overtake expensive ones, and compatible small jobs are
-// grouped into cohorts (-batch-size, -batch-chars) that run struct-of-
-// arrays batched kernels in lockstep. Per-job results stay bit-identical
+// grouped into cohorts (-batch-size, -batch-chars) that share one worker
+// sweep of plain solver calls. Per-job results stay bit-identical
 // to solo FIFO execution, and -aging hard-bounds how many later jobs may
 // overtake a waiting one (no starvation). GET /v1/stats exposes the queue
 // depth and the scheduler's counters; -batch=false restores the plain

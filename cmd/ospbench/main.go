@@ -19,6 +19,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -31,12 +32,12 @@ import (
 
 	"eblow"
 	"eblow/internal/core"
-	"eblow/internal/exact"
 	"eblow/internal/floorsa"
 	"eblow/internal/gen"
 	"eblow/internal/oned"
 	"eblow/internal/pack2d"
 	"eblow/internal/report"
+	"eblow/internal/solver"
 )
 
 func main() {
@@ -424,17 +425,18 @@ func sweepExactWorkers(ctx context.Context, caseName, workerList string, limit t
 
 	var runs []sweepRun
 	for _, w := range counts {
-		// Straight to the formulation layer rather than the registry
-		// wrapper: a run that hits the limit with no incumbent is still a
-		// valid throughput measurement, not an error.
+		// A run that hits the limit with no incumbent is still a valid
+		// throughput measurement, not an error.
 		var ex *eblow.ExactResult
-		if in.Kind == eblow.OneD {
-			ex, err = exact.Solve1D(ctx, in, exact.Options{TimeLimit: limit, Workers: w})
-		} else {
-			ex, err = exact.Solve2D(ctx, in, exact.Options{TimeLimit: limit, Workers: w})
-		}
-		if err != nil {
+		r, err := eblow.SolveWith(ctx, in, eblow.Params{Strategies: []string{"exact"}, Deadline: limit, Workers: w})
+		var none *eblow.NoIncumbentError
+		switch {
+		case errors.As(err, &none):
+			ex = none.Exact
+		case err != nil:
 			return fmt.Errorf("workers=%d: %w", w, err)
+		default:
+			ex = r.Exact
 		}
 		run := sweepRun{
 			Case:      in.Name,
@@ -532,7 +534,7 @@ func replayLearn(ctx context.Context, caseList, path string, rounds, workers, re
 	for _, in := range instances {
 		plan := eblow.PlanRace(store, in)
 		fmt.Printf("%-6s shape %s\n", in.Name, plan.Shape)
-		fmt.Printf("  static  : %v\n", eblow.PortfolioStrategies(in.Kind))
+		fmt.Printf("  static  : %v\n", solver.RacingNames(in.Kind))
 		if !plan.Learned {
 			fmt.Printf("  learned : (cold — too few races for this shape)\n")
 			continue
@@ -558,7 +560,7 @@ func racePortfolio(ctx context.Context, caseName string, workers, restarts int, 
 		return err
 	}
 	fmt.Printf("portfolio race on %s (%s, %d characters, %d regions), strategies %v, deadline %s\n",
-		in.Name, in.Kind, in.NumCharacters(), in.NumRegions, eblow.PortfolioStrategies(in.Kind), timeout)
+		in.Name, in.Kind, in.NumCharacters(), in.NumRegions, solver.RacingNames(in.Kind), timeout)
 
 	type outcome struct {
 		workers int

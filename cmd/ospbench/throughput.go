@@ -28,7 +28,7 @@ type tpJob struct {
 // any cohort) and medium E-BLOW jobs. Under a FIFO drain the blockers
 // capture the pool and every tiny job behind them blows its latency
 // budget; the cost-model scheduler lets the tiny jobs overtake (within the
-// aging bound) and packs them into lockstep cohorts.
+// aging bound) and packs them into cohorts.
 func throughputWorkload(n int, seed int64) []tpJob {
 	rng := rand.New(rand.NewSource(seed))
 	jobs := make([]tpJob, n)

@@ -20,9 +20,6 @@
 //   - Benchmark / SmallInstance generate the paper's synthetic instances;
 //     ReadInstance / WriteInstance / DecodeInstance / EncodeInstance move
 //     instances as JSON.
-//
-// The older per-strategy functions (Solve1D, Greedy1D, Exact1D, ...) remain
-// as thin deprecated wrappers over the unified API.
 package eblow
 
 import (
@@ -32,14 +29,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"eblow/internal/core"
 	"eblow/internal/exact"
 	"eblow/internal/gen"
 	"eblow/internal/learn"
 	"eblow/internal/oned"
-	"eblow/internal/portfolio"
 	"eblow/internal/solver"
 	"eblow/internal/twod"
 )
@@ -108,17 +103,6 @@ func Defaults1D() Options1D { return oned.Defaults() }
 // Defaults2D returns the paper's parameter settings for the 2D planner.
 func Defaults2D() Options2D { return twod.Defaults() }
 
-// PortfolioOptions configures SolvePortfolio; the zero value races every
-// applicable strategy with one worker per CPU and no deadline.
-type PortfolioOptions = portfolio.Options
-
-// PortfolioResult is the outcome of a portfolio race: the best feasible
-// plan, the winning strategy, and every entrant's run record.
-type PortfolioResult = portfolio.Result
-
-// PortfolioRun is one strategy's outcome inside a portfolio race.
-type PortfolioRun = portfolio.Run
-
 // Learned portfolio scheduling. A LearnStore accumulates, per instance
 // shape (LearnShape), which strategy wins portfolio races of that shape;
 // the portfolio consults it to reorder the race by win rate, prune heavy
@@ -178,134 +162,6 @@ func PlanRace(store *LearnStore, in *Instance) *LearnPlan {
 // zero Params.
 func Solve(ctx context.Context, in *Instance) (*Solution, error) {
 	r, err := SolveWith(ctx, in, Params{})
-	if err != nil {
-		return nil, err
-	}
-	return r.Solution, nil
-}
-
-// Solve1D plans the stencil of a 1DOSP instance with E-BLOW. The context
-// cancels the run: an already-done context returns ctx.Err() immediately
-// and a deadline stops the planner at its next checkpoint. The solution is
-// deterministic for fixed options regardless of opt.Workers.
-//
-// Deprecated: use SolveWith (or Lookup("eblow")) with Params.Options1D; the
-// trace is returned in Result.Trace.
-func Solve1D(ctx context.Context, in *Instance, opt Options1D) (*Solution, *Trace1D, error) {
-	if in.Kind != OneD {
-		return nil, nil, fmt.Errorf("eblow: instance %q is not a 1DOSP instance", in.Name)
-	}
-	r, err := SolveWith(ctx, in, Params{Options1D: &opt})
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Solution, r.Trace, nil
-}
-
-// Solve2D plans the stencil of a 2DOSP instance with E-BLOW; cancellation
-// and determinism follow the same contract as Solve1D.
-//
-// Deprecated: use SolveWith (or Lookup("eblow")) with Params.Options2D; the
-// clustering stats are returned in Result.Stats.
-func Solve2D(ctx context.Context, in *Instance, opt Options2D) (*Solution, *ClusterStats, error) {
-	if in.Kind != TwoD {
-		return nil, nil, fmt.Errorf("eblow: instance %q is not a 2DOSP instance", in.Name)
-	}
-	r, err := SolveWith(ctx, in, Params{Options2D: &opt})
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Solution, r.Stats, nil
-}
-
-// SolvePortfolio races E-BLOW against the prior-work baselines under one
-// shared deadline (ctx plus opt.Timeout) and returns the best feasible plan
-// any strategy found. Cheap heuristics guarantee an incumbent even when the
-// deadline cuts the heavier planners off; with room to spare the best
-// overall plan wins. The result is deterministic for a fixed seed
-// regardless of opt.Workers as long as no deadline truncates an entrant
-// mid-run.
-//
-// Deprecated: use SolveWith with several Params.Strategies (or
-// Lookup("portfolio")); the per-entrant records are returned in Result.Runs.
-func SolvePortfolio(ctx context.Context, in *Instance, opt PortfolioOptions) (*PortfolioResult, error) {
-	return portfolio.Solve(ctx, in, opt)
-}
-
-// PortfolioStrategies lists the strategies SolvePortfolio races for the
-// given instance kind, in race order.
-//
-// Deprecated: use Solvers or SolverInfos; the racing entries are the ones
-// whose SolverInfo.Racing is set.
-func PortfolioStrategies(kind Kind) []string { return portfolio.Names(kind) }
-
-// Exact1D solves formulation (3) of the paper exactly with branch and
-// bound. The context cancels the search; the time limit bounds it even
-// without a context deadline.
-//
-// Deprecated: use Lookup("exact") with Params.Deadline as the time limit and
-// Params.Workers for the parallel branch and bound; the details are returned
-// in Result.Exact.
-func Exact1D(ctx context.Context, in *Instance, timeLimit time.Duration) (*ExactResult, error) {
-	return exact.Solve1D(ctx, in, exact.Options{TimeLimit: timeLimit})
-}
-
-// Exact2D solves formulation (7) of the paper exactly with branch and bound.
-//
-// Deprecated: use Lookup("exact") with Params.Deadline as the time limit and
-// Params.Workers for the parallel branch and bound; the details are returned
-// in Result.Exact.
-func Exact2D(ctx context.Context, in *Instance, timeLimit time.Duration) (*ExactResult, error) {
-	return exact.Solve2D(ctx, in, exact.Options{TimeLimit: timeLimit})
-}
-
-// Greedy1D is the greedy 1D baseline of the paper's Table 3.
-//
-// Deprecated: use Lookup("greedy") or SolveWith with Params.Strategies
-// {"greedy"}.
-func Greedy1D(in *Instance) (*Solution, error) {
-	if in.Kind != OneD {
-		return nil, fmt.Errorf("eblow: instance %q is not a 1DOSP instance", in.Name)
-	}
-	return solutionOf(solver.Solve(context.Background(), "greedy", in, Params{}))
-}
-
-// Heuristic1D is the prior-work two-step 1D heuristic ([24] in the paper).
-//
-// Deprecated: use Lookup("heuristic24") with Params.Seed.
-func Heuristic1D(ctx context.Context, in *Instance, seed int64) (*Solution, error) {
-	return solutionOf(solver.Solve(ctx, "heuristic24", in, Params{Seed: seed}))
-}
-
-// RowHeuristic1D is the deterministic row-structure 1D heuristic ([25] in
-// the paper).
-//
-// Deprecated: use Lookup("row25").
-func RowHeuristic1D(in *Instance) (*Solution, error) {
-	return solutionOf(solver.Solve(context.Background(), "row25", in, Params{}))
-}
-
-// Greedy2D is the greedy 2D baseline of the paper's Table 4.
-//
-// Deprecated: use Lookup("greedy") or SolveWith with Params.Strategies
-// {"greedy"}.
-func Greedy2D(in *Instance) (*Solution, error) {
-	if in.Kind != TwoD {
-		return nil, fmt.Errorf("eblow: instance %q is not a 2DOSP instance", in.Name)
-	}
-	return solutionOf(solver.Solve(context.Background(), "greedy", in, Params{}))
-}
-
-// AnnealedBaseline2D is the prior-work fixed-outline floorplanner ([24]).
-//
-// Deprecated: use Lookup("sa24") with Params.Seed and Params.Deadline.
-func AnnealedBaseline2D(ctx context.Context, in *Instance, seed int64, timeLimit time.Duration) (*Solution, error) {
-	return solutionOf(solver.Solve(ctx, "sa24", in, Params{Seed: seed, Deadline: timeLimit}))
-}
-
-// solutionOf projects a unified Result onto the legacy (*Solution, error)
-// wrapper signatures.
-func solutionOf(r *Result, err error) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package eblow
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -32,33 +33,50 @@ func TestFacadeBaselinesAndExact(t *testing.T) {
 		t.Skip("exact ILP solve is slow; run without -short")
 	}
 	in := SmallInstance(OneD, 40, 2, 3)
-	if _, err := Greedy1D(in); err != nil {
-		t.Error(err)
-	}
-	if _, err := Heuristic1D(context.Background(), in, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := RowHeuristic1D(in); err != nil {
-		t.Error(err)
-	}
 	in2 := SmallInstance(TwoD, 30, 2, 4)
-	if _, err := Greedy2D(in2); err != nil {
-		t.Error(err)
-	}
-	if _, err := AnnealedBaseline2D(context.Background(), in2, 1, 2*time.Second); err != nil {
-		t.Error(err)
+	for _, c := range []struct {
+		in *Instance
+		p  Params
+	}{
+		{in, Params{Strategies: []string{"greedy"}}},
+		{in, Params{Strategies: []string{"heuristic24"}, Seed: 1}},
+		{in, Params{Strategies: []string{"row25"}}},
+		{in2, Params{Strategies: []string{"greedy"}}},
+		{in2, Params{Strategies: []string{"sa24"}, Seed: 1, Deadline: 2 * time.Second}},
+	} {
+		if r, err := SolveWith(context.Background(), c.in, c.p); err != nil {
+			t.Errorf("%v on %s: %v", c.p.Strategies, c.in.Kind, err)
+		} else if !r.Feasible || r.Strategy != c.p.Strategies[0] {
+			t.Errorf("%v on %s: strategy %q feasible %v", c.p.Strategies, c.in.Kind, r.Strategy, r.Feasible)
+		}
 	}
 
 	tiny, err := Benchmark("1T-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exact1D(context.Background(), tiny, 5*time.Second)
+	exact := Params{Strategies: []string{"exact"}, Deadline: 5 * time.Second}
+	res, err := SolveWith(context.Background(), tiny, exact)
+	var none *NoIncumbentError
+	switch {
+	case errors.As(err, &none):
+		// A loaded machine may reach the limit before any incumbent.
+	case err != nil:
+		t.Fatal(err)
+	case res.Exact == nil || res.Exact.Solution == nil:
+		t.Errorf("exact result carries no plan: %+v", res.Exact)
+	}
+
+	// 1T-2 finds no incumbent for many seconds: a short limit must fail
+	// with a NoIncumbentError that still reports the search.
+	hard, err := Benchmark("1T-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solution == nil && res.Status.String() == "" {
-		t.Error("exact result carries no information")
+	exact.Deadline = 50 * time.Millisecond
+	_, err = SolveWith(context.Background(), hard, exact)
+	if !errors.As(err, &none) || none.Exact.BinaryVariables == 0 {
+		t.Fatalf("exact under a short limit: err %v, want a NoIncumbentError with details", err)
 	}
 }
 

@@ -7,6 +7,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -21,11 +22,24 @@ func main() {
 			log.Fatal(err)
 		}
 
-		exact, err := eblow.Exact1D(context.Background(), in, 20*time.Second)
-		if err != nil {
+		// The exact strategy takes its branch-and-bound time limit from
+		// Params.Deadline. A search that ends without any feasible plan
+		// fails with a NoIncumbentError that still carries its details.
+		var exact *eblow.ExactResult
+		res, err := eblow.SolveWith(context.Background(), in, eblow.Params{
+			Strategies: []string{"exact"},
+			Deadline:   20 * time.Second,
+		})
+		var none *eblow.NoIncumbentError
+		switch {
+		case errors.As(err, &none):
+			exact = none.Exact
+		case err != nil:
 			log.Fatal(err)
+		default:
+			exact = res.Exact
 		}
-		heur, _, err := eblow.Solve1D(context.Background(), in, eblow.Defaults1D())
+		heur, err := eblow.Solve(context.Background(), in)
 		if err != nil {
 			log.Fatal(err)
 		}

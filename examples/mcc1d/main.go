@@ -20,43 +20,30 @@ func main() {
 	fmt.Printf("benchmark %s: %d candidates, %d regions, stencil %dx%d um\n\n",
 		in.Name, in.NumCharacters(), in.NumRegions, in.StencilWidth, in.StencilHeight)
 
-	type entry struct {
-		name string
-		sol  *eblow.Solution
+	// Every planner is a registered strategy behind the one SolveWith entry
+	// point; the zero Params run E-BLOW.
+	planners := []struct {
+		name   string
+		params eblow.Params
+	}{
+		{"Greedy", eblow.Params{Strategies: []string{"greedy"}}},
+		{"Heuristic [24]", eblow.Params{Strategies: []string{"heuristic24"}, Seed: 1}},
+		{"Row heuristic [25]", eblow.Params{Strategies: []string{"row25"}}},
+		{"E-BLOW", eblow.Params{}},
 	}
-	var results []entry
-
-	greedy, err := eblow.Greedy1D(in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	results = append(results, entry{"Greedy", greedy})
-
-	heur, err := eblow.Heuristic1D(context.Background(), in, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	results = append(results, entry{"Heuristic [24]", heur})
-
-	row25, err := eblow.RowHeuristic1D(in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	results = append(results, entry{"Row heuristic [25]", row25})
-
-	eblowSol, _, err := eblow.Solve1D(context.Background(), in, eblow.Defaults1D())
-	if err != nil {
-		log.Fatal(err)
-	}
-	results = append(results, entry{"E-BLOW", eblowSol})
 
 	fmt.Printf("%-20s %12s %8s %10s   %s\n", "planner", "writing time", "chars", "runtime", "slowest/fastest region")
-	for _, e := range results {
-		if err := e.sol.Validate(in); err != nil {
+	for _, e := range planners {
+		res, err := eblow.SolveWith(context.Background(), in, e.params)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sol := res.Solution
+		if err := sol.Validate(in); err != nil {
 			log.Fatalf("%s produced an invalid plan: %v", e.name, err)
 		}
-		slowest, fastest := e.sol.RegionTimes[0], e.sol.RegionTimes[0]
-		for _, t := range e.sol.RegionTimes {
+		slowest, fastest := sol.RegionTimes[0], sol.RegionTimes[0]
+		for _, t := range sol.RegionTimes {
 			if t > slowest {
 				slowest = t
 			}
@@ -65,7 +52,7 @@ func main() {
 			}
 		}
 		fmt.Printf("%-20s %12d %8d %10s   %d / %d\n",
-			e.name, e.sol.WritingTime, e.sol.NumSelected(), e.sol.Runtime.Round(1e6), slowest, fastest)
+			e.name, sol.WritingTime, sol.NumSelected(), sol.Runtime.Round(1e6), slowest, fastest)
 	}
 	fmt.Println("\nThe MCC writing time is the slowest region: balancing the regions is what")
 	fmt.Println("separates E-BLOW from planners that only maximize the total reduction.")

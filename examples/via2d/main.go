@@ -23,10 +23,11 @@ func main() {
 	opt.Seed = 7
 	opt.TimeLimit = 5 * time.Second
 
-	sol, stats, err := eblow.Solve2D(context.Background(), in, opt)
+	res, err := eblow.SolveWith(context.Background(), in, eblow.Params{Options2D: &opt})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sol, stats := res.Solution, res.Stats
 	if err := sol.Validate(in); err != nil {
 		log.Fatalf("planner produced an invalid stencil: %v", err)
 	}
@@ -38,11 +39,11 @@ func main() {
 	fmt.Printf("writing time           : %d\n", sol.WritingTime)
 	fmt.Printf("planner runtime        : %s\n\n", sol.Runtime)
 
-	greedy, err := eblow.Greedy2D(in)
+	greedy, err := eblow.SolveWith(context.Background(), in, eblow.Params{Strategies: []string{"greedy"}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("greedy baseline        : writing time %d with %d characters\n\n", greedy.WritingTime, greedy.NumSelected())
+	fmt.Printf("greedy baseline        : writing time %d with %d characters\n\n", greedy.Objective, greedy.Solution.NumSelected())
 
 	fmt.Println("first placements (character, x, y, size):")
 	for i, p := range sol.Placements {

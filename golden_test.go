@@ -35,7 +35,7 @@ func TestGoldenObjectives(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sol *Solution
+			var p Params
 			if in.Kind == OneD {
 				opt := Defaults1D()
 				// The fast-convergence ILP normally carries a 2s wall-clock
@@ -43,15 +43,17 @@ func TestGoldenObjectives(t *testing.T) {
 				// but a generous limit makes the anchor immune to a heavily
 				// loaded CI machine truncating the search differently.
 				opt.ILPTimeLimit = 10 * time.Minute
-				sol, _, err = Solve1D(context.Background(), in, opt)
+				p.Options1D = &opt
 			} else {
 				opt := Defaults2D()
 				opt.Seed = 1
-				sol, _, err = Solve2D(context.Background(), in, opt)
+				p.Options2D = &opt
 			}
+			res, err := SolveWith(context.Background(), in, p)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sol := res.Solution
 			if err := sol.Validate(in); err != nil {
 				t.Fatalf("invalid solution: %v", err)
 			}

@@ -69,64 +69,6 @@ type SA2DOptions struct {
 	PreFilterFactor float64
 }
 
-// SA2DPlan is the deterministic setup of an SA2D run: the prefiltered
-// candidate ids, their floorsa blocks, and the resolved annealer options.
-// The solo flow (SA2D) and the batched cohort executor (internal/batch) both
-// build one of these and anneal exactly the same input — which is what makes
-// batched results bit-identical to solo runs by construction rather than by
-// reimplementation.
-type SA2DPlan struct {
-	// IDs are the prefiltered candidate character ids, in annealing order.
-	IDs []int
-	// Blocks are the candidates as floorsa blocks (geometry plus per-region
-	// writing-time reductions).
-	Blocks []floorsa.Block
-	// Opt is the resolved annealer configuration for floorsa.Pack.
-	Opt floorsa.Options
-}
-
-// PlanSA2D validates the instance and builds the annealing input of an SA2D
-// run without running it.
-func PlanSA2D(in *core.Instance, opt SA2DOptions) (*SA2DPlan, error) {
-	if err := check2D(in); err != nil {
-		return nil, err
-	}
-	if opt.PreFilterFactor <= 0 {
-		opt.PreFilterFactor = 2.5
-	}
-	ids := preFilter2D(in, opt.PreFilterFactor)
-	blocks := make([]floorsa.Block, len(ids))
-	for k, id := range ids {
-		blocks[k] = charBlock(in, id)
-	}
-	return &SA2DPlan{
-		IDs:    ids,
-		Blocks: blocks,
-		Opt: floorsa.Options{
-			MoveBudget:   opt.MoveBudget,
-			Seed:         opt.Seed,
-			TimeLimit:    opt.TimeLimit,
-			Restarts:     opt.Restarts,
-			Workers:      opt.Workers,
-			SumObjective: true,
-		},
-	}, nil
-}
-
-// Solution scatters a packing result back into a stencil plan over the full
-// character set and finalizes it.
-func (p *SA2DPlan) Solution(in *core.Instance, res *floorsa.Result, elapsed time.Duration) *core.Solution {
-	sol := &core.Solution{Selected: make([]bool, in.NumCharacters())}
-	for k, id := range p.IDs {
-		if res.Inside[k] {
-			sol.Selected[id] = true
-			sol.Placements = append(sol.Placements, core.Placement{Char: id, X: res.X[k], Y: res.Y[k]})
-		}
-	}
-	sol.Finalize(in, "SA-2D[24]", elapsed)
-	return sol
-}
-
 // SA2D reimplements the fixed-outline floorplanning flow of [24]: a
 // sequence-pair simulated annealer over individual characters (no
 // clustering). Characters whose placement falls outside the outline are not
@@ -139,12 +81,37 @@ func SA2D(ctx context.Context, in *core.Instance, opt SA2DOptions) (*core.Soluti
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, err := PlanSA2D(in, opt)
-	if err != nil {
+	if err := check2D(in); err != nil {
 		return nil, err
 	}
-	res := floorsa.Pack(ctx, plan.Blocks, in.VSBTime(), in.StencilWidth, in.StencilHeight, plan.Opt)
-	return plan.Solution(in, res, time.Since(start)), nil
+	if opt.PreFilterFactor <= 0 {
+		opt.PreFilterFactor = 2.5
+	}
+
+	ids := preFilter2D(in, opt.PreFilterFactor)
+	blocks := make([]floorsa.Block, len(ids))
+	for k, id := range ids {
+		blocks[k] = charBlock(in, id)
+	}
+
+	res := floorsa.Pack(ctx, blocks, in.VSBTime(), in.StencilWidth, in.StencilHeight, floorsa.Options{
+		MoveBudget:   opt.MoveBudget,
+		Seed:         opt.Seed,
+		TimeLimit:    opt.TimeLimit,
+		Restarts:     opt.Restarts,
+		Workers:      opt.Workers,
+		SumObjective: true,
+	})
+
+	sol := &core.Solution{Selected: make([]bool, in.NumCharacters())}
+	for k, id := range ids {
+		if res.Inside[k] {
+			sol.Selected[id] = true
+			sol.Placements = append(sol.Placements, core.Placement{Char: id, X: res.X[k], Y: res.Y[k]})
+		}
+	}
+	sol.Finalize(in, "SA-2D[24]", time.Since(start))
+	return sol, nil
 }
 
 // charBlock converts a character into a floorsa block.

@@ -1,6 +1,6 @@
 // Package batch is the batched many-instance execution layer: it turns a
-// set of concurrently queued compatible jobs into one cohort that runs wide
-// data-parallel kernels in lockstep instead of draining job-by-job.
+// set of concurrently queued compatible jobs into one cohort that shares a
+// worker sweep instead of draining job-by-job.
 //
 // The package has two halves:
 //
@@ -13,18 +13,15 @@
 //     best-effort: a job can be overtaken by at most Policy.MaxJump
 //     later-submitted jobs before the scheduler pins it to the front, so
 //     starvation is impossible by construction.
-//   - Execute runs a popped cohort. Units sharing a strategy and kind are
-//     executed by one par.For sweep; the "sa24" 2D annealer additionally
-//     gets the full struct-of-arrays treatment (floorsa.PackBatch carves
-//     every instance's hot arrays from one shared arena, so the cohort's
-//     kernels run as contiguous lockstep sweeps instead of per-instance
-//     pointer chasing).
+//   - Execute runs a popped cohort: one par.For sweep of plain
+//     solver.Solve calls, one per unit.
 //
 // The batch-identity contract (docs/INVARIANTS.md): for every unit, the
 // Result of a batched run is bit-identical to the solo solver.Solve call
 // the service would have made — same objective, same plan, same digest.
-// Cohort execution changes only memory layout and start order, never the
-// arithmetic; each unit keeps its own context, seed stream, and deadline.
+// It holds by construction, because each unit runs the solo call itself
+// with its own context, seed stream, and deadline; a cohort changes only
+// start order.
 package batch
 
 import (
@@ -65,56 +62,9 @@ func Batchable(name string, kind core.Kind) bool {
 }
 
 // Execute runs the units as one cohort and returns one UnitResult per unit,
-// index-aligned. Units are grouped by (strategy, kind) in first-appearance
-// order; each group runs as one lockstep par.For sweep bounded by workers
-// goroutines. Results are bit-identical to calling solver.Solve per unit.
+// index-aligned: a par.For sweep bounded by workers goroutines calls
+// solver.Solve for each unit, so results are the solo results.
 func Execute(units []Unit, workers int) []UnitResult {
-	out := make([]UnitResult, len(units))
-	if len(units) == 0 {
-		return out
-	}
-	type group struct {
-		strategy string
-		kind     core.Kind
-		idx      []int
-	}
-	var groups []group
-	for i, u := range units {
-		placed := false
-		for g := range groups {
-			if groups[g].strategy == u.Strategy && groups[g].kind == u.Instance.Kind {
-				groups[g].idx = append(groups[g].idx, i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			groups = append(groups, group{u.Strategy, u.Instance.Kind, []int{i}})
-		}
-	}
-	for _, g := range groups {
-		sub := make([]Unit, len(g.idx))
-		for k, i := range g.idx {
-			sub[k] = units[i]
-		}
-		var res []UnitResult
-		if g.strategy == "sa24" && g.kind == core.TwoD {
-			res = runSA2D(sub, workers)
-		} else {
-			res = runGrouped(sub, workers)
-		}
-		for k, i := range g.idx {
-			out[i] = res[k]
-		}
-	}
-	return out
-}
-
-// runGrouped executes the units through the registry solver, one unit per
-// par.For index. This is the trivially-lockstep case: every instance runs
-// the same strategy's kernel in one sweep, and bit-identity to solo
-// execution holds because the code path IS the solo path.
-func runGrouped(units []Unit, workers int) []UnitResult {
 	out := make([]UnitResult, len(units))
 	par.For(workers, len(units), func(i int) {
 		u := units[i]

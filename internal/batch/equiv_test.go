@@ -40,11 +40,13 @@ func equivUnits(t *testing.T) []Unit {
 		in := gen.Small(kind, chars, regions, seed)
 		units = append(units, Unit{Ctx: context.Background(), Instance: in, Strategy: strategy, Params: p})
 	}
-	// A mixed cohort: several sa24 2D jobs (the arena-backed lockstep
-	// kernel), plus 1D jobs on every other batchable strategy.
+	// A mixed cohort: several sa24 2D jobs, 2D greedy jobs, plus 1D jobs
+	// on every other batchable strategy.
 	add(core.TwoD, 24, 3, 11, "sa24", solver.Params{Seed: 1, Workers: 1})
 	add(core.TwoD, 18, 2, 12, "sa24", solver.Params{Seed: 2, Workers: 1, Restarts: 2})
 	add(core.TwoD, 30, 4, 13, "sa24", solver.Params{Seed: 3, Workers: 2})
+	add(core.TwoD, 26, 3, 18, "greedy", solver.Params{Seed: 8, Workers: 1})
+	add(core.TwoD, 20, 2, 19, "greedy", solver.Params{Seed: 9, Workers: 1})
 	add(core.OneD, 40, 3, 14, "greedy", solver.Params{Seed: 4, Workers: 1})
 	add(core.OneD, 36, 2, 15, "row25", solver.Params{Seed: 5, Workers: 1})
 	add(core.OneD, 32, 3, 16, "heuristic24", solver.Params{Seed: 6, Workers: 1})

@@ -17,7 +17,7 @@ func benchState(useSum bool) *state {
 	rng := rand.New(rand.NewSource(42))
 	blocks, reds, vsb := randomInstance(rng, 300, 10)
 	sp := seqpair.Random(300, rng)
-	return newState(sp, blocks, reds, vsb, 500, 500, useSum, nil)
+	return newState(sp, blocks, reds, vsb, 500, 500, useSum)
 }
 
 // legacyState replicates the pre-incremental annealing state exactly: every

@@ -114,13 +114,12 @@ type state struct {
 	snapIdx int
 }
 
-func newState(sp *seqpair.SeqPair, blocks []pack2d.Block, reds [][]int64, vsb []int64, w, h int, useSum bool, ar *pack2d.Arena) *state {
+func newState(sp *seqpair.SeqPair, blocks []pack2d.Block, reds [][]int64, vsb []int64, w, h int, useSum bool) *state {
 	s := &state{
 		sp: sp, blocks: blocks, reds: reds, vsb: vsb, w: w, h: h, useSum: useSum,
-		inc:   pack2d.NewIncrementalArena(sp, blocks, w, h, ar),
-		times: ar.Int64s(len(vsb)),
+		inc:   pack2d.NewIncremental(sp, blocks, w, h),
+		times: append([]int64(nil), vsb...),
 	}
-	copy(s.times, vsb)
 	for _, t := range vsb {
 		s.sum += t
 	}
@@ -261,14 +260,6 @@ func totalTime(vsb []int64, reds [][]int64, inside []bool) int64 {
 // the annealing early; the best floorplan found so far is still legalised
 // and returned.
 func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Options) *Result {
-	return packRun(ctx, blocks, vsb, w, h, opt, nil)
-}
-
-// packRun is Pack with the annealing state's hot arrays optionally carved
-// from a shared arena (PackBatch's struct-of-arrays cohort layout). The
-// arena only changes where the arrays live, never their contents, so
-// packRun(..., ar) is bit-identical to Pack for any arena including nil.
-func packRun(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Options, ar *pack2d.Arena) *Result {
 	n := len(blocks)
 	res := &Result{
 		Inside: make([]bool, n),
@@ -312,7 +303,7 @@ func packRun(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Opt
 	shelf := shelfInitial(raw, order, w)
 
 	mkState := func(sp *seqpair.SeqPair) *state {
-		return newState(sp, raw, reds, vsb, w, h, opt.SumObjective, ar)
+		return newState(sp, raw, reds, vsb, w, h, opt.SumObjective)
 	}
 
 	budget := opt.MoveBudget

@@ -43,7 +43,7 @@ func TestIncrementalCostMatchesFullRepack(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)*17 + 3))
 			blocks, reds, vsb := randomInstance(rng, n, 4)
 			sp := seqpair.Random(n, rng)
-			s := newState(sp, blocks, reds, vsb, 140, 140, useSum, nil)
+			s := newState(sp, blocks, reds, vsb, 140, 140, useSum)
 
 			if got, want := s.Cost(), s.fullCost(); got != want {
 				t.Fatalf("initial cost %v != full recompute %v", got, want)
@@ -82,8 +82,8 @@ func TestPerturbCostMatchesSeparateCalls(t *testing.T) {
 	blocks, reds, vsb := randomInstance(rng, 30, 3)
 	spA := seqpair.Random(30, rng)
 	spB := spA.Clone()
-	a := newState(spA, blocks, reds, vsb, 150, 150, false, nil)
-	b := newState(spB, blocks, reds, vsb, 150, 150, false, nil)
+	a := newState(spA, blocks, reds, vsb, 150, 150, false)
+	b := newState(spB, blocks, reds, vsb, 150, 150, false)
 
 	rngA := rand.New(rand.NewSource(99))
 	rngB := rand.New(rand.NewSource(99))
@@ -113,7 +113,7 @@ func TestPerturbCostMatchesSeparateCalls(t *testing.T) {
 func TestSnapshotPingPong(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	blocks, reds, vsb := randomInstance(rng, 12, 2)
-	s := newState(seqpair.Random(12, rng), blocks, reds, vsb, 100, 100, false, nil)
+	s := newState(seqpair.Random(12, rng), blocks, reds, vsb, 100, 100, false)
 
 	for round := 0; round < 50; round++ {
 		snap := s.Snapshot()

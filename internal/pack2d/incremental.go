@@ -46,17 +46,6 @@ type Incremental struct {
 // inside an outlineW x outlineH outline. The caches start cold: the first
 // Reevaluate performs one full packing pass.
 func NewIncremental(sp *seqpair.SeqPair, blocks []Block, outlineW, outlineH int) *Incremental {
-	return NewIncrementalArena(sp, blocks, outlineW, outlineH, nil)
-}
-
-// NewIncrementalArena is NewIncremental with the hot per-block arrays carved
-// from the arena instead of individually heap-allocated, so a batched cohort
-// of evaluators lays its state out struct-of-arrays style: the same array of
-// every instance sits contiguously in a shared backing buffer. A nil arena
-// reproduces NewIncremental exactly. One evaluator carves
-// IncrementalInt32s/Ints/Bools(n) elements (the rewind logs grow on the heap
-// on demand; they start empty either way).
-func NewIncrementalArena(sp *seqpair.SeqPair, blocks []Block, outlineW, outlineH int, a *Arena) *Incremental {
 	n := len(blocks)
 	if sp.Len() != n {
 		panic("pack2d: sequence pair and block count mismatch")
@@ -66,23 +55,23 @@ func NewIncrementalArena(sp *seqpair.SeqPair, blocks []Block, outlineW, outlineH
 		blocks: blocks,
 		outW:   outlineW,
 		outH:   outlineH,
-		sw:     a.Int32s(n),
-		sh:     a.Int32s(n),
-		fw:     a.Int32s(n),
-		fh:     a.Int32s(n),
-		posIdx: a.Int32s(n),
-		negPos: a.Ints(n),
-		x:      a.Int32s(n),
-		y:      a.Int32s(n),
-		inside: a.Bools(n),
+		sw:     make([]int32, n),
+		sh:     make([]int32, n),
+		fw:     make([]int32, n),
+		fh:     make([]int32, n),
+		posIdx: make([]int32, n),
+		negPos: make([]int, n),
+		x:      make([]int32, n),
+		y:      make([]int32, n),
+		inside: make([]bool, n),
+		ax:     axis{tree: make([]int32, n+1), stepEnd: make([]int32, n)},
+		ay:     axis{tree: make([]int32, n+1), stepEnd: make([]int32, n)},
 	}
 	for i, b := range blocks {
 		w, h := shrunkDims(b)
 		inc.sw[i], inc.sh[i] = int32(w), int32(h)
 		inc.fw[i], inc.fh[i] = int32(b.W), int32(b.H)
 	}
-	inc.ax.initArena(n, a)
-	inc.ay.initArena(n, a)
 	inc.Reset()
 	return inc
 }
@@ -205,11 +194,6 @@ type axis struct {
 	tree    []int32
 	log     []uint64 // node << 32 | previous value, for rewind
 	stepEnd []int32  // stepEnd[t] = len(log) after step t's update
-}
-
-func (a *axis) initArena(n int, ar *Arena) {
-	a.tree = ar.Int32s(n + 1)
-	a.stepEnd = ar.Int32s(n)
 }
 
 func (a *axis) clear() {

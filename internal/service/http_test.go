@@ -177,20 +177,26 @@ func TestHTTPCancel(t *testing.T) {
 	job := postJob(t, srv, fmt.Sprintf(`{"instance": %s, "solver": "exact"}`, buf.String()))
 	id := job["id"].(string)
 
-	// The result endpoint refuses before the job is terminal.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		code, job := getJSON(t, srv.URL+"/v1/jobs/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("GET job returned %d", code)
+	// Wait on the job's event stream until it starts running; the result
+	// endpoint refuses before the job is terminal.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	events, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+id+"/events", nil)
+	stream, err := http.DefaultClient.Do(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := false
+	for sc := bufio.NewScanner(stream.Body); !started && sc.Scan(); {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
-		if job["state"] == "running" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started: %v", job)
-		}
-		time.Sleep(2 * time.Millisecond)
+		started = e.State == StateRunning
+	}
+	stream.Body.Close()
+	if !started {
+		t.Fatal("job never started")
 	}
 	if code, _ := getJSON(t, srv.URL+"/v1/jobs/"+id+"/result"); code != http.StatusConflict {
 		t.Errorf("result of a running job returned %d, want 409", code)

@@ -94,7 +94,7 @@ type Config struct {
 // BatchConfig configures the cost-model scheduler and cohort execution.
 // Per-job results are bit-identical either way (the batch-identity
 // contract, docs/INVARIANTS.md); the scheduler changes only which job
-// starts next and which jobs share one cohort's struct-of-arrays kernels.
+// starts next and which jobs share one cohort's worker sweep.
 type BatchConfig struct {
 	// Enabled switches the drain from FIFO order to cost-model scheduling
 	// with cohort formation.
@@ -110,9 +110,9 @@ type BatchConfig struct {
 	// the front of the queue (0 = 16, negative = strict submission order).
 	// It is a hard no-starvation guarantee, not a heuristic.
 	MaxJump int
-	// Workers bounds the goroutines one cohort's lockstep kernels use
-	// (0 = 1). This is per pool slot: a cohort occupies one pool worker
-	// and fans out internally, so Workers > 1 oversubscribes the pool.
+	// Workers bounds the goroutines one cohort's sweep uses (0 = 1).
+	// This is per pool slot: a cohort occupies one pool worker and fans
+	// out internally, so Workers > 1 oversubscribes the pool.
 	Workers int
 }
 

@@ -33,23 +33,24 @@ func waitTerminal(t *testing.T, m *Manager, id string, within time.Duration) Job
 	return s
 }
 
-// waitState polls until the job reaches the given state.
+// waitState reads the job's event stream until an event reports the given
+// state; the stream ending first (terminal job or timeout) fails the test.
 func waitState(t *testing.T, m *Manager, id string, want State, within time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		s, err := m.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.State == want {
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	events, err := m.Events(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last State
+	for e := range events {
+		if e.State == want {
 			return
 		}
-		if s.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("job %s is %s, wanted %s", id, s.State, want)
-		}
-		time.Sleep(time.Millisecond)
+		last = e.State
 	}
+	t.Fatalf("job %s is %s, wanted %s", id, last, want)
 }
 
 // A single-worker pool must drain queued jobs strictly in submission order,

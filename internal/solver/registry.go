@@ -122,14 +122,6 @@ func (s entrySolver) Solve(ctx context.Context, in *core.Instance, p Params) (*R
 	return r, nil
 }
 
-// Finish stamps the uniform Result fields exactly as the registry wrapper
-// does after a raw solve (Elapsed, Strategy fallback, Objective,
-// Feasible). The batched cohort executor uses it so cohort results carry
-// the same stamping as solo entrySolver results.
-func Finish(r *Result, in *core.Instance, name string, elapsed time.Duration) {
-	finish(r, in, name, elapsed)
-}
-
 // registry holds the entries in registration order; that order is the
 // portfolio race order and therefore part of the determinism contract (ties
 // in writing time go to the earlier strategy).

@@ -115,7 +115,16 @@ func solveExact(ctx context.Context, in *core.Instance, p Params) (*Result, erro
 		return nil, err
 	}
 	if res.Solution == nil {
-		return nil, fmt.Errorf("solver: exact ILP found no incumbent (status %s)", res.Status)
+		return nil, &NoIncumbentError{Exact: res}
 	}
 	return &Result{Solution: res.Solution, Exact: res}, nil
+}
+
+// NoIncumbentError is the error of an exact solve whose search ended
+// (typically at its time limit) without a feasible plan. Exact carries the
+// search details: status, nodes and formulation size.
+type NoIncumbentError struct{ Exact *exact.Result }
+
+func (e *NoIncumbentError) Error() string {
+	return fmt.Sprintf("solver: exact ILP found no incumbent (status %s)", e.Exact.Status)
 }

@@ -3,6 +3,8 @@ package eblow
 import (
 	"context"
 
+	// Registers the "portfolio" race as a strategy.
+	_ "eblow/internal/portfolio"
 	"eblow/internal/solver"
 )
 
@@ -29,6 +31,9 @@ type (
 	SolverInfo = solver.Entry
 	// Run is one strategy's outcome inside a portfolio race (Result.Runs).
 	Run = solver.Run
+	// NoIncumbentError is the error of an "exact" solve that ended without
+	// a feasible plan; its Exact field still reports the search details.
+	NoIncumbentError = solver.NoIncumbentError
 )
 
 // Solvers returns every registered strategy applicable to the given

@@ -35,12 +35,13 @@ func TestSolveWithSingleStrategy(t *testing.T) {
 	if r.Strategy != "row25" {
 		t.Errorf("strategy %q, want row25", r.Strategy)
 	}
-	ref, err := RowHeuristic1D(in)
+	s, _ := Lookup("row25")
+	ref, err := s.Solve(context.Background(), in, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Objective != ref.WritingTime {
-		t.Errorf("unified row25 T=%d, legacy wrapper T=%d", r.Objective, ref.WritingTime)
+	if r.Objective != ref.Objective {
+		t.Errorf("SolveWith row25 T=%d, Lookup row25 T=%d", r.Objective, ref.Objective)
 	}
 }
 
@@ -64,8 +65,14 @@ func TestSolveWithPortfolioName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Runs) != len(PortfolioStrategies(TwoD)) {
-		t.Errorf("default race had %d entrants, want %d", len(r.Runs), len(PortfolioStrategies(TwoD)))
+	racing := 0
+	for _, s := range SolverInfos() {
+		if s.Racing && s.Supports(TwoD) {
+			racing++
+		}
+	}
+	if len(r.Runs) != racing {
+		t.Errorf("default race had %d entrants, want %d", len(r.Runs), racing)
 	}
 }
 
