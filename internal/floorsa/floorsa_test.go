@@ -16,16 +16,20 @@ func mkBlock(w, h, blank int, red ...int64) Block {
 	}
 }
 
-// TestPackEmpty covers the zero-block case: with nothing to place the
-// writing time is the slowest region's pure-VSB time.
 func TestPackEmpty(t *testing.T) {
 	res := Pack(context.Background(), nil, []int64{100}, 50, 50, Options{Seed: 1})
 	if res.WritingTime != 100 {
 		t.Errorf("writing time = %d, want 100 (nothing to place)", res.WritingTime)
 	}
-	res = Pack(context.Background(), nil, []int64{7, 42, 13}, 10, 10, Options{})
+}
+
+// TestPackBatchEmpty covers the zero-block shape a cohort member can have:
+// with several regions and nothing to place, the writing time is the
+// slowest region's pure-VSB time and no block is reported inside.
+func TestPackBatchEmpty(t *testing.T) {
+	res := Pack(context.Background(), nil, []int64{7, 42, 13}, 10, 10, Options{})
 	if res.WritingTime != 42 || len(res.Inside) != 0 {
-		t.Errorf("got %+v, want writing time 42 (max VSB) and no blocks", res)
+		t.Fatalf("got %+v, want writing time 42 (max VSB) and no blocks", res)
 	}
 }
 
