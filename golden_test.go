@@ -2,6 +2,8 @@ package eblow
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -15,16 +17,21 @@ import (
 // through. If a deliberate algorithm change moves a value, re-derive it with
 // `go test -run TestGoldenObjectives -v` and update the table in the same
 // commit that changes the algorithm.
+//
+// The 1D families also pin the full row layout (layoutDigest): writing time
+// and selected count cannot see a change to a row's character order or x
+// positions, which a pure performance change must leave bit-identical.
 func TestGoldenObjectives(t *testing.T) {
 	golden := map[string]struct {
 		writingTime int64
 		selected    int
+		layout      string
 	}{
-		"1D": {writingTime: 2540, selected: 117},
-		"1M": {writingTime: 1590, selected: 114},
+		"1D": {writingTime: 2540, selected: 117, layout: "127ae73ee058815a"},
+		"1M": {writingTime: 1590, selected: 114, layout: "1cb0a38d16c38b4b"},
 		"2D": {writingTime: 2552, selected: 102},
 		"2M": {writingTime: 1246, selected: 108},
-		"1T": {writingTime: 49, selected: 6},
+		"1T": {writingTime: 49, selected: 6, layout: "b866368912780def"},
 		"2T": {writingTime: 32, selected: 5},
 	}
 
@@ -65,6 +72,23 @@ func TestGoldenObjectives(t *testing.T) {
 			if sol.NumSelected() != want.selected {
 				t.Errorf("selected count drifted: got %d, golden %d", sol.NumSelected(), want.selected)
 			}
+			if want.layout != "" {
+				got := layoutDigest(sol)
+				t.Logf("%s: layout=%s", family, got)
+				if got != want.layout {
+					t.Errorf("row layout drifted: got %s, golden %s", got, want.layout)
+				}
+			}
 		})
 	}
+}
+
+// layoutDigest hashes a 1D plan's rows in order: each row's Y, its
+// character order and every character's X.
+func layoutDigest(sol *Solution) string {
+	h := fnv.New64a()
+	for _, r := range sol.Rows {
+		fmt.Fprintf(h, "y=%d chars=%v x=%v;", r.Y, r.Chars, r.X)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }

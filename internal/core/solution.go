@@ -214,11 +214,14 @@ func MinRowLength(in *Instance, order []int) int {
 	if len(order) == 0 {
 		return 0
 	}
-	total := in.Characters[order[0]].Width
-	for k := 1; k < len(order); k++ {
-		prev := in.Characters[order[k-1]]
-		cur := in.Characters[order[k]]
-		total += cur.Width - HOverlap(prev, cur)
+	// Characters are read through pointers: this runs in the 1D planner's
+	// inner loops, where copying a Character per read dominated.
+	prev := &in.Characters[order[0]]
+	total := prev.Width
+	for _, id := range order[1:] {
+		cur := &in.Characters[id]
+		total += cur.Width - min(prev.BlankRight, cur.BlankLeft) // HOverlap(prev, cur)
+		prev = cur
 	}
 	return total
 }

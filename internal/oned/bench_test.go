@@ -1,9 +1,42 @@
 package oned
 
 import (
+	"context"
+	"math/rand"
 	"strconv"
 	"testing"
+
+	"eblow/internal/core"
+	"eblow/internal/gen"
 )
+
+// BenchmarkSolvePlan1D runs the whole E-BLOW 1D flow on single-worker
+// solves of 600-character, 10-region MCC instances shaped like the service
+// benchmark's plan1d jobs, cycling through four of them. After the LP it is
+// dominated by post-swap and the row DP, so bytes and allocs per op are the
+// numbers to watch alongside wall-clock.
+func BenchmarkSolvePlan1D(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ins := make([]*core.Instance, 4)
+	for k := range ins {
+		ins[k] = gen.Generate(gen.Params{
+			Kind: core.OneD, NumChars: 600, NumRegions: 10,
+			StencilW: 800, StencilH: 800, RowHeight: 40,
+			MinWidth: 28, MaxWidth: 44, MinBlank: 4, MaxBlank: 14,
+			MinShots: 2, MaxShots: 60, ShotAreaUnit: 45,
+			MaxRepeat: 25, RegionSkew: 0.85, Seed: rng.Int63(),
+		})
+	}
+	opt := Defaults()
+	opt.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Solve(context.Background(), ins[i%len(ins)], opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkRelaxationDecomposed measures the block-decomposed LP relaxation
 // (simplex backend, one MCC column-cell band per region) against the

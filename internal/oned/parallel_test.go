@@ -42,11 +42,26 @@ func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // The solver's parallel per-region time and per-character profit
 // evaluations re-implement the core formulas so each worker can own its
-// indices; this guard fails if the two implementations ever diverge.
+// indices, reading R_ic from the solver's dense table; this guard fails if
+// the table or the two implementations ever diverge. The solver comes from
+// newSolver, the same constructor Solve uses, so the table cannot be
+// bypassed.
 func TestParallelEvaluationMatchesCore(t *testing.T) {
 	in := gen.Small(core.OneD, 90, 7, 41)
-	s := &solver{ctx: context.Background(), in: in, opt: Defaults().withDefaults(), n: in.NumCharacters(), m: in.NumRows(), w: in.StencilWidth}
-	s.assigned = make([]int, s.n)
+	s, err := newSolver(context.Background(), in, Defaults().withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.red) != s.n*in.NumRegions {
+		t.Fatalf("R table has %d entries, want %d", len(s.red), s.n*in.NumRegions)
+	}
+	for i := 0; i < s.n; i++ {
+		for c := 0; c < in.NumRegions; c++ {
+			if got, want := s.red[i*s.nr+c], in.Reduction(i, c); got != want {
+				t.Fatalf("red[%d*R+%d] = %d, want Reduction = %d", i, c, got, want)
+			}
+		}
+	}
 	for i := range s.assigned {
 		// A deterministic mixed selection: every third character "on row 0".
 		s.assigned[i] = -1

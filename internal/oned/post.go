@@ -40,52 +40,35 @@ func (s *solver) postSwapOnce() bool {
 		return false
 	}
 
-	reductions := func(i int) []int64 {
-		r := make([]int64, s.in.NumRegions)
-		for c := range r {
-			r[c] = s.in.Reduction(i, c)
-		}
-		return r
-	}
+	// Scratch reused across every candidate: the order under test and the
+	// best move found so far. A candidate order is only built once the move
+	// beats both the current plan and the best move on writing time.
+	var scratch, bestOut, bestOrder []int
 	improvedAny := false
 
 	for _, u := range candidates {
 		if s.assigned[u] >= 0 {
 			continue
 		}
-		ru := reductions(u)
+		ru := s.red[u*s.nr : (u+1)*s.nr]
 		curMax := core.MaxInt64(times)
 		curTotal := sumTimes(times)
 		bestRow := -1
-		var bestOut []int // characters leaving the stencil
 		var bestMax, bestTotal int64
-		var bestOrder []int
 
-		// A swap is accepted when it strictly reduces the maximum region
-		// time, or keeps the maximum and strictly reduces the total writing
-		// time; the second case matters when several regions are tied at the
-		// maximum and no single swap can lower all of them at once.
-		consider := func(j int, out []int, order []int, newMax, newTotal int64) {
-			if newMax > curMax || (newMax == curMax && newTotal >= curTotal) {
-				return
+		// after returns the maximum and total region time once u replaces
+		// v, and also v2 when v2 >= 0.
+		after := func(v, v2 int) (int64, int64) {
+			rv := s.red[v*s.nr : (v+1)*s.nr]
+			var rv2 []int64
+			if v2 >= 0 {
+				rv2 = s.red[v2*s.nr : (v2+1)*s.nr]
 			}
-			if bestRow >= 0 && (newMax > bestMax || (newMax == bestMax && newTotal >= bestTotal)) {
-				return
-			}
-			if s.rowWidthWithOrder(order) > s.w {
-				return
-			}
-			bestRow, bestMax, bestTotal = j, newMax, newTotal
-			bestOut = append([]int(nil), out...)
-			bestOrder = append([]int(nil), order...)
-		}
-
-		after := func(out []int) (int64, int64) {
 			var newMax, newTotal int64
 			for c := range times {
-				t := times[c] - ru[c]
-				for _, v := range out {
-					t += s.in.Reduction(v, c)
+				t := times[c] - ru[c] + rv[c]
+				if rv2 != nil {
+					t += rv2[c]
 				}
 				if t > newMax {
 					newMax = t
@@ -95,6 +78,28 @@ func (s *solver) postSwapOnce() bool {
 			return newMax, newTotal
 		}
 
+		// A swap is accepted when it strictly reduces the maximum region
+		// time, or keeps the maximum and strictly reduces the total writing
+		// time; the second case matters when several regions are tied at the
+		// maximum and no single swap can lower all of them at once.
+		wins := func(newMax, newTotal int64) bool {
+			if newMax > curMax || (newMax == curMax && newTotal >= curTotal) {
+				return false
+			}
+			return bestRow < 0 || newMax < bestMax || (newMax == bestMax && newTotal < bestTotal)
+		}
+
+		// consider takes the move when scratch, the row order it produces,
+		// fits the stencil width.
+		consider := func(j int, newMax, newTotal int64, out ...int) {
+			if s.rowWidthWithOrder(scratch) > s.w {
+				return
+			}
+			bestRow, bestMax, bestTotal = j, newMax, newTotal
+			bestOut = append(bestOut[:0], out...)
+			bestOrder = append(bestOrder[:0], scratch...)
+		}
+
 		for j := range s.rows {
 			if !s.allowed(u, j) {
 				continue
@@ -102,21 +107,22 @@ func (s *solver) postSwapOnce() bool {
 			row := &s.rows[j]
 			for k, v := range row.order {
 				// One-for-one: replace v by u.
-				order := append([]int(nil), row.order...)
-				order[k] = u
-				nm, nt := after([]int{v})
-				consider(j, []int{v}, order, nm, nt)
+				if nm, nt := after(v, -1); wins(nm, nt) {
+					scratch = append(scratch[:0], row.order...)
+					scratch[k] = u
+					consider(j, nm, nt, v)
+				}
 				// One-for-two: replace the adjacent pair (v, next) by u; this
 				// is the only way a wide character can enter a tightly packed
 				// row.
 				if k+1 < len(row.order) {
 					v2 := row.order[k+1]
-					order2 := make([]int, 0, len(row.order)-1)
-					order2 = append(order2, row.order[:k]...)
-					order2 = append(order2, u)
-					order2 = append(order2, row.order[k+2:]...)
-					nm2, nt2 := after([]int{v, v2})
-					consider(j, []int{v, v2}, order2, nm2, nt2)
+					if nm, nt := after(v, v2); wins(nm, nt) {
+						scratch = append(scratch[:0], row.order[:k]...)
+						scratch = append(scratch, u)
+						scratch = append(scratch, row.order[k+2:]...)
+						consider(j, nm, nt, v, v2)
+					}
 				}
 			}
 		}
@@ -126,14 +132,15 @@ func (s *solver) postSwapOnce() bool {
 		// Apply the swap.
 		for _, v := range bestOut {
 			s.unassign(v)
+			rv := s.red[v*s.nr : (v+1)*s.nr]
 			for c := range times {
-				times[c] += s.in.Reduction(v, c)
+				times[c] += rv[c]
 			}
 		}
 		s.assign(u, bestRow)
 		row := &s.rows[bestRow]
-		row.order = bestOrder
-		row.width = s.rowWidthWithOrder(bestOrder)
+		row.order = append(row.order[:0], bestOrder...)
+		row.width = s.rowWidthWithOrder(row.order)
 		for c := range times {
 			times[c] -= ru[c]
 		}
@@ -249,7 +256,7 @@ func (s *solver) appendRemaining() {
 	profits := s.currentProfits()
 	candidates := s.unselectedByProfit(profits, s.n)
 	for _, u := range candidates {
-		cu := s.in.Characters[u]
+		cu := &s.in.Characters[u]
 		for j := range s.rows {
 			if !s.allowed(u, j) {
 				continue
@@ -259,8 +266,8 @@ func (s *solver) appendRemaining() {
 			if len(row.order) == 0 {
 				newWidth = cu.Width
 			} else {
-				last := s.in.Characters[row.order[len(row.order)-1]]
-				newWidth = row.width + cu.Width - core.HOverlap(last, cu)
+				last := &s.in.Characters[row.order[len(row.order)-1]]
+				newWidth = row.width + cu.Width - min(last.BlankRight, cu.BlankLeft)
 			}
 			if newWidth <= s.w {
 				s.assign(u, j)
@@ -274,9 +281,11 @@ func (s *solver) appendRemaining() {
 
 // bestInsertion returns the gap index (0..len(order)) with the smallest width
 // increase when inserting character u into the ordered row, and that
-// increase.
+// increase. Characters are read through pointers and overlaps spelled out
+// as core.HOverlap's min(left.BlankRight, right.BlankLeft), so the loop
+// copies no Character.
 func (s *solver) bestInsertion(u int, order []int) (int, int) {
-	cu := s.in.Characters[u]
+	cu := &s.in.Characters[u]
 	if len(order) == 0 {
 		return 0, cu.Width
 	}
@@ -285,15 +294,15 @@ func (s *solver) bestInsertion(u int, order []int) (int, int) {
 		var delta int
 		switch gap {
 		case 0:
-			first := s.in.Characters[order[0]]
-			delta = cu.Width - core.HOverlap(cu, first)
+			first := &s.in.Characters[order[0]]
+			delta = cu.Width - min(cu.BlankRight, first.BlankLeft)
 		case len(order):
-			last := s.in.Characters[order[len(order)-1]]
-			delta = cu.Width - core.HOverlap(last, cu)
+			last := &s.in.Characters[order[len(order)-1]]
+			delta = cu.Width - min(last.BlankRight, cu.BlankLeft)
 		default:
-			a := s.in.Characters[order[gap-1]]
-			b := s.in.Characters[order[gap]]
-			delta = cu.Width - core.HOverlap(a, cu) - core.HOverlap(cu, b) + core.HOverlap(a, b)
+			a := &s.in.Characters[order[gap-1]]
+			b := &s.in.Characters[order[gap]]
+			delta = cu.Width - min(a.BlankRight, cu.BlankLeft) - min(cu.BlankRight, b.BlankLeft) + min(a.BlankRight, b.BlankLeft)
 		}
 		if bestGap < 0 || delta < bestDelta {
 			bestGap, bestDelta = gap, delta

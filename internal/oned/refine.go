@@ -14,13 +14,22 @@ import (
 // also contains the row legalisation that drops characters when the
 // symmetric-blank estimate was too optimistic.
 
-// partialOrder is one DP state: a packed order of a prefix of the row's
-// characters together with its total width and the outer blanks.
-type partialOrder struct {
-	width int
-	left  int // left blank of the leftmost character
-	right int // right blank of the rightmost character
-	order []int
+// dpState is one DP state: a packed order of a prefix of the row's
+// blank-sorted characters, kept as its total width, its outer blanks and a
+// back pointer. The order itself is only rebuilt for the winning state.
+type dpState struct {
+	width  int
+	left   int  // left blank of the leftmost character
+	right  int  // right blank of the rightmost character
+	parent int  // DP history index of the state this one extends; -1 at the root
+	atLeft bool // this step's character went to the left end
+}
+
+// dpLink is what the DP history keeps of a pruned-in state: only its back
+// pointer, which is all the order rebuild needs.
+type dpLink struct {
+	parent int32
+	atLeft bool
 }
 
 // refineRow finds a near-minimal-width ordering for the characters of a row.
@@ -41,63 +50,84 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 		return sorted[a] < sorted[b]
 	})
 
-	first := in.Characters[sorted[0]]
-	solutions := []partialOrder{{
-		width: first.Width,
-		left:  first.BlankLeft,
-		right: first.BlankRight,
-		order: []int{sorted[0]},
-	}}
+	// hist links every kept state of every step, in step order, so back
+	// pointers stay valid after their generation has been replaced. Step k
+	// keeps at most min(2^k, pruneThreshold) states, which sizes hist and
+	// the two generation buffers up front.
+	size, states := 1, 1
+	for range sorted[1:] {
+		states = min(2*states, pruneThreshold)
+		size += states
+	}
+	first := &in.Characters[sorted[0]]
+	hist := make([]dpLink, 1, size)
+	hist[0] = dpLink{parent: -1}
+	solutions := make([]dpState, 1, 2*states)
+	solutions[0] = dpState{width: first.Width, left: first.BlankLeft, right: first.BlankRight, parent: -1}
+	next := make([]dpState, 0, 2*states)
 
 	for _, id := range sorted[1:] {
-		c := in.Characters[id]
-		next := make([]partialOrder, 0, 2*len(solutions))
-		for _, s := range solutions {
+		c := &in.Characters[id]
+		base := len(hist) - len(solutions)
+		next = next[:0]
+		for k, s := range solutions {
 			// Insert at the left end: the character's right blank overlaps
 			// with the current left end.
-			next = append(next, partialOrder{
-				width: s.width + c.Width - min(c.BlankRight, s.left),
-				left:  c.BlankLeft,
-				right: s.right,
-				order: prependCopy(id, s.order),
+			next = append(next, dpState{
+				width:  s.width + c.Width - min(c.BlankRight, s.left),
+				left:   c.BlankLeft,
+				right:  s.right,
+				parent: base + k,
+				atLeft: true,
 			})
 			// Insert at the right end.
-			next = append(next, partialOrder{
-				width: s.width + c.Width - min(c.BlankLeft, s.right),
-				left:  s.left,
-				right: c.BlankRight,
-				order: appendCopy(s.order, id),
+			next = append(next, dpState{
+				width:  s.width + c.Width - min(c.BlankLeft, s.right),
+				left:   s.left,
+				right:  c.BlankRight,
+				parent: base + k,
 			})
 		}
-		solutions = pruneInferior(next, pruneThreshold)
+		kept := pruneInferior(next, pruneThreshold)
+		for _, s := range kept {
+			hist = append(hist, dpLink{parent: int32(s.parent), atLeft: s.atLeft})
+		}
+		solutions, next = kept, solutions
 	}
 
-	best := solutions[0]
-	for _, s := range solutions[1:] {
-		if s.width < best.width {
-			best = s
+	best := 0
+	for k := 1; k < len(solutions); k++ {
+		if solutions[k].width < solutions[best].width {
+			best = k
 		}
 	}
-	return best.order
+	// Walk the back pointers from the last step to the first, filling the
+	// order from both ends inwards: each step's character is the outermost
+	// one on its side.
+	order := make([]int, len(sorted))
+	lo, hi := 0, len(order)-1
+	link := hist[len(hist)-len(solutions)+best]
+	for k := len(sorted) - 1; k >= 0; k-- {
+		if link.atLeft {
+			order[lo] = sorted[k]
+			lo++
+		} else {
+			order[hi] = sorted[k]
+			hi--
+		}
+		if link.parent >= 0 {
+			link = hist[link.parent]
+		}
+	}
+	return order
 }
 
-func prependCopy(id int, order []int) []int {
-	out := make([]int, 0, len(order)+1)
-	out = append(out, id)
-	return append(out, order...)
-}
-
-func appendCopy(order []int, id int) []int {
-	out := make([]int, 0, len(order)+1)
-	out = append(out, order...)
-	return append(out, id)
-}
-
-// pruneInferior removes dominated partial solutions. Solution B is dominated
-// by A when A is no wider and both of A's outer blanks are at least as large
-// (so any future extension of B can be replicated at least as well from A).
-// If more than limit solutions survive, the narrowest ones are kept.
-func pruneInferior(sols []partialOrder, limit int) []partialOrder {
+// pruneInferior removes dominated partial solutions, in place. Solution B is
+// dominated by A when A is no wider and both of A's outer blanks are at
+// least as large (so any future extension of B can be replicated at least
+// as well from A). If more than limit solutions survive, the narrowest ones
+// are kept.
+func pruneInferior(sols []dpState, limit int) []dpState {
 	sort.Slice(sols, func(i, j int) bool {
 		if sols[i].width != sols[j].width {
 			return sols[i].width < sols[j].width
@@ -107,7 +137,8 @@ func pruneInferior(sols []partialOrder, limit int) []partialOrder {
 		}
 		return sols[i].right > sols[j].right
 	})
-	var kept []partialOrder
+	// kept is a prefix of sols that never overtakes the read position.
+	kept := sols[:0]
 	for _, s := range sols {
 		dominated := false
 		for _, k := range kept {
@@ -131,9 +162,9 @@ func pruneInferior(sols []partialOrder, limit int) []partialOrder {
 func positionsForOrder(in *core.Instance, order []int) []int {
 	xs := make([]int, len(order))
 	for k := 1; k < len(order); k++ {
-		prev := in.Characters[order[k-1]]
-		cur := in.Characters[order[k]]
-		xs[k] = xs[k-1] + prev.Width - core.HOverlap(prev, cur)
+		prev := &in.Characters[order[k-1]]
+		cur := &in.Characters[order[k]]
+		xs[k] = xs[k-1] + prev.Width - min(prev.BlankRight, cur.BlankLeft) // core.HOverlap
 	}
 	return xs
 }

@@ -2,6 +2,8 @@ package oned
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -160,23 +162,142 @@ func TestPositionsForOrderLegal(t *testing.T) {
 }
 
 func TestPruneInferior(t *testing.T) {
-	sols := []partialOrder{
-		{width: 100, left: 5, right: 5, order: []int{0}},
-		{width: 100, left: 3, right: 3, order: []int{1}}, // dominated by the first
-		{width: 90, left: 1, right: 1, order: []int{2}},  // narrower, kept
-		{width: 120, left: 9, right: 9, order: []int{3}}, // wider but bigger blanks, kept
+	// parent tags each state so the test can tell which ones survived.
+	sols := []dpState{
+		{width: 100, left: 5, right: 5, parent: 0},
+		{width: 100, left: 3, right: 3, parent: 1}, // dominated by the first
+		{width: 90, left: 1, right: 1, parent: 2},  // narrower, kept
+		{width: 120, left: 9, right: 9, parent: 3}, // wider but bigger blanks, kept
 	}
-	kept := pruneInferior(sols, 10)
+	kept := pruneInferior(append([]dpState(nil), sols...), 10)
 	if len(kept) != 3 {
 		t.Fatalf("kept %d solutions, want 3", len(kept))
 	}
 	for _, k := range kept {
-		if k.order[0] == 1 {
+		if k.parent == 1 {
 			t.Error("dominated solution survived pruning")
 		}
 	}
-	limited := pruneInferior(sols, 1)
+	limited := pruneInferior(append([]dpState(nil), sols...), 1)
 	if len(limited) != 1 || limited[0].width != 90 {
 		t.Errorf("limit should keep the narrowest solution, got %+v", limited)
+	}
+}
+
+// partialOrder is the reference DP's state: it carries a copy of its whole
+// order instead of a back pointer.
+type partialOrder struct {
+	width int
+	left  int
+	right int
+	order []int
+}
+
+// refineRowReference is the order-copying form of Algorithm 3 that
+// refineRow replaced: every state owns a copied order. It prunes with the
+// same comparator and dominance rule, so the back-pointer DP must return
+// exactly its order, ties included.
+func refineRowReference(in *core.Instance, chars []int, pruneThreshold int) []int {
+	if len(chars) == 0 {
+		return nil
+	}
+	sorted := sortedByBlankOrder(in, chars)
+	first := in.Characters[sorted[0]]
+	solutions := []partialOrder{{
+		width: first.Width,
+		left:  first.BlankLeft,
+		right: first.BlankRight,
+		order: []int{sorted[0]},
+	}}
+	for _, id := range sorted[1:] {
+		c := in.Characters[id]
+		next := make([]partialOrder, 0, 2*len(solutions))
+		for _, s := range solutions {
+			next = append(next, partialOrder{
+				width: s.width + c.Width - min(c.BlankRight, s.left),
+				left:  c.BlankLeft,
+				right: s.right,
+				order: append([]int{id}, s.order...),
+			})
+			next = append(next, partialOrder{
+				width: s.width + c.Width - min(c.BlankLeft, s.right),
+				left:  s.left,
+				right: c.BlankRight,
+				order: append(append([]int(nil), s.order...), id),
+			})
+		}
+		solutions = pruneInferiorReference(next, pruneThreshold)
+	}
+	best := solutions[0]
+	for _, s := range solutions[1:] {
+		if s.width < best.width {
+			best = s
+		}
+	}
+	return best.order
+}
+
+func pruneInferiorReference(sols []partialOrder, limit int) []partialOrder {
+	sort.Slice(sols, func(i, j int) bool {
+		if sols[i].width != sols[j].width {
+			return sols[i].width < sols[j].width
+		}
+		if sols[i].left != sols[j].left {
+			return sols[i].left > sols[j].left
+		}
+		return sols[i].right > sols[j].right
+	})
+	var kept []partialOrder
+	for _, s := range sols {
+		dominated := false
+		for _, k := range kept {
+			if k.width <= s.width && k.left >= s.left && k.right >= s.right {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			kept = append(kept, s)
+		}
+	}
+	if len(kept) > limit {
+		kept = kept[:limit]
+	}
+	return kept
+}
+
+// Property: the back-pointer DP returns exactly the reference DP's order.
+// Half the rows draw their characters from a handful of shapes, so many
+// states tie on (width, left, right) and only the sort's tie order decides
+// which one survives pruning; the thresholds range from cutting through
+// those ties to the default (20) and an effectively unbounded one.
+func TestRefineRowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shape := func() [3]int { return [3]int{28 + rng.Intn(20), rng.Intn(14), rng.Intn(14)} }
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(24)
+		tied := trial%2 == 0
+		shapes := make([][3]int, 2+rng.Intn(5))
+		for k := range shapes {
+			shapes[k] = shape()
+		}
+		specs := make([][3]int, n)
+		for i := range specs {
+			if tied {
+				specs[i] = shapes[rng.Intn(len(shapes))]
+			} else {
+				specs[i] = shape()
+			}
+		}
+		in := rowInstance(specs, 100000)
+		chars := rng.Perm(n)
+		for _, limit := range []int{1, 2, 3, 5, 20, 1 << 12} {
+			got := refineRow(in, chars, limit)
+			want := refineRowReference(in, chars, limit)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, limit %d (tied=%v): refineRow = %v, reference = %v",
+					trial, limit, tied, got, want)
+			}
+		}
 	}
 }

@@ -21,6 +21,13 @@ type solver struct {
 	opt Options
 
 	n, m, w int // characters, rows, stencil width
+	nr      int // MCC regions
+
+	// red is the paper's R_ic as a dense characters x regions table,
+	// red[i*nr+c] = in.Reduction(i, c), built once per solve so the hot
+	// readers (regionTimes, post-swap) index a flat slice instead of
+	// copying a Character per read.
+	red []int64
 
 	width  []int // bounding-box widths
 	sblank []int // symmetric blanks s_i
@@ -121,7 +128,11 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 		name = "E-BLOW-0"
 	}
 	sol.Finalize(in, name, time.Since(start))
-	return sol, &s.trace, nil
+	// Return a copy: a pointer into s would keep the whole solver (rows,
+	// last relaxation, warm bases, R table) alive for as long as a caller
+	// holds the trace.
+	trace := s.trace
+	return sol, &trace, nil
 }
 
 // newSolver builds the working state for one run; opt must already have its
@@ -134,6 +145,7 @@ func newSolver(ctx context.Context, in *core.Instance, opt Options) (*solver, er
 		n:   in.NumCharacters(),
 		m:   in.NumRows(),
 		w:   in.StencilWidth,
+		nr:  in.NumRegions,
 	}
 	if s.m == 0 {
 		return nil, fmt.Errorf("oned: stencil of %q has no rows", in.Name)
@@ -147,7 +159,12 @@ func newSolver(ctx context.Context, in *core.Instance, opt Options) (*solver, er
 	s.assigned = make([]int, s.n)
 	s.solved = make([]bool, s.n)
 	s.rows = make([]rowState, s.m)
-	for i, c := range in.Characters {
+	s.red = make([]int64, s.n*s.nr)
+	for i := range in.Characters {
+		c := &in.Characters[i]
+		for r := range s.nr {
+			s.red[i*s.nr+r] = in.Reduction(i, r)
+		}
 		s.width[i] = c.Width
 		s.sblank[i] = c.SymmetricHBlank()
 		s.effW[i] = c.Width - s.sblank[i]
@@ -174,12 +191,11 @@ func (s *solver) selection() []bool {
 // evaluated on the worker pool; each worker owns whole regions, so the
 // result matches the sequential core.Instance.RegionTimes exactly.
 func (s *solver) regionTimes() []int64 {
-	sel := s.selection()
 	t := s.in.VSBTime()
 	par.For(s.opt.workerCount(), len(t), func(r int) {
-		for i, on := range sel {
-			if on {
-				t[r] -= s.in.Reduction(i, r)
+		for i, j := range s.assigned {
+			if j >= 0 {
+				t[r] -= s.red[i*s.nr+r]
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package oned
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -207,4 +208,33 @@ func TestPostStagesMonotoneSelection(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(9))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// A returned trace must not keep its solver alive: job records hold
+// Result.Trace for as long as the job is kept, and the solver owns the rows,
+// the last relaxation and the warm bases. Fifty retained traces of one
+// instance may add only the traces themselves to the live heap.
+func TestSolveTraceDoesNotPinSolver(t *testing.T) {
+	in := gen.Small(core.OneD, 200, 4, 7)
+	opt := Defaults()
+	opt.Workers = 1
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	traces := make([]*Trace, 50)
+	for k := range traces {
+		_, tr, err := Solve(context.Background(), in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[k] = tr
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perTrace := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(len(traces))
+	t.Logf("live heap per retained trace: %d bytes", perTrace)
+	if perTrace > 2048 {
+		t.Errorf("each retained trace keeps %d bytes live; the trace is pinning its solver", perTrace)
+	}
+	runtime.KeepAlive(traces)
 }
