@@ -54,19 +54,12 @@
 // re-dispatched to the surviving nodes from the logged specs — deterministic
 // re-solving makes the failed-over results bit-identical. Solver-side flags
 // (-workers, -batch, -learn-path, ...) are ignored in dispatch mode; they
-// belong to the backend nodes.
+// belong to the backend nodes. -auth-keys guards the dispatcher's front
+// door, but per-key pending quotas and key stamps apply only on a node.
 //
-// API (JSON unless noted; see docs/eblowd-api.md for the full reference):
-//
-//	GET    /v1/solvers            registered strategies
-//	GET    /v1/stats              queue depth, per-state job counts, batch counters
-//	GET    /v1/learn              learned-scheduling statistics snapshot
-//	POST   /v1/jobs               submit {"benchmark": "1M-2"} or {"instance": {...}}
-//	GET    /v1/jobs               list jobs
-//	GET    /v1/jobs/{id}          status + result summary
-//	GET    /v1/jobs/{id}/result   full result including the stencil plan
-//	GET    /v1/jobs/{id}/events   NDJSON progress stream
-//	DELETE /v1/jobs/{id}          cancel
+// Both modes serve the same /v1 API through one handler set (the route
+// list is in package eblow/internal/service; docs/eblowd-api.md is the
+// full reference).
 //
 // Examples:
 //
@@ -158,24 +151,33 @@ func main() {
 			*walPath, s.Records, s.Resumed, s.Terminal, s.SkippedLines)
 	}
 
-	handler := http.Handler(service.NewHandler(m))
-	if *authKeys != "" {
-		keyring, err := service.LoadKeyring(*authKeys)
+	serve(*addr, *authKeys, m, fmt.Sprintf("%d workers", m.Workers()), m.Close)
+}
+
+// serve mounts the /v1 API for api (a node or a dispatcher), wrapped in
+// the -auth-keys keyring when one is given, and serves it until SIGINT.
+// Ctrl-C drains in-flight requests and exits instead of dropping
+// connections mid-response: closeAPI runs first — it cancels a node's jobs
+// or stops the dispatcher, which ends open /v1/jobs/{id}/events streams, so
+// the HTTP drain cannot park behind an attached subscriber. Backend nodes
+// of a dispatcher are separate processes and keep running.
+func serve(addr, authKeys string, api service.API, what string, closeAPI func()) {
+	handler := service.NewHandler(api)
+	if authKeys != "" {
+		keyring, err := service.LoadKeyring(authKeys)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("auth on, %d API keys from %s", keyring.Len(), *authKeys)
+		log.Printf("auth on, %d API keys from %s", keyring.Len(), authKeys)
 		handler = keyring.Wrap(handler)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv := &http.Server{Handler: handler}
 
-	// Ctrl-C / SIGINT drains in-flight requests, cancels running jobs and
-	// exits instead of dropping connections mid-response.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	shutdownDone := make(chan struct{})
@@ -183,22 +185,19 @@ func main() {
 		defer close(shutdownDone)
 		<-ctx.Done()
 		log.Print("shutting down")
-		// Cancel the jobs first: open /v1/jobs/{id}/events streams only end
-		// when their job goes terminal, so draining HTTP before cancelling
-		// would park Shutdown behind every attached subscriber.
-		m.Close()
+		closeAPI()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(shutdownCtx)
 	}()
 
 	// The smoke tests parse this line to find a randomly assigned port.
-	fmt.Printf("eblowd: %d workers, listening on http://%s\n", m.Workers(), ln.Addr())
+	fmt.Printf("eblowd: %s, listening on http://%s\n", what, ln.Addr())
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	// Serve returns as soon as Shutdown starts; wait for the drain and the
-	// manager teardown to actually finish before exiting.
+	// API teardown to actually finish before exiting.
 	<-shutdownDone
 }
 
@@ -255,42 +254,5 @@ func runDispatch(addr, nodesSpec, walPath, authKeys string, vnodes int, healthIn
 			walPath, s.Records, s.Resumed, s.Terminal, s.SkippedLines)
 	}
 
-	handler := http.Handler(dispatch.NewHandler(d))
-	if authKeys != "" {
-		keyring, err := service.LoadKeyring(authKeys)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("auth on, %d API keys from %s", keyring.Len(), authKeys)
-		handler = keyring.Wrap(handler)
-	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := &http.Server{Handler: handler}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		<-ctx.Done()
-		log.Print("shutting down")
-		// Close the dispatcher first: it ends open event streams, so the
-		// HTTP drain below cannot park behind an attached subscriber. The
-		// backend nodes are separate processes and keep running.
-		d.Close()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-	}()
-
-	// The smoke tests parse this line to find a randomly assigned port.
-	fmt.Printf("eblowd: dispatching across %d nodes, listening on http://%s\n", len(nodes), ln.Addr())
-	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
-	<-shutdownDone
+	serve(addr, authKeys, d, fmt.Sprintf("dispatching across %d nodes", len(nodes)), d.Close)
 }

@@ -56,15 +56,25 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// ErrNotFound is returned for an unknown public job ID.
-var ErrNotFound = errors.New("dispatch: no such job")
+// wireError is a dispatch error with its own message that unwraps to the
+// service sentinel picking its HTTP status in the shared /v1 handler.
+type wireError struct {
+	msg  string
+	kind error
+}
 
-// ErrClosed is returned when submitting to a closed dispatcher.
-var ErrClosed = errors.New("dispatch: dispatcher is closed")
+func (e *wireError) Error() string { return e.msg }
+func (e *wireError) Unwrap() error { return e.kind }
+
+// ErrNotFound is returned for an unknown public job ID (HTTP 404).
+var ErrNotFound error = &wireError{"dispatch: no such job", service.ErrNotFound}
+
+// ErrClosed is returned when submitting to a closed dispatcher (HTTP 503).
+var ErrClosed error = &wireError{"dispatch: dispatcher is closed", service.ErrClosed}
 
 // ErrNodeDown is returned when an operation needs the job's backend node
-// and that node is currently unreachable.
-var ErrNodeDown = errors.New("dispatch: the job's node is unreachable")
+// and that node is currently unreachable (HTTP 502).
+var ErrNodeDown error = &wireError{"dispatch: the job's node is unreachable", service.ErrUpstream}
 
 // jobRecord is the dispatcher's record of one public job.
 //
@@ -643,7 +653,7 @@ func (d *Dispatcher) Cancel(ctx context.Context, id string) (map[string]any, err
 	doc, code, err := ns.client.cancel(ctx, backendID)
 	if err != nil || code != http.StatusOK {
 		if err == nil {
-			return nil, fmt.Errorf("dispatch: node %s refused the cancel (HTTP %d)", node, code)
+			return nil, &wireError{fmt.Sprintf("dispatch: node %s refused the cancel (HTTP %d)", node, code), service.ErrUpstream}
 		}
 		return nil, fmt.Errorf("%w: job %s on node %s: %v", ErrNodeDown, id, node, err)
 	}

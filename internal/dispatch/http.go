@@ -1,16 +1,9 @@
-// HTTP surface of the dispatcher. The mux mirrors the single-node service
-// API route for route, so clients cannot tell (and need not care) whether
-// they talk to one solver or a fleet:
-//
-//	GET    /v1/solvers            registered strategies (served locally)
-//	GET    /v1/stats              fleet-aggregated stats (per node + sums)
-//	GET    /v1/learn              fleet-merged learned-scheduling stats
-//	POST   /v1/jobs               submit; routed by instance fingerprint
-//	GET    /v1/jobs               list public jobs in submission order
-//	GET    /v1/jobs/{id}          status, proxied from the owning node
-//	GET    /v1/jobs/{id}/result   full result, proxied from the owning node
-//	GET    /v1/jobs/{id}/events   NDJSON stream, re-attached across failover
-//	DELETE /v1/jobs/{id}          cancel, proxied to the owning node
+// HTTP surface of the dispatcher. The dispatcher implements service.API,
+// so the fleet front-end serves the single-node /v1 routes (listed in the
+// service package documentation) through the very same handler set: stats
+// and learn aggregate across the nodes, submissions are routed by instance
+// fingerprint, and status, result, cancel and the event stream are proxied
+// from the owning node, the stream re-attached across failover.
 //
 // Every backend document crosses rewriteJobDoc/rewriteEventLine on the way
 // out: the backend's job ID is replaced with the public one and the owning
@@ -30,109 +23,70 @@ import (
 	"net/http"
 	"time"
 
-	"eblow"
 	"eblow/internal/service"
 )
 
-// NewHandler mounts the dispatcher's public API. Like the single-node
-// handler it is unauthenticated; cmd/eblowd wraps it with Keyring.Wrap
-// when started with -auth-keys.
-func NewHandler(d *Dispatcher) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/solvers", func(w http.ResponseWriter, r *http.Request) {
-		type info struct {
-			Name   string `json:"name"`
-			Doc    string `json:"doc"`
-			OneD   bool   `json:"oneD"`
-			TwoD   bool   `json:"twoD"`
-			Racing bool   `json:"racing"`
-		}
-		var out []info
-		for _, e := range eblow.SolverInfos() {
-			out = append(out, info{Name: e.Name, Doc: e.Doc, OneD: e.OneD, TwoD: e.TwoD, Racing: e.Racing})
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.Stats(r.Context()))
-	})
-	mux.HandleFunc("GET /v1/learn", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.Learn(r.Context()))
-	})
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("dispatch: reading request: %w", err))
-			return
-		}
-		doc, err := d.Submit(body)
-		if err != nil {
-			code := http.StatusBadRequest
-			switch {
-			case errors.Is(err, ErrClosed):
-				code = http.StatusServiceUnavailable
-			case errors.Is(err, service.ErrNotDurable):
-				// Same contract as the single-node service: the job will
-				// run, but a 202 must not promise durability the WAL could
-				// not deliver.
-				code = http.StatusInternalServerError
-			}
-			writeError(w, code, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, doc)
-	})
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.List())
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		doc, err := d.Status(r.Context(), r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, doc)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		doc, code, err := d.Result(r.Context(), r.PathValue("id"))
-		switch {
-		case errors.Is(err, ErrNotFound):
-			writeError(w, http.StatusNotFound, err)
-		case errors.Is(err, ErrNodeDown):
-			writeError(w, http.StatusBadGateway, err)
-		case err != nil:
-			writeError(w, http.StatusBadGateway, err)
-		default:
-			writeJSON(w, code, doc)
-		}
-	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		doc, err := d.Cancel(r.Context(), r.PathValue("id"))
-		switch {
-		case errors.Is(err, ErrNotFound):
-			writeError(w, http.StatusNotFound, err)
-		case err != nil:
-			writeError(w, http.StatusBadGateway, err)
-		default:
-			writeJSON(w, http.StatusOK, doc)
-		}
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if _, _, _, err := d.route(id); err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		flush := func() {}
-		if flusher != nil {
-			flush = flusher.Flush
-		}
-		_ = d.StreamEvents(r.Context(), id, w, flush)
-	})
-	return mux
+// NewHandler mounts the dispatcher's public API: service.NewHandler over
+// the dispatcher. Like the single-node handler it is unauthenticated;
+// cmd/eblowd wraps it with Keyring.Wrap when started with -auth-keys.
+func NewHandler(d *Dispatcher) http.Handler { return service.NewHandler(d) }
+
+// WireSubmit implements service.API. The request's API key is not read:
+// per-key quotas and key stamps apply only on a node.
+func (d *Dispatcher) WireSubmit(_ context.Context, body []byte) (any, error) {
+	return d.Submit(body)
+}
+
+// WireStatus implements service.API.
+func (d *Dispatcher) WireStatus(ctx context.Context, id string) (any, error) {
+	return d.Status(ctx, id)
+}
+
+// WireResult implements service.API. A backend refusal keeps the node's
+// message and maps to the matching status: 404 and 409 as on a node, any
+// other code to 502.
+func (d *Dispatcher) WireResult(ctx context.Context, id string) (any, error) {
+	doc, code, err := d.Result(ctx, id)
+	switch {
+	case err != nil:
+		return nil, err
+	case code == http.StatusOK:
+		return doc, nil
+	}
+	kind := service.ErrUpstream
+	switch code {
+	case http.StatusNotFound:
+		kind = service.ErrNotFound
+	case http.StatusConflict:
+		kind = service.ErrNotReady
+	}
+	msg, _ := doc["error"].(string)
+	if msg == "" {
+		msg = fmt.Sprintf("dispatch: node %s answered HTTP %d", doc["node"], code)
+	}
+	return nil, &wireError{msg, kind}
+}
+
+// WireCancel implements service.API.
+func (d *Dispatcher) WireCancel(ctx context.Context, id string) (any, error) {
+	return d.Cancel(ctx, id)
+}
+
+// WireList implements service.API.
+func (d *Dispatcher) WireList(context.Context) any { return d.List() }
+
+// WireStats implements service.API.
+func (d *Dispatcher) WireStats(ctx context.Context) any { return d.Stats(ctx) }
+
+// WireLearn implements service.API.
+func (d *Dispatcher) WireLearn(ctx context.Context) (any, error) { return d.Learn(ctx), nil }
+
+// WireEvents implements service.API with StreamEvents.
+func (d *Dispatcher) WireEvents(ctx context.Context, id string) (func(io.Writer, func()), error) {
+	if _, _, _, err := d.route(id); err != nil {
+		return nil, err
+	}
+	return func(w io.Writer, flush func()) { _ = d.StreamEvents(ctx, id, w, flush) }, nil
 }
 
 // eventsPollInterval paces the re-attach loop while a job waits for a node
@@ -303,16 +257,4 @@ func proxyEvents(dst io.Writer, src io.Reader, publicID, node string, flush func
 		}
 	}
 	return lastState, sc.Err()
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

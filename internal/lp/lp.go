@@ -12,13 +12,12 @@
 //
 // Lower bounds default to 0 and upper bounds to +inf.
 //
-// Two solver backends are registered (see Backend): "sparse", the default,
-// is a revised simplex over a CSC matrix with an LU-factorized basis,
-// product-form updates, native bounded variables, a presolve/postsolve
-// pass and dual-simplex warm starts (SolveWarm); "dense" is the original
-// two-phase tableau simplex, kept as the property-test oracle. The sparse
-// backend additionally accepts free variables (lower bound -inf), which
-// the dense backend rejects.
+// Solve and SolveWarm run a revised simplex over a CSC matrix with an
+// LU-factorized basis, product-form updates, native bounded variables, a
+// presolve/postsolve pass and dual-simplex warm starts (SolveWarm). The
+// original two-phase dense tableau simplex (solveDense) stays as the
+// property-test oracle; unlike the sparse solver it rejects free variables
+// (lower bound -inf).
 package lp
 
 import (
@@ -243,8 +242,8 @@ type Result struct {
 	X         []float64
 	Iters     int
 
-	// Basis is the optimal simplex basis in status form, set by backends
-	// that support warm starts (the sparse backend) on Optimal solves.
+	// Basis is the optimal simplex basis in status form, set by the sparse
+	// solver (Solve, SolveWarm) on Optimal solves.
 	// It is shared immutably: Clone before mutating.
 	Basis *Basis
 }
@@ -254,26 +253,35 @@ var ErrBadProblem = errors.New("lp: invalid problem")
 
 const eps = 1e-9
 
-// Solve runs the default backend (the sparse revised simplex with
-// presolve) and returns the result. The returned error is non-nil only
-// for structurally invalid problems; an infeasible or unbounded model is
-// reported through Result.Status.
+// Solve runs the sparse revised simplex with presolve and returns the
+// result. The returned error is non-nil only for structurally invalid
+// problems; an infeasible or unbounded model is reported through
+// Result.Status.
 func Solve(p *Problem) (*Result, error) {
-	return defaultBackend().Solve(p, nil)
+	return solveSparseCold(p)
 }
 
-// SolveWarm solves p starting from a previous basis. The warm basis is
-// not modified; branch-and-bound children and successive-rounding
-// re-solves share parent bases by pointer. A nil warm basis (or a backend
-// without warm-start support) falls back to a cold solve. Warm solves
-// skip presolve — the basis indexes the full variable space.
+// SolveWarm solves p starting from a previous basis and returns the final
+// basis in Result.Basis. The warm basis is not modified; branch-and-bound
+// children and successive-rounding re-solves share parent bases by
+// pointer. A nil warm basis falls back to a cold solve. Warm solves skip
+// presolve — the basis indexes the full variable space.
 func SolveWarm(p *Problem, warm *Basis) (*Result, error) {
-	return defaultBackend().Solve(p, warm)
+	if warm == nil {
+		return solveSparseCold(p)
+	}
+	res, basis, err := solveSparse(p, warm)
+	if err != nil {
+		return nil, err
+	}
+	res.Basis = basis
+	return res, nil
 }
 
-// solveDense runs the dense two-phase tableau simplex. Unlike the sparse
-// backend it cannot represent free variables (lower bound -inf) and
-// reports them as ErrBadProblem.
+// solveDense runs the dense two-phase tableau simplex, the oracle the
+// sparse solver is property-tested against. Unlike the sparse solver it
+// cannot represent free variables (lower bound -inf) and reports them as
+// ErrBadProblem.
 func solveDense(p *Problem) (*Result, error) {
 	for j := 0; j < p.numVars; j++ {
 		if p.lower[j] > p.upper[j]+eps {

@@ -146,26 +146,18 @@ func vertexFeasible(p *Problem, x []float64) bool {
 	return true
 }
 
-// TestSparseMatchesDenseOracle is the backend equivalence property: on
+// TestSparseMatchesDenseOracle is the solver equivalence property: on
 // random LPs with equality rows, finite upper bounds and free variables,
 // the sparse revised simplex and the dense tableau oracle must agree on
 // status and objective, and the sparse vertex must satisfy the original
 // problem exactly.
 func TestSparseMatchesDenseOracle(t *testing.T) {
-	sparse, ok := LookupBackend("sparse")
-	if !ok {
-		t.Fatal("sparse backend missing")
-	}
-	dense, ok := LookupBackend("dense")
-	if !ok {
-		t.Fatal("dense backend missing")
-	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		withFree := rng.Intn(2) == 0
 		p := randomLP(rng, withFree)
 
-		sp, err := sparse.Solve(p.Clone(), nil)
+		sp, err := Solve(p.Clone())
 		if err != nil {
 			t.Logf("seed %d: sparse error %v", seed, err)
 			return false
@@ -174,7 +166,7 @@ func TestSparseMatchesDenseOracle(t *testing.T) {
 		if withFree {
 			dp = splitFree(p)
 		}
-		dn, err := dense.Solve(dp.Clone(), nil)
+		dn, err := solveDense(dp.Clone())
 		if err != nil {
 			t.Logf("seed %d: dense error %v", seed, err)
 			return false
@@ -303,18 +295,22 @@ func TestWarmPerturbedMatchesCold(t *testing.T) {
 	}
 }
 
-// TestCyclingLPTerminates runs the Beale cycling example through every
-// registered backend: the stall-triggered Bland fallback must terminate at
-// the optimum within a small pivot budget instead of burning MaxIters.
+// TestCyclingLPTerminates runs the Beale cycling example through the
+// sparse solver and the dense oracle: the stall-triggered Bland fallback
+// must terminate at the optimum within a small pivot budget instead of
+// burning MaxIters.
 func TestCyclingLPTerminates(t *testing.T) {
-	for _, name := range Backends() {
-		b, _ := LookupBackend(name)
+	for _, b := range []struct {
+		name  string
+		solve func(*Problem) (*Result, error)
+	}{{"sparse", Solve}, {"dense", solveDense}} {
+		name := b.name
 		p := NewProblem(4)
 		p.SetObjective([]float64{0.75, -150, 0.02, -6}, true)
 		p.AddDense([]float64{0.25, -60, -0.04, 9}, LE, 0)
 		p.AddDense([]float64{0.5, -90, -0.02, 3}, LE, 0)
 		p.AddDense([]float64{0, 0, 1, 0}, LE, 1)
-		res, err := b.Solve(p, nil)
+		res, err := b.solve(p)
 		if err != nil {
 			t.Fatalf("%s: error %v", name, err)
 		}
@@ -332,7 +328,7 @@ func TestCyclingLPTerminates(t *testing.T) {
 
 // TestSparseDeterministicAcrossWorkers solves the same random LPs on 8
 // concurrent goroutines (run under -race in CI) and requires bit-identical
-// results: the sparse backend must be a pure function of the problem, with
+// results: the sparse solver must be a pure function of the problem, with
 // no shared mutable state between solves.
 func TestSparseDeterministicAcrossWorkers(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {

@@ -1,8 +1,14 @@
-// HTTP/JSON surface of the job service, mounted by cmd/eblowd:
+// HTTP/JSON surface of eblowd. One handler set serves both a single
+// solver node (*Manager) and the fleet front-end (*dispatch.Dispatcher):
+// each implements API, and NewHandler mounts either behind the same routes,
+// encoder and error-to-status table, so a client cannot tell (and need not
+// care) whether it talks to one solver or a fleet:
 //
 //	GET    /v1/solvers            registered strategies
 //	GET    /v1/stats              queue depth, per-state job counts, batch counters
+//	                              (fleet: per node plus fleet-wide sums)
 //	GET    /v1/learn              learned-scheduling statistics snapshot
+//	                              (fleet: merged across the nodes)
 //	POST   /v1/jobs               submit a job (benchmark name or inline instance)
 //	GET    /v1/jobs               list jobs in submission order
 //	GET    /v1/jobs/{id}          job status (compact result summary)
@@ -17,6 +23,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,8 +34,83 @@ import (
 	"eblow"
 )
 
-// NewHandler mounts the service API for the manager.
-func NewHandler(m *Manager) http.Handler {
+// API is the backend behind the /v1 routes. Each method returns the wire
+// document, which the handler encodes as-is, or an error that statusOf
+// maps to the HTTP status.
+type API interface {
+	// WireSubmit accepts one POST /v1/jobs body; ctx carries the
+	// request's API key, if any (KeyFromContext).
+	WireSubmit(ctx context.Context, body []byte) (any, error)
+	WireStatus(ctx context.Context, id string) (any, error)
+	// WireResult fails with ErrNotReady until the job is terminal.
+	WireResult(ctx context.Context, id string) (any, error)
+	WireCancel(ctx context.Context, id string) (any, error)
+	WireList(ctx context.Context) any
+	WireStats(ctx context.Context) any
+	WireLearn(ctx context.Context) (any, error)
+	// WireEvents resolves the job's event stream. An unknown job fails
+	// here, before any header is written; otherwise the returned function
+	// writes one JSON line per event to w, calling flush after each, until
+	// the job is terminal or ctx is done.
+	WireEvents(ctx context.Context, id string) (func(w io.Writer, flush func()), error)
+}
+
+// ErrNotReady is returned (wrapped) for the result of a job that is not
+// terminal yet; the handler maps it to 409.
+var ErrNotReady = errors.New("result not ready")
+
+// ErrUpstream marks a fleet front-end failure to reach, or be served by, the
+// node owning a job; the handler maps it to 502.
+var ErrUpstream = errors.New("service: upstream node failed")
+
+// errLearnDisabled answers GET /v1/learn on a node without a learn store.
+var errLearnDisabled = errors.New("service: learned scheduling is disabled (start the server with -learn-path)")
+
+// maxSubmitBytes bounds a POST /v1/jobs body (413 beyond it). The largest
+// built-in instance, 2M-8, encodes to about 1.4 MB.
+const maxSubmitBytes = 32 << 20
+
+// statusOf is the one error-to-status table of the /v1 surface.
+func statusOf(err error) int {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrNotFound), errors.Is(err, errLearnDisabled):
+		return http.StatusNotFound
+	case errors.Is(err, ErrNotReady):
+		return http.StatusConflict
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrKeyQuota):
+		// Backpressure, not failure: the client should retry later.
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrNotDurable):
+		// The job is queued but its WAL record could not be synced; the
+		// ack must not promise durability it cannot keep.
+		return http.StatusInternalServerError
+	case errors.Is(err, ErrUpstream):
+		return http.StatusBadGateway
+	default:
+		return http.StatusBadRequest // a submission that failed validation
+	}
+}
+
+// NewHandler mounts the /v1 API for a node or a fleet front-end.
+func NewHandler(api API) http.Handler {
+	reply := func(w http.ResponseWriter, code int, doc any, err error) {
+		if err != nil {
+			writeError(w, statusOf(err), err)
+			return
+		}
+		writeJSON(w, code, doc)
+	}
+	job := func(get func(context.Context, string) (any, error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			doc, err := get(r.Context(), r.PathValue("id"))
+			reply(w, http.StatusOK, doc, err)
+		}
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/solvers", func(w http.ResponseWriter, r *http.Request) {
 		type info struct {
@@ -45,104 +127,130 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Stats())
+		writeJSON(w, http.StatusOK, api.WireStats(r.Context()))
 	})
 	mux.HandleFunc("GET /v1/learn", func(w http.ResponseWriter, r *http.Request) {
-		store := m.Learn()
-		if store == nil {
-			writeError(w, http.StatusNotFound, errors.New("service: learned scheduling is disabled (start the server with -learn-path)"))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"path":   store.Path(),
-			"shapes": store.Snapshot(),
-		})
+		doc, err := api.WireLearn(r.Context())
+		reply(w, http.StatusOK, doc, err)
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		spec, err := decodeSubmit(r)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			err = fmt.Errorf("service: reading request: %w", err)
+			writeError(w, statusOf(err), err)
 			return
 		}
-		if key := KeyFromContext(r.Context()); key != nil {
-			spec.Key = key.Name
-			spec.KeyPending = key.MaxPending
-		}
-		status, err := m.Submit(spec)
-		if err != nil {
-			code := http.StatusBadRequest
-			switch {
-			case errors.Is(err, ErrClosed):
-				code = http.StatusServiceUnavailable
-			case errors.Is(err, ErrQueueFull), errors.Is(err, ErrKeyQuota):
-				// Backpressure, not failure: the client should retry later.
-				code = http.StatusTooManyRequests
-			case errors.Is(err, ErrNotDurable):
-				// The job is queued but its WAL record could not be synced;
-				// the ack must not promise durability it cannot keep.
-				code = http.StatusInternalServerError
-			}
-			writeError(w, code, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, jobJSON(status, false))
+		doc, err := api.WireSubmit(r.Context(), body)
+		reply(w, http.StatusAccepted, doc, err)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		statuses := m.List()
-		out := make([]map[string]any, len(statuses))
-		for i, s := range statuses {
-			out[i] = jobJSON(s, false)
-		}
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, api.WireList(r.Context()))
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		status, err := m.Status(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, jobJSON(status, false))
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		status, err := m.Status(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		if !status.State.Terminal() {
-			writeError(w, http.StatusConflict, fmt.Errorf("service: job %s is %s, result not ready", status.ID, status.State))
-			return
-		}
-		writeJSON(w, http.StatusOK, jobJSON(status, true))
-	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		status, err := m.Cancel(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, jobJSON(status, false))
-	})
+	mux.HandleFunc("GET /v1/jobs/{id}", job(api.WireStatus))
+	mux.HandleFunc("GET /v1/jobs/{id}/result", job(api.WireResult))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", job(api.WireCancel))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		events, err := m.Events(r.Context(), r.PathValue("id"))
+		stream, err := api.WireEvents(r.Context(), r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			writeError(w, statusOf(err), err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		for e := range events {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+		flush := func() {}
+		if f, ok := w.(http.Flusher); ok {
+			flush = f.Flush
 		}
+		stream(w, flush)
 	})
 	return mux
+}
+
+// WireSubmit implements API: the body is parsed and validated by
+// ParseSubmit, stamped with the request's API key, and queued.
+func (m *Manager) WireSubmit(ctx context.Context, body []byte) (any, error) {
+	spec, err := ParseSubmit(body)
+	if err != nil {
+		return nil, err
+	}
+	if key := KeyFromContext(ctx); key != nil {
+		spec.Key = key.Name
+		spec.KeyPending = key.MaxPending
+	}
+	status, err := m.Submit(spec)
+	if err != nil {
+		return nil, err
+	}
+	return jobJSON(status, false), nil
+}
+
+// WireStatus implements API.
+func (m *Manager) WireStatus(_ context.Context, id string) (any, error) {
+	status, err := m.Status(id)
+	if err != nil {
+		return nil, err
+	}
+	return jobJSON(status, false), nil
+}
+
+// WireResult implements API.
+func (m *Manager) WireResult(_ context.Context, id string) (any, error) {
+	status, err := m.Status(id)
+	if err != nil {
+		return nil, err
+	}
+	if !status.State.Terminal() {
+		return nil, fmt.Errorf("service: job %s is %s, %w", status.ID, status.State, ErrNotReady)
+	}
+	return jobJSON(status, true), nil
+}
+
+// WireCancel implements API.
+func (m *Manager) WireCancel(_ context.Context, id string) (any, error) {
+	status, err := m.Cancel(id)
+	if err != nil {
+		return nil, err
+	}
+	return jobJSON(status, false), nil
+}
+
+// WireList implements API.
+func (m *Manager) WireList(context.Context) any {
+	statuses := m.List()
+	out := make([]map[string]any, len(statuses))
+	for i, s := range statuses {
+		out[i] = jobJSON(s, false)
+	}
+	return out
+}
+
+// WireStats implements API.
+func (m *Manager) WireStats(context.Context) any { return m.Stats() }
+
+// WireLearn implements API.
+func (m *Manager) WireLearn(context.Context) (any, error) {
+	store := m.Learn()
+	if store == nil {
+		return nil, errLearnDisabled
+	}
+	return map[string]any{"path": store.Path(), "shapes": store.Snapshot()}, nil
+}
+
+// WireEvents implements API.
+func (m *Manager) WireEvents(ctx context.Context, id string) (func(io.Writer, func()), error) {
+	events, err := m.Events(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	return func(w io.Writer, flush func()) {
+		enc := json.NewEncoder(w)
+		for e := range events {
+			if enc.Encode(e) != nil {
+				return
+			}
+			flush()
+		}
+	}, nil
 }
 
 // submitRequest is the POST /v1/jobs body: exactly one of Benchmark or
@@ -165,17 +273,10 @@ type wireParams struct {
 	Strategies []string `json:"strategies,omitempty"`
 }
 
-func decodeSubmit(r *http.Request) (JobSpec, error) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return JobSpec{}, fmt.Errorf("service: reading request: %w", err)
-	}
-	return ParseSubmit(body)
-}
-
 // ParseSubmit validates one POST /v1/jobs body and resolves it to a job
-// spec, exactly as the HTTP handler would. The dispatcher front-end uses it
-// to validate submissions before routing, so a fleet rejects a bad request
+// spec: the instance, the parameter ranges and the strategy names (the
+// same checkStrategies test Manager.Submit runs). Both a node and the
+// dispatcher front-end submit through it, so a fleet rejects a bad request
 // identically to a single node — and never burns a WAL record or a backend
 // round-trip on one.
 func ParseSubmit(body []byte) (JobSpec, error) {
@@ -207,7 +308,11 @@ func ParseSubmit(body []byte) (JobSpec, error) {
 	if err != nil {
 		return JobSpec{}, err
 	}
-	return JobSpec{Instance: in, Solver: req.Solver, Params: p, Label: req.Label}, nil
+	spec := JobSpec{Instance: in, Solver: req.Solver, Params: p, Label: req.Label}
+	if err := checkStrategies(spec); err != nil {
+		return JobSpec{}, err
+	}
+	return spec, nil
 }
 
 // maxWireSeed caps submitted seeds: racing entrants add per-strategy

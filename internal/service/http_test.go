@@ -57,23 +57,44 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// followEvents streams the job's NDJSON events to each until it returns
+// true or the stream ends (right after the terminal event). It reports
+// whether each stopped it.
+func followEvents(t *testing.T, srv *httptest.Server, id string, within time.Duration, each func(Event) bool) bool {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+id+"/events", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if each(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// pollDone waits on the job's event stream until it ends, then returns
+// the job's terminal status document.
 func pollDone(t *testing.T, srv *httptest.Server, id string, within time.Duration) map[string]any {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		code, job := getJSON(t, srv.URL+"/v1/jobs/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("GET job %s returned %d", id, code)
-		}
-		state := job["state"].(string)
-		if State(state).Terminal() {
-			return job
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s after %s", id, state, within)
-		}
-		time.Sleep(5 * time.Millisecond)
+	followEvents(t, srv, id, within, func(Event) bool { return false })
+	code, job := getJSON(t, srv.URL+"/v1/jobs/"+id)
+	if code != http.StatusOK {
+		t.Fatalf("GET job %s returned %d", id, code)
 	}
+	if state := job["state"].(string); !State(state).Terminal() {
+		t.Fatalf("job %s still %s after %s", id, state, within)
+	}
+	return job
 }
 
 // The acceptance path: concurrent 1D and 2D submissions over HTTP share one
@@ -355,19 +376,8 @@ func TestHTTPQueueFull429(t *testing.T) {
 	// than the test; only once it is running (and out of the pending queue)
 	// fill the one pending slot.
 	runningID := postJob(t, srv, `{"benchmark": "1T-5", "solver": "exact", "params": {"deadline": "5m"}}`)["id"].(string)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		code, job := getJSON(t, srv.URL+"/v1/jobs/"+runningID)
-		if code != http.StatusOK {
-			t.Fatalf("GET job %s returned %d", runningID, code)
-		}
-		if job["state"].(string) == string(StateRunning) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never started running", runningID)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !followEvents(t, srv, runningID, 30*time.Second, func(e Event) bool { return e.State == StateRunning }) {
+		t.Fatalf("job %s never started running", runningID)
 	}
 	fillID := postJob(t, srv, `{"benchmark": "1D-1", "solver": "greedy"}`)["id"].(string)
 
