@@ -52,7 +52,7 @@ func decodeBody(r io.Reader, v any) error {
 	return dec.Decode(v)
 }
 
-// submit posts the verbatim submit body and returns the backend's job
+// submit posts the job's submit body and returns the backend's job
 // document. A non-202 answer is an error carrying the backend's message.
 func (c *nodeClient) submit(ctx context.Context, body []byte) (map[string]any, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", bytes.NewReader(body))

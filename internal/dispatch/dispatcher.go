@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -84,7 +83,7 @@ var ErrNodeDown error = &wireError{"dispatch: the job's node is unreachable", se
 // unlocking without racing the sync loops.
 type jobRecord struct {
 	id         string
-	body       []byte // verbatim submit body, re-posted on failover
+	body       []byte // the submit body's JSON value, re-posted on failover
 	routingKey string
 	name       string // instance name
 	kind       string
@@ -217,17 +216,20 @@ func (d *Dispatcher) Owner(id string) (node string, ok bool) {
 }
 
 // Submit accepts one public submission: the body is validated exactly as a
-// backend would (service.ParseSubmit), the routing key is the instance's
+// backend would (service.ParseSubmitBody), the routing key is the instance's
 // learned-scheduling fingerprint, the accepted spec is fsynced to the
 // dispatcher WAL before the ack, and the job is dispatched to the ring
 // owner. A submission with no reachable owner is still accepted — it waits
 // unassigned and the janitor dispatches it as soon as a node can take it.
 func (d *Dispatcher) Submit(body []byte) (map[string]any, error) {
-	spec, err := service.ParseSubmit(body)
+	spec, value, err := service.ParseSubmitBody(body)
 	if err != nil {
 		return nil, err
 	}
 	shape := eblow.Fingerprint(spec.Instance)
+	// One copy of the request, shared by the job record (re-posted on
+	// failover) and its accepted WAL record.
+	body = append([]byte(nil), value...)
 
 	d.mu.Lock()
 	if d.closed {
@@ -237,7 +239,7 @@ func (d *Dispatcher) Submit(body []byte) (map[string]any, error) {
 	d.nextID++
 	j := &jobRecord{
 		id:         fmt.Sprintf("j%d", d.nextID),
-		body:       append([]byte(nil), body...),
+		body:       body,
 		routingKey: shape.Key(),
 		name:       spec.Instance.Name,
 		kind:       spec.Instance.Kind.String(),
@@ -250,16 +252,18 @@ func (d *Dispatcher) Submit(body []byte) (map[string]any, error) {
 	d.jobs[j.id] = j
 	d.order = append(d.order, j.id)
 	rec := walRecord{
-		Op: walOpAccepted, Job: j.id, Time: j.submitted,
-		Body: append(json.RawMessage(nil), body...), RoutingKey: j.routingKey,
+		Op: walOpAccepted, Job: j.id, Time: j.submitted, RoutingKey: j.routingKey,
 		Name: j.name, Kind: j.kind, Solver: spec.Solver, Label: j.label,
 	}
 	d.mu.Unlock()
 
 	var walErr error
 	if d.cfg.WAL != nil {
-		if walErr = d.cfg.WAL.Append(rec); walErr == nil {
-			walErr = d.cfg.WAL.Flush()
+		var line []byte
+		if line, walErr = journal.EncodeSpliced(rec, "body", body); walErr == nil {
+			if walErr = d.cfg.WAL.AppendEncoded(line); walErr == nil {
+				walErr = d.cfg.WAL.Flush()
+			}
 		}
 	}
 	d.tryDispatch(j.id)

@@ -1,7 +1,9 @@
 // The dispatcher's write-ahead log: one NDJSON record per public job
-// transition. Accepted records carry the original submit body verbatim, so
-// a dead node's jobs can be re-dispatched to a surviving peer (and a
-// restarted dispatcher can rebuild its whole table) from the log alone.
+// transition. Accepted records carry the submit body as the client sent it
+// (compacted onto one line if it was not), spliced into the record rather
+// than re-encoded, so a dead node's jobs can be re-dispatched to a
+// surviving peer (and a restarted dispatcher can rebuild its whole table)
+// from the log alone.
 // The file mechanics live in internal/journal; this file is the record
 // schema. The durability policy is the service's: Submit flushes the
 // accepted record before the ack (concurrent submits share one fsync),
@@ -31,8 +33,9 @@ type walRecord struct {
 	Job  string    `json:"job"`
 	Time time.Time `json:"time"`
 
-	// Accepted fields: the verbatim submit body plus the derived identity
-	// the dispatcher needs without re-decoding the instance.
+	// Accepted fields: the submit body plus the derived identity the
+	// dispatcher needs without re-decoding the instance. Submit splices the
+	// body in with journal.EncodeSpliced.
 	Body       json.RawMessage `json:"body,omitempty"`
 	RoutingKey string          `json:"routingKey,omitempty"`
 	Name       string          `json:"name,omitempty"`

@@ -10,6 +10,12 @@
 // threshold can be compacted: its owner hands CompactTo a snapshot, which
 // atomically replaces the file via a temp-file + rename rewrite.
 //
+// Every record reaches the file through one path, AppendEncoded, as one
+// encoded line: Append is json.Marshal plus AppendEncoded, and an owner
+// whose record carries a large value it already holds as JSON (the
+// client's instance bytes) splices it in with EncodeSpliced instead of
+// having json.Marshal scan it again.
+//
 // The record type is the caller's: a Log[R] knows nothing of record
 // semantics beyond the validity predicate given to Open.
 package journal
@@ -181,27 +187,78 @@ func (l *Log[R]) SetReplayStats(resumed, terminal int) {
 	l.mu.Unlock()
 }
 
-// Append buffers one record. It does not wait for durability — pair it
-// with Flush for the group-commit guarantee, or let the background flusher
-// sync it within flushInterval.
+// Append buffers one record: its json.Marshal encoding, through
+// AppendEncoded. It does not wait for durability — pair it with Flush for
+// the group-commit guarantee, or let the background flusher sync it within
+// flushInterval.
 func (l *Log[R]) Append(rec R) error {
-	b, err := json.Marshal(rec)
+	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
-	b = append(b, '\n')
+	return l.AppendEncoded(line)
+}
+
+// AppendEncoded buffers one record its owner already encoded: line is the
+// record's JSON, without a newline of its own (see EncodeSpliced). Like
+// Append, it does not wait for durability.
+func (l *Log[R]) AppendEncoded(line []byte) error {
+	if err := checkLine(line); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if _, err := l.w.Write(b); err != nil {
+	n, err := l.w.Write(line)
+	if err == nil {
+		err = l.w.WriteByte('\n')
+		n++
+	}
+	if err != nil {
 		return fmt.Errorf("journal: appending record: %w", err)
 	}
-	l.size += int64(len(b))
+	l.size += int64(n)
 	l.dirty = true
 	l.kickLocked()
 	return nil
+}
+
+// checkLine rejects a line that would not replay as one record.
+func checkLine(line []byte) error {
+	if len(line) == 0 || bytes.IndexByte(line, '\n') >= 0 {
+		return errors.New("journal: an encoded record must be one non-empty line")
+	}
+	return nil
+}
+
+// EncodeSpliced returns rec's JSON encoding with one more top-level field,
+// key, whose value is raw as it is: JSON the caller already decoded, so it
+// is neither scanned nor escaped again. raw must be a single valid JSON
+// value with no newline (compact it if it has one), and rec must encode as
+// an object that does not carry key itself. An empty raw adds no field.
+func EncodeSpliced(rec any, key string, raw []byte) ([]byte, error) {
+	head, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("journal: encoding record: %w", err)
+	}
+	if len(raw) == 0 {
+		return head, nil
+	}
+	if len(head) < 2 || head[len(head)-1] != '}' {
+		return nil, fmt.Errorf("journal: record encodes as %.16q, not an object", head)
+	}
+	name, _ := json.Marshal(key) // a string always encodes
+	line := make([]byte, 0, len(head)+len(name)+len(raw)+2)
+	line = append(line, head[:len(head)-1]...)
+	if len(head) > 2 { // "{}" has no field to follow
+		line = append(line, ',')
+	}
+	line = append(line, name...)
+	line = append(line, ':')
+	line = append(line, raw...)
+	return append(line, '}'), nil
 }
 
 // Flush blocks until every record appended so far is fsynced. Concurrent
@@ -278,10 +335,11 @@ func (l *Log[R]) NeedsCompact() bool {
 	return !l.closed && l.maxBytes > 0 && l.size > l.maxBytes && l.size >= l.compactFloor
 }
 
-// CompactTo atomically replaces the log with the given snapshot records:
-// they are written to a temp file, fsynced, and renamed over the old log.
-// Any failure leaves the old log intact and appendable.
-func (l *Log[R]) CompactTo(recs []R) error {
+// CompactTo atomically replaces the log with a snapshot, one encoded record
+// per line (as AppendEncoded takes them): the lines are written to a temp
+// file, fsynced, and renamed over the old log. Any failure leaves the old
+// log intact and appendable.
+func (l *Log[R]) CompactTo(lines [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -295,7 +353,7 @@ func (l *Log[R]) CompactTo(recs []R) error {
 	_ = l.flushLocked()
 
 	tmp := l.path + ".compact"
-	size, err := writeSnapshot(tmp, recs)
+	size, err := writeSnapshot(tmp, lines)
 	if err == nil {
 		err = os.Rename(tmp, l.path)
 	}
@@ -324,9 +382,14 @@ func (l *Log[R]) CompactTo(recs []R) error {
 	return nil
 }
 
-// writeSnapshot writes recs to a new file at path and fsyncs it, returning
+// writeSnapshot writes lines to a new file at path and fsyncs it, returning
 // its size.
-func writeSnapshot[R any](path string, recs []R) (size int64, err error) {
+func writeSnapshot(path string, lines [][]byte) (size int64, err error) {
+	for _, line := range lines {
+		if err := checkLine(line); err != nil {
+			return 0, err
+		}
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, err
@@ -337,13 +400,11 @@ func writeSnapshot[R any](path string, recs []R) (size int64, err error) {
 		}
 	}()
 	bw := bufio.NewWriter(f)
-	for i := range recs {
-		b, err := json.Marshal(&recs[i])
-		if err != nil {
-			return 0, err
-		}
-		n, _ := bw.Write(append(b, '\n')) // a write error sticks and surfaces at Flush
-		size += int64(n)
+	for _, line := range lines {
+		// A write error sticks and surfaces at Flush.
+		n, _ := bw.Write(line)
+		_ = bw.WriteByte('\n')
+		size += int64(n) + 1
 	}
 	if err := bw.Flush(); err != nil {
 		return 0, err

@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -24,6 +26,20 @@ func openTest(t *testing.T, path string, maxBytes int64) *Log[rec] {
 	}
 	t.Cleanup(func() { l.Close() })
 	return l
+}
+
+// encodeAll encodes recs as CompactTo takes them, one line per record.
+func encodeAll(t *testing.T, recs ...rec) [][]byte {
+	t.Helper()
+	lines := make([][]byte, len(recs))
+	for i, r := range recs {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = b
+	}
+	return lines
 }
 
 func appendAll(t *testing.T, l *Log[rec], recs ...rec) {
@@ -122,7 +138,7 @@ func TestCompactionFailureKeepsLog(t *testing.T) {
 	if err := os.Mkdir(path+".compact", 0o755); err != nil { // the temp file cannot be created
 		t.Fatal(err)
 	}
-	if err := l.CompactTo([]rec{{"terminal", "j1"}}); err == nil {
+	if err := l.CompactTo(encodeAll(t, rec{"terminal", "j1"})); err == nil {
 		t.Fatal("CompactTo succeeded without a writable temp file")
 	}
 	if l.NeedsCompact() {
@@ -139,7 +155,7 @@ func TestCompactionFailureKeepsLog(t *testing.T) {
 	if err := os.RemoveAll(path + ".compact"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.CompactTo([]rec{{"terminal", "j1"}, {"accepted", "j2"}}); err != nil {
+	if err := l.CompactTo(encodeAll(t, rec{"terminal", "j1"}, rec{"accepted", "j2"})); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, l, rec{"started", "j2"})
@@ -184,5 +200,53 @@ func TestClosed(t *testing.T) {
 	}
 	if err := l.CompactTo(nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("CompactTo after Close: %v", err)
+	}
+}
+
+// A spliced record replays like its json.Marshal twin, and an encoded line
+// that would split into two records is refused before it reaches the file.
+func TestAppendEncoded(t *testing.T) {
+	type big struct {
+		Op   string          `json:"op"`
+		Job  string          `json:"job"`
+		Body json.RawMessage `json:"body,omitempty"`
+	}
+	path := filepath.Join(t.TempDir(), "log")
+	l, err := Open(path, 0, func(r *big) bool { return r.Op != "" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	raw := []byte(`{"name":"a<b&c","xs":[1,2,3]}`)
+	line, err := EncodeSpliced(big{Op: "accepted", Job: "j1"}, "body", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(line, append(append([]byte(`"body":`), raw...), '}')) {
+		t.Fatalf("spliced line %s does not end in the raw value", line)
+	}
+	if err := l.AppendEncoded(line); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendEncoded([]byte("{\"op\":\"accepted\",\n\"job\":\"j2\"}")); err == nil {
+		t.Error("AppendEncoded took a line with a newline in it")
+	}
+	if err := l.Append(big{Op: "started", Job: "j1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(path, 0, func(r *big) bool { return r.Op != "" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	got := l2.Replay()
+	if len(got) != 2 || got[0].Job != "j1" || string(got[0].Body) != string(raw) || got[1].Op != "started" {
+		t.Fatalf("replayed %+v, want the spliced accepted record then started", got)
+	}
+	if s := l2.Stats(); s.SkippedLines != 0 {
+		t.Fatalf("Stats = %+v, want no skipped line", s)
 	}
 }

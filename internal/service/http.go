@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"eblow"
@@ -255,6 +256,8 @@ func (m *Manager) WireEvents(ctx context.Context, id string) (func(io.Writer, fu
 
 // submitRequest is the POST /v1/jobs body: exactly one of Benchmark or
 // Instance names the problem; Solver and Params pick the strategy.
+// ParseSubmit reads it field by field (see parseSubmit); the struct
+// documents the wire shape.
 type submitRequest struct {
 	Benchmark string          `json:"benchmark,omitempty"`
 	Instance  json.RawMessage `json:"instance,omitempty"`
@@ -274,45 +277,160 @@ type wireParams struct {
 }
 
 // ParseSubmit validates one POST /v1/jobs body and resolves it to a job
-// spec: the instance, the parameter ranges and the strategy names (the
-// same checkStrategies test Manager.Submit runs). Both a node and the
-// dispatcher front-end submit through it, so a fleet rejects a bad request
-// identically to a single node — and never burns a WAL record or a backend
-// round-trip on one.
+// spec: the instance, the parameter ranges and the strategy names. Both a
+// node and the dispatcher front-end submit through it, so a fleet rejects a
+// bad request identically to a single node — and never burns a WAL record
+// or a backend round-trip on one. The spec remembers that it was checked,
+// and an inline instance's JSON, so Manager.Submit neither validates it
+// again nor re-encodes it for the WAL.
 func ParseSubmit(body []byte) (JobSpec, error) {
-	var req submitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return JobSpec{}, fmt.Errorf("service: decoding request: %w", err)
+	spec, _, err := parseSubmit(body)
+	return spec, err
+}
+
+// ParseSubmitBody is ParseSubmit for a front-end that journals and forwards
+// the body itself. It also returns the body's JSON value: a sub-slice of
+// body (or, when body holds a newline, a compacted copy) that ends where
+// the request object ends, so it fits on one WAL line and parses to the
+// same spec.
+func ParseSubmitBody(body []byte) (JobSpec, []byte, error) {
+	spec, value, err := parseSubmit(body)
+	if err != nil {
+		return JobSpec{}, nil, err
 	}
+	return spec, compactJSON(value), nil
+}
+
+// parseSubmit decodes the body in one pass: the request object token by
+// token, each field's value straight into its destination, and the inline
+// instance directly into an eblow.Instance whose bytes it slices out of
+// body by decoder offset — no json.RawMessage copy to scan a second time.
+// It keeps the semantics of decoding into submitRequest with unknown
+// fields disallowed: keys match case-insensitively, unknown top-level
+// fields (and unknown params fields) are rejected, unknown instance fields
+// are ignored, a repeated key's last value wins, and bytes after the
+// request object are not read. value is the request object's own bytes.
+func parseSubmit(body []byte) (spec JobSpec, value []byte, err error) {
+	fail := func(err error) (JobSpec, []byte, error) {
+		return JobSpec{}, nil, fmt.Errorf("service: decoding request: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var req submitRequest
+	// The instance of the last "instance" key: its decoded value, the error
+	// decoding it (reported only if no later key replaces it) and its bytes.
 	var in *eblow.Instance
-	var err error
+	var inErr error
+	var inJSON []byte
+	open, err := dec.Token()
+	if err != nil {
+		return fail(err)
+	}
+	switch open {
+	case json.Delim('{'):
+	case nil: // a JSON null decodes to the empty request
+	default:
+		return fail(errors.New("the request is not a JSON object"))
+	}
+	start := dec.InputOffset() - 1
+	for open != nil {
+		tok, err := dec.Token()
+		if err != nil {
+			return fail(err)
+		}
+		if tok == json.Delim('}') {
+			break
+		}
+		key, _ := tok.(string) // Token yields object keys as strings
+		switch {
+		case strings.EqualFold(key, "benchmark"):
+			err = dec.Decode(&req.Benchmark)
+		case strings.EqualFold(key, "solver"):
+			err = dec.Decode(&req.Solver)
+		case strings.EqualFold(key, "label"):
+			err = dec.Decode(&req.Label)
+		case strings.EqualFold(key, "params"):
+			err = decodeParams(dec, &req.Params)
+		case strings.EqualFold(key, "instance"):
+			from := dec.InputOffset()
+			var cur eblow.Instance
+			inErr = dec.Decode(&cur)
+			inJSON = bytes.TrimLeft(body[from:dec.InputOffset()], " \t\r\n:")
+			if len(inJSON) == 0 {
+				return fail(inErr) // not a JSON value: nothing was consumed
+			}
+			in = &cur
+		default:
+			err = fmt.Errorf("json: unknown field %q", key)
+		}
+		if err != nil {
+			return fail(err)
+		}
+	}
+	value = body[start:dec.InputOffset()]
+
 	switch {
-	case req.Benchmark != "" && len(req.Instance) > 0:
-		return JobSpec{}, errors.New("service: use either benchmark or instance, not both")
+	case req.Benchmark != "" && inJSON != nil:
+		return JobSpec{}, nil, errors.New("service: use either benchmark or instance, not both")
 	case req.Benchmark != "":
 		if in, err = eblow.Benchmark(req.Benchmark); err != nil {
-			return JobSpec{}, err
+			return JobSpec{}, nil, err
 		}
-	case len(req.Instance) > 0:
-		// DecodeInstance validates, so the service never round-trips
-		// through temp files to sanity-check a submitted instance.
-		if in, err = eblow.DecodeInstance(bytes.NewReader(req.Instance)); err != nil {
-			return JobSpec{}, err
+		if err := in.Validate(); err != nil {
+			return JobSpec{}, nil, fmt.Errorf("service: invalid instance: %w", err)
+		}
+	case inJSON != nil:
+		// The same errors eblow.DecodeInstance reports.
+		if inErr != nil {
+			return JobSpec{}, nil, fmt.Errorf("eblow: decoding instance: %w", inErr)
+		}
+		if err := in.Validate(); err != nil {
+			return JobSpec{}, nil, fmt.Errorf("eblow: invalid instance: %w", err)
 		}
 	default:
-		return JobSpec{}, errors.New("service: one of benchmark or instance is required")
+		return JobSpec{}, nil, errors.New("service: one of benchmark or instance is required")
 	}
 	p, err := req.Params.params()
 	if err != nil {
-		return JobSpec{}, err
+		return JobSpec{}, nil, err
 	}
-	spec := JobSpec{Instance: in, Solver: req.Solver, Params: p, Label: req.Label}
+	spec = JobSpec{Instance: in, Solver: req.Solver, Params: p, Label: req.Label}
 	if err := checkStrategies(spec); err != nil {
-		return JobSpec{}, err
+		return JobSpec{}, nil, err
 	}
-	return spec, nil
+	spec.checked = in
+	if inJSON != nil {
+		spec.instJSON = compactJSON(inJSON)
+	}
+	return spec, value, nil
+}
+
+// decodeParams decodes the params value into wp, rejecting unknown fields.
+// It decodes into the same wp for every "params" key, so repeated keys
+// merge like a struct field decoded twice. The value is small, so a second
+// decoder over its bytes costs nothing worth saving.
+func decodeParams(dec *json.Decoder, wp *wireParams) error {
+	var raw json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
+		return err
+	}
+	strict := json.NewDecoder(bytes.NewReader(raw))
+	strict.DisallowUnknownFields()
+	return strict.Decode(wp)
+}
+
+// compactJSON returns the JSON b on one line. Valid JSON holds a newline or
+// carriage return only as whitespace, so bytes without one — the usual,
+// machine-written body — come back as they are.
+func compactJSON(b []byte) []byte {
+	if bytes.IndexByte(b, '\n') < 0 && bytes.IndexByte(b, '\r') < 0 {
+		return b
+	}
+	var buf bytes.Buffer
+	buf.Grow(len(b))
+	if err := json.Compact(&buf, b); err != nil {
+		return b // unreachable for bytes the decoder accepted
+	}
+	return buf.Bytes()
 }
 
 // maxWireSeed caps submitted seeds: racing entrants add per-strategy

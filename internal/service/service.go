@@ -158,6 +158,14 @@ type JobSpec struct {
 	// at once (0 = no per-key bound): Submit returns ErrKeyQuota once the
 	// bound is hit, mapped to 429 on the wire like the global MaxPending.
 	KeyPending int
+
+	// checked is the instance ParseSubmit validated, together with the
+	// spec's strategies; Submit checks any other Instance itself.
+	checked *eblow.Instance
+	// instJSON is the instance's compact JSON: the bytes the client sent
+	// for an inline instance, so the accepted WAL record journals them as
+	// they are. The job drops them once it is terminal.
+	instJSON []byte
 }
 
 // Event is one entry of a job's progress stream.
@@ -385,23 +393,36 @@ func (m *Manager) evictLocked(now time.Time) {
 // Workers returns the size of the shared worker pool.
 func (m *Manager) Workers() int { return m.pool.Workers() }
 
-// Submit validates the spec, enqueues the job and returns its initial
-// status. The call never blocks on the queue: the job solves once a pool
-// worker is free, in FIFO order. With a WAL configured, Submit waits for
+// Submit validates the spec (a spec from ParseSubmit is validated
+// already), enqueues the job and returns its initial status. The call
+// never blocks on the queue: the job solves once a pool worker is free, in
+// FIFO order. With a WAL configured, Submit waits for
 // the job's accepted record to be fsynced before returning (concurrent
 // submits share one fsync), so an acknowledged job survives any crash.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	if spec.Instance == nil {
 		return JobStatus{}, errors.New("service: job needs an instance")
 	}
-	if err := spec.Instance.Validate(); err != nil {
-		return JobStatus{}, fmt.Errorf("service: invalid instance: %w", err)
-	}
-	if err := checkStrategies(spec); err != nil {
-		return JobStatus{}, err
+	if spec.Instance != spec.checked {
+		if err := spec.Instance.Validate(); err != nil {
+			return JobStatus{}, fmt.Errorf("service: invalid instance: %w", err)
+		}
+		if err := checkStrategies(spec); err != nil {
+			return JobStatus{}, err
+		}
+		spec.instJSON = nil // the bytes, if any, are another instance's
 	}
 	if spec.Params.Workers <= 0 {
 		spec.Params.Workers = 1
+	}
+	// Every JSON encoding happens here, before mu: under it, the accepted
+	// record costs only its small header and the buffered write. Without a
+	// WAL the job needs no instance bytes at all.
+	var walErr error
+	if m.cfg.WAL == nil {
+		spec.instJSON = nil
+	} else {
+		spec.instJSON, walErr = instanceJSON(spec)
 	}
 
 	m.mu.Lock()
@@ -437,13 +458,11 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	m.appendEventLocked(j, "queued for "+SolverLabel(spec))
 	// The accepted record is buffered under mu so the WAL's record order
 	// matches the queue order; the fsync wait happens after unlock.
-	var walErr error
-	if m.cfg.WAL != nil {
-		rec, err := m.walAccepted(j)
-		if err == nil {
-			err = m.cfg.WAL.Append(rec)
+	if m.cfg.WAL != nil && walErr == nil {
+		var line []byte
+		if line, walErr = m.walAccepted(j); walErr == nil {
+			walErr = m.cfg.WAL.AppendEncoded(line)
 		}
-		walErr = err
 	}
 	status := m.statusLocked(j)
 	// Enqueue while still holding mu: Close sets closed under the same
@@ -670,6 +689,7 @@ func (m *Manager) startLocked(j *job) bool {
 // finishLocked applies a finished solve's terminal transition: state,
 // result, digest, events, terminal WAL record. Callers hold m.mu.
 func (m *Manager) finishLocked(j *job, res *eblow.Result, err error, saveErr error) {
+	j.spec.instJSON = nil // a terminal job is never journalled as accepted again
 	if saveErr != nil {
 		m.appendEventLocked(j, "warning: saving learn store: "+saveErr.Error())
 	}
@@ -773,6 +793,7 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 			m.queue.Remove(j.id)
 		}
 		j.state = StateCanceled
+		j.spec.instJSON = nil
 		m.pending--
 		m.keyPendingAddLocked(j, -1)
 		j.err = context.Canceled

@@ -78,9 +78,10 @@ func (p *walParams) params() eblow.Params {
 }
 
 // walRecord is one NDJSON line of the job log. Accepted records carry the
-// full spec (instance JSON included) so the job can re-run after a crash;
-// terminal records carry the identity fields plus the outcome so a
-// compacted log still renders a complete status without the accepted
+// full spec so the job can re-run after a crash — the instance as the
+// compact JSON the client sent, which walAccepted splices in rather than
+// re-encoding; terminal records carry the identity fields plus the outcome
+// so a compacted log still renders a complete status without the accepted
 // record.
 type walRecord struct {
 	Op   string    `json:"op"`
@@ -163,15 +164,30 @@ func (m *Manager) walIdentity(j *job, rec *walRecord) {
 	rec.Submitted = j.submitted
 }
 
-// walAccepted builds the job's accepted record, instance JSON included.
-func (m *Manager) walAccepted(j *job) (walRecord, error) {
-	var buf bytes.Buffer
-	if err := eblow.EncodeInstance(&buf, j.spec.Instance); err != nil {
-		return walRecord{}, fmt.Errorf("service: encoding instance for WAL: %w", err)
+// walAccepted encodes the job's accepted record: the small header through
+// json.Marshal, then the instance JSON spliced in as it is. Callers hold
+// m.mu.
+func (m *Manager) walAccepted(j *job) ([]byte, error) {
+	if j.spec.instJSON == nil {
+		return nil, fmt.Errorf("service: job %s has no instance JSON to journal", j.id)
 	}
-	rec := walRecord{Op: walOpAccepted, Time: j.submitted, Instance: buf.Bytes()}
+	rec := walRecord{Op: walOpAccepted, Time: j.submitted}
 	m.walIdentity(j, &rec)
-	return rec, nil
+	return journal.EncodeSpliced(rec, "instance", j.spec.instJSON)
+}
+
+// instanceJSON returns the compact JSON the accepted record journals: the
+// bytes the spec carries (the client's, from ParseSubmit) or, for an
+// in-process submitter, the instance's json.Marshal encoding.
+func instanceJSON(spec JobSpec) ([]byte, error) {
+	if spec.instJSON != nil {
+		return spec.instJSON, nil
+	}
+	b, err := json.Marshal(spec.Instance)
+	if err != nil {
+		return nil, fmt.Errorf("service: encoding instance for WAL: %w", err)
+	}
+	return b, nil
 }
 
 // walTerminal builds the job's terminal record: identity plus outcome, so
@@ -216,20 +232,22 @@ func (m *Manager) maybeCompactWALLocked() {
 		return
 	}
 	m.evictLocked(time.Now()) // expired records need no snapshot
-	recs := make([]walRecord, 0, len(m.order))
+	lines := make([][]byte, 0, len(m.order))
 	for _, id := range m.order {
 		j := m.jobs[id]
+		var line []byte
+		var err error
 		if j.state.Terminal() {
-			recs = append(recs, m.walTerminal(j))
-			continue
+			line, err = json.Marshal(m.walTerminal(j))
+		} else {
+			line, err = m.walAccepted(j) // the live job's bytes, reused
 		}
-		rec, err := m.walAccepted(j)
 		if err != nil {
 			return // cannot snapshot this job; keep the full log
 		}
-		recs = append(recs, rec)
+		lines = append(lines, line)
 	}
-	_ = w.CompactTo(recs)
+	_ = w.CompactTo(lines)
 }
 
 // replayWALLocked rebuilds the manager's job table from the log read at
@@ -333,6 +351,7 @@ func (m *Manager) replayAcceptedLocked(id string, rec *walRecord) bool {
 		return false
 	}
 	j.spec.Instance = in
+	j.spec.instJSON = rec.Instance // one WAL line: no newline to compact
 	j.instName = in.Name
 	j.instKind = in.Kind
 	j.state = StateQueued

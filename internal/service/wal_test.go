@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"eblow"
+	"eblow/internal/core"
+	"eblow/internal/gen"
 	"eblow/internal/journal"
 )
 
@@ -378,4 +380,226 @@ func TestWALCloseConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// A WAL written by the previous encoder (the instance re-encoded by
+// EncodeInstance and compacted by json.Marshal, with the record fields in
+// struct order) replays unchanged: testdata/parent.wal holds two finished
+// jobs, one cut off mid-solve by a shutdown, one still queued and one
+// cancelled while queued. The finished jobs keep their logged digests and
+// the unfinished ones re-solve to the digests of an uninterrupted run.
+func TestWALParentFixtureReplays(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := openTestWAL(t, path)
+	m := New(Config{Workers: 1, WAL: w})
+	defer m.Close()
+	if s := w.Stats(); s.Records != 11 || s.SkippedLines != 0 || s.Resumed != 2 || s.Terminal != 3 {
+		t.Fatalf("replay stats %+v, want 11 records, 2 resumed, 3 terminal", s)
+	}
+	want := []struct {
+		id, instance, key string
+		state             State
+		replayed          bool
+		digest            string
+	}{
+		{"j1", "small-1DOSP-30", "", StateDone, true, "386cede5c78cb64f75eadab26ee679e0b0c916c968a575e9580b38ec9f6c67af"},
+		{"j2", "small-2DOSP-12", "tenant", StateDone, true, "042319ad6dc1f2780775baf5eea3d0c7fafd6e7704fafa4101abfcffee424bfb"},
+		{"j3", "small-1DOSP-20", "", StateDone, false, "ab3df8290e4f67433f6a1c939c3a4b365587983ef5f6f5f30de718faea32a2bd"},
+		{"j4", "small-1DOSP-24", "", StateDone, false, "755004bb3bb8e5eed616e8fd74e295a5de31d1bc2a3101c26182d7168ecb78c5"},
+		{"j5", "small-1DOSP-22", "", StateCanceled, true, ""},
+	}
+	for _, wj := range want {
+		waitTerminal(t, m, wj.id, 30*time.Second)
+	}
+	list := m.List()
+	if len(list) != len(want) {
+		t.Fatalf("replayed table has %d jobs, want %d", len(list), len(want))
+	}
+	for i, wj := range want {
+		s := list[i]
+		if s.ID != wj.id || s.Instance != wj.instance || s.Key != wj.key || s.State != wj.state ||
+			s.Replayed != wj.replayed || s.Digest != wj.digest {
+			t.Errorf("job %d = {%s %s key=%q %s replayed=%v %s}, want %+v",
+				i, s.ID, s.Instance, s.Key, s.State, s.Replayed, s.Digest, wj)
+		}
+	}
+	if s, err := m.Submit(JobSpec{Instance: eblow.SmallInstance(eblow.OneD, 20, 2, 9), Solver: "greedy"}); err != nil || s.ID != "j6" {
+		t.Fatalf("first submit after the replay: %s, %v; want j6", s.ID, err)
+	}
+}
+
+// plan1dBody renders a POST /v1/jobs body shaped like the benchmark's
+// plan1d jobs: a 600-character 10-region 1D instance, inline. indent keeps
+// the instance as EncodeInstance writes it instead of compacting it.
+func plan1dBody(t testing.TB, indent bool) []byte {
+	t.Helper()
+	in := gen.Generate(gen.Params{
+		Kind: core.OneD, NumChars: 600, NumRegions: 10,
+		StencilW: 800, StencilH: 800, RowHeight: 40,
+		MinWidth: 28, MaxWidth: 44, MinBlank: 4, MaxBlank: 14,
+		MinShots: 2, MaxShots: 60, ShotAreaUnit: 45,
+		MaxRepeat: 25, RegionSkew: 0.85, Seed: 1,
+	})
+	in.Name = "plan1d-0"
+	var inst bytes.Buffer
+	if err := eblow.EncodeInstance(&inst, in); err != nil {
+		t.Fatal(err)
+	}
+	if indent {
+		return []byte(`{"instance": ` + inst.String() + `, "solver": "greedy", "label": "plan1d/0", "params": {"workers": 1, "seed": 1}}`)
+	}
+	body, err := json.Marshal(map[string]any{
+		"instance": json.RawMessage(inst.Bytes()), "solver": "greedy", "label": "plan1d/0",
+		"params": map[string]int{"workers": 1, "seed": 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// walHeaderBytes bounds an accepted record's bytes besides the instance:
+// op, job, times, name, kind, solver, label and params.
+const walHeaderBytes = 320
+
+// The accepted record journals the instance bytes the client sent, on one
+// line: for a compact plan1d-shaped body the line is the request plus at
+// most a record header, and for an indented body it is smaller than the
+// request (the indentation is compacted away, never re-encoded).
+func TestWALAcceptedRecordIsRequestSized(t *testing.T) {
+	for _, indent := range []bool{false, true} {
+		body := plan1dBody(t, indent)
+		path := filepath.Join(t.TempDir(), "jobs.wal")
+		m := New(Config{Workers: 1, WAL: openTestWAL(t, path)})
+		s, err := m.WireSubmit(context.Background(), body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, m, s.(map[string]any)["id"].(string), 30*time.Second)
+		m.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, _, _ := bytes.Cut(data, []byte("\n"))
+		var rec walRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Op != walOpAccepted {
+			t.Fatalf("first WAL line is not an accepted record: %v", err)
+		}
+		var sent struct{ Instance json.RawMessage }
+		if err := json.Unmarshal(body, &sent); err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, sent.Instance); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Instance, compact.Bytes()) {
+			t.Errorf("indent=%v: the record's instance is not the client's compacted bytes", indent)
+		}
+		if limit := compact.Len() + walHeaderBytes; len(line) > limit {
+			t.Errorf("indent=%v: accepted record is %d bytes, want at most %d (instance %d + header)", indent, len(line), limit, compact.Len())
+		}
+		if indent && len(line) >= len(body) {
+			t.Errorf("accepted record is %d bytes for an indented %d-byte request", len(line), len(body))
+		}
+		t.Logf("indent=%v: request %d bytes, accepted record %d bytes", indent, len(body), len(line))
+	}
+}
+
+// instanceBytes reports whether the job still holds its instance JSON.
+func instanceBytes(m *Manager, id string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.jobs[id].spec.instJSON != nil
+}
+
+// Live jobs keep the instance bytes they were submitted with, so a
+// compaction journals them again without re-encoding; a terminal job holds
+// none, so a finished record pins no copy of its request for the record
+// TTL.
+func TestTerminalJobDropsInstanceBytes(t *testing.T) {
+	orig := solveSpec
+	defer func() { solveSpec = orig }()
+	started := make(chan string, 2)
+	release := make(chan struct{})
+	solveSpec = func(ctx context.Context, spec JobSpec) (*eblow.Result, error) {
+		switch spec.Label {
+		case "gate": // runs once released
+			started <- spec.Label
+			<-release
+		case "hold": // runs until the shutdown
+			started <- spec.Label
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return orig(ctx, spec)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	w, err := OpenWAL(path, 2048) // tiny threshold: every finish compacts
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Workers: 1, WAL: w})
+	submit := func(body string) string {
+		t.Helper()
+		doc, err := m.WireSubmit(context.Background(), []byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc.(map[string]any)["id"].(string)
+	}
+	holds := func(want map[string]bool) {
+		t.Helper()
+		for id, w := range want {
+			if got := instanceBytes(m, id); got != w {
+				t.Errorf("job %s holds instance bytes: %v, want %v", id, got, w)
+			}
+		}
+	}
+	done := submit(`{"benchmark": "1T-1", "solver": "greedy"}`) // bytes encoded in-process
+	waitTerminal(t, m, done, 30*time.Second)
+	var inst bytes.Buffer
+	if err := eblow.EncodeInstance(&inst, eblow.SmallInstance(eblow.OneD, 30, 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	inline := func(label string) string {
+		return `{"instance": ` + inst.String() + `, "solver": "greedy", "label": "` + label + `"}`
+	}
+	gate := submit(inline("gate"))
+	<-started
+	hold := submit(inline("hold"))
+	cancelled := submit(inline("cancelled"))
+	if _, err := m.Cancel(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	holds(map[string]bool{done: false, gate: true, hold: true, cancelled: false})
+	close(release) // gate finishes and compacts the log around the live hold
+	waitTerminal(t, m, gate, 30*time.Second)
+	<-started
+	holds(map[string]bool{gate: false, hold: true})
+	m.Close()
+
+	// The log was compacted with hold live (uncompacted, the four jobs
+	// leave 10 records); hold re-runs from its journalled bytes.
+	solveSpec = orig
+	w2 := openTestWAL(t, path)
+	m2 := New(Config{Workers: 1, WAL: w2})
+	defer m2.Close()
+	if s := w2.Stats(); s.Records >= 10 || s.Resumed != 1 || s.Terminal != 3 {
+		t.Errorf("reopened log %+v, want a compacted log with 1 resumed and 3 terminal jobs", s)
+	}
+	if s := waitTerminal(t, m2, hold, 30*time.Second); s.State != StateDone || s.Replayed {
+		t.Errorf("job %s re-ran as %s (replayed=%v, %v)", hold, s.State, s.Replayed, s.Err)
+	}
+	if instanceBytes(m2, hold) {
+		t.Errorf("re-run job %s still holds its instance bytes", hold)
+	}
 }
