@@ -31,13 +31,12 @@
 // is persisted after each job. GET /v1/learn exposes the statistics.
 //
 // By default (-batch) the queue drains through a cost-model scheduler
-// instead of FIFO order: cheap jobs are estimated (chars x regions x
+// instead of FIFO order: every job's cost is estimated (chars x regions x
 // strategy, sharpened by the learn store's measured runtimes when one is
-// loaded) and may overtake expensive ones, and compatible small jobs are
-// grouped into cohorts (-batch-size, -batch-chars) that share one worker
-// sweep of plain solver calls. Per-job results stay bit-identical
-// to solo FIFO execution, and -aging hard-bounds how many later jobs may
-// overtake a waiting one (no starvation). GET /v1/stats exposes the queue
+// loaded) and each free worker runs the cheapest queued job, so cheap jobs
+// may overtake expensive ones. Per-job results stay bit-identical to FIFO
+// execution, and -aging hard-bounds how many later jobs may overtake a
+// waiting one (no starvation). GET /v1/stats exposes the queue
 // depth and the scheduler's counters; -batch=false restores the plain
 // FIFO drain.
 //
@@ -45,7 +44,7 @@
 // it owns the public API and shards submitted jobs across the named backend
 // eblowd nodes by consistent hashing on the instance's learned-scheduling
 // fingerprint, so every job of one shape lands on the same node and that
-// node's learn store and batch cohorts stay hot. Status, results, cancels
+// node's learn store stays hot. Status, results, cancels
 // and event streams are proxied back; GET /v1/stats and GET /v1/learn
 // aggregate across the fleet. With -wal the dispatcher keeps its own log of
 // accepted submissions, with the same format and fsync policy as a node's
@@ -104,9 +103,7 @@ func main() {
 		walPath     = flag.String("wal", "", "durable write-ahead job log: accepted jobs are fsynced before the ack and replayed on restart (\"\" disables durability)")
 		walMaxBytes = flag.Int64("wal-max-bytes", service.DefaultWALMaxBytes, "compact the WAL to a live-job snapshot once it exceeds this size")
 		authKeys    = flag.String("auth-keys", "", "API key file (one \"name secret [readonly] [pending=N] [rate=R] [burst=B]\" per line); \"\" serves unauthenticated")
-		batchOn     = flag.Bool("batch", true, "cost-model scheduling + batched cohort execution of compatible queued jobs (per-job results stay bit-identical to the FIFO drain)")
-		batchSize   = flag.Int("batch-size", 8, "max jobs per execution cohort")
-		batchChars  = flag.Int("batch-chars", 400, "largest instance (characters) that may join a cohort; bigger jobs run solo")
+		batchOn     = flag.Bool("batch", true, "cost-model scheduling: each free worker runs the cheapest queued job (per-job results stay bit-identical to the FIFO drain)")
 		aging       = flag.Int("aging", 16, "scheduler aging bound: max later-submitted jobs that may overtake a waiting job (-1 = strict submission order)")
 
 		dispatchNodes  = flag.String("dispatch", "", "run as a fleet front-end instead of a solver: comma-separated \"name=url\" backend eblowd nodes to shard jobs across (\"\" runs the normal single-node server)")
@@ -138,9 +135,9 @@ func main() {
 		}
 	}
 
-	batchCfg := service.BatchConfig{Enabled: *batchOn, MaxBatch: *batchSize, MaxChars: *batchChars, MaxJump: *aging}
+	batchCfg := service.BatchConfig{Enabled: *batchOn, MaxJump: *aging}
 	if *batchOn {
-		log.Printf("batch scheduling on: cohorts up to %d jobs of <= %d characters, aging bound %d", *batchSize, *batchChars, *aging)
+		log.Printf("batch scheduling on: cost order, aging bound %d", *aging)
 	}
 	m := service.New(service.Config{Workers: *workers, RecordTTL: *recordTTL, MaxPending: *maxPending, Learn: store, WAL: wal, Batch: batchCfg})
 	if wal != nil {

@@ -52,12 +52,12 @@ func main() {
 		perf         = flag.String("perf", "", "measure the solver hot paths on this case (e.g. small-1M, 1M-5, small-2M): annealer moves/sec for 2D, solve + relaxation wall-clock at 1 and -workers workers for 1D")
 		lpPerf       = flag.String("lp-perf", "", "measure the sparse LP engine on this 1D case: relaxation pivots/sec with the simplex backend, and the warm-vs-cold re-solve pivot ratio the dual-simplex warm starts buy")
 		benchJSON    = flag.String("bench-json", "", "write the -perf record as JSON to this file (the BENCH_*.json perf trajectory)")
-		throughput   = flag.Bool("throughput", false, "benchmark the job service on a generated mixed workload: FIFO drain vs the cost-model batch scheduler, reporting jobs/sec and SLO goodput for both plus a cross-mode result-digest identity check")
+		throughput   = flag.Bool("throughput", false, "benchmark the job service on a generated mixed workload: FIFO drain vs the cost-order drain, reporting jobs/sec and SLO goodput for both plus a cross-mode result-digest identity check")
 		tpJobs       = flag.Int("tp-jobs", 120, "workload size for -throughput")
 		tpSpan       = flag.Duration("tp-span", 2*time.Second, "open-loop arrival window for -throughput: jobs are submitted evenly across this span")
 		tpSLO        = flag.Duration("tp-slo", 400*time.Millisecond, "per-job latency budget for -throughput goodput (submit to finish)")
 		tpWorkers    = flag.Int("tp-workers", 4, "service worker-pool size for -throughput")
-		assertSpdup  = flag.Float64("assert-speedup", 0, "fail -throughput unless batched goodput is at least this multiple of the FIFO drain's (0 disables the assertion)")
+		assertSpdup  = flag.Float64("assert-speedup", 0, "fail -throughput unless the cost-order drain's goodput is at least this multiple of the FIFO drain's (0 disables the assertion)")
 		benchSummary = flag.Bool("bench-summary", false, "aggregate every BENCH_*.json record in the current directory into one table")
 		learnReplay  = flag.String("learn-replay", "", "replay this comma-separated benchmark case list through recorded portfolio races to warm the -learn-path store, then print the learned race ordering vs the static one per case")
 		learnPath    = flag.String("learn-path", "", "JSON statistics store for -learn-replay (\"\" uses a throwaway in-memory store)")

@@ -22,13 +22,12 @@ type tpJob struct {
 	params eblow.Params
 }
 
-// throughputWorkload generates the adversarial mixed stream the batch
-// scheduler is built for: a steady run of tiny batchable instances
-// interleaved with heavy multi-restart annealing blockers (too large for
-// any cohort) and medium E-BLOW jobs. Under a FIFO drain the blockers
-// capture the pool and every tiny job behind them blows its latency
-// budget; the cost-model scheduler lets the tiny jobs overtake (within the
-// aging bound) and packs them into cohorts.
+// throughputWorkload generates the adversarial mixed stream the cost-model
+// scheduler is built for: a steady run of tiny instances interleaved with
+// heavy multi-restart annealing blockers and medium E-BLOW jobs. Under a
+// FIFO drain the blockers capture the pool and every tiny job behind them
+// blows its latency budget; the cost-order drain lets the tiny jobs
+// overtake (within the aging bound).
 func throughputWorkload(n int, seed int64) []tpJob {
 	rng := rand.New(rand.NewSource(seed))
 	jobs := make([]tpJob, n)
@@ -37,12 +36,12 @@ func throughputWorkload(n int, seed int64) []tpJob {
 		p := eblow.Params{Seed: 1, Workers: 1}
 		switch {
 		case i%4 == 3:
-			// Heavy blocker: above the cohort char cap, so it always runs
-			// solo, and multi-restart so it holds its worker a while.
+			// Heavy blocker: large and multi-restart, so it holds its
+			// worker a while.
 			p.Restarts = 4
 			jobs[i] = tpJob{in: gen.Small(core.TwoD, 420+rng.Intn(80), 2, s), solver: "sa24", params: p}
 		case i%8 == 6:
-			// Medium non-batchable job for strategy diversity.
+			// Medium E-BLOW job for strategy diversity.
 			jobs[i] = tpJob{in: gen.Small(core.OneD, 180+rng.Intn(80), 4, s), solver: "eblow", params: p}
 		case i%3 == 0:
 			jobs[i] = tpJob{in: gen.Small(core.TwoD, 14+rng.Intn(10), 2, s), solver: "sa24", params: p}
@@ -68,11 +67,8 @@ type tpModeStats struct {
 	P95Ms         float64 `json:"p95Ms"`
 	MaxMs         float64 `json:"maxMs"`
 	WallMs        int64   `json:"wallMs"`
-	// Cohort counters are zero for the solo (FIFO) mode.
-	Cohorts     int `json:"cohorts,omitempty"`
-	BatchedJobs int `json:"batchedJobs,omitempty"`
-	MaxCohort   int `json:"maxCohort,omitempty"`
-	AgedPops    int `json:"agedPops,omitempty"`
+	// AgedPops is zero for the solo (FIFO) mode.
+	AgedPops int `json:"agedPops,omitempty"`
 }
 
 // throughputRecord is the BENCH_throughput.json shape.
@@ -83,10 +79,12 @@ type throughputRecord struct {
 	Workers int   `json:"workers"`
 	Seed    int64 `json:"seed"`
 
+	// Solo is the FIFO drain and Batched the cost-order drain; the keys
+	// predate the cost-order name and stay for record continuity.
 	Solo    tpModeStats `json:"solo"`
 	Batched tpModeStats `json:"batched"`
 
-	// SpeedupJobsPerSec and SpeedupGoodput are batched over solo ratios;
+	// SpeedupJobsPerSec and SpeedupGoodput are cost-order over FIFO ratios;
 	// the goodput ratio is the headline (throughput at the fixed latency
 	// budget).
 	SpeedupJobsPerSec float64 `json:"speedupJobsPerSec"`
@@ -169,17 +167,17 @@ func runThroughputMode(ctx context.Context, jobs []tpJob, workers int, batch ser
 		WallMs:        wall.Milliseconds(),
 	}
 	if bs := m.Stats().Batch; bs.Enabled {
-		st.Cohorts, st.BatchedJobs, st.MaxCohort, st.AgedPops = bs.Cohorts, bs.BatchedJobs, bs.MaxCohort, bs.AgedPops
+		st.AgedPops = bs.AgedPops
 	}
 	return st, digests, nil
 }
 
 // runThroughput benchmarks the job service end to end on a generated mixed
-// workload, once with the plain FIFO drain and once with the cost-model
-// batch scheduler, and reports jobs/sec plus SLO goodput for both. The two
-// runs solve identical instances with identical seeds, so their result
-// digests must match job for job — any divergence is a hard failure, which
-// makes every bench run double as a batch-identity check.
+// workload, once with the plain FIFO drain and once with the cost-order
+// drain, and reports jobs/sec plus SLO goodput for both. The two runs solve
+// identical instances with identical seeds, so their result digests must
+// match job for job — any divergence is a hard failure, which makes every
+// bench run double as a batch-identity check.
 func runThroughput(ctx context.Context, nJobs, workers int, span, slo time.Duration, seed int64, assertSpeedup float64, jsonPath string) error {
 	jobs := throughputWorkload(nJobs, seed)
 	fmt.Printf("throughput: %d jobs over %s (SLO %s), pool of %d workers\n", nJobs, span, slo, workers)
@@ -191,18 +189,16 @@ func runThroughput(ctx context.Context, nJobs, workers int, span, slo time.Durat
 	fmt.Printf("  solo (FIFO): %6.1f jobs/s, goodput %6.1f/s (%d/%d in SLO), p50 %.0fms p95 %.0fms\n",
 		solo.JobsPerSec, solo.GoodputPerSec, solo.SLOMet, nJobs, solo.P50Ms, solo.P95Ms)
 
-	batchCfg := service.BatchConfig{Enabled: true, MaxBatch: 8, MaxChars: 400, MaxJump: 16, Workers: workers}
-	batched, batchedDigests, err := runThroughputMode(ctx, jobs, workers, batchCfg, span, slo)
+	batched, batchedDigests, err := runThroughputMode(ctx, jobs, workers, service.BatchConfig{Enabled: true, MaxJump: 16}, span, slo)
 	if err != nil {
-		return fmt.Errorf("batched run: %w", err)
+		return fmt.Errorf("cost-order run: %w", err)
 	}
-	fmt.Printf("  batched:     %6.1f jobs/s, goodput %6.1f/s (%d/%d in SLO), p50 %.0fms p95 %.0fms, %d cohorts (max %d, %d jobs)\n",
-		batched.JobsPerSec, batched.GoodputPerSec, batched.SLOMet, nJobs, batched.P50Ms, batched.P95Ms,
-		batched.Cohorts, batched.MaxCohort, batched.BatchedJobs)
+	fmt.Printf("  cost order:  %6.1f jobs/s, goodput %6.1f/s (%d/%d in SLO), p50 %.0fms p95 %.0fms, %d aged pops\n",
+		batched.JobsPerSec, batched.GoodputPerSec, batched.SLOMet, nJobs, batched.P50Ms, batched.P95Ms, batched.AgedPops)
 
 	for i := range soloDigests {
 		if soloDigests[i] != batchedDigests[i] {
-			return fmt.Errorf("batch-identity violation: job %d digest %s solo vs %s batched",
+			return fmt.Errorf("batch-identity violation: job %d digest %s FIFO vs %s cost order",
 				i, soloDigests[i], batchedDigests[i])
 		}
 	}

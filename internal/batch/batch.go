@@ -1,27 +1,20 @@
-// Package batch is the batched many-instance execution layer: it turns a
-// set of concurrently queued compatible jobs into one cohort that shares a
-// worker sweep instead of draining job-by-job.
+// Package batch is the job service's cost-model scheduler.
 //
-// The package has two halves:
+// The service pushes every queued job with a cost estimate (Estimate:
+// chars x regions x strategy, replaced by measured runtimes from
+// internal/learn once a store has traffic history) and Queue.Pop returns
+// the cheapest pending job, one job per pop. Fairness is bounded, not
+// best-effort: a job can be overtaken by at most the queue's aging bound
+// of later-submitted jobs before the scheduler pins it to the front, so
+// starvation is impossible by construction.
 //
-//   - Queue is the cost-model scheduler. The service pushes every queued
-//     job with a cost estimate (Estimate: chars x regions x strategy,
-//     replaced by measured runtimes from internal/learn once a store has
-//     traffic history) and Pop returns the next unit of work — the
-//     cheapest eligible job plus every compatible small job it can take
-//     along, up to the policy's cohort size. Fairness is bounded, not
-//     best-effort: a job can be overtaken by at most Policy.MaxJump
-//     later-submitted jobs before the scheduler pins it to the front, so
-//     starvation is impossible by construction.
-//   - Execute runs a popped cohort: one par.For sweep of plain
-//     solver.Solve calls, one per unit.
+// The scheduler changes only when a job runs, never its result: every
+// popped job runs the same solve the FIFO drain would have run, so its
+// digest is identical (docs/INVARIANTS.md#batchidentity).
 //
-// The batch-identity contract (docs/INVARIANTS.md): for every unit, the
-// Result of a batched run is bit-identical to the solo solver.Solve call
-// the service would have made — same objective, same plan, same digest.
-// It holds by construction, because each unit runs the solo call itself
-// with its own context, seed stream, and deadline; a cohort changes only
-// start order.
+// Execute, Unit and UnitResult are kept only for the end-to-end
+// benchmark's batch probe (e2ebench), which times a fixed sweep of solo
+// solver.Solve calls; the service itself no longer uses them.
 package batch
 
 import (
@@ -32,18 +25,15 @@ import (
 	"eblow/internal/solver"
 )
 
-// Unit is one job's solve inside a cohort.
+// Unit is one solve of an Execute sweep.
 type Unit struct {
 	// Ctx cancels this unit alone; it must be non-nil.
 	Ctx context.Context
 	// Instance is the problem to solve.
 	Instance *core.Instance
-	// Strategy is the resolved registry name; it must be batchable
-	// (Batchable reports true) for cohort formation, though Execute runs
-	// any registered strategy.
+	// Strategy is the resolved registry name.
 	Strategy string
-	// Params are the solve parameters, exactly as the solo path would pass
-	// them to solver.Solve.
+	// Params are the solve parameters, passed to solver.Solve unchanged.
 	Params solver.Params
 }
 
@@ -54,14 +44,7 @@ type UnitResult struct {
 	Err    error
 }
 
-// Batchable reports whether the named strategy is registered, supports the
-// kind, and is marked safe for cohort execution.
-func Batchable(name string, kind core.Kind) bool {
-	e, ok := solver.LookupEntry(name)
-	return ok && e.Batchable && e.Supports(kind)
-}
-
-// Execute runs the units as one cohort and returns one UnitResult per unit,
+// Execute runs the units as one sweep and returns one UnitResult per unit,
 // index-aligned: a par.For sweep bounded by workers goroutines calls
 // solver.Solve for each unit, so results are the solo results.
 func Execute(units []Unit, workers int) []UnitResult {

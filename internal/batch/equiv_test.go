@@ -40,8 +40,8 @@ func equivUnits(t *testing.T) []Unit {
 		in := gen.Small(kind, chars, regions, seed)
 		units = append(units, Unit{Ctx: context.Background(), Instance: in, Strategy: strategy, Params: p})
 	}
-	// A mixed cohort: several sa24 2D jobs, 2D greedy jobs, plus 1D jobs
-	// on every other batchable strategy.
+	// A mixed sweep: several sa24 2D jobs, 2D greedy jobs, plus 1D jobs
+	// on row25 and heuristic24.
 	add(core.TwoD, 24, 3, 11, "sa24", solver.Params{Seed: 1, Workers: 1})
 	add(core.TwoD, 18, 2, 12, "sa24", solver.Params{Seed: 2, Workers: 1, Restarts: 2})
 	add(core.TwoD, 30, 4, 13, "sa24", solver.Params{Seed: 3, Workers: 2})
@@ -55,7 +55,7 @@ func equivUnits(t *testing.T) []Unit {
 }
 
 // TestExecuteMatchesSolo is the executor-level half of the batch-identity
-// contract: for every unit of a mixed-strategy cohort, Execute must return a
+// contract: for every unit of a mixed-strategy sweep, Execute must return a
 // result digest-identical to a solo solver.Solve call, at every sweep width.
 func TestExecuteMatchesSolo(t *testing.T) {
 	units := equivUnits(t)
@@ -87,7 +87,7 @@ func TestExecuteMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestExecuteSA24Singleton checks the n=1 degenerate cohort: a lone sa24
+// TestExecuteSA24Singleton checks the n=1 degenerate sweep: a lone sa24
 // unit through the batched path still matches its solo solve.
 func TestExecuteSA24Singleton(t *testing.T) {
 	in := gen.Small(core.TwoD, 20, 2, 99)
@@ -101,13 +101,13 @@ func TestExecuteSA24Singleton(t *testing.T) {
 		t.Fatalf("batched error: %v", got[0].Err)
 	}
 	if b, s := normalize(t, got[0].Result), normalize(t, r); b != s {
-		t.Fatalf("singleton cohort diverged from solo\nbatched: %s\nsolo:    %s", b, s)
+		t.Fatalf("singleton sweep diverged from solo\nbatched: %s\nsolo:    %s", b, s)
 	}
 }
 
 // TestExecutePropagatesErrors checks that a unit doomed to fail (a 1D-only
 // strategy on a 2D instance) reports its error without disturbing its
-// cohort-mates.
+// sweep-mates.
 func TestExecutePropagatesErrors(t *testing.T) {
 	good := Unit{
 		Ctx:      context.Background(),
@@ -126,7 +126,7 @@ func TestExecutePropagatesErrors(t *testing.T) {
 		t.Fatalf("good units errored: %v / %v", got[0].Err, got[2].Err)
 	}
 	if got[1].Err == nil {
-		t.Fatal("row25 on a 2D instance succeeded in a cohort; want an error")
+		t.Fatal("row25 on a 2D instance succeeded in a sweep; want an error")
 	}
 }
 
@@ -149,27 +149,5 @@ func TestExecuteCanceledContext(t *testing.T) {
 	}
 	if got[1].Err == nil {
 		t.Fatal("canceled unit returned no error")
-	}
-}
-
-func TestBatchable(t *testing.T) {
-	cases := []struct {
-		strategy string
-		kind     core.Kind
-		want     bool
-	}{
-		{"sa24", core.TwoD, true},
-		{"sa24", core.OneD, false}, // sa24 is 2D-only
-		{"greedy", core.OneD, true},
-		{"row25", core.OneD, true},
-		{"heuristic24", core.OneD, true},
-		{"eblow", core.OneD, false},
-		{"portfolio", core.OneD, false},
-		{"no-such-strategy", core.OneD, false},
-	}
-	for _, c := range cases {
-		if got := Batchable(c.strategy, c.kind); got != c.want {
-			t.Errorf("Batchable(%q, %s) = %v, want %v", c.strategy, c.kind, got, c.want)
-		}
 	}
 }

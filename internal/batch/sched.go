@@ -1,67 +1,33 @@
 package batch
 
 import (
-	"sort"
+	"slices"
 	"sync"
-
-	"eblow/internal/core"
 )
 
 // Item is one queued job as the scheduler sees it.
 type Item struct {
 	// ID is the job's service identifier, echoed back by Pop.
 	ID string
-	// Strategy is the job's resolved registry strategy; cohorts only form
-	// across identical strategies.
-	Strategy string
-	// Kind is the instance kind; cohorts never mix kinds.
-	Kind core.Kind
-	// Chars is the instance's character count, gating cohort membership
-	// (Policy.MaxChars).
-	Chars int
 	// Cost is the job's cost estimate (Estimate); lower pops first.
 	Cost float64
-	// Batchable marks jobs whose strategy may run in a cohort; others
-	// always pop solo.
-	Batchable bool
 
 	// seq is the submission sequence number, assigned by Push.
 	seq int
 	// overtakes counts how many later-submitted jobs have been popped past
-	// this one; at Policy.MaxJump the scheduler pins it to the front.
+	// this one; at the queue's aging bound the scheduler pins it to the
+	// front.
 	overtakes int
-}
-
-// Policy bounds what Pop may select.
-type Policy struct {
-	// MaxBatch caps the jobs per cohort; <= 1 disables cohort formation.
-	MaxBatch int
-	// MaxChars is the largest instance (by character count) that may join
-	// a cohort; bigger jobs always run solo.
-	MaxChars int
-	// MaxJump is the aging bound: the maximum number of later-submitted
-	// jobs that may be popped past a waiting job. 0 degenerates to strict
-	// FIFO order (cohorts may still form, but only from jobs adjacent in
-	// submission order).
-	MaxJump int
 }
 
 // Stats counts scheduler activity since the queue was created.
 type Stats struct {
 	// Pending is the current queue depth.
 	Pending int
-	// Cohorts counts Pops that returned more than one job.
-	Cohorts int
-	// BatchedJobs counts jobs returned as part of a multi-job cohort.
-	BatchedJobs int
-	// SoloJobs counts jobs returned alone.
-	SoloJobs int
-	// MaxCohort is the largest cohort returned so far.
-	MaxCohort int
 	// Overtakes counts job-over-job queue jumps (each popped job counts
 	// once per earlier-submitted job left waiting).
 	Overtakes int
-	// AgedPops counts Pops whose head was forced by the aging bound rather
+	// AgedPops counts Pops whose job was forced by the aging bound rather
 	// than chosen by cost.
 	AgedPops int
 }
@@ -73,6 +39,10 @@ type Stats struct {
 // lock (the GET /v1/stats snapshot under load) still see consistent
 // counters.
 type Queue struct {
+	// maxJump is the aging bound: the maximum number of later-submitted
+	// jobs that may be popped past a waiting job. 0 is strict FIFO order.
+	maxJump int
+
 	mu sync.Mutex
 	// guarded by mu — pending jobs in submission (seq) order
 	items []*Item
@@ -82,8 +52,9 @@ type Queue struct {
 	stats Stats
 }
 
-// NewQueue returns an empty scheduler queue.
-func NewQueue() *Queue { return &Queue{} }
+// NewQueue returns an empty scheduler queue with the given aging bound
+// (negative values mean 0, strict submission order).
+func NewQueue(maxJump int) *Queue { return &Queue{maxJump: max(maxJump, 0)} }
 
 // Push appends a job to the pending set.
 func (q *Queue) Push(it Item) {
@@ -92,13 +63,6 @@ func (q *Queue) Push(it Item) {
 	it.seq = q.nextSeq
 	q.nextSeq++
 	q.items = append(q.items, &it)
-}
-
-// Len returns the pending job count.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
 }
 
 // Remove deletes the job with the given id from the pending set (a cancel
@@ -125,143 +89,46 @@ func (q *Queue) Stats() Stats {
 	return s
 }
 
-// Pop selects the next unit of work: the head job plus, if the head is
-// batchable and small enough, every compatible mate the policy admits —
-// returned in submission order. The head is the cheapest pending job by
-// cost estimate (ties to the earliest submitted), unless some job has
-// already been overtaken Policy.MaxJump times, in which case that job is
-// the head regardless of cost (the aging bound).
+// Pop removes and returns the next job: the cheapest pending job by cost
+// estimate (ties to the earliest submitted), unless some job has already
+// been overtaken maxJump times, in which case the earliest such job pops
+// regardless of cost (the aging bound). It reports false on an empty
+// queue.
 //
 // The invariant Pop maintains: no job is ever overtaken by more than
-// MaxJump later-submitted jobs. Cost-chosen heads cannot violate it (any
-// job at the bound would have been pinned first), and cohort mates are
-// admitted only if every job left waiting stays within the bound.
-func (q *Queue) Pop(pol Policy) []Item {
+// maxJump later-submitted jobs. A cost-chosen job cannot violate it,
+// because any job at the bound would have been pinned first.
+func (q *Queue) Pop() (Item, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.items) == 0 {
-		return nil
+		return Item{}, false
 	}
-	if pol.MaxJump < 0 {
-		pol.MaxJump = 0
-	}
-
-	// Head: the earliest job at the aging bound wins; otherwise cost.
-	head := -1
-	aged := false
+	head, aged := -1, false
 	for idx, it := range q.items {
-		if it.overtakes >= pol.MaxJump {
+		if it.overtakes >= q.maxJump {
 			head, aged = idx, true
 			break
 		}
 	}
 	if head < 0 {
+		head = 0
 		for idx, it := range q.items {
-			if head < 0 || it.Cost < q.items[head].Cost {
+			if it.Cost < q.items[head].Cost {
 				head = idx
 			}
 		}
 	}
-
-	// Cohort formation: admit compatible mates in (cost, seq) order while
-	// every unselected job stays within the aging bound.
-	sel := []int{head}
-	h := q.items[head]
-	if pol.MaxBatch > 1 && h.Batchable && h.Chars <= pol.MaxChars {
-		var cand []int
-		for idx, it := range q.items {
-			if idx == head {
-				continue
-			}
-			if it.Batchable && it.Strategy == h.Strategy && it.Kind == h.Kind && it.Chars <= pol.MaxChars {
-				cand = append(cand, idx)
-			}
-		}
-		sort.SliceStable(cand, func(a, b int) bool {
-			ia, ib := q.items[cand[a]], q.items[cand[b]]
-			if ia.Cost != ib.Cost {
-				return ia.Cost < ib.Cost
-			}
-			return ia.seq < ib.seq
-		})
-		for _, idx := range cand {
-			if len(sel) >= pol.MaxBatch {
-				break
-			}
-			if q.fitsLocked(sel, idx, pol.MaxJump) {
-				sel = append(sel, idx)
-			}
-		}
+	// items is in submission order, so exactly the jobs before head are
+	// overtaken by it.
+	for _, it := range q.items[:head] {
+		it.overtakes++
 	}
-
-	// Indices ascend in seq order, so sorting positions returns the batch
-	// in submission order.
-	sort.Ints(sel)
-	selected := make([]bool, len(q.items))
-	for _, idx := range sel {
-		selected[idx] = true
-	}
-	batch := make([]Item, 0, len(sel))
-	kept := make([]*Item, 0, len(q.items)-len(sel))
-	for idx, it := range q.items {
-		if selected[idx] {
-			batch = append(batch, *it)
-			continue
-		}
-		for _, s := range sel {
-			if q.items[s].seq > it.seq {
-				it.overtakes++
-				q.stats.Overtakes++
-			}
-		}
-		kept = append(kept, it)
-	}
-	q.items = kept
-
-	if len(batch) > 1 {
-		q.stats.Cohorts++
-		q.stats.BatchedJobs += len(batch)
-		if len(batch) > q.stats.MaxCohort {
-			q.stats.MaxCohort = len(batch)
-		}
-	} else {
-		q.stats.SoloJobs++
-	}
+	q.stats.Overtakes += head
 	if aged {
 		q.stats.AgedPops++
 	}
-	return batch
-}
-
-// fitsLocked reports whether adding candidate idx to the selection keeps
-// every job left waiting within the aging bound. Callers hold q.mu.
-func (q *Queue) fitsLocked(sel []int, idx, maxJump int) bool {
-	c := q.items[idx]
-	for j, it := range q.items {
-		if j == idx {
-			continue
-		}
-		inSel := false
-		for _, s := range sel {
-			if s == j {
-				inSel = true
-				break
-			}
-		}
-		if inSel || it.seq > c.seq {
-			continue
-		}
-		// it would be overtaken by c and by every already-selected job
-		// submitted after it.
-		n := it.overtakes + 1
-		for _, s := range sel {
-			if q.items[s].seq > it.seq {
-				n++
-			}
-		}
-		if n > maxJump {
-			return false
-		}
-	}
-	return true
+	it := *q.items[head]
+	q.items = slices.Delete(q.items, head, head+1)
+	return it, true
 }

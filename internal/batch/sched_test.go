@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"eblow/internal/core"
 )
 
 func pushN(q *Queue, items ...Item) {
@@ -14,26 +12,23 @@ func pushN(q *Queue, items ...Item) {
 	}
 }
 
-// drainAll pops until empty and returns the job IDs in pop order (flattened
-// across cohorts).
-func drainAll(q *Queue, pol Policy) []string {
+// drainAll pops until empty and returns the job IDs in pop order.
+func drainAll(q *Queue) []string {
 	var order []string
-	for q.Len() > 0 {
-		for _, it := range q.Pop(pol) {
-			order = append(order, it.ID)
-		}
+	for it, ok := q.Pop(); ok; it, ok = q.Pop() {
+		order = append(order, it.ID)
 	}
 	return order
 }
 
 func TestQueuePopsByCost(t *testing.T) {
-	q := NewQueue()
+	q := NewQueue(100)
 	pushN(q,
 		Item{ID: "big", Cost: 1000},
 		Item{ID: "mid", Cost: 100},
 		Item{ID: "tiny", Cost: 1},
 	)
-	got := drainAll(q, Policy{MaxBatch: 1, MaxJump: 100})
+	got := drainAll(q)
 	want := []string{"tiny", "mid", "big"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -43,9 +38,9 @@ func TestQueuePopsByCost(t *testing.T) {
 }
 
 func TestQueueCostTiesGoToSubmissionOrder(t *testing.T) {
-	q := NewQueue()
+	q := NewQueue(100)
 	pushN(q, Item{ID: "a", Cost: 5}, Item{ID: "b", Cost: 5}, Item{ID: "c", Cost: 5})
-	got := drainAll(q, Policy{MaxBatch: 1, MaxJump: 100})
+	got := drainAll(q)
 	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("tie order %v, want submission order", got)
 	}
@@ -56,12 +51,12 @@ func TestQueueCostTiesGoToSubmissionOrder(t *testing.T) {
 // must be overtaken by exactly MaxJump cheap jobs, then pinned to the front.
 func TestQueueAgingBound(t *testing.T) {
 	const maxJump = 3
-	q := NewQueue()
+	q := NewQueue(maxJump)
 	q.Push(Item{ID: "whale", Cost: 1e9})
 	for i := 0; i < 10; i++ {
 		q.Push(Item{ID: fmt.Sprintf("minnow%d", i), Cost: 1})
 	}
-	got := drainAll(q, Policy{MaxBatch: 1, MaxJump: maxJump})
+	got := drainAll(q)
 	// The whale waits through exactly maxJump cheap pops.
 	for pos, id := range got {
 		if id == "whale" {
@@ -80,52 +75,20 @@ func TestQueueAgingBound(t *testing.T) {
 	}
 }
 
+// A zero aging bound is strict FIFO order, and a negative one means zero.
 func TestQueueMaxJumpZeroIsFIFO(t *testing.T) {
-	q := NewQueue()
-	pushN(q, Item{ID: "slow", Cost: 100}, Item{ID: "fast", Cost: 1})
-	got := drainAll(q, Policy{MaxBatch: 1, MaxJump: 0})
-	if got[0] != "slow" || got[1] != "fast" {
-		t.Fatalf("MaxJump=0 order %v, want strict FIFO", got)
-	}
-}
-
-func TestQueueCohortCompatibility(t *testing.T) {
-	q := NewQueue()
-	pushN(q,
-		Item{ID: "a", Strategy: "sa24", Kind: core.TwoD, Chars: 30, Cost: 10, Batchable: true},
-		Item{ID: "b", Strategy: "greedy", Kind: core.OneD, Chars: 30, Cost: 11, Batchable: true},
-		Item{ID: "c", Strategy: "sa24", Kind: core.TwoD, Chars: 30, Cost: 12, Batchable: true},
-		Item{ID: "d", Strategy: "sa24", Kind: core.TwoD, Chars: 900, Cost: 13, Batchable: true}, // too big
-		Item{ID: "e", Strategy: "eblow", Kind: core.TwoD, Chars: 30, Cost: 14},                  // not batchable
-		Item{ID: "f", Strategy: "sa24", Kind: core.OneD, Chars: 30, Cost: 15, Batchable: true},  // kind mismatch
-	)
-	pol := Policy{MaxBatch: 8, MaxChars: 400, MaxJump: 100}
-	first := q.Pop(pol)
-	if len(first) != 2 || first[0].ID != "a" || first[1].ID != "c" {
-		t.Fatalf("first cohort %+v, want [a c]", first)
-	}
-	st := q.Stats()
-	if st.Cohorts != 1 || st.BatchedJobs != 2 || st.MaxCohort != 2 {
-		t.Fatalf("stats after cohort: %+v", st)
-	}
-}
-
-func TestQueueMaxBatchCapsCohort(t *testing.T) {
-	q := NewQueue()
-	for i := 0; i < 10; i++ {
-		q.Push(Item{ID: fmt.Sprintf("j%d", i), Strategy: "greedy", Kind: core.OneD, Chars: 10, Cost: 1, Batchable: true})
-	}
-	got := q.Pop(Policy{MaxBatch: 4, MaxChars: 100, MaxJump: 100})
-	if len(got) != 4 {
-		t.Fatalf("cohort size %d, want 4", len(got))
-	}
-	if q.Stats().MaxCohort != 4 {
-		t.Fatalf("MaxCohort = %d, want 4", q.Stats().MaxCohort)
+	for _, maxJump := range []int{0, -1} {
+		q := NewQueue(maxJump)
+		pushN(q, Item{ID: "slow", Cost: 100}, Item{ID: "fast", Cost: 1})
+		got := drainAll(q)
+		if got[0] != "slow" || got[1] != "fast" {
+			t.Fatalf("maxJump=%d order %v, want strict FIFO", maxJump, got)
+		}
 	}
 }
 
 func TestQueueRemove(t *testing.T) {
-	q := NewQueue()
+	q := NewQueue(10)
 	pushN(q, Item{ID: "a", Cost: 1}, Item{ID: "b", Cost: 2})
 	if !q.Remove("a") {
 		t.Fatal("Remove(a) = false")
@@ -133,21 +96,21 @@ func TestQueueRemove(t *testing.T) {
 	if q.Remove("a") {
 		t.Fatal("second Remove(a) = true")
 	}
-	got := drainAll(q, Policy{MaxBatch: 1, MaxJump: 10})
+	got := drainAll(q)
 	if len(got) != 1 || got[0] != "b" {
 		t.Fatalf("after Remove, drain = %v, want [b]", got)
 	}
 }
 
 // TestQueueFairnessProperty drives random adversarial cost mixes through
-// the scheduler with cohorts enabled and checks the invariant directly: in
-// the realized pop order, no job is preceded by more than MaxJump jobs that
-// were submitted after it.
+// the scheduler and checks the invariant directly: in the realized pop
+// order, no job is preceded by more than maxJump jobs that were submitted
+// after it.
 func TestQueueFairnessProperty(t *testing.T) {
-	strategies := []string{"greedy", "row25", "sa24"}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		q := NewQueue()
+		maxJump := rng.Intn(6)
+		q := NewQueue(maxJump)
 		n := 30 + rng.Intn(40)
 		submitted := make(map[string]int, n)
 		for i := 0; i < n; i++ {
@@ -157,18 +120,9 @@ func TestQueueFairnessProperty(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				cost = float64(1 + rng.Intn(1_000_000))
 			}
-			q.Push(Item{
-				ID:        id,
-				Strategy:  strategies[rng.Intn(len(strategies))],
-				Kind:      core.Kind(rng.Intn(2)),
-				Chars:     10 + rng.Intn(600),
-				Cost:      cost,
-				Batchable: rng.Intn(4) != 0,
-			})
+			q.Push(Item{ID: id, Cost: cost})
 		}
-		maxJump := rng.Intn(6)
-		pol := Policy{MaxBatch: 1 + rng.Intn(6), MaxChars: 400, MaxJump: maxJump}
-		order := drainAll(q, pol)
+		order := drainAll(q)
 		if len(order) != n {
 			t.Fatalf("seed %d: drained %d of %d jobs", seed, len(order), n)
 		}
@@ -188,16 +142,19 @@ func TestQueueFairnessProperty(t *testing.T) {
 }
 
 func TestQueueStatsPending(t *testing.T) {
-	q := NewQueue()
+	q := NewQueue(16)
 	pushN(q, Item{ID: "a"}, Item{ID: "b"})
 	if got := q.Stats().Pending; got != 2 {
 		t.Fatalf("Pending = %d, want 2", got)
 	}
-	q.Pop(Policy{MaxBatch: 1})
+	if it, ok := q.Pop(); !ok || it.ID != "a" {
+		t.Fatalf("Pop = %+v, %v; want a", it, ok)
+	}
 	if got := q.Stats().Pending; got != 1 {
 		t.Fatalf("Pending after pop = %d, want 1", got)
 	}
-	if q.Stats().SoloJobs != 1 {
-		t.Fatalf("SoloJobs = %d, want 1", q.Stats().SoloJobs)
+	q.Pop()
+	if it, ok := q.Pop(); ok {
+		t.Fatalf("Pop on an empty queue = %+v, true", it)
 	}
 }

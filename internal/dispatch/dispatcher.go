@@ -773,12 +773,8 @@ func addStats(dst *service.Stats, src service.Stats) {
 	dst.Batch.Enabled = dst.Batch.Enabled || src.Batch.Enabled
 	dst.Batch.Cohorts += src.Batch.Cohorts
 	dst.Batch.BatchedJobs += src.Batch.BatchedJobs
-	dst.Batch.SoloJobs += src.Batch.SoloJobs
 	dst.Batch.Overtakes += src.Batch.Overtakes
 	dst.Batch.AgedPops += src.Batch.AgedPops
-	if src.Batch.MaxCohort > dst.Batch.MaxCohort {
-		dst.Batch.MaxCohort = src.Batch.MaxCohort
-	}
 }
 
 // LearnNode is one backend's entry in the aggregated learn stats.

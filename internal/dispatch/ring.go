@@ -2,9 +2,8 @@
 // process that owns the public HTTP API and shards submitted jobs across N
 // backend solver nodes. Routing is consistent hashing on the internal/learn
 // instance fingerprint, so every job of one shape lands on the same node —
-// that node's learned store accumulates the shape's race statistics and its
-// batch scheduler keeps forming cohorts from compatible traffic, exactly as
-// if the shape had a dedicated single-node deployment.
+// that node's learned store accumulates the shape's race statistics, exactly
+// as if the shape had a dedicated single-node deployment.
 //
 // The dispatcher keeps its own write-ahead log of accepted submissions
 // (wal.go): a job acknowledged with 202 is on the dispatcher's disk before

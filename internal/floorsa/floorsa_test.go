@@ -23,7 +23,7 @@ func TestPackEmpty(t *testing.T) {
 	}
 }
 
-// TestPackBatchEmpty covers the zero-block shape a cohort member can have:
+// TestPackBatchEmpty covers the zero-block shape a small instance can have:
 // with several regions and nothing to place, the writing time is the
 // slowest region's pure-VSB time and no block is reported inside.
 func TestPackBatchEmpty(t *testing.T) {

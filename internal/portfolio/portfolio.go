@@ -319,9 +319,6 @@ func init() {
 	solver.Register(&solver.Entry{
 		Name: "portfolio",
 		Doc:  "races the registered strategies under one deadline; best feasible plan wins (optionally learned: see Params.Learn)",
-		// Deliberately not Batchable: the race consults the shared learn
-		// store and saturates the pool itself, so cohort formation would
-		// neither preserve the solo resource envelope nor amortize anything.
 		OneD: true, TwoD: true, Heavy: true, Scalable: true,
 	}, func(ctx context.Context, in *core.Instance, p solver.Params) (*solver.Result, error) {
 		// A caller-provided store is shared (the job service holds one for

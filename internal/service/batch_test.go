@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func digestMix() []mixJob {
 		{eblow.OneD, 30, 104, "row25"},
 		{eblow.OneD, 28, 105, "heuristic24"},
 		{eblow.TwoD, 24, 106, "sa24"},
-		{eblow.OneD, 30, 107, "eblow"}, // not batchable: always runs solo
+		{eblow.OneD, 30, 107, "eblow"},
 		{eblow.OneD, 32, 108, "greedy"},
 		{eblow.TwoD, 18, 109, "sa24"},
 		{eblow.OneD, 26, 110, "row25"},
@@ -65,7 +66,7 @@ func runMix(t *testing.T, m *Manager) []string {
 }
 
 // TestBatchMatchesFIFODigests is the service-level batch-identity contract:
-// the same workload drained by the cost-model batch scheduler must produce
+// the same workload drained by the cost-model scheduler must produce
 // result digests identical to the plain FIFO drain, for narrow and wide
 // pools.
 func TestBatchMatchesFIFODigests(t *testing.T) {
@@ -75,7 +76,7 @@ func TestBatchMatchesFIFODigests(t *testing.T) {
 			want := runMix(t, fifo)
 			fifo.Close()
 
-			batched := New(Config{Workers: workers, Batch: BatchConfig{Enabled: true, MaxBatch: 4, MaxChars: 400, MaxJump: 8, Workers: 2}})
+			batched := New(Config{Workers: workers, Batch: BatchConfig{Enabled: true, MaxJump: 8}})
 			got := runMix(t, batched)
 			batched.Close()
 
@@ -88,10 +89,9 @@ func TestBatchMatchesFIFODigests(t *testing.T) {
 	}
 }
 
-// gateSolve replaces the solo-solve seam so that jobs labeled "gate" block
-// until release is closed; everything else solves normally. Cohorts bypass
-// this seam (they run batch.Execute directly), so the gate only ever holds
-// non-batchable jobs.
+// gateSolve replaces the solve seam so that jobs labeled "gate" block until
+// release is closed; everything else solves normally. Both drains run every
+// job through this seam, so a gate job holds its pool worker on either.
 func gateSolve(t *testing.T, release <-chan struct{}) {
 	t.Helper()
 	orig := solveSpec
@@ -108,65 +108,118 @@ func gateSolve(t *testing.T, release <-chan struct{}) {
 	}
 }
 
-// While a non-batchable job holds the only worker, queued compatible small
-// jobs must be formed into one cohort and the scheduler counters must say
-// so.
-func TestBatchCohortStats(t *testing.T) {
-	release := make(chan struct{})
-	gateSolve(t, release)
+// While a gate job holds the only worker, jobs queued in descending cost
+// order must run one per drain ticket, cheapest first, until the aging
+// bound pins the jobs the cheaper ones overtook; the scheduler counters
+// must count exactly those jumps.
+func TestBatchCostOrderDrain(t *testing.T) {
+	// Submitted most expensive first; static estimates 3000, 1200, 150, 100.
+	queued := []struct {
+		label, solver string
+		chars         int
+	}{
+		{"a", "eblow", 30},
+		{"b", "heuristic24", 30},
+		{"c", "row25", 30},
+		{"d", "greedy", 20},
+	}
+	for _, tc := range []struct {
+		maxJump        int
+		order          string
+		overtakes, age int
+	}{
+		// d overtakes a, b, c; c overtakes a, b; b overtakes a.
+		{maxJump: 16, order: "dcba", overtakes: 6},
+		// After d and c, a and b sit at the bound and pop in submission
+		// order, both forced by aging.
+		{maxJump: 2, order: "dcab", overtakes: 5, age: 2},
+	} {
+		t.Run(fmt.Sprintf("maxJump=%d", tc.maxJump), func(t *testing.T) {
+			release := make(chan struct{})
+			gateSolve(t, release)
+			var (
+				mu              sync.Mutex
+				order           string
+				running, maxRun int
+			)
+			gated := solveSpec
+			solveSpec = func(ctx context.Context, spec JobSpec) (*eblow.Result, error) {
+				mu.Lock()
+				if spec.Label != "gate" {
+					order += spec.Label
+				}
+				running++
+				maxRun = max(maxRun, running)
+				mu.Unlock()
+				defer func() {
+					mu.Lock()
+					running--
+					mu.Unlock()
+				}()
+				return gated(ctx, spec)
+			}
 
-	m := New(Config{Workers: 1, Batch: BatchConfig{Enabled: true, MaxBatch: 8, MaxChars: 400, MaxJump: 16, Workers: 2}})
-	defer m.Close()
+			m := New(Config{Workers: 1, Batch: BatchConfig{Enabled: true, MaxJump: tc.maxJump}})
+			defer m.Close()
+			blocker, err := m.Submit(JobSpec{Instance: eblow.SmallInstance(eblow.OneD, 30, 2, 1), Solver: "eblow", Label: "gate"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, m, blocker.ID, StateRunning, 30*time.Second)
 
-	blocker, err := m.Submit(JobSpec{Instance: eblow.SmallInstance(eblow.OneD, 30, 2, 1), Solver: "eblow", Label: "gate"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, m, blocker.ID, StateRunning, 30*time.Second)
+			var ids []string
+			for i, q := range queued {
+				in := eblow.SmallInstance(eblow.OneD, q.chars, 2, int64(200+i))
+				s, err := m.Submit(JobSpec{Instance: in, Solver: q.solver, Params: eblow.Params{Seed: 1, Workers: 1}, Label: q.label})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, s.ID)
+			}
+			if st := m.Stats(); st.QueueDepth != len(queued) {
+				t.Fatalf("QueueDepth = %d with the worker gated, want %d", st.QueueDepth, len(queued))
+			}
+			close(release)
 
-	var ids []string
-	for i := 0; i < 4; i++ {
-		in := eblow.SmallInstance(eblow.TwoD, 16, 2, int64(200+i))
-		s, err := m.Submit(JobSpec{Instance: in, Solver: "sa24", Params: eblow.Params{Seed: 1, Workers: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, s.ID)
-	}
-	if st := m.Stats(); st.QueueDepth != 4 {
-		t.Fatalf("QueueDepth = %d with the worker gated, want 4", st.QueueDepth)
-	}
-	close(release)
-
-	waitTerminal(t, m, blocker.ID, 30*time.Second)
-	for _, id := range ids {
-		if s := waitTerminal(t, m, id, 30*time.Second); s.State != StateDone {
-			t.Fatalf("cohort job %s finished %s: %v", id, s.State, s.Err)
-		}
-	}
-	st := m.Stats()
-	if !st.Batch.Enabled {
-		t.Fatal("Batch.Enabled = false on a batch-configured manager")
-	}
-	if st.Batch.Cohorts != 1 || st.Batch.BatchedJobs != 4 || st.Batch.MaxCohort != 4 {
-		t.Errorf("cohort counters: %+v, want 1 cohort of 4", st.Batch)
-	}
-	if st.Batch.SoloJobs != 1 {
-		t.Errorf("SoloJobs = %d, want 1 (the gate job)", st.Batch.SoloJobs)
-	}
-	if st.QueueDepth != 0 {
-		t.Errorf("QueueDepth = %d after drain, want 0", st.QueueDepth)
+			waitTerminal(t, m, blocker.ID, 30*time.Second)
+			for _, id := range ids {
+				if s := waitTerminal(t, m, id, 30*time.Second); s.State != StateDone {
+					t.Fatalf("job %s finished %s: %v", id, s.State, s.Err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if order != tc.order {
+				t.Errorf("solve order %q, want %q", order, tc.order)
+			}
+			if maxRun != 1 {
+				t.Errorf("%d solves ran at once on a one-worker pool, want 1 per drain ticket", maxRun)
+			}
+			st := m.Stats()
+			if !st.Batch.Enabled {
+				t.Fatal("Batch.Enabled = false on a batch-configured manager")
+			}
+			if st.Batch.Overtakes != tc.overtakes || st.Batch.AgedPops != tc.age {
+				t.Errorf("overtakes %d, aged pops %d; want %d, %d", st.Batch.Overtakes, st.Batch.AgedPops, tc.overtakes, tc.age)
+			}
+			if st.Batch.Cohorts != 0 || st.Batch.BatchedJobs != 0 {
+				t.Errorf("cohort counters %+v, want 0: every pop runs one job", st.Batch)
+			}
+			if st.QueueDepth != 0 {
+				t.Errorf("QueueDepth = %d after drain, want 0", st.QueueDepth)
+			}
+		})
 	}
 }
 
 // Cancelling a queued job under batch scheduling must remove it from the
-// scheduler queue as well as the job table, and must not disturb its
-// would-be cohort-mates.
+// scheduler queue as well as the job table, and must not disturb the other
+// queued jobs.
 func TestBatchCancelQueuedJob(t *testing.T) {
 	release := make(chan struct{})
 	gateSolve(t, release)
 
-	m := New(Config{Workers: 1, Batch: BatchConfig{Enabled: true, MaxBatch: 8, MaxChars: 400, MaxJump: 16}})
+	m := New(Config{Workers: 1, Batch: BatchConfig{Enabled: true, MaxJump: 16}})
 	defer m.Close()
 
 	blocker, err := m.Submit(JobSpec{Instance: eblow.SmallInstance(eblow.OneD, 30, 2, 1), Solver: "eblow", Label: "gate"})
@@ -245,8 +298,9 @@ func TestHTTPStats(t *testing.T) {
 			Total int `json:"total"`
 		} `json:"jobs"`
 		Batch struct {
-			Enabled  bool `json:"enabled"`
-			SoloJobs int  `json:"soloJobs"`
+			Enabled   bool `json:"enabled"`
+			Cohorts   *int `json:"cohorts"`
+			Overtakes *int `json:"overtakes"`
 		} `json:"batch"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
@@ -261,7 +315,8 @@ func TestHTTPStats(t *testing.T) {
 	if !got.Batch.Enabled {
 		t.Error("batch.enabled = false, want true")
 	}
-	if got.Batch.SoloJobs != 1 {
-		t.Errorf("batch.soloJobs = %d, want 1", got.Batch.SoloJobs)
+	// cohorts stays on the wire, always 0, for readers of the old schema.
+	if got.Batch.Cohorts == nil || *got.Batch.Cohorts != 0 || got.Batch.Overtakes == nil || *got.Batch.Overtakes != 0 {
+		t.Errorf("batch counters cohorts=%v overtakes=%v, want both present and 0", got.Batch.Cohorts, got.Batch.Overtakes)
 	}
 }

@@ -85,55 +85,32 @@ type Config struct {
 	// a record, Submit does not acknowledge a job before its accepted
 	// record is fsynced, and Close flushes and closes the log.
 	WAL *WAL
-	// Batch configures the cost-model scheduler and batched cohort
-	// execution (internal/batch). The zero value keeps the original FIFO
-	// drain byte-for-byte.
+	// Batch configures the cost-model scheduler (internal/batch). The
+	// zero value keeps the original FIFO drain byte-for-byte.
 	Batch BatchConfig
 }
 
-// BatchConfig configures the cost-model scheduler and cohort execution.
-// Per-job results are bit-identical either way (the batch-identity
-// contract, docs/INVARIANTS.md); the scheduler changes only which job
-// starts next and which jobs share one cohort's worker sweep.
+// BatchConfig configures the cost-model scheduler. Per-job results are
+// bit-identical either way (the batch-identity contract,
+// docs/INVARIANTS.md); the scheduler changes only which job starts next.
 type BatchConfig struct {
-	// Enabled switches the drain from FIFO order to cost-model scheduling
-	// with cohort formation.
+	// Enabled switches the drain from FIFO order to cost-model scheduling:
+	// each free pool worker runs the cheapest queued job by cost estimate.
 	Enabled bool
-	// MaxBatch caps the jobs per execution cohort (0 = 8; 1 disables
-	// cohort formation but keeps cost-model ordering).
-	MaxBatch int
-	// MaxChars is the largest instance (character count) that may join a
-	// cohort (0 = 400); bigger jobs always run solo.
-	MaxChars int
 	// MaxJump is the aging bound: a waiting job may be overtaken by at
 	// most MaxJump later-submitted jobs before the scheduler pins it to
 	// the front of the queue (0 = 16, negative = strict submission order).
 	// It is a hard no-starvation guarantee, not a heuristic.
 	MaxJump int
-	// Workers bounds the goroutines one cohort's sweep uses (0 = 1).
-	// This is per pool slot: a cohort occupies one pool worker and fans
-	// out internally, so Workers > 1 oversubscribes the pool.
-	Workers int
 }
 
-// withDefaults resolves the zero knobs to their documented defaults.
-func (b BatchConfig) withDefaults() BatchConfig {
-	if b.MaxBatch == 0 {
-		b.MaxBatch = 8
+// maxJump resolves MaxJump's zero default; batch.NewQueue treats a
+// negative bound as strict submission order.
+func (b BatchConfig) maxJump() int {
+	if b.MaxJump == 0 {
+		return 16
 	}
-	if b.MaxChars == 0 {
-		b.MaxChars = 400
-	}
-	switch {
-	case b.MaxJump == 0:
-		b.MaxJump = 16
-	case b.MaxJump < 0:
-		b.MaxJump = 0
-	}
-	if b.Workers <= 0 {
-		b.Workers = 1
-	}
-	return b
+	return b.MaxJump
 }
 
 // JobSpec describes one solve to enqueue.
@@ -306,9 +283,6 @@ type Manager struct {
 // not collected it yet.
 func New(cfg Config) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
-	if cfg.Batch.Enabled {
-		cfg.Batch = cfg.Batch.withDefaults()
-	}
 	m := &Manager{
 		pool:       par.NewPool(cfg.Workers),
 		cfg:        cfg,
@@ -318,7 +292,7 @@ func New(cfg Config) *Manager {
 		keyPending: make(map[string]int),
 	}
 	if cfg.Batch.Enabled {
-		m.queue = batch.NewQueue()
+		m.queue = batch.NewQueue(cfg.Batch.maxJump())
 	}
 	if cfg.WAL != nil {
 		m.mu.Lock()
@@ -566,21 +540,15 @@ func (m *Manager) enqueueLocked(j *job) {
 		m.pool.Submit(func() { m.run(j) })
 		return
 	}
-	strategy := effectiveStrategy(j.spec)
-	m.queue.Push(batch.Item{
-		ID:        j.id,
-		Strategy:  strategy,
-		Kind:      j.spec.Instance.Kind,
-		Chars:     j.spec.Instance.NumCharacters(),
-		Cost:      batch.Estimate(j.spec.Instance, strategy, m.cfg.Learn),
-		Batchable: batch.Batchable(strategy, j.spec.Instance.Kind),
-	})
-	// One ticket per submitted job: a ticket whose jobs were already pulled
-	// into an earlier cohort finds the queue drained and returns.
+	m.queue.Push(batch.Item{ID: j.id, Cost: batch.Estimate(j.spec.Instance, effectiveStrategy(j.spec), m.cfg.Learn)})
+	// One ticket per submitted job: the ticket of a job cancelled while
+	// queued finds the queue one job short and returns.
 	m.pool.Submit(m.drainOne)
 }
 
-// run executes one job on a pool worker (the FIFO drain).
+// run executes one job on a pool worker: the start, solve and finish
+// sequence both drains share. The FIFO drain runs the job its ticket was
+// submitted for; the scheduler drain runs whichever job drainOne popped.
 func (m *Manager) run(j *job) {
 	m.mu.Lock()
 	if !m.startLocked(j) {
@@ -597,62 +565,18 @@ func (m *Manager) run(j *job) {
 	m.finishLocked(j, res, err, saveErr)
 }
 
-// drainOne is one scheduler pool ticket: it pops the next unit of work — a
-// single job or a formed cohort — and executes it. Solo picks run the exact
-// solveSpec path the FIFO drain uses; cohorts run through batch.Execute,
-// whose results are bit-identical to solo execution per job.
+// drainOne is one scheduler pool ticket: it pops the job the cost model
+// picks and runs it. The queue and the job states move in lockstep under
+// mu (Cancel removes queued jobs from both), so a popped job is queued
+// unless a Cancel or Close lands before run takes the lock, which
+// startLocked then refuses exactly as on the FIFO drain.
 func (m *Manager) drainOne() {
 	m.mu.Lock()
-	if m.closed || m.queue == nil {
-		m.mu.Unlock()
-		return
-	}
-	picked := m.queue.Pop(batch.Policy{
-		MaxBatch: m.cfg.Batch.MaxBatch,
-		MaxChars: m.cfg.Batch.MaxChars,
-		MaxJump:  m.cfg.Batch.MaxJump,
-	})
-	jobs := make([]*job, 0, len(picked))
-	for _, it := range picked {
-		// The queue and the job states move in lockstep under mu (Cancel
-		// removes queued jobs from both), so a popped job is StateQueued;
-		// the check is a belt against future drift.
-		if j := m.jobs[it.ID]; j != nil && m.startLocked(j) {
-			jobs = append(jobs, j)
-		}
-	}
+	it, _ := m.queue.Pop()
+	j := m.jobs[it.ID]
 	m.mu.Unlock()
-
-	switch len(jobs) {
-	case 0:
-		return
-	case 1:
-		j := jobs[0]
-		res, err := solveSpec(j.ctx, m.solveParams(j))
-		saveErr := m.saveLearn()
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.finishLocked(j, res, err, saveErr)
-	default:
-		units := make([]batch.Unit, len(jobs))
-		for i, j := range jobs {
-			spec := m.solveParams(j)
-			units[i] = batch.Unit{
-				Ctx:      j.ctx,
-				Instance: spec.Instance,
-				Strategy: effectiveStrategy(spec),
-				Params:   spec.Params,
-			}
-		}
-		results := batch.Execute(units, m.cfg.Batch.Workers)
-		saveErr := m.saveLearn()
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		// Finish in submission order so events, WAL records and learn saves
-		// land in a deterministic sequence for the cohort.
-		for i, j := range jobs {
-			m.finishLocked(j, results[i].Result, results[i].Err, saveErr)
-		}
+	if j != nil {
+		m.run(j)
 	}
 }
 

@@ -34,14 +34,11 @@ func (c *StateCounts) Add(state State) {
 type BatchStats struct {
 	// Enabled mirrors Config.Batch.Enabled.
 	Enabled bool `json:"enabled"`
-	// Cohorts counts multi-job cohorts formed since boot.
-	Cohorts int `json:"cohorts"`
-	// BatchedJobs counts jobs executed as part of a cohort.
+	// Cohorts and BatchedJobs always read 0: the scheduler runs one job
+	// per pop and no longer forms multi-job cohorts. The fields stay only
+	// because the end-to-end benchmark (e2ebench) still reads them.
+	Cohorts     int `json:"cohorts"`
 	BatchedJobs int `json:"batchedJobs"`
-	// SoloJobs counts jobs the scheduler dispatched alone.
-	SoloJobs int `json:"soloJobs"`
-	// MaxCohort is the largest cohort formed so far.
-	MaxCohort int `json:"maxCohort"`
 	// Overtakes counts job-over-job queue jumps by the cost model.
 	Overtakes int `json:"overtakes"`
 	// AgedPops counts dispatches forced by the aging bound rather than
@@ -76,15 +73,7 @@ func (m *Manager) Stats() Stats {
 	s.InFlight = s.Jobs.Running
 	if m.queue != nil {
 		qs := m.queue.Stats()
-		s.Batch = BatchStats{
-			Enabled:     true,
-			Cohorts:     qs.Cohorts,
-			BatchedJobs: qs.BatchedJobs,
-			SoloJobs:    qs.SoloJobs,
-			MaxCohort:   qs.MaxCohort,
-			Overtakes:   qs.Overtakes,
-			AgedPops:    qs.AgedPops,
-		}
+		s.Batch = BatchStats{Enabled: true, Overtakes: qs.Overtakes, AgedPops: qs.AgedPops}
 	}
 	return s
 }

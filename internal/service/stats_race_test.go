@@ -13,12 +13,12 @@ import (
 )
 
 // TestStatsUnderLoad hammers GET /v1/stats while jobs are being submitted,
-// batched, popped and finished. Run under -race it is the synchronization
+// popped and finished. Run under -race it is the synchronization
 // audit for the BatchStats counters (INVARIANTS.md documents the
 // contract): every snapshot must be well-formed and internally consistent
 // no matter when it lands relative to the scheduler's own mutations.
 func TestStatsUnderLoad(t *testing.T) {
-	m := New(Config{Workers: 2, Batch: BatchConfig{Enabled: true, MaxBatch: 4, MaxChars: 400, MaxJump: 8, Workers: 2}})
+	m := New(Config{Workers: 2, Batch: BatchConfig{Enabled: true, MaxJump: 8}})
 	defer m.Close()
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
@@ -29,6 +29,7 @@ func TestStatsUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var prev BatchStats
 			for {
 				select {
 				case <-stop:
@@ -49,11 +50,11 @@ func TestStatsUnderLoad(t *testing.T) {
 					t.Error("batch scheduler reads disabled under load")
 					return
 				}
-				// Counters only grow; a torn read would show nonsense like
-				// more batched jobs than two per cohort minimum implies.
-				if s.Batch.BatchedJobs < 2*s.Batch.Cohorts {
-					t.Errorf("inconsistent snapshot: %d batched jobs across %d cohorts", s.Batch.BatchedJobs, s.Batch.Cohorts)
+				// Counters only grow; a torn read could go backwards.
+				if s.Batch.Overtakes < prev.Overtakes || s.Batch.AgedPops < prev.AgedPops {
+					t.Errorf("stats went backwards: %+v after %+v", s.Batch, prev)
 				}
+				prev = s.Batch
 				if s.Jobs.Total < 0 || s.QueueDepth < 0 {
 					t.Errorf("negative counters: %+v", s)
 				}

@@ -44,13 +44,6 @@ type Entry struct {
 	// offsets are part of the determinism contract: they keep race results
 	// bit-identical to the pre-registry strategy table.
 	SeedOffset int64
-	// Batchable marks strategies the batch execution layer
-	// (internal/batch) may run as a many-instance cohort with results
-	// bit-identical to solo Solve calls: single-strategy runs whose only
-	// inputs are the instance and (Seed, Restarts, Workers, Deadline).
-	// Meta-strategies that consult shared state (the portfolio's learn
-	// store) or search under an adaptive budget stay solo.
-	Batchable bool
 
 	solve func(ctx context.Context, in *core.Instance, p Params) (*Result, error)
 }

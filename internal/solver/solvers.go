@@ -23,7 +23,7 @@ func init() {
 	}, solveEBlow)
 	Register(&Entry{
 		Name: "row25", Doc: "deterministic row-structure 1D heuristic ([25] in the paper)",
-		OneD: true, Racing: true, Cheap: true, Batchable: true,
+		OneD: true, Racing: true, Cheap: true,
 	}, func(ctx context.Context, in *core.Instance, p Params) (*Result, error) {
 		sol, err := baseline.RowHeuristic1D(in)
 		if err != nil {
@@ -33,7 +33,7 @@ func init() {
 	})
 	Register(&Entry{
 		Name: "heuristic24", Doc: "prior-work two-step 1D heuristic ([24] in the paper)",
-		OneD: true, Racing: true, SeedOffset: 1, Batchable: true,
+		OneD: true, Racing: true, SeedOffset: 1,
 	}, func(ctx context.Context, in *core.Instance, p Params) (*Result, error) {
 		sol, err := baseline.Heuristic1D(ctx, in, baseline.Heuristic1DOptions{Seed: p.Seed})
 		if err != nil {
@@ -43,7 +43,7 @@ func init() {
 	})
 	Register(&Entry{
 		Name: "sa24", Doc: "prior-work fixed-outline SA floorplanner for 2DOSP ([24] in the paper)",
-		TwoD: true, Heavy: true, Racing: true, Scalable: true, SeedOffset: 2, Batchable: true,
+		TwoD: true, Heavy: true, Racing: true, Scalable: true, SeedOffset: 2,
 	}, func(ctx context.Context, in *core.Instance, p Params) (*Result, error) {
 		sol, err := baseline.SA2D(ctx, in, baseline.SA2DOptions{
 			Seed:      p.Seed,
@@ -58,7 +58,7 @@ func init() {
 	})
 	Register(&Entry{
 		Name: "greedy", Doc: "greedy selection baseline (Tables 3 and 4 of the paper)",
-		OneD: true, TwoD: true, Racing: true, Cheap: true, Batchable: true,
+		OneD: true, TwoD: true, Racing: true, Cheap: true,
 	}, func(ctx context.Context, in *core.Instance, p Params) (*Result, error) {
 		var (
 			sol *core.Solution
