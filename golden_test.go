@@ -18,9 +18,11 @@ import (
 // `go test -run TestGoldenObjectives -v` and update the table in the same
 // commit that changes the algorithm.
 //
-// The 1D families also pin the full row layout (layoutDigest): writing time
-// and selected count cannot see a change to a row's character order or x
-// positions, which a pure performance change must leave bit-identical.
+// Every family also pins its full layout: the 1D families their rows
+// (layoutDigest), the 2D families their placements (placementDigest).
+// Writing time and selected count cannot see a change to a row's character
+// order or to a character's position, which a pure performance change must
+// leave bit-identical.
 func TestGoldenObjectives(t *testing.T) {
 	golden := map[string]struct {
 		writingTime int64
@@ -29,10 +31,10 @@ func TestGoldenObjectives(t *testing.T) {
 	}{
 		"1D": {writingTime: 2540, selected: 117, layout: "127ae73ee058815a"},
 		"1M": {writingTime: 1590, selected: 114, layout: "1cb0a38d16c38b4b"},
-		"2D": {writingTime: 2552, selected: 102},
-		"2M": {writingTime: 1246, selected: 108},
+		"2D": {writingTime: 2552, selected: 102, layout: "6023f74b59dfcca6"},
+		"2M": {writingTime: 1246, selected: 108, layout: "dbecc62a737c0638"},
 		"1T": {writingTime: 49, selected: 6, layout: "b866368912780def"},
-		"2T": {writingTime: 32, selected: 5},
+		"2T": {writingTime: 32, selected: 5, layout: "f20b7a60751faaff"},
 	}
 
 	for _, family := range []string{"1D", "1M", "2D", "2M", "1T", "2T"} {
@@ -72,12 +74,13 @@ func TestGoldenObjectives(t *testing.T) {
 			if sol.NumSelected() != want.selected {
 				t.Errorf("selected count drifted: got %d, golden %d", sol.NumSelected(), want.selected)
 			}
-			if want.layout != "" {
-				got := layoutDigest(sol)
-				t.Logf("%s: layout=%s", family, got)
-				if got != want.layout {
-					t.Errorf("row layout drifted: got %s, golden %s", got, want.layout)
-				}
+			got := placementDigest(sol)
+			if in.Kind == OneD {
+				got = layoutDigest(sol)
+			}
+			t.Logf("%s: layout=%s", family, got)
+			if got != want.layout {
+				t.Errorf("layout drifted: got %s, golden %s", got, want.layout)
 			}
 		})
 	}
@@ -89,6 +92,16 @@ func layoutDigest(sol *Solution) string {
 	h := fnv.New64a()
 	for _, r := range sol.Rows {
 		fmt.Fprintf(h, "y=%d chars=%v x=%v;", r.Y, r.Chars, r.X)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// placementDigest hashes a 2D plan's placements in order: each placement's
+// character, X and Y.
+func placementDigest(sol *Solution) string {
+	h := fnv.New64a()
+	for _, p := range sol.Placements {
+		fmt.Fprintf(h, "%d,%d,%d;", p.Char, p.X, p.Y)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

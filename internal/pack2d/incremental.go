@@ -6,14 +6,15 @@ import (
 
 // Incremental evaluates the approximate packing (PackApprox semantics) of a
 // sequence pair under single-swap moves without re-packing the whole
-// floorplan. It caches the per-block positions of the last evaluation
-// together with the Fenwick-tree state of both longest-weighted-common-
-// subsequence passes; a swap invalidates only the Gamma- suffix starting at
-// the earliest affected index, so Reevaluate rewinds the trees to that point
-// (via per-step undo logs) and replays just the stale suffix. The results
-// are bit-identical to a full PackApprox + InsideOutline evaluation: the
-// replayed pass performs exactly the arithmetic of seqpair's lwcs on the
-// same data.
+// floorplan. It caches the per-block positions of the last evaluation; a
+// swap invalidates only the Gamma- suffix starting at the earliest affected
+// index. Reevaluate rebuilds the Fenwick trees of both longest-weighted-
+// common-subsequence passes for the clean prefix from the cached positions
+// (updates only, no queries) and replays just the stale suffix. A Fenwick
+// max tree's contents depend only on the set of (key, value) pairs inserted,
+// so the results are bit-identical to a full PackApprox + InsideOutline
+// evaluation: the replayed pass performs exactly the arithmetic of seqpair's
+// lwcs on the same data.
 //
 // The evaluator owns the index mirrors (block -> position in Gamma+/Gamma-),
 // so moves must be applied through SwapPos/SwapNeg/SwapBoth. After replacing
@@ -22,13 +23,11 @@ import (
 // Incremental is not safe for concurrent use; every annealing restart owns
 // its own evaluator.
 type Incremental struct {
-	sp     *seqpair.SeqPair
-	blocks []Block
-	outW   int
-	outH   int
+	sp   *seqpair.SeqPair
+	outW int32
+	outH int32
 
-	sw, sh []int32 // shrunk dimensions, exactly as PackApprox computes them
-	fw, fh []int32 // full block dimensions, for the inside-outline check
+	dims   []dims
 	posIdx []int32 // block -> index in Gamma+
 	negPos []int   // block -> index in Gamma-
 
@@ -38,9 +37,15 @@ type Incremental struct {
 	ax, ay axis
 
 	// dirtyFrom is the earliest Gamma- index whose cached position may be
-	// stale; len(blocks) means the cache is clean.
+	// stale; len(dims) means the cache is clean.
 	dirtyFrom int
 }
+
+// dims holds one block's shrunk dimensions, exactly as PackApprox computes
+// them, and its full dimensions for the inside-outline check. Coordinates in
+// this problem comfortably fit int32, which halves the cache footprint of
+// the hot arrays.
+type dims struct{ sw, sh, fw, fh int32 }
 
 // NewIncremental builds an evaluator for the sequence pair over the blocks
 // inside an outlineW x outlineH outline. The caches start cold: the first
@@ -52,25 +57,20 @@ func NewIncremental(sp *seqpair.SeqPair, blocks []Block, outlineW, outlineH int)
 	}
 	inc := &Incremental{
 		sp:     sp,
-		blocks: blocks,
-		outW:   outlineW,
-		outH:   outlineH,
-		sw:     make([]int32, n),
-		sh:     make([]int32, n),
-		fw:     make([]int32, n),
-		fh:     make([]int32, n),
+		outW:   int32(outlineW),
+		outH:   int32(outlineH),
+		dims:   make([]dims, n),
 		posIdx: make([]int32, n),
 		negPos: make([]int, n),
 		x:      make([]int32, n),
 		y:      make([]int32, n),
 		inside: make([]bool, n),
-		ax:     axis{tree: make([]int32, n+1), stepEnd: make([]int32, n)},
-		ay:     axis{tree: make([]int32, n+1), stepEnd: make([]int32, n)},
+		ax:     make(axis, n+1),
+		ay:     make(axis, n+1),
 	}
 	for i, b := range blocks {
 		w, h := shrunkDims(b)
-		inc.sw[i], inc.sh[i] = int32(w), int32(h)
-		inc.fw[i], inc.fh[i] = int32(b.W), int32(b.H)
+		inc.dims[i] = dims{int32(w), int32(h), int32(b.W), int32(b.H)}
 	}
 	inc.Reset()
 	return inc
@@ -101,8 +101,6 @@ func (inc *Incremental) Reset() {
 	for i, b := range inc.sp.Neg {
 		inc.negPos[b] = i
 	}
-	inc.ax.clear()
-	inc.ay.clear()
 	inc.dirtyFrom = 0
 }
 
@@ -141,40 +139,41 @@ func (inc *Incremental) markDirty(k int) {
 }
 
 // Reevaluate brings the cached positions in line with the sequence pair by
-// replaying the packing passes from the earliest dirty Gamma- index, and
-// appends to flips every block whose inside-outline status changed since the
-// previous evaluation. It returns the (possibly grown) flips slice. The
-// positions and inside flags it produces are bit-identical to
-// InsideOutline(PackApprox(sp, blocks), blocks, outlineW, outlineH).
+// rebuilding both Fenwick trees from the cached positions of the clean
+// Gamma- prefix and replaying the packing passes from the earliest dirty
+// index, and appends to flips every block whose inside-outline status
+// changed since the previous evaluation. It returns the (possibly grown)
+// flips slice. The positions and inside flags it produces are bit-identical
+// to InsideOutline(PackApprox(sp, blocks), blocks, outlineW, outlineH).
 func (inc *Incremental) Reevaluate(flips []int) []int {
-	n := len(inc.blocks)
+	n := len(inc.dims)
 	d := inc.dirtyFrom
 	if d >= n {
 		return flips
 	}
-	inc.ax.rewind(d)
-	inc.ay.rewind(d)
+	ax, ay := inc.ax, inc.ay
+	clear(ax)
+	clear(ay)
+	last := int32(n - 1)
 	neg := inc.sp.Neg
-	outW, outH := int32(inc.outW), int32(inc.outH)
-	for t := d; t < n; t++ {
-		b := neg[t]
+	for _, b := range neg[:d] {
 		kx := inc.posIdx[b]
-		var x int32
-		if kx > 0 {
-			x = inc.ax.prefixMax(kx - 1)
-		}
+		ax.update(kx, inc.x[b]+inc.dims[b].sw)
+		ay.update(last-kx, inc.y[b]+inc.dims[b].sh)
+	}
+	for _, b := range neg[d:] {
+		kx := inc.posIdx[b]
+		dm := inc.dims[b]
+		x := ax.below(kx)
 		inc.x[b] = x
-		inc.ax.update(t, kx, x+inc.sw[b])
+		ax.update(kx, x+dm.sw)
 
-		ky := int32(n-1) - kx
-		var y int32
-		if ky > 0 {
-			y = inc.ay.prefixMax(ky - 1)
-		}
+		ky := last - kx
+		y := ay.below(ky)
 		inc.y[b] = y
-		inc.ay.update(t, ky, y+inc.sh[b])
+		ay.update(ky, y+dm.sh)
 
-		in := x+inc.fw[b] <= outW && y+inc.fh[b] <= outH
+		in := x+dm.fw <= inc.outW && y+dm.fh <= inc.outH
 		if in != inc.inside[b] {
 			inc.inside[b] = in
 			flips = append(flips, b)
@@ -184,63 +183,27 @@ func (inc *Incremental) Reevaluate(flips []int) []int {
 	return flips
 }
 
-// axis is one packing direction: a Fenwick max tree over the pass keys whose
-// point updates are logged per pass step, so the tree can be rewound to the
-// state it had before any given step and the pass replayed from there.
-// Coordinates in this problem comfortably fit int32, which halves the cache
-// footprint of the hot arrays; a log entry packs node index and previous
-// value into one uint64.
-type axis struct {
-	tree    []int32
-	log     []uint64 // node << 32 | previous value, for rewind
-	stepEnd []int32  // stepEnd[t] = len(log) after step t's update
-}
+// axis is one packing direction: a Fenwick max tree over the pass keys,
+// 1-based (node 0 is unused).
+type axis []int32
 
-func (a *axis) clear() {
-	for i := range a.tree {
-		a.tree[i] = 0
-	}
-	a.log = a.log[:0]
-}
-
-// update raises the max at index i to v as pass step `step`, logging every
-// node it actually changes. The nodes on a Fenwick update path cover nested
-// ranges, so the first node already at >= v ends the walk: every further
-// node stores the max of a superset of that node's range.
-func (a *axis) update(step int, i, v int32) {
-	tree := a.tree
-	for i++; int(i) < len(tree); i += i & (-i) {
-		old := tree[i]
-		if old >= v {
+// update raises the max at key k to v. The nodes on a Fenwick update path
+// cover nested ranges, so the first node already at >= v ends the walk:
+// every further node stores the max of a superset of that node's range.
+func (a axis) update(k, v int32) {
+	for i := int(k) + 1; i < len(a); i += i & -i {
+		if a[i] >= v {
 			break
 		}
-		a.log = append(a.log, uint64(i)<<32|uint64(uint32(old)))
-		tree[i] = v
+		a[i] = v
 	}
-	a.stepEnd[step] = int32(len(a.log))
 }
 
-func (a *axis) prefixMax(i int32) int32 {
-	tree := a.tree
+// below returns the max over keys strictly below k (0 when k is 0).
+func (a axis) below(k int32) int32 {
 	var best int32
-	for i++; i > 0; i -= i & (-i) {
-		if tree[i] > best {
-			best = tree[i]
-		}
+	for i := int(k); i > 0; i &= i - 1 {
+		best = max(best, a[i])
 	}
 	return best
-}
-
-// rewind restores the tree to the state it had before pass step `step` by
-// undoing the logged writes in reverse order.
-func (a *axis) rewind(step int) {
-	end := 0
-	if step > 0 {
-		end = int(a.stepEnd[step-1])
-	}
-	for k := len(a.log) - 1; k >= end; k-- {
-		e := a.log[k]
-		a.tree[e>>32] = int32(uint32(e))
-	}
-	a.log = a.log[:end]
 }

@@ -38,61 +38,111 @@ func checkAgainstFull(t *testing.T, inc *Incremental, sp *seqpair.SeqPair, block
 	}
 }
 
+// randomSwap applies one random swap through the evaluator and returns a
+// function that applies the same swap again (every swap is its own
+// inverse). One swap in three is forced to touch Gamma- index 0 or n-1, the
+// two ends of the prefix the evaluator rebuilds from its cache.
+func randomSwap(rng *rand.Rand, inc *Incremental, sp *seqpair.SeqPair) func() {
+	n := sp.Len()
+	i, j := rng.Intn(n), rng.Intn(n)
+	for j == i {
+		j = rng.Intn(n)
+	}
+	kind := rng.Intn(3)
+	if rng.Intn(3) == 0 {
+		// Pin one end: Gamma- index 0 or n-1 for SwapNeg, the block at
+		// that Gamma- index for SwapPos and SwapBoth.
+		end := 0
+		if rng.Intn(2) == 0 {
+			end = n - 1
+		}
+		i = end
+		if kind != 1 {
+			i = int(inc.posIdx[sp.Neg[end]])
+		}
+		for j == i {
+			j = rng.Intn(n)
+		}
+	}
+	var apply func()
+	switch kind {
+	case 0:
+		apply = func() { inc.SwapPos(i, j) }
+	case 1:
+		apply = func() { inc.SwapNeg(i, j) }
+	default:
+		a, b := sp.Pos[i], sp.Pos[j]
+		apply = func() { inc.SwapBoth(a, b) }
+	}
+	apply()
+	return apply
+}
+
 // TestIncrementalMatchesFullRepack drives the evaluator through random swap
-// sequences (interleaved with undos and wholesale resets) and asserts that
-// every reevaluation is bit-identical to a full repack.
+// sequences (several swaps between evaluations, swaps at both ends of
+// Gamma-, undos, wholesale resets) up to plan2d scale and asserts that every
+// reevaluation is bit-identical to a full repack.
 func TestIncrementalMatchesFullRepack(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 40} {
+	for _, n := range []int{1, 2, 3, 8, 40, 200} {
 		rng := rand.New(rand.NewSource(int64(100 + n)))
 		blocks := randomBlocks(rng, n)
-		outW, outH := 120, 120
+		// At n = 200 the plan2d stencil (400x400) keeps blocks on both
+		// sides of the outline, as 120x120 does at n = 40.
+		outW := 120
+		if n > 40 {
+			outW = 400
+		}
+		outH := outW
 		sp := seqpair.Random(n, rng)
 		inc := NewIncremental(sp, blocks, outW, outH)
+		if n >= 2 {
+			// A rejected move before any evaluation: the cold cache must
+			// still replay in full.
+			randomSwap(rng, inc, sp)()
+		}
 		inc.Reevaluate(nil)
 		checkAgainstFull(t, inc, sp, blocks, outW, outH)
 
 		for move := 0; move < 300; move++ {
 			if n >= 2 {
-				i, j := rng.Intn(n), rng.Intn(n)
-				for j == i {
-					j = rng.Intn(n)
+				// One to four swaps between evaluations, the last of them
+				// sometimes rejected (undone before reevaluating).
+				var undo func()
+				for k := 1 + rng.Intn(4); k > 0; k-- {
+					undo = randomSwap(rng, inc, sp)
 				}
-				kind := rng.Intn(3)
-				apply := func() {
-					switch kind {
-					case 0:
-						inc.SwapPos(i, j)
-					case 1:
-						inc.SwapNeg(i, j)
-					default:
-						inc.SwapBoth(sp.Pos[i], sp.Pos[j])
-					}
-				}
-				apply()
 				if rng.Intn(3) == 0 {
-					// Rejected move: undo before reevaluating (the cache is
-					// still dirty from the aborted move).
-					apply()
+					undo()
 				}
 			}
 			if rng.Intn(5) == 0 {
 				// Sometimes re-evaluate mid-sequence so the dirty window
 				// spans a mix of evaluated and pending moves.
 				inc.Reevaluate(nil)
+				checkAgainstFull(t, inc, sp, blocks, outW, outH)
+				if n >= 2 {
+					randomSwap(rng, inc, sp)
+				}
 			}
 			inc.Reevaluate(nil)
 			checkAgainstFull(t, inc, sp, blocks, outW, outH)
 			if err := sp.Validate(); err != nil {
 				t.Fatal(err)
 			}
-		}
 
-		// Wholesale replacement (the Restore path).
-		repl := seqpair.Random(n, rng)
-		sp.CopyFrom(repl)
-		inc.Reset()
-		inc.Reevaluate(nil)
-		checkAgainstFull(t, inc, sp, blocks, outW, outH)
+			if move%100 == 99 {
+				// Wholesale replacement (the Restore path), followed by
+				// swaps before the next evaluation except the last time.
+				sp.CopyFrom(seqpair.Random(n, rng))
+				inc.Reset()
+				if n >= 2 && move != 299 {
+					randomSwap(rng, inc, sp)
+					randomSwap(rng, inc, sp)
+				}
+				inc.Reevaluate(nil)
+				checkAgainstFull(t, inc, sp, blocks, outW, outH)
+			}
+		}
 	}
 }
 

@@ -103,3 +103,26 @@ func TestSolveCancelledContext(t *testing.T) {
 		t.Errorf("cancelled solve took %s", d)
 	}
 }
+
+// The clustered anneal's work counters are deterministic: the same seed
+// gives the same Moves and Accepted at any worker count, and the pinned
+// values catch an evaluator change that alters the annealing trajectory
+// while leaving the final plan intact.
+func TestAnnealCountersDeterministic(t *testing.T) {
+	const wantMoves, wantAccepted = 9546, 2977
+	in := gen.Small(core.TwoD, 80, 2, 31)
+	for _, workers := range []int{1, 4} {
+		opt := Defaults()
+		opt.Seed = 3
+		opt.Restarts = 3
+		opt.Workers = workers
+		_, st, err := Solve(context.Background(), in, opt)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if st.Moves != wantMoves || st.Accepted != wantAccepted {
+			t.Errorf("workers=%d: moves=%d accepted=%d, want %d and %d",
+				workers, st.Moves, st.Accepted, wantMoves, wantAccepted)
+		}
+	}
+}

@@ -101,13 +101,19 @@ type cluster struct {
 	reds    []int64
 }
 
-// Stats reports what the clustering stage did; exposed for tests and the
-// benchmark harness.
+// Stats reports what the clustering stage did and how much annealing work
+// the clustered floorplan took; exposed for tests and the benchmark harness.
+// Moves and Accepted are the clustered anneal's floorsa.Result counters,
+// summed over restarts: deterministic for a given seed at any worker count
+// (as long as no deadline truncates the schedule), but kept out of plans and
+// digests.
 type Stats struct {
 	Candidates    int
 	AfterFilter   int
 	Clusters      int
 	ClusteredAway int
+	Moves         int
+	Accepted      int
 }
 
 // Solve runs the E-BLOW 2D flow and returns the stencil plan plus clustering
@@ -210,6 +216,7 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 	// Pack already legalised the best floorplan found — returning it beats
 	// discarding finished work (the portfolio relies on this to let a
 	// truncated E-BLOW entrant still compete).
+	stats.Moves, stats.Accepted = res.Moves, res.Accepted
 
 	sol := &core.Solution{Selected: make([]bool, in.NumCharacters())}
 	if res.WritingTime <= fallback.WritingTime {
