@@ -33,6 +33,7 @@ import (
 	"eblow/internal/core"
 	"eblow/internal/exact"
 	"eblow/internal/gen"
+	"eblow/internal/jsonlex"
 	"eblow/internal/learn"
 	"eblow/internal/oned"
 	"eblow/internal/solver"
@@ -193,9 +194,14 @@ func EncodeInstance(w io.Writer, in *Instance) error {
 	return nil
 }
 
-// DecodeInstance reads an instance as JSON from r and validates it.
+// DecodeInstance reads an instance as JSON from r and validates it. It
+// reads r to the end; bytes after the instance's JSON value are ignored.
 func DecodeInstance(r io.Reader) (*Instance, error) {
-	in, err := decodeInstance(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("eblow: decoding instance: %w", err)
+	}
+	in, err := decodeInstance(data)
 	if err != nil {
 		return nil, fmt.Errorf("eblow: %w", err)
 	}
@@ -204,9 +210,14 @@ func DecodeInstance(r io.Reader) (*Instance, error) {
 
 // decodeInstance decodes and validates without the "eblow:" prefix, so both
 // DecodeInstance and ReadInstance can add their own context exactly once.
-func decodeInstance(r io.Reader) (*Instance, error) {
+func decodeInstance(data []byte) (*Instance, error) {
 	var in Instance
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	r := jsonlex.NewReader(data)
+	err := in.ReadJSON(r)
+	if err == nil {
+		err = r.Mismatch()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("decoding instance: %w", err)
 	}
 	if err := in.Validate(); err != nil {
@@ -229,12 +240,11 @@ func WriteInstance(path string, in *Instance) error {
 
 // ReadInstance loads an instance from JSON and validates it.
 func ReadInstance(path string) (*Instance, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("eblow: reading instance: %w", err)
 	}
-	defer f.Close()
-	in, err := decodeInstance(f)
+	in, err := decodeInstance(data)
 	if err != nil {
 		return nil, fmt.Errorf("eblow: reading %s: %w", path, err)
 	}

@@ -2,15 +2,19 @@ package dispatch
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"eblow/internal/service"
 )
 
 // wireCall sends one request and returns the status code and the JSON
@@ -140,4 +144,114 @@ func TestNodeFleetAPIParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRepliesAreCompact sends every JSON route to a node
+// (service.NewHandler over a Manager) and to a dispatcher (NewHandler) in
+// front of it. Each reply must be one line, and it must decode to the
+// document the API returns, encoded with indentation as replies once were.
+func TestRepliesAreCompact(t *testing.T) {
+	nodes, cfgs := newFleet(t, 1, 1)
+	d, err := New(Config{Nodes: cfgs, HealthInterval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	fleet := httptest.NewServer(NewHandler(d))
+	defer fleet.Close()
+	ctx := context.Background()
+
+	targets := []struct {
+		name string
+		base string
+		api  service.API
+		wait func(t *testing.T, id string)
+	}{
+		{"node", nodes[0].srv.URL, nodes[0].m, func(t *testing.T, id string) { waitManagerTerminal(t, nodes[0].m, id, time.Minute) }},
+		{"fleet", fleet.URL, d, func(t *testing.T, id string) { waitDispatchTerminal(t, d, id, time.Minute) }},
+	}
+	for _, tg := range targets {
+		t.Run(tg.name, func(t *testing.T) {
+			submit := `{"benchmark":"1T-1","solver":"greedy","params":{"seed":1}}`
+			reply := compactReply(t, http.MethodPost, tg.base+"/v1/jobs", submit, http.StatusAccepted)
+			var doc struct{ ID string }
+			if err := json.Unmarshal(reply, &doc); err != nil || doc.ID == "" {
+				t.Fatalf("submit reply %s: no job ID (%v)", reply, err)
+			}
+			id := doc.ID
+			tg.wait(t, id)
+
+			errDoc := func(_ any, err error) (any, error) { return map[string]string{"error": err.Error()}, nil }
+			rows := []struct {
+				name, method, path, body string
+				code                     int
+				doc                      func() (any, error)
+			}{
+				{"status", "GET", "/v1/jobs/" + id, "", http.StatusOK, func() (any, error) { return tg.api.WireStatus(ctx, id) }},
+				{"result", "GET", "/v1/jobs/" + id + "/result", "", http.StatusOK, func() (any, error) { return tg.api.WireResult(ctx, id) }},
+				{"list", "GET", "/v1/jobs", "", http.StatusOK, func() (any, error) { return tg.api.WireList(ctx), nil }},
+				{"stats", "GET", "/v1/stats", "", http.StatusOK, func() (any, error) { return tg.api.WireStats(ctx), nil }},
+				{"cancel", "DELETE", "/v1/jobs/" + id, "", http.StatusOK, func() (any, error) { return tg.api.WireCancel(ctx, id) }},
+				{"unknown job", "GET", "/v1/jobs/nope", "", http.StatusNotFound, func() (any, error) { return errDoc(tg.api.WireStatus(ctx, "nope")) }},
+				{"malformed submit", "POST", "/v1/jobs", `{"benchmark":`, http.StatusBadRequest, func() (any, error) { return errDoc(tg.api.WireSubmit(ctx, []byte(`{"benchmark":`))) }},
+				{"solvers", "GET", "/v1/solvers", "", http.StatusOK, nil},
+			}
+			for _, row := range rows {
+				reply := compactReply(t, row.method, tg.base+row.path, row.body, row.code)
+				if row.doc == nil {
+					continue
+				}
+				want, err := row.doc()
+				if err != nil {
+					t.Fatalf("%s: %v", row.name, err)
+				}
+				var indented bytes.Buffer
+				enc := json.NewEncoder(&indented)
+				enc.SetIndent("", "  ")
+				if err := enc.Encode(want); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := decodeAny(t, reply), decodeAny(t, indented.Bytes()); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: reply %v, indented document %v", row.name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// compactReply sends one request, checks the status code, and checks that
+// the reply is one line of JSON.
+func compactReply(t *testing.T, method, url, body string, want int) []byte {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != want {
+		t.Fatalf("%s %s: HTTP %d, want %d: %s", method, url, resp.StatusCode, want, reply)
+	}
+	if bytes.IndexByte(reply, '\n') != len(reply)-1 || !json.Valid(reply) {
+		t.Fatalf("%s %s: reply is not one line of JSON: %q", method, url, reply)
+	}
+	return reply
+}
+
+func decodeAny(t *testing.T, b []byte) any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

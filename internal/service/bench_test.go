@@ -2,9 +2,11 @@ package service
 
 import (
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // BenchmarkParseSubmit decodes one plan1d-shaped POST /v1/jobs body (a
@@ -20,6 +22,51 @@ func BenchmarkParseSubmit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkResultDoc encodes the GET /v1/jobs/{id}/result reply of one
+// finished plan1d-shaped job (the instance BenchmarkParseSubmit decodes,
+// solved by eblow): jobJSON with the full plan, then writeJSON. It reports
+// the document's size as doc-B.
+func BenchmarkResultDoc(b *testing.B) {
+	spec, err := ParseSubmit(plan1dBody(b, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Solver = "eblow"
+	m := New(Config{Workers: 1})
+	defer m.Close()
+	s, err := m.Submit(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s = waitTerminal(b, m, s.ID, time.Minute)
+	if s.State != StateDone {
+		b.Fatalf("job %s: %s", s.State, s.Err)
+	}
+	w := &countingWriter{header: http.Header{}}
+	writeJSON(w, http.StatusOK, jobJSON(s, true))
+	b.SetBytes(int64(w.n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		writeJSON(w, http.StatusOK, jobJSON(s, true))
+	}
+	b.ReportMetric(float64(w.n), "doc-B")
+}
+
+// countingWriter is an http.ResponseWriter that keeps only the size of
+// the last reply.
+type countingWriter struct {
+	header http.Header
+	n      int
+}
+
+func (w *countingWriter) Header() http.Header { return w.header }
+func (w *countingWriter) WriteHeader(int)     { w.n = 0 }
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
 }
 
 // BenchmarkSubmitWAL submits a parsed plan1d-shaped spec to a manager with

@@ -6,16 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"eblow"
 )
 
-// parseSubmitRef is the two-pass POST /v1/jobs parser ParseSubmit
-// replaced: the request decoded with unknown fields disallowed and the
-// instance kept as json.RawMessage, then decoded again by
-// eblow.DecodeInstance. FuzzParseSubmit holds ParseSubmit to its
-// accept/reject decisions and its specs.
+// refInstance is eblow.Instance without methods: encoding/json decodes it
+// by reflection alone.
+type refInstance eblow.Instance
+
+// parseSubmitRef is the two-pass, reflective POST /v1/jobs parser
+// ParseSubmit replaced: the request decoded by encoding/json with unknown
+// fields disallowed and the instance kept as json.RawMessage, then decoded
+// again by encoding/json and validated. FuzzParseSubmit holds ParseSubmit
+// to its accept/reject decisions and its specs.
 func parseSubmitRef(body []byte) (JobSpec, error) {
 	var req submitRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -33,7 +39,11 @@ func parseSubmitRef(body []byte) (JobSpec, error) {
 			return JobSpec{}, err
 		}
 	case len(req.Instance) > 0:
-		if in, err = eblow.DecodeInstance(bytes.NewReader(req.Instance)); err != nil {
+		in = new(eblow.Instance)
+		if err := json.Unmarshal(req.Instance, (*refInstance)(in)); err != nil {
+			return JobSpec{}, err
+		}
+		if err := in.Validate(); err != nil {
 			return JobSpec{}, err
 		}
 	default:
@@ -95,8 +105,25 @@ func FuzzParseSubmit(f *testing.F) {
 	f.Add([]byte(`{"instance":null}`))
 	f.Add([]byte(`{"benchmark":"1T-1","instance":null}`))
 	f.Add([]byte(`{"benchmark":"1T-1"} trailing`))
+	// Repeated instance keys decode into the earlier elements.
+	head := c[:len(c)-1]
+	f.Add([]byte(`{"instance":` + head + `,"characters":[{"repeats":[4]}],"characters":[{"repeats":[4,null]},{"id":1}]}}`))
+	f.Add([]byte(`{"instance":` + head + `,"rowGroups":[{"rows":[0]}],"rowGroups":[{"regions":[1]}]}}`))
+	f.Add([]byte(`{"instance":` + head + `,"rowGroups":[],"kind":-0}}`))
+	f.Add([]byte(`{"instance":` + head + `,"numRegions":2.0,"stencilWidth":1e2}}`))
+	// Escaped, folded and non-UTF-8 strings.
+	f.Add([]byte(`{"ben\u0063hmark":"1T-1","\u212aey":1}`))
+	f.Add([]byte("{\"benchmark\":\"1T-1\",\"label\":\"bad\xff \\ud800 caf\xc3\xa9\"}"))
+	f.Add([]byte(`{"instance":` + head + `,"n\u0061me":"\u00e9"}}`))
+	// Nesting at and past encoding/json's bound, counted from the request.
+	deep := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	f.Add([]byte(`{"instance":` + head + `,"vendor":` + deep(9998) + `}}`))
+	f.Add([]byte(`{"instance":` + head + `,"vendor":` + deep(9999) + `}}`))
+
+	f.Add([]byte(`{"params":"\`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
+		body = slices.Clip(body) // reading past len(body) must panic
 		want, wantErr := parseSubmitRef(body)
 		spec, err := ParseSubmit(body)
 		if (err == nil) != (wantErr == nil) {

@@ -29,10 +29,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"eblow"
+	"eblow/internal/jsonlex"
 )
 
 // API is the backend behind the /v1 routes. Each method returns the wire
@@ -301,72 +301,66 @@ func ParseSubmitBody(body []byte) (JobSpec, []byte, error) {
 	return spec, compactJSON(value), nil
 }
 
-// parseSubmit decodes the body in one pass: the request object token by
-// token, each field's value straight into its destination, and the inline
-// instance directly into an eblow.Instance whose bytes it slices out of
-// body by decoder offset — no json.RawMessage copy to scan a second time.
-// It keeps the semantics of decoding into submitRequest with unknown
-// fields disallowed: keys match case-insensitively, unknown top-level
-// fields (and unknown params fields) are rejected, unknown instance fields
-// are ignored, a repeated key's last value wins, and bytes after the
-// request object are not read. value is the request object's own bytes.
+// requestFields are the POST /v1/jobs keys, as submitRequest's tags
+// spell them.
+var requestFields = []string{"benchmark", "instance", "solver", "label", "params"}
+
+// parseSubmit decodes the body in one pass with a reflection-free reader:
+// the request object key by key, each field's value straight into its
+// destination, and the inline instance directly into an eblow.Instance
+// whose bytes it slices out of body. It keeps the semantics of decoding
+// into submitRequest with unknown fields disallowed and the instance
+// decoded again by encoding/json: keys match case-insensitively, unknown
+// top-level fields (and unknown params fields) are rejected, unknown
+// instance fields are skipped, a repeated key's last value wins, nesting
+// counts from the request object, and bytes after the request object are
+// not read. value is the request object's own bytes.
 func parseSubmit(body []byte) (spec JobSpec, value []byte, err error) {
 	fail := func(err error) (JobSpec, []byte, error) {
 		return JobSpec{}, nil, fmt.Errorf("service: decoding request: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
+	r := jsonlex.NewReader(body)
+	if c := r.Peek(); c != '{' && c != 'n' { // a JSON null decodes to the empty request
+		return fail(errors.New("the request is not a JSON object"))
+	}
+	start := r.Pos()
 	var req submitRequest
-	// The instance of the last "instance" key: its decoded value, the error
-	// decoding it (reported only if no later key replaces it) and its bytes.
+	// The instance of the last "instance" key: its decoded value, its type
+	// mismatch (reported only if no later key replaces it) and its bytes.
 	var in *eblow.Instance
 	var inErr error
 	var inJSON []byte
-	open, err := dec.Token()
+	err = r.Object(func(key []byte) error {
+		var err error
+		switch jsonlex.Field(key, requestFields) {
+		case "benchmark":
+			err = r.String(&req.Benchmark)
+		case "solver":
+			err = r.String(&req.Solver)
+		case "label":
+			err = r.String(&req.Label)
+		case "params":
+			err = decodeParams(r, &req.Params)
+		case "instance":
+			from := r.Pos()
+			in = new(eblow.Instance)
+			if err := in.ReadJSON(r); err != nil {
+				return err
+			}
+			inErr, inJSON = r.Mismatch(), body[from:r.Pos()]
+			return nil
+		default:
+			return fmt.Errorf("json: unknown field %q", key)
+		}
+		if err != nil {
+			return err
+		}
+		return r.Mismatch()
+	})
 	if err != nil {
 		return fail(err)
 	}
-	switch open {
-	case json.Delim('{'):
-	case nil: // a JSON null decodes to the empty request
-	default:
-		return fail(errors.New("the request is not a JSON object"))
-	}
-	start := dec.InputOffset() - 1
-	for open != nil {
-		tok, err := dec.Token()
-		if err != nil {
-			return fail(err)
-		}
-		if tok == json.Delim('}') {
-			break
-		}
-		key, _ := tok.(string) // Token yields object keys as strings
-		switch {
-		case strings.EqualFold(key, "benchmark"):
-			err = dec.Decode(&req.Benchmark)
-		case strings.EqualFold(key, "solver"):
-			err = dec.Decode(&req.Solver)
-		case strings.EqualFold(key, "label"):
-			err = dec.Decode(&req.Label)
-		case strings.EqualFold(key, "params"):
-			err = decodeParams(dec, &req.Params)
-		case strings.EqualFold(key, "instance"):
-			from := dec.InputOffset()
-			var cur eblow.Instance
-			inErr = dec.Decode(&cur)
-			inJSON = bytes.TrimLeft(body[from:dec.InputOffset()], " \t\r\n:")
-			if len(inJSON) == 0 {
-				return fail(inErr) // not a JSON value: nothing was consumed
-			}
-			in = &cur
-		default:
-			err = fmt.Errorf("json: unknown field %q", key)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	value = body[start:dec.InputOffset()]
+	value = body[start:r.Pos()]
 
 	switch {
 	case req.Benchmark != "" && inJSON != nil:
@@ -404,13 +398,13 @@ func parseSubmit(body []byte) (spec JobSpec, value []byte, err error) {
 	return spec, value, nil
 }
 
-// decodeParams decodes the params value into wp, rejecting unknown fields.
-// It decodes into the same wp for every "params" key, so repeated keys
-// merge like a struct field decoded twice. The value is small, so a second
-// decoder over its bytes costs nothing worth saving.
-func decodeParams(dec *json.Decoder, wp *wireParams) error {
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
+// decodeParams reads the params value into wp with encoding/json,
+// rejecting unknown fields. It decodes into the same wp for every "params"
+// key, so repeated keys merge like a struct field decoded twice. The value
+// is small, so reflection on it costs nothing worth saving.
+func decodeParams(r *jsonlex.Reader, wp *wireParams) error {
+	raw, err := r.Skip()
+	if err != nil {
 		return err
 	}
 	strict := json.NewDecoder(bytes.NewReader(raw))
@@ -542,9 +536,7 @@ func jobJSON(s JobStatus, full bool) map[string]any {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

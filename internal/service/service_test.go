@@ -13,7 +13,7 @@ import (
 
 // waitTerminal follows the job's event stream, which ends right after its
 // terminal event, and returns the final status.
-func waitTerminal(t *testing.T, m *Manager, id string, within time.Duration) JobStatus {
+func waitTerminal(t testing.TB, m *Manager, id string, within time.Duration) JobStatus {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), within)
 	defer cancel()

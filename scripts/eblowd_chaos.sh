@@ -51,7 +51,7 @@ acurl() { curl -s -H "Authorization: Bearer $secret" "$@"; }
 submit() { # submit <json-body> -> job id
   local resp id
   resp=$(acurl -f "$base/v1/jobs" -d "$1")
-  id=$(sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p' <<<"$resp" | head -1)
+  id=$(sed -n 's/.*"id": *"\(j[0-9]*\)".*/\1/p' <<<"$resp" | head -1)
   [[ -n "$id" ]] || { echo "submit failed: $resp" >&2; exit 1; }
   echo "$id"
 }
@@ -60,10 +60,10 @@ await_digest() { # await_digest <job-id> -> prints the done job's digest
   local job state digest
   for _ in $(seq 1 600); do
     job=$(acurl -f "$base/v1/jobs/$1")
-    state=$(sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' <<<"$job" | head -1)
+    state=$(sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' <<<"$job" | head -1)
     case "$state" in
       done)
-        digest=$(sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p' <<<"$job" | head -1)
+        digest=$(sed -n 's/.*"digest": *"\([0-9a-f]*\)".*/\1/p' <<<"$job" | head -1)
         [[ -n "$digest" ]] || { echo "job $1 done without a digest: $job" >&2; exit 1; }
         echo "$digest"
         return 0
@@ -112,7 +112,7 @@ boot "$wal"
 grep -q '^eblowd: wal ' "$log" || { echo "restart logged no replay stats:"; cat "$log"; exit 1; }
 sed -n 's/^eblowd: \(wal .*\)/   \1/p' "$log" | head -1
 
-count=$(acurl -f "$base/v1/jobs" | grep -c '"id": "j[0-9]*"')
+count=$(acurl -f "$base/v1/jobs" | grep -o '"id": *"j[0-9]*"' | wc -l)
 [[ "$count" == "${#ids[@]}" ]] || { echo "replayed server lists $count jobs, want ${#ids[@]} (no job lost, none duplicated)"; exit 1; }
 
 declare -A replayed
@@ -121,7 +121,7 @@ for id in "${ids[@]}"; do
   echo "   job $id done, digest ${replayed[$id]:0:12}..."
 done
 job=$(acurl -f "$base/v1/jobs/${ids[0]}")
-grep -q '"key": "chaos"' <<<"$job" || { echo "replayed job lost its key identity: $job"; exit 1; }
+grep -q '"key": *"chaos"' <<<"$job" || { echo "replayed job lost its key identity: $job"; exit 1; }
 
 kill "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
@@ -237,7 +237,7 @@ done
 blocker=${dids[0]}
 owner=""
 for _ in $(seq 1 100); do
-  owner=$(acurl -f "$base/v1/jobs/$blocker" | sed -n 's/.*"node": "\(b[0-9]*\)".*/\1/p' | head -1)
+  owner=$(acurl -f "$base/v1/jobs/$blocker" | sed -n 's/.*"node": *"\(b[0-9]*\)".*/\1/p' | head -1)
   [[ -n "$owner" ]] && break
   sleep 0.1
 done
@@ -264,7 +264,7 @@ echo "== restarting the killed backend; fleet must report 3 alive nodes"
 boot_backend "$owner_idx" "${backend_bases[$owner_idx]#http://}"
 alive=""
 for _ in $(seq 1 100); do
-  alive=$(acurl -f "$base/v1/stats" | sed -n 's/.*"aliveNodes": \([0-9]*\).*/\1/p' | head -1)
+  alive=$(acurl -f "$base/v1/stats" | sed -n 's/.*"aliveNodes": *\([0-9]*\).*/\1/p' | head -1)
   [[ "$alive" == 3 ]] && break
   sleep 0.1
 done
@@ -272,7 +272,7 @@ done
 
 # No job lost, none duplicated: the dispatcher's public table still lists
 # exactly the accepted batch.
-count=$(acurl -f "$base/v1/jobs" | grep -c '"id": "j[0-9]*"')
+count=$(acurl -f "$base/v1/jobs" | grep -o '"id": *"j[0-9]*"' | wc -l)
 [[ "$count" == "${#dids[@]}" ]] || { echo "dispatcher lists $count jobs, want ${#dids[@]} (no job lost, none duplicated)"; exit 1; }
 echo "   fleet healthy again, $count jobs listed exactly once"
 

@@ -36,7 +36,7 @@ echo "   serving at $base"
 submit() { # submit <json-body> -> job id
   local resp id
   resp=$(curl -sf "$base/v1/jobs" -d "$1")
-  id=$(sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p' <<<"$resp" | head -1)
+  id=$(sed -n 's/.*"id": *"\(j[0-9]*\)".*/\1/p' <<<"$resp" | head -1)
   [[ -n "$id" ]] || { echo "submit failed: $resp" >&2; exit 1; }
   echo "$id"
 }
@@ -45,10 +45,10 @@ await_done() { # await_done <job-id>
   local job state
   for _ in $(seq 1 600); do
     job=$(curl -sf "$base/v1/jobs/$1")
-    state=$(sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' <<<"$job" | head -1)
+    state=$(sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' <<<"$job" | head -1)
     case "$state" in
       done)
-        grep -q '"feasible": true' <<<"$job" || { echo "job $1 finished without a feasible plan: $job"; exit 1; }
+        grep -q '"feasible": *true' <<<"$job" || { echo "job $1 finished without a feasible plan: $job"; exit 1; }
         echo "   job $1 done, feasible"
         return 0
         ;;
@@ -73,7 +73,7 @@ grep -q '"state":"done"' <<<"$events" || { echo "event stream missing terminal e
 echo "== cancelling"
 id3=$(submit '{"benchmark": "1T-1", "solver": "greedy"}')
 curl -sf -X DELETE "$base/v1/jobs/$id3" >/dev/null
-state=$(curl -sf "$base/v1/jobs/$id3" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' | head -1)
+state=$(curl -sf "$base/v1/jobs/$id3" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' | head -1)
 case "$state" in
   done|canceled) echo "   job $id3 is $state after cancel request" ;;
   *) echo "unexpected state $state after cancel"; exit 1 ;;
