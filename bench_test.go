@@ -197,7 +197,7 @@ func BenchmarkAblationClusterBound(b *testing.B) {
 }
 
 // BenchmarkAblationLPBackend compares the structured knapsack relaxation with
-// the dense simplex on a small instance where both are affordable.
+// the sparse revised simplex on a small instance where both are affordable.
 func BenchmarkAblationLPBackend(b *testing.B) {
 	in := SmallInstance(OneD, 120, 4, 7)
 	for _, backend := range []oned.LPBackend{oned.StructuredLP, oned.SimplexLP} {

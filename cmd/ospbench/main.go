@@ -1,6 +1,6 @@
 // Command ospbench regenerates the tables and figures of the E-BLOW paper's
-// evaluation section on the synthetic benchmark suite, and measures the
-// parallel portfolio race.
+// evaluation section on the synthetic benchmark suite, measures the
+// parallel portfolio race, and writes the perf records (-perf, -lp-perf).
 //
 // Examples:
 //
@@ -50,7 +50,7 @@ func main() {
 		portfolio    = flag.String("portfolio", "", "race the solver portfolio on this benchmark case (e.g. 2D-1), once with 1 worker and once with -workers, and report both wall-clock times")
 		workersSweep = flag.String("workers-sweep", "", "run the exact branch and bound on this benchmark case (e.g. 1T-3) at every -sweep-workers count and report the node-throughput scaling curve")
 		perf         = flag.String("perf", "", "measure the solver hot paths on this case (e.g. small-1M, 1M-5, small-2M): annealer moves/sec for 2D, solve + relaxation wall-clock at 1 and -workers workers for 1D")
-		lpPerf       = flag.String("lp-perf", "", "measure the sparse LP engine on this 1D case: relaxation pivots/sec with the simplex backend, and the warm-vs-cold re-solve pivot ratio the dual-simplex warm starts buy")
+		lpPerf       = flag.String("lp-perf", "", "measure the sparse LP engine on this 1D case: the served planner's fast-ILP binaries and pivots, and relaxation pivots/sec with the simplex backend")
 		benchJSON    = flag.String("bench-json", "", "write the -perf record as JSON to this file (the BENCH_*.json perf trajectory)")
 		throughput   = flag.Bool("throughput", false, "benchmark the job service on a generated mixed workload: FIFO drain vs the cost-order drain, reporting jobs/sec and SLO goodput for both plus a cross-mode result-digest identity check")
 		tpJobs       = flag.Int("tp-jobs", 120, "workload size for -throughput")
@@ -277,39 +277,29 @@ func runPerf(ctx context.Context, caseName string, workers int, seed int64, json
 
 // lpPerfRecord is one -lp-perf measurement, shaped for the BENCH_lp.json
 // perf trajectory. All counts come from Workers=1 runs so they are
-// deterministic run to run; only PivotsPerSec carries wall clock.
+// deterministic run to run; only RelaxElapsedUs and PivotsPerSec carry
+// wall clock.
 type lpPerfRecord struct {
 	Case string `json:"case"`
 	Kind string `json:"kind"`
 
-	// Successive-rounding relaxation with the simplex backend (warm run).
+	// Fast-convergence branch and bound of the served planner (default
+	// backend): binaries handed to the ILP and the total node-relaxation
+	// pivots, warm-started from each node's parent basis.
+	FastILPVars   int `json:"fastIlpVars"`
+	FastILPPivots int `json:"fastIlpPivots"`
+
+	// Successive-rounding relaxation with the simplex backend.
 	RelaxSolves    int     `json:"relaxSolves"`
 	RelaxPivots    int     `json:"relaxPivots"`
 	RelaxElapsedUs int64   `json:"relaxElapsedUs"`
 	PivotsPerSec   float64 `json:"pivotsPerSec"`
-
-	// Re-solves (block solves for which a previous basis existed), warm run
-	// vs an identical planner run with ColdLP. The modes may take different
-	// iteration counts (degenerate relaxations can stop at different optimal
-	// vertices), so the ratio compares per-solve averages.
-	WarmResolves         int     `json:"warmResolves"`
-	WarmResolvePivots    int     `json:"warmResolvePivots"`
-	ColdResolves         int     `json:"coldResolves"`
-	ColdResolvePivots    int     `json:"coldResolvePivots"`
-	WarmColdResolveRatio float64 `json:"warmColdResolveRatio"`
-
-	// Fast-ILP-convergence branch and bound: total node-relaxation pivots
-	// with parent-basis warm starts vs cold.
-	FastILPPivotsWarm int `json:"fastIlpPivotsWarm"`
-	FastILPPivotsCold int `json:"fastIlpPivotsCold"`
 }
 
-// runLPPerf runs the 1D planner twice on one case with the simplex LP
-// backend — once with warm starts (the default) and once with ColdLP — and
-// reports the relaxation pivot throughput plus the warm-vs-cold re-solve
-// pivot ratio. The perf trajectory gates warm starts staying cheap: the
-// target is warm re-solves within 10% of the cold pivot count on the
-// golden families.
+// runLPPerf runs the 1D planner twice on one case: once as served (default
+// backend), which exercises the sparse simplex only in the fast-ILP branch
+// and bound, and once with the simplex relaxation backend, which reports
+// the sparse simplex's pivot throughput on the successive-rounding LPs.
 func runLPPerf(ctx context.Context, caseName, jsonPath string) error {
 	in, err := perfInstance(caseName)
 	if err != nil {
@@ -318,52 +308,38 @@ func runLPPerf(ctx context.Context, caseName, jsonPath string) error {
 	if in.Kind != core.OneD {
 		return fmt.Errorf("-lp-perf needs a 1D case; %s is %s", in.Name, in.Kind)
 	}
-	solve := func(cold bool) (*oned.Trace, error) {
+	solve := func(backend oned.LPBackend) (*oned.Trace, error) {
 		opt := oned.Defaults()
-		opt.Backend = oned.SimplexLP
+		opt.Backend = backend
 		opt.Workers = 1
-		opt.ColdLP = cold
 		_, trace, err := oned.Solve(ctx, in, opt)
 		return trace, err
 	}
-	warm, err := solve(false)
+	served, err := solve(oned.StructuredLP)
 	if err != nil {
 		return err
 	}
-	cold, err := solve(true)
+	simplex, err := solve(oned.SimplexLP)
 	if err != nil {
 		return err
 	}
 
 	rec := lpPerfRecord{
 		Case: in.Name, Kind: in.Kind.String(),
-		RelaxSolves:       warm.RelaxSolves,
-		RelaxPivots:       warm.RelaxPivots,
-		RelaxElapsedUs:    warm.RelaxElapsed.Microseconds(),
-		WarmResolves:      warm.RelaxResolves,
-		WarmResolvePivots: warm.RelaxResolvePivots,
-		ColdResolves:      cold.RelaxResolves,
-		ColdResolvePivots: cold.RelaxResolvePivots,
-		FastILPPivotsWarm: warm.FastILPPivots,
-		FastILPPivotsCold: cold.FastILPPivots,
+		FastILPVars:    served.FastILPVariables,
+		FastILPPivots:  served.FastILPPivots,
+		RelaxSolves:    simplex.RelaxSolves,
+		RelaxPivots:    simplex.RelaxPivots,
+		RelaxElapsedUs: simplex.RelaxElapsed.Microseconds(),
 	}
-	if s := warm.RelaxElapsed.Seconds(); s > 0 {
-		rec.PivotsPerSec = float64(warm.RelaxPivots) / s
-	}
-	if rec.WarmResolves > 0 && rec.ColdResolves > 0 && rec.ColdResolvePivots > 0 {
-		warmPer := float64(rec.WarmResolvePivots) / float64(rec.WarmResolves)
-		coldPer := float64(rec.ColdResolvePivots) / float64(rec.ColdResolves)
-		rec.WarmColdResolveRatio = warmPer / coldPer
+	if s := simplex.RelaxElapsed.Seconds(); s > 0 {
+		rec.PivotsPerSec = float64(simplex.RelaxPivots) / s
 	}
 
-	fmt.Printf("%s (%s): %d relaxation solves, %d pivots in %s -> %.0f pivots/sec\n",
-		in.Name, in.Kind, rec.RelaxSolves, rec.RelaxPivots,
-		warm.RelaxElapsed.Round(time.Microsecond), rec.PivotsPerSec)
-	fmt.Printf("re-solves: warm %d pivots over %d solves, cold %d pivots over %d solves -> warm/cold ratio %.3f\n",
-		rec.WarmResolvePivots, rec.WarmResolves, rec.ColdResolvePivots, rec.ColdResolves,
-		rec.WarmColdResolveRatio)
-	fmt.Printf("fast-ILP branch and bound: %d pivots warm-started, %d cold\n",
-		rec.FastILPPivotsWarm, rec.FastILPPivotsCold)
+	fmt.Printf("%s (%s): fast-ILP branch and bound: %d binaries, %d pivots\n",
+		in.Name, in.Kind, rec.FastILPVars, rec.FastILPPivots)
+	fmt.Printf("simplex relaxation: %d solves, %d pivots in %s -> %.0f pivots/sec\n",
+		rec.RelaxSolves, rec.RelaxPivots, simplex.RelaxElapsed.Round(time.Microsecond), rec.PivotsPerSec)
 
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)

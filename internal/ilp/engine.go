@@ -56,11 +56,11 @@ type node struct {
 	bounds []boundChange
 	bound  float64 // LP relaxation value at the parent (sign-adjusted, optimistic)
 	depth  int
-	// basis is the parent relaxation's optimal basis (nil at a cold
-	// root). A child differs from its parent by one bound, so the parent
-	// basis is dual-feasible for the child and the warm re-solve needs a
-	// handful of dual pivots instead of a full cold solve. The pointer is
-	// shared between siblings and never mutated.
+	// basis is the parent relaxation's optimal basis (nil at the root,
+	// which always solves cold). A child differs from its parent by one
+	// bound, so the parent basis is dual-feasible for the child and the
+	// warm re-solve needs a handful of dual pivots instead of a full cold
+	// solve. The pointer is shared between siblings and never mutated.
 	basis *lp.Basis
 }
 
@@ -136,11 +136,7 @@ func newEngine(p *Problem, opt Options, workers int, stop <-chan struct{}) *engi
 		e.clones[w].Stop = stop
 	}
 	e.incBound.Store(math.Inf(-1))
-	root := &node{seq: 0, bound: math.Inf(1)}
-	if !opt.ColdLP {
-		root.basis = opt.RootBasis
-	}
-	heap.Push(&e.queue, root)
+	heap.Push(&e.queue, &node{seq: 0, bound: math.Inf(1)})
 	e.nextSeq = 1
 	return e
 }

@@ -97,16 +97,11 @@ type Options struct {
 	// worker count; Nodes may differ because a faster incumbent lets the
 	// engine skip relaxations it would otherwise have evaluated.
 	Workers int
-	// RootBasis warm-starts the root relaxation (and, transitively, the
-	// whole tree: every child node starts from its parent's optimal
-	// basis). The basis is shared read-only and never mutated. Callers
-	// that re-solve a drifting problem — the 1D planner's successive
-	// rounding — pass the previous solve's basis here.
-	RootBasis *lp.Basis
 	// ColdLP disables warm starts: every node relaxation is solved from
-	// scratch. The search trace is identical either way (the LP optimum
-	// is basis-independent); this exists for benchmarking the warm-start
-	// pivot savings and as an escape hatch.
+	// scratch instead of from its parent's optimal basis. The search trace
+	// is identical either way (the LP optimum is basis-independent); the
+	// cold path is the reference the warm-start tests compare pivot counts
+	// and traces against.
 	ColdLP bool
 }
 

@@ -22,34 +22,14 @@ const (
 // The status form survives problem edits better than an explicit basis
 // heading — a warm start maps statuses for the variables that still exist
 // and the solver repairs the basic count and any singularity — which is
-// what lets branch-and-bound children and successive-rounding re-solves
-// start from their parent's basis.
+// what lets branch-and-bound children start from their parent's basis.
 //
-// A Basis returned by a solve is immutable by convention: warm-start
-// consumers share the pointer (a branch-and-bound node hands the same
-// parent basis to both children), so callers must Clone before mutating.
+// A Basis returned by a solve is immutable by convention: a
+// branch-and-bound node hands the same parent basis to both children by
+// pointer, so nothing may mutate it.
 type Basis struct {
 	// Status has length NumVars()+NumConstraints() of the problem the
 	// basis was derived from: structural variables first, then one
 	// logical per constraint row.
 	Status []VarStatus
-}
-
-// Clone returns an independent copy of the basis.
-func (b *Basis) Clone() *Basis {
-	if b == nil {
-		return nil
-	}
-	return &Basis{Status: append([]VarStatus(nil), b.Status...)}
-}
-
-// NumBasic returns the number of variables with Basic status.
-func (b *Basis) NumBasic() int {
-	n := 0
-	for _, st := range b.Status {
-		if st == Basic {
-			n++
-		}
-	}
-	return n
 }

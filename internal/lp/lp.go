@@ -244,7 +244,7 @@ type Result struct {
 
 	// Basis is the optimal simplex basis in status form, set by the sparse
 	// solver (Solve, SolveWarm) on Optimal solves.
-	// It is shared immutably: Clone before mutating.
+	// It is shared immutably: never mutate it.
 	Basis *Basis
 }
 
@@ -263,9 +263,9 @@ func Solve(p *Problem) (*Result, error) {
 
 // SolveWarm solves p starting from a previous basis and returns the final
 // basis in Result.Basis. The warm basis is not modified; branch-and-bound
-// children and successive-rounding re-solves share parent bases by
-// pointer. A nil warm basis falls back to a cold solve. Warm solves skip
-// presolve — the basis indexes the full variable space.
+// children share their parent's basis by pointer. A nil warm basis falls
+// back to a cold solve. Warm solves skip presolve — the basis indexes the
+// full variable space.
 func SolveWarm(p *Problem, warm *Basis) (*Result, error) {
 	if warm == nil {
 		return solveSparseCold(p)

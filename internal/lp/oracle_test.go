@@ -196,9 +196,8 @@ func TestSparseMatchesDenseOracle(t *testing.T) {
 
 // TestWarmResolveIdenticalProblem re-solves a just-solved LP from its own
 // optimal basis: the warm solve must confirm optimality immediately, in a
-// handful of pivots at most. This is the unit-level form of the
-// warm-starts-are-cheap contract that ospbench -lp-perf measures end to
-// end.
+// handful of pivots at most: the warm-starts-are-cheap contract that
+// branch-and-bound children rely on.
 func TestWarmResolveIdenticalProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	solved := 0
@@ -235,10 +234,10 @@ func TestWarmResolveIdenticalProblem(t *testing.T) {
 	}
 }
 
-// TestWarmPerturbedMatchesCold mutates bounds and objective (the way
-// branch-and-bound children and successive-rounding iterations do) and
-// checks that a warm start from the stale basis reaches the same status
-// and objective as a cold solve of the mutated problem.
+// TestWarmPerturbedMatchesCold mutates bounds (as branch-and-bound
+// children do) and objective, and checks that a warm start from the stale
+// basis reaches the same status and objective as a cold solve of the
+// mutated problem.
 func TestWarmPerturbedMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	checked := 0

@@ -18,22 +18,14 @@ import (
 // assignment matrices in block index order, so the result is identical for
 // every worker count.
 //
-// The two backends treat candidacy inside a block differently. The simplex
-// backend creates variables only for allowed character-row pairs, so its
-// decomposed solve is identical to solving the whole restricted relaxation
-// as one monolithic LP. The structured backend generalises its existing
-// aggregate-capacity approximation to blocks: within a block it pools the
-// block rows' capacities and ignores which of them a bridging character may
-// actually use (exactly as it pools the whole stencil when there are no row
-// groups), trading that precision for O(n log n) speed; integral
-// assignments are still candidacy-checked by fits(). Use SimplexLP when
-// exact banding of bridge characters matters.
-//
-// Without row groups every character is a candidate for every row: the
-// detection returns a single block holding the whole problem and the solve
-// reduces to exactly the monolithic path (same variable order, same
-// constraint order, bit-for-bit the same result as before the
-// decomposition existed).
+// The simplex backend creates variables only for allowed character-row
+// pairs, so its decomposed solve equals solving the whole restricted
+// relaxation as one LP. The structured backend pools each block's row
+// capacities and ignores which of them a bridging character may use,
+// trading that precision for O(n log n) speed; integral assignments are
+// still candidacy-checked by fits(). Use SimplexLP when exact banding of
+// bridge characters matters. Without row groups there is a single block
+// holding the whole problem.
 
 // initRowGroups validates Options.RowGroups against the instance and builds
 // the candidacy tables: rowGroup[j] is the group owning row j (-1 = open
@@ -176,57 +168,16 @@ func (s *solver) relaxBlocks(unsolved []int) []relaxBlock {
 	return kept
 }
 
-// varKey identifies one relaxation variable across rounding iterations by
-// the identities that survive re-building: the character id and the row.
-type varKey struct{ char, row int }
-
-// relaxWarm remembers the optimal bases of the previous rounding
-// iteration's relaxation, keyed by variable and constraint identity rather
-// than by index, so the next iteration can warm-start its re-solves even
-// though the variable list shrinks as characters get solved and blocks
-// merge or split. It is frozen once built: blocks of the next iteration
-// read it concurrently, lookups only.
-type relaxWarm struct {
-	vars  map[varKey]lp.VarStatus // (char id, row) -> status
-	rows  map[int]lp.VarStatus    // row id -> row-capacity logical status
-	chars map[int]lp.VarStatus    // char id -> one-row-per-char logical status
-}
-
-// warmVar and warmLogical carry one basis status out of a block solve as a
-// flat slice entry, so the sequential cache rebuild after the parallel
-// section never ranges over maps (see docs/INVARIANTS.md on map iteration).
-type warmVar struct {
-	key varKey
-	st  lp.VarStatus
-}
-type warmLogical struct {
-	id int
-	st lp.VarStatus
-}
-
-// blockWarm is one block's contribution to the next iteration's relaxWarm.
-type blockWarm struct {
-	vars  []warmVar
-	rows  []warmLogical
-	chars []warmLogical
-}
-
-// blockSolveStats reports one block solve for the trace and the warm cache.
+// blockSolveStats reports one block solve for the trace.
 type blockSolveStats struct {
-	pivots int        // simplex iterations (SimplexLP backend only)
-	lp     bool       // an LP was actually solved
-	warmed bool       // a warm basis from the previous iteration was available
-	warm   *blockWarm // this solve's basis, keyed for the next iteration
+	pivots int  // simplex iterations (SimplexLP backend only)
+	lp     bool // an LP was actually solved
 }
 
 // solveRelaxationBlocks solves the (restricted) relaxation block by block on
 // the worker pool and merges the per-block fractional assignments into one
 // matrix indexed like `unsolved`. Every block writes only its own
 // characters' rows, so the merge is deterministic for any worker count.
-// With the SimplexLP backend each block warm-starts from its previous
-// iteration's basis (unless Options.ColdLP); blocks read the frozen cache
-// from the previous iteration concurrently and the refreshed cache is
-// assembled sequentially after the parallel section, in block order.
 func (s *solver) solveRelaxationBlocks(unsolved []int, caps []float64, blocks []relaxBlock) ([][]float64, error) {
 	a := make([][]float64, len(unsolved))
 	for k := range a {
@@ -234,63 +185,29 @@ func (s *solver) solveRelaxationBlocks(unsolved []int, caps []float64, blocks []
 	}
 	errs := make([]error, len(blocks))
 	stats := make([]blockSolveStats, len(blocks))
-	// The previous iteration's cache is frozen; blocks only look entries up
-	// in it, so sharing it across the pool is race-free. The cache is
-	// maintained in ColdLP mode too (the bases come back from the solves
-	// either way), so both modes report comparable re-solve counts; ColdLP
-	// only stops the basis being passed to the solver.
-	warmIn := s.relaxWarm
 	par.For(s.opt.workerCount(), len(blocks), func(bi int) {
-		stats[bi], errs[bi] = s.solveRelaxBlock(blocks[bi], unsolved, caps, a, warmIn)
+		stats[bi], errs[bi] = s.solveRelaxBlock(blocks[bi], unsolved, caps, a)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	if s.opt.Backend == SimplexLP {
-		next := &relaxWarm{
-			vars:  make(map[varKey]lp.VarStatus),
-			rows:  make(map[int]lp.VarStatus),
-			chars: make(map[int]lp.VarStatus),
-		}
-		for bi := range blocks {
-			st := &stats[bi]
-			if !st.lp {
-				continue
-			}
+	for _, st := range stats {
+		if st.lp {
 			s.trace.RelaxSolves++
 			s.trace.RelaxPivots += st.pivots
-			if st.warmed {
-				s.trace.RelaxResolves++
-				s.trace.RelaxResolvePivots += st.pivots
-			}
-			if st.warm != nil {
-				// Blocks partition the variables, rows and characters, so
-				// insertion order across blocks cannot matter; iterating in
-				// block order keeps it deterministic anyway.
-				for _, e := range st.warm.vars {
-					next.vars[e.key] = e.st
-				}
-				for _, e := range st.warm.rows {
-					next.rows[e.id] = e.st
-				}
-				for _, e := range st.warm.chars {
-					next.chars[e.id] = e.st
-				}
-			}
 		}
-		s.relaxWarm = next
 	}
 	return a, nil
 }
 
 // solveRelaxBlock solves one block with the configured backend and scatters
 // the result into the shared assignment matrix.
-func (s *solver) solveRelaxBlock(b relaxBlock, unsolved []int, caps []float64, a [][]float64, warmIn *relaxWarm) (blockSolveStats, error) {
+func (s *solver) solveRelaxBlock(b relaxBlock, unsolved []int, caps []float64, a [][]float64) (blockSolveStats, error) {
 	switch s.opt.Backend {
 	case SimplexLP:
-		return s.solveRelaxBlockSimplex(b, unsolved, caps, a, warmIn)
+		return s.solveRelaxBlockSimplex(b, unsolved, caps, a)
 	default:
 		items := make([]knapsack.Item, len(b.chars))
 		for bk, k := range b.chars {
@@ -315,15 +232,10 @@ func (s *solver) solveRelaxBlock(b relaxBlock, unsolved []int, caps []float64, a
 }
 
 // solveRelaxBlockSimplex builds the block's restricted LP (variables only
-// for allowed character-row pairs, in character-major order) and solves it
-// with the lp backend. With a single full block and no row groups this
-// constructs exactly the monolithic LP the planner used before the
-// decomposition, variable for variable and constraint for constraint.
-// When warmIn carries the block's previous basis (and Options.ColdLP is
-// off) the solve warm-starts from it: statuses are looked up per variable
-// and constraint identity, with cold defaults for pairs that did not exist
-// last iteration, and the lp solver repairs any basic-count drift.
-func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []float64, a [][]float64, warmIn *relaxWarm) (blockSolveStats, error) {
+// for allowed character-row pairs, in character-major order; constraints
+// in row order, then character order) and solves it from scratch with the
+// sparse revised simplex.
+func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []float64, a [][]float64) (blockSolveStats, error) {
 	type varRef struct{ k, j int }
 	var vars []varRef
 	for _, k := range b.chars {
@@ -340,9 +252,6 @@ func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []flo
 	prob := lp.NewProblem(len(vars))
 	prob.Stop = s.ctx.Done()
 	obj := make([]float64, len(vars))
-	// One pass over the variables groups the constraint terms by row and by
-	// character; the constraints are then emitted in row order followed by
-	// character order, matching the pre-decomposition builder.
 	rowTerms := make(map[int][]lp.Term, len(b.rows))
 	charTerms := make(map[int][]lp.Term, len(b.chars))
 	for v, vr := range vars {
@@ -353,53 +262,18 @@ func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []flo
 		charTerms[vr.k] = append(charTerms[vr.k], lp.Term{Var: v, Coeff: 1})
 	}
 	prob.SetObjective(obj, true)
-	// rowsUsed/charsUsed record the constraint emission order, which is
-	// also the logical-variable order of the basis.
-	var rowsUsed, charsUsed []int
 	for _, j := range b.rows {
 		if terms := rowTerms[j]; len(terms) > 0 {
 			prob.AddConstraint(terms, lp.LE, caps[j])
-			rowsUsed = append(rowsUsed, j)
 		}
 	}
 	for _, k := range b.chars {
 		if terms := charTerms[k]; len(terms) > 0 {
 			prob.AddConstraint(terms, lp.LE, 1)
-			charsUsed = append(charsUsed, k)
 		}
 	}
 
-	var warm *lp.Basis
-	if warmIn != nil && !s.opt.ColdLP {
-		st := make([]lp.VarStatus, len(vars)+len(rowsUsed)+len(charsUsed))
-		for v, vr := range vars {
-			if w, ok := warmIn.vars[varKey{char: unsolved[vr.k], row: vr.j}]; ok {
-				st[v] = w
-			} else {
-				st[v] = lp.AtLower
-			}
-		}
-		pos := len(vars)
-		for _, j := range rowsUsed {
-			if w, ok := warmIn.rows[j]; ok {
-				st[pos] = w
-			} else {
-				st[pos] = lp.Basic
-			}
-			pos++
-		}
-		for _, k := range charsUsed {
-			if w, ok := warmIn.chars[unsolved[k]]; ok {
-				st[pos] = w
-			} else {
-				st[pos] = lp.Basic
-			}
-			pos++
-		}
-		warm = &lp.Basis{Status: st}
-	}
-
-	res, err := lp.SolveWarm(prob, warm)
+	res, err := lp.Solve(prob)
 	if err != nil {
 		return blockSolveStats{}, err
 	}
@@ -409,28 +283,7 @@ func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []flo
 	for v, vr := range vars {
 		a[vr.k][vr.j] = res.X[v]
 	}
-	stats := blockSolveStats{pivots: res.Iters, lp: true, warmed: warmIn != nil}
-	if res.Basis != nil {
-		w := &blockWarm{
-			vars:  make([]warmVar, 0, len(vars)),
-			rows:  make([]warmLogical, 0, len(rowsUsed)),
-			chars: make([]warmLogical, 0, len(charsUsed)),
-		}
-		for v, vr := range vars {
-			w.vars = append(w.vars, warmVar{key: varKey{char: unsolved[vr.k], row: vr.j}, st: res.Basis.Status[v]})
-		}
-		pos := len(vars)
-		for _, j := range rowsUsed {
-			w.rows = append(w.rows, warmLogical{id: j, st: res.Basis.Status[pos]})
-			pos++
-		}
-		for _, k := range charsUsed {
-			w.chars = append(w.chars, warmLogical{id: unsolved[k], st: res.Basis.Status[pos]})
-			pos++
-		}
-		stats.warm = w
-	}
-	return stats, nil
+	return blockSolveStats{pivots: res.Iters, lp: true}, nil
 }
 
 // solveRelaxationMonolithic solves the restricted relaxation as a single
@@ -452,9 +305,7 @@ func (s *solver) solveRelaxationMonolithic(unsolved []int, caps []float64) ([][]
 	for k := range a {
 		a[k] = make([]float64, s.m)
 	}
-	// Always cold (nil warm cache): as the validation reference it must
-	// stay a pure single-shot solve, independent of planner history.
-	if _, err := s.solveRelaxBlock(all, unsolved, caps, a, nil); err != nil {
+	if _, err := s.solveRelaxBlock(all, unsolved, caps, a); err != nil {
 		return nil, err
 	}
 	return a, nil

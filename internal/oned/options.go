@@ -22,9 +22,9 @@ const (
 	// greedy solver (package knapsack). This is the default: it exploits the
 	// structure of formulation (5) and scales to MCC-sized instances.
 	StructuredLP LPBackend = iota
-	// SimplexLP solves the relaxation with the general dense simplex
-	// (package lp). Intended for small instances and for the ablation bench
-	// that compares the two backends.
+	// SimplexLP solves the relaxation with the general sparse revised
+	// simplex (package lp), every block from scratch. Intended for small
+	// instances and for the ablation bench that compares the two backends.
 	SimplexLP
 )
 
@@ -109,13 +109,6 @@ type Options struct {
 
 	// Backend selects the LP relaxation solver.
 	Backend LPBackend
-
-	// ColdLP disables the warm starts of the SimplexLP backend: every
-	// relaxation re-solve and every fast-convergence branch-and-bound node
-	// starts from scratch instead of the previous basis. The planner output
-	// is gated to be identical either way; this exists for benchmarking the
-	// warm-start pivot savings (ospbench -lp-perf) and as an escape hatch.
-	ColdLP bool
 
 	// CollectTrace records per-iteration statistics (Figs. 5 and 6).
 	CollectTrace bool
@@ -224,15 +217,6 @@ type Trace struct {
 	// simplex iterations across the run (SimplexLP backend only).
 	RelaxSolves int
 	RelaxPivots int
-	// RelaxResolves and RelaxResolvePivots are the subset of the above for
-	// which a previous-iteration basis was available — the re-solves that
-	// warm starts accelerate. They are counted identically under
-	// Options.ColdLP (which only stops the basis being used), so a cold run
-	// and a warm run of the same instance are directly comparable:
-	// RelaxResolvePivots(warm) / RelaxResolvePivots(cold) is the warm-start
-	// pivot ratio that ospbench -lp-perf reports.
-	RelaxResolves      int
-	RelaxResolvePivots int
 	// FastILPPivots sums the simplex iterations of every node relaxation in
 	// the fast-convergence branch and bound (0 when the step did not run).
 	FastILPPivots int

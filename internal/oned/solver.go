@@ -49,13 +49,6 @@ type solver struct {
 	// LP relaxation (used by fast convergence and the Fig. 6 trace).
 	lastRelax map[int][]float64
 
-	// relaxWarm caches the previous relaxation's optimal bases by variable
-	// and constraint identity (SimplexLP backend only). Each rounding
-	// iteration's re-solves warm-start from it, and fast convergence seeds
-	// its branch-and-bound root from it. Frozen once built: the next
-	// iteration's blocks read it concurrently, lookups only.
-	relaxWarm *relaxWarm
-
 	trace Trace
 }
 
@@ -129,7 +122,7 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 	}
 	sol.Finalize(in, name, time.Since(start))
 	// Return a copy: a pointer into s would keep the whole solver (rows,
-	// last relaxation, warm bases, R table) alive for as long as a caller
+	// last relaxation, R table) alive for as long as a caller
 	// holds the trace.
 	trace := s.trace
 	return sol, &trace, nil
@@ -555,41 +548,6 @@ func (s *solver) fastConvergence() {
 	for _, c := range chars {
 		prob.AddConstraint(charTerms[c], lp.LE, 1)
 	}
-	// With the SimplexLP backend the fast ILP is a sub-problem of the last
-	// relaxation (same (char,row) variables and the same constraint shapes,
-	// restricted to the undecided pairs), so the cached relaxation basis
-	// seeds the branch-and-bound root: statuses are looked up per identity,
-	// with cold defaults for anything the cache does not know, and the lp
-	// solver repairs the basic count on adoption.
-	var rootBasis *lp.Basis
-	if s.opt.Backend == SimplexLP && !s.opt.ColdLP && s.relaxWarm != nil {
-		st := make([]lp.VarStatus, len(undecided)+len(rows)+len(chars))
-		for v, p := range undecided {
-			if w, ok := s.relaxWarm.vars[varKey{char: p.char, row: p.row}]; ok {
-				st[v] = w
-			} else {
-				st[v] = lp.AtLower
-			}
-		}
-		pos := len(undecided)
-		for _, row := range rows {
-			if w, ok := s.relaxWarm.rows[row]; ok {
-				st[pos] = w
-			} else {
-				st[pos] = lp.Basic
-			}
-			pos++
-		}
-		for _, c := range chars {
-			if w, ok := s.relaxWarm.chars[c]; ok {
-				st[pos] = w
-			} else {
-				st[pos] = lp.Basic
-			}
-			pos++
-		}
-		rootBasis = &lp.Basis{Status: st}
-	}
 	// The ILP engine keeps its result worker-count independent, so handing
 	// it the planner's worker budget preserves the deterministic-plan
 	// contract while the fast-convergence step stops being single-threaded.
@@ -597,8 +555,6 @@ func (s *solver) fastConvergence() {
 		Maximize:  true,
 		TimeLimit: s.opt.ILPTimeLimit,
 		Workers:   s.opt.workerCount(),
-		RootBasis: rootBasis,
-		ColdLP:    s.opt.ColdLP,
 	})
 	if err != nil || res.X == nil {
 		return

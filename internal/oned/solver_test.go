@@ -211,8 +211,8 @@ func TestPostStagesMonotoneSelection(t *testing.T) {
 }
 
 // A returned trace must not keep its solver alive: job records hold
-// Result.Trace for as long as the job is kept, and the solver owns the rows,
-// the last relaxation and the warm bases. Fifty retained traces of one
+// Result.Trace for as long as the job is kept, and the solver owns the rows
+// and the last relaxation. Fifty retained traces of one
 // instance may add only the traces themselves to the live heap.
 func TestSolveTraceDoesNotPinSolver(t *testing.T) {
 	in := gen.Small(core.OneD, 200, 4, 7)
