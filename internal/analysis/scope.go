@@ -13,7 +13,6 @@ var deterministicPkgs = map[string]bool{
 	"eblow/internal/ilp":       true,
 	"eblow/internal/exact":     true,
 	"eblow/internal/lp":        true,
-	"eblow/internal/lp/mps":    true,
 	"eblow/internal/pack2d":    true,
 	"eblow/internal/floorsa":   true,
 	"eblow/internal/batch":     true,

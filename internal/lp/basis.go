@@ -28,8 +28,8 @@ const (
 // branch-and-bound node hands the same parent basis to both children by
 // pointer, so nothing may mutate it.
 type Basis struct {
-	// Status has length NumVars()+NumConstraints() of the problem the
-	// basis was derived from: structural variables first, then one
-	// logical per constraint row.
+	// Status has length NumVars() plus the number of constraint rows of
+	// the problem the basis was derived from: structural variables first,
+	// then one logical per row.
 	Status []VarStatus
 }

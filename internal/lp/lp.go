@@ -12,19 +12,19 @@
 //
 // Lower bounds default to 0 and upper bounds to +inf.
 //
-// Solve and SolveWarm run a revised simplex over a CSC matrix with an
-// LU-factorized basis, product-form updates, native bounded variables, a
-// presolve/postsolve pass and dual-simplex warm starts (SolveWarm). The
-// original two-phase dense tableau simplex (solveDense) stays as the
-// property-test oracle; unlike the sparse solver it rejects free variables
-// (lower bound -inf).
+// Every solve goes through one revised simplex over a CSC matrix with an
+// LU-factorized basis, product-form updates and native bounded variables:
+// Solve starts it from the all-logical basis, SolveWarm from a caller's
+// basis (dual-simplex warm starts). The problem is solved as stated, so
+// every basis indexes its full variable space. The original two-phase
+// dense tableau simplex (solveDense) stays as the property-test oracle;
+// unlike the sparse solver it rejects free variables (lower bound -inf).
 package lp
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Op is a constraint comparison operator.
@@ -165,9 +165,6 @@ func (p *Problem) Clone() *Problem {
 // NumVars returns the number of decision variables.
 func (p *Problem) NumVars() int { return p.numVars }
 
-// NumConstraints returns the number of constraint rows added so far.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
 // SetObjective sets the objective coefficients and direction.
 func (p *Problem) SetObjective(c []float64, maximize bool) {
 	if len(c) != p.numVars {
@@ -176,12 +173,6 @@ func (p *Problem) SetObjective(c []float64, maximize bool) {
 	copy(p.obj, c)
 	p.maximize = maximize
 }
-
-// SetObjectiveCoeff sets a single objective coefficient.
-func (p *Problem) SetObjectiveCoeff(j int, c float64) { p.obj[j] = c }
-
-// SetMaximize sets the optimization direction.
-func (p *Problem) SetMaximize(maximize bool) { p.maximize = maximize }
 
 // SetBounds sets the bounds of variable j.
 func (p *Problem) SetBounds(j int, lo, hi float64) {
@@ -194,19 +185,6 @@ func (p *Problem) LowerBound(j int) float64 { return p.lower[j] }
 
 // UpperBound returns the upper bound of variable j.
 func (p *Problem) UpperBound(j int) float64 { return p.upper[j] }
-
-// ObjectiveCoeff returns the objective coefficient of variable j.
-func (p *Problem) ObjectiveCoeff(j int) float64 { return p.obj[j] }
-
-// Maximize reports whether the objective is maximized.
-func (p *Problem) Maximize() bool { return p.maximize }
-
-// Constraint returns row i as (terms, op, rhs). The term slice is a copy
-// and safe to retain or modify.
-func (p *Problem) Constraint(i int) ([]Term, Op, float64) {
-	c := p.cons[i]
-	return append([]Term(nil), c.terms...), c.op, c.rhs
-}
 
 // AddConstraint appends the row  sum(terms) op rhs. Terms referencing the
 // same variable are accumulated.
@@ -253,23 +231,19 @@ var ErrBadProblem = errors.New("lp: invalid problem")
 
 const eps = 1e-9
 
-// Solve runs the sparse revised simplex with presolve and returns the
-// result. The returned error is non-nil only for structurally invalid
-// problems; an infeasible or unbounded model is reported through
-// Result.Status.
+// Solve runs the sparse revised simplex from a cold (all-logical) basis
+// and returns the result. The returned error is non-nil only for
+// structurally invalid problems; an infeasible or unbounded model is
+// reported through Result.Status.
 func Solve(p *Problem) (*Result, error) {
-	return solveSparseCold(p)
+	return SolveWarm(p, nil)
 }
 
-// SolveWarm solves p starting from a previous basis and returns the final
-// basis in Result.Basis. The warm basis is not modified; branch-and-bound
-// children share their parent's basis by pointer. A nil warm basis falls
-// back to a cold solve. Warm solves skip presolve — the basis indexes the
-// full variable space.
+// SolveWarm solves p starting from a previous basis (nil means cold) and
+// returns the final basis in Result.Basis on Optimal solves. The warm
+// basis is not modified; branch-and-bound children share their parent's
+// basis by pointer.
 func SolveWarm(p *Problem, warm *Basis) (*Result, error) {
-	if warm == nil {
-		return solveSparseCold(p)
-	}
 	res, basis, err := solveSparse(p, warm)
 	if err != nil {
 		return nil, err
@@ -638,10 +612,4 @@ func (t *tableau) purgeArtificials() {
 			t.a[i][j] = 0
 		}
 	}
-}
-
-// SortTermsByVar sorts a term slice in place by variable index; handy for
-// deterministic constraint construction in callers and tests.
-func SortTermsByVar(terms []Term) {
-	sort.Slice(terms, func(i, j int) bool { return terms[i].Var < terms[j].Var })
 }

@@ -174,14 +174,6 @@ func TestOpAndStatusStrings(t *testing.T) {
 	}
 }
 
-func TestSortTermsByVar(t *testing.T) {
-	terms := []Term{{Var: 3, Coeff: 1}, {Var: 1, Coeff: 2}, {Var: 2, Coeff: 3}}
-	SortTermsByVar(terms)
-	if !sort.SliceIsSorted(terms, func(i, j int) bool { return terms[i].Var < terms[j].Var }) {
-		t.Error("terms not sorted")
-	}
-}
-
 // TestKnapsackRelaxationMatchesGreedy cross-checks the simplex against the
 // closed-form solution of the fractional knapsack problem.
 func TestKnapsackRelaxationMatchesGreedy(t *testing.T) {
@@ -337,7 +329,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	if math.Abs(cl.Objective-7) > 1e-6 { // x = (1, 2)
 		t.Errorf("clone objective %v, want 7", cl.Objective)
 	}
-	if p.UpperBound(0) != 3 || p.NumConstraints() != 1 {
+	if p.UpperBound(0) != 3 || len(p.cons) != 1 {
 		t.Error("mutating the clone leaked into the original")
 	}
 }

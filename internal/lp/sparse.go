@@ -866,7 +866,7 @@ func (s *spx) dual() (Status, bool) {
 
 // solveSparse runs the revised simplex on p, warm-starting from warm when
 // provided. It returns the result and the final basis (nil unless the
-// solve reached a terminal vertex).
+// solve reached Optimal).
 func solveSparse(p *Problem, warm *Basis) (*Result, *Basis, error) {
 	for j := 0; j < p.numVars; j++ {
 		if p.lower[j] > p.upper[j]+eps {
@@ -902,9 +902,7 @@ func solveSparse(p *Problem, warm *Basis) (*Result, *Basis, error) {
 
 	res := &Result{Status: st, Iters: s.iters}
 	if st != Optimal {
-		if st == Infeasible || st == Unbounded || st == IterationLimit {
-			return res, nil, nil
-		}
+		return res, nil, nil
 	}
 	x := make([]float64, s.n)
 	for j := 0; j < s.n; j++ {
