@@ -128,7 +128,8 @@ func newEngine(p *Problem, opt Options, workers int, stop <-chan struct{}) *engi
 		e.origHi[j] = p.LP.UpperBound(j)
 	}
 	// Per-worker clones instead of the historical mutate-and-restore of the
-	// caller's problem: each worker owns its bounds, the caller's lp.Problem
+	// caller's problem: each worker owns its bounds and its simplex
+	// workspace, which every node it solves reuses, the caller's lp.Problem
 	// is never touched, and the shared Stop channel interrupts every clone.
 	e.clones = make([]*lp.Problem, workers)
 	for w := range e.clones {

@@ -15,7 +15,7 @@ package knapsack
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Item is a knapsack item: Weight is the effective width w_i - s_i of a
@@ -83,15 +83,22 @@ func RelaxedAssignment(items []Item, capacities []float64) (*Relaxation, error) 
 			order = append(order, i)
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := items[order[a]], items[order[b]]
-		// Zero-weight items first (infinite density), then by density.
-		da := density(ia)
-		db := density(ib)
-		if da != db {
-			return da > db
+	slices.SortStableFunc(order, func(a, b int) int {
+		ia, ib := items[a], items[b]
+		// Zero-weight items first (infinite density), then by density,
+		// then by profit, both descending.
+		da, db := density(ia), density(ib)
+		switch {
+		case da > db:
+			return -1
+		case da != db:
+			return 1
+		case ia.Profit > ib.Profit:
+			return -1
+		case ia.Profit < ib.Profit:
+			return 1
 		}
-		return ia.Profit > ib.Profit
+		return 0
 	})
 
 	remaining := total

@@ -16,13 +16,14 @@
 // LU-factorized basis, product-form updates and native bounded variables:
 // Solve starts it from the all-logical basis, SolveWarm from a caller's
 // basis (dual-simplex warm starts). The problem is solved as stated, so
-// every basis indexes its full variable space. The original two-phase
-// dense tableau simplex (solveDense) stays as the property-test oracle;
-// unlike the sparse solver it rejects free variables (lower bound -inf).
+// every basis indexes its full variable space. A Problem keeps its CSC
+// matrix and simplex workspace between solves, so re-solving it under new
+// bounds (a branch-and-bound node) allocates only the result. The original
+// two-phase dense tableau simplex lives on in the tests as the oracle the
+// sparse solver is checked against.
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -93,7 +94,9 @@ type constraint struct {
 	rhs   float64
 }
 
-// Problem is a linear program under construction.
+// Problem is a linear program under construction. Solving a problem
+// writes its cached workspace, so one Problem must not be solved from two
+// goroutines at once; give each goroutine its own Clone.
 type Problem struct {
 	numVars  int
 	maximize bool
@@ -106,12 +109,18 @@ type Problem struct {
 	// Zero means the default of 50*(rows+cols)+10000.
 	MaxIters int
 
-	// Stop, when non-nil, is polled between pivots and while the dense
-	// tableau is being built; once it is closed the solve gives up with
-	// Status IterationLimit. It is how the branch-and-bound layer makes a
-	// cancelled context interrupt a solve mid-node instead of waiting out
-	// a full simplex run.
+	// Stop, when non-nil, is polled between pivots; once it is closed the
+	// solve gives up with Status IterationLimit. It is how the
+	// branch-and-bound layer makes a cancelled context interrupt a solve
+	// mid-node instead of waiting out a full simplex run.
 	Stop <-chan struct{}
+
+	// a is the constraint matrix in CSC form, built by the first solve and
+	// shared read-only with clones; AddConstraint drops it.
+	a *csc
+	// ws is the simplex workspace the last solve left behind, reused by
+	// the next one; AddConstraint drops it with the shape it was sized for.
+	ws *spx
 }
 
 // stopRequested polls the Stop channel without blocking.
@@ -148,7 +157,9 @@ func NewProblem(n int) *Problem {
 // channel is shared, which is exactly what a parallel branch-and-bound
 // search wants — one cancellation interrupts every per-worker simplex at
 // once. Constraint term slices are shared read-only; both sides may keep
-// appending constraints without affecting the other.
+// appending constraints without affecting the other. The clone shares the
+// CSC matrix read-only once p has built it, and gets a workspace of its
+// own on its first solve.
 func (p *Problem) Clone() *Problem {
 	return &Problem{
 		numVars:  p.numVars,
@@ -159,6 +170,7 @@ func (p *Problem) Clone() *Problem {
 		cons:     append([]constraint(nil), p.cons...),
 		MaxIters: p.MaxIters,
 		Stop:     p.Stop,
+		a:        p.a,
 	}
 }
 
@@ -197,6 +209,7 @@ func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) {
 	cp := make([]Term, len(terms))
 	copy(cp, terms)
 	p.cons = append(p.cons, constraint{terms: cp, op: op, rhs: rhs})
+	p.a, p.ws = nil, nil
 }
 
 // AddDense appends a dense constraint row.
@@ -226,9 +239,6 @@ type Result struct {
 	Basis *Basis
 }
 
-// ErrBadProblem reports a structurally invalid problem.
-var ErrBadProblem = errors.New("lp: invalid problem")
-
 const eps = 1e-9
 
 // Solve runs the sparse revised simplex from a cold (all-logical) basis
@@ -250,366 +260,4 @@ func SolveWarm(p *Problem, warm *Basis) (*Result, error) {
 	}
 	res.Basis = basis
 	return res, nil
-}
-
-// solveDense runs the dense two-phase tableau simplex, the oracle the
-// sparse solver is property-tested against. Unlike the sparse solver it
-// cannot represent free variables (lower bound -inf) and reports them as
-// ErrBadProblem.
-func solveDense(p *Problem) (*Result, error) {
-	for j := 0; j < p.numVars; j++ {
-		if p.lower[j] > p.upper[j]+eps {
-			return &Result{Status: Infeasible}, nil
-		}
-		if math.IsInf(p.lower[j], -1) {
-			return nil, fmt.Errorf("%w: variable %d has no finite lower bound", ErrBadProblem, j)
-		}
-	}
-	t := newTableau(p)
-	if t == nil { // stopped while building the tableau
-		return &Result{Status: IterationLimit}, nil
-	}
-	res := t.solve()
-	return res, nil
-}
-
-// tableau is the dense simplex working state. Columns are laid out as
-// [shifted decision vars | slacks/surpluses | artificials]; the last column
-// of each row is the right-hand side.
-type tableau struct {
-	p *Problem
-
-	rows, cols int // constraint rows, total structural columns (excluding rhs)
-	nDecision  int
-	nArt       int
-	artStart   int
-
-	a     [][]float64 // rows x (cols+1)
-	basis []int
-
-	objRow []float64 // cols+1, current phase objective (reduced costs layout)
-
-	maxIters int
-}
-
-func newTableau(p *Problem) *tableau {
-	// Count extra rows for finite upper bounds.
-	type row struct {
-		terms []Term
-		op    Op
-		rhs   float64
-	}
-	var rowsList []row
-	for _, c := range p.cons {
-		rowsList = append(rowsList, row{terms: c.terms, op: c.op, rhs: c.rhs})
-	}
-	for j := 0; j < p.numVars; j++ {
-		if !math.IsInf(p.upper[j], 1) {
-			rowsList = append(rowsList, row{
-				terms: []Term{{Var: j, Coeff: 1}},
-				op:    LE,
-				rhs:   p.upper[j],
-			})
-		}
-	}
-
-	m := len(rowsList)
-	t := &tableau{p: p, rows: m, nDecision: p.numVars}
-
-	// Shift variables by their lower bounds: x = x' + lo, x' >= 0.
-	shiftRHS := func(terms []Term, rhs float64) float64 {
-		for _, term := range terms {
-			rhs -= term.Coeff * p.lower[term.Var]
-		}
-		return rhs
-	}
-
-	// First pass: determine slack and artificial counts.
-	nSlack := 0
-	for i := range rowsList {
-		rhs := shiftRHS(rowsList[i].terms, rowsList[i].rhs)
-		op := rowsList[i].op
-		if rhs < 0 {
-			op = flip(op)
-		}
-		if op != EQ {
-			nSlack++
-		}
-	}
-	nArt := 0
-	for i := range rowsList {
-		rhs := shiftRHS(rowsList[i].terms, rowsList[i].rhs)
-		op := rowsList[i].op
-		if rhs < 0 {
-			op = flip(op)
-		}
-		if op != LE {
-			nArt++
-		}
-	}
-	t.nArt = nArt
-	t.artStart = p.numVars + nSlack
-	t.cols = p.numVars + nSlack + nArt
-
-	// Allocating and filling the dense matrix is the most expensive
-	// non-pivot work (hundreds of MB for the big exact formulations), so
-	// honour Stop here too — otherwise a cancelled branch-and-bound run
-	// would stall behind every node's tableau build.
-	t.a = make([][]float64, m)
-	for i := range t.a {
-		if i&1023 == 0 && p.stopRequested() {
-			return nil
-		}
-		t.a[i] = make([]float64, t.cols+1)
-	}
-	t.basis = make([]int, m)
-
-	slackIdx := p.numVars
-	artIdx := t.artStart
-	for i, r := range rowsList {
-		if i&1023 == 0 && p.stopRequested() {
-			return nil
-		}
-		rhs := shiftRHS(r.terms, r.rhs)
-		sign := 1.0
-		op := r.op
-		if rhs < 0 {
-			sign = -1
-			rhs = -rhs
-			op = flip(op)
-		}
-		for _, term := range r.terms {
-			t.a[i][term.Var] += sign * term.Coeff
-		}
-		t.a[i][t.cols] = rhs
-		switch op {
-		case LE:
-			t.a[i][slackIdx] = 1
-			t.basis[i] = slackIdx
-			slackIdx++
-		case GE:
-			t.a[i][slackIdx] = -1
-			slackIdx++
-			t.a[i][artIdx] = 1
-			t.basis[i] = artIdx
-			artIdx++
-		case EQ:
-			t.a[i][artIdx] = 1
-			t.basis[i] = artIdx
-			artIdx++
-		}
-	}
-
-	t.maxIters = p.MaxIters
-	if t.maxIters <= 0 {
-		t.maxIters = 50*(m+t.cols) + 10000
-	}
-	return t
-}
-
-func flip(op Op) Op {
-	switch op {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	default:
-		return EQ
-	}
-}
-
-// solve runs phase 1 (if artificials exist) and phase 2.
-func (t *tableau) solve() *Result {
-	iters := 0
-
-	if t.nArt > 0 {
-		// Phase 1: maximize -(sum of artificials).
-		t.objRow = make([]float64, t.cols+1)
-		for j := t.artStart; j < t.cols; j++ {
-			t.objRow[j] = -1
-		}
-		t.priceOut()
-		st, n := t.iterate(t.maxIters)
-		iters += n
-		if st == IterationLimit {
-			return &Result{Status: IterationLimit, Iters: iters}
-		}
-		if t.objValue() < -1e-7 {
-			return &Result{Status: Infeasible, Iters: iters}
-		}
-		t.purgeArtificials()
-	}
-
-	// Phase 2: the real objective on the shifted variables.
-	t.objRow = make([]float64, t.cols+1)
-	sign := 1.0
-	if !t.p.maximize {
-		sign = -1
-	}
-	for j := 0; j < t.nDecision; j++ {
-		t.objRow[j] = sign * t.p.obj[j]
-	}
-	t.priceOut()
-	st, n := t.iterate(t.maxIters - iters)
-	iters += n
-	if st == Unbounded {
-		return &Result{Status: Unbounded, Iters: iters}
-	}
-	if st == IterationLimit {
-		return &Result{Status: IterationLimit, Iters: iters}
-	}
-
-	x := make([]float64, t.nDecision)
-	for j := range x {
-		x[j] = t.p.lower[j]
-	}
-	for i, b := range t.basis {
-		if b < t.nDecision {
-			x[b] = t.p.lower[b] + t.a[i][t.cols]
-		}
-	}
-	obj := 0.0
-	for j, c := range t.p.obj {
-		obj += c * x[j]
-	}
-	return &Result{Status: Optimal, Objective: obj, X: x, Iters: iters}
-}
-
-// priceOut rewrites the objective row in terms of the current non-basic
-// variables (subtracts multiples of the constraint rows so that basic
-// columns have zero reduced cost).
-func (t *tableau) priceOut() {
-	for i, b := range t.basis {
-		c := t.objRow[b]
-		if c == 0 {
-			continue
-		}
-		for j := 0; j <= t.cols; j++ {
-			t.objRow[j] -= c * t.a[i][j]
-		}
-	}
-}
-
-// objValue returns the current phase objective value (for the maximization
-// form used internally).
-func (t *tableau) objValue() float64 { return -t.objRow[t.cols] }
-
-// iterate performs simplex pivots until optimality, unboundedness or the
-// iteration budget is exhausted. It uses Dantzig pricing and switches to
-// Bland's rule after a long stall to guarantee termination.
-func (t *tableau) iterate(budget int) (Status, int) {
-	iters := 0
-	blandAfter := 2*(t.rows+t.cols) + 200
-	for {
-		if iters >= budget {
-			return IterationLimit, iters
-		}
-		if t.p.stopRequested() {
-			return IterationLimit, iters
-		}
-		useBland := iters > blandAfter
-
-		// Choose entering column: most positive reduced cost (Dantzig) or
-		// first positive (Bland).
-		enter := -1
-		best := eps
-		for j := 0; j < t.cols; j++ {
-			rc := t.objRow[j]
-			if rc > eps {
-				if useBland {
-					enter = j
-					break
-				}
-				if rc > best {
-					best = rc
-					enter = j
-				}
-			}
-		}
-		if enter < 0 {
-			return Optimal, iters
-		}
-
-		// Ratio test.
-		leave := -1
-		var bestRatio float64
-		for i := 0; i < t.rows; i++ {
-			a := t.a[i][enter]
-			if a > eps {
-				ratio := t.a[i][t.cols] / a
-				if leave < 0 || ratio < bestRatio-eps ||
-					(math.Abs(ratio-bestRatio) <= eps && t.basis[i] < t.basis[leave]) {
-					leave = i
-					bestRatio = ratio
-				}
-			}
-		}
-		if leave < 0 {
-			return Unbounded, iters
-		}
-
-		t.pivot(leave, enter)
-		iters++
-	}
-}
-
-// pivot makes column `enter` basic in row `leave`.
-func (t *tableau) pivot(leave, enter int) {
-	piv := t.a[leave][enter]
-	invPiv := 1.0 / piv
-	rowL := t.a[leave]
-	for j := 0; j <= t.cols; j++ {
-		rowL[j] *= invPiv
-	}
-	for i := 0; i < t.rows; i++ {
-		if i == leave {
-			continue
-		}
-		f := t.a[i][enter]
-		if f == 0 {
-			continue
-		}
-		row := t.a[i]
-		for j := 0; j <= t.cols; j++ {
-			row[j] -= f * rowL[j]
-		}
-	}
-	f := t.objRow[enter]
-	if f != 0 {
-		for j := 0; j <= t.cols; j++ {
-			t.objRow[j] -= f * rowL[j]
-		}
-	}
-	t.basis[leave] = enter
-}
-
-// purgeArtificials removes artificial variables from the basis after phase 1
-// when possible, and neutralises their columns so phase 2 never re-enters
-// them.
-func (t *tableau) purgeArtificials() {
-	for i := 0; i < t.rows; i++ {
-		if t.basis[i] < t.artStart {
-			continue
-		}
-		// Basic artificial at (numerically) zero level: try to pivot in any
-		// non-artificial column with a nonzero coefficient.
-		pivoted := false
-		for j := 0; j < t.artStart; j++ {
-			if math.Abs(t.a[i][j]) > 1e-7 {
-				t.pivot(i, j)
-				pivoted = true
-				break
-			}
-		}
-		if !pivoted {
-			// Row is redundant; leave the artificial basic at level ~0.
-			t.a[i][t.cols] = 0
-		}
-	}
-	// Block artificial columns from ever being selected again.
-	for i := 0; i < t.rows; i++ {
-		for j := t.artStart; j < t.cols; j++ {
-			t.a[i][j] = 0
-		}
-	}
 }

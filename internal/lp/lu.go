@@ -13,36 +13,45 @@ import "math"
 // ftran solves B z = rhs (z indexed by basis position), btran solves
 // B' y = c (c indexed by basis position, y by row) — the two kernels every
 // revised-simplex iteration is built from.
+//
+// Every array is kept across factorizations and only truncated, so once
+// the buffers have grown to a basis's size, refactorizing and updating
+// allocate nothing.
 type luFactor struct {
 	m int
 
-	// LU factors, one entry per pivot t in elimination order: pivRow[t]
-	// is the pivot row, pivVal[t] the pivot value, lRows/lVals[t] the
-	// below-pivot multipliers (rows still unpivoted at stage t) and
-	// uRows/uVals[t] the column-t entries of U in earlier pivot
-	// coordinates (t2 < t).
+	// LU factors, one entry per pivot t in elimination order, stored
+	// flat: pivRow[t] is the pivot row, pivVal[t] the pivot value,
+	// lIdx/lVal[lPtr[t]:lPtr[t+1]] the below-pivot multipliers (rows still
+	// unpivoted at stage t) and uIdx/uVal[uPtr[t]:uPtr[t+1]] the column-t
+	// entries of U in earlier pivot coordinates (t2 < t).
 	pivRow []int32
 	pivVal []float64
-	lRows  [][]int32
-	lVals  [][]float64
-	uRows  [][]int32
-	uVals  [][]float64
+	lPtr   []int32
+	lIdx   []int32
+	lVal   []float64
+	uPtr   []int32
+	uIdx   []int32
+	uVal   []float64
 
-	// Product-form update etas, in application order. Each records the
-	// basis position it replaced, the pivot element of the transformed
-	// entering column and the remaining nonzero entries.
-	etas []luEta
+	// Product-form update etas, in application order, stored flat the same
+	// way: eta e replaced basis position etaPos[e], etaPiv[e] is the pivot
+	// element of the transformed entering column and
+	// etaIdx/etaVal[etaPtr[e]:etaPtr[e+1]] its remaining nonzero entries.
+	etaPos []int32
+	etaPiv []float64
+	etaPtr []int32
+	etaIdx []int32
+	etaVal []float64
 
-	// scratch buffers reused across solves
-	work []float64
-	ybuf []float64
-}
-
-type luEta struct {
-	pos  int32
-	piv  float64
-	rows []int32
-	vals []float64
+	// Scratch: the dense elimination column, its nonzero rows, the rows
+	// pivoted so far, the repairs of the last factorization and the
+	// triangular solves' pivot-coordinate vector.
+	work    []float64
+	touched []int32
+	pivoted []bool
+	repairs []basisRepair
+	ybuf    []float64
 }
 
 // singTol is the absolute pivot magnitude below which a basis column is
@@ -65,76 +74,46 @@ type basisRepair struct {
 	row    int
 }
 
-// factorize rebuilds the LU factors for the basis described by heading.
-// column(v, scatter) must invoke scatter(row, val) for every nonzero of
-// variable v's standard-form column. When a column turns out dependent it
-// is replaced in heading by the logical of the lowest-numbered unpivoted
-// row whose logical is not already basic, and the replacement is returned
-// so the caller can fix variable statuses. inBasis must report, per
-// logical row index, whether that row's logical is currently in heading;
+// factorize rebuilds the LU factors for the basis described by heading,
+// whose structural columns (variables below n) are the columns of a and
+// whose logical n+i is the unit column e_i. When a column turns out
+// dependent it is replaced in heading by the logical of the
+// lowest-numbered unpivoted row whose logical is not already basic, and
+// the replacement is returned so the caller can fix variable statuses; the
+// returned slice is valid until the next factorize. logicalInBasis must
+// report, per row, whether that row's logical is currently in heading;
 // factorize updates it for replacements.
-func (f *luFactor) factorize(m int, heading []int, logicalBase int,
-	column func(v int, scatter func(row int32, val float64)),
-	logicalInBasis []bool) []basisRepair {
-
+func (f *luFactor) factorize(heading []int, a *csc, n int, logicalInBasis []bool) []basisRepair {
+	m := len(heading)
 	f.m = m
 	f.pivRow = f.pivRow[:0]
 	f.pivVal = f.pivVal[:0]
-	f.lRows = f.lRows[:0]
-	f.lVals = f.lVals[:0]
-	f.uRows = f.uRows[:0]
-	f.uVals = f.uVals[:0]
-	f.etas = f.etas[:0]
-	if cap(f.work) < m {
+	f.lPtr = append(f.lPtr[:0], 0)
+	f.lIdx = f.lIdx[:0]
+	f.lVal = f.lVal[:0]
+	f.uPtr = append(f.uPtr[:0], 0)
+	f.uIdx = f.uIdx[:0]
+	f.uVal = f.uVal[:0]
+	f.etaPos = f.etaPos[:0]
+	f.etaPiv = f.etaPiv[:0]
+	f.etaPtr = append(f.etaPtr[:0], 0)
+	f.etaIdx = f.etaIdx[:0]
+	f.etaVal = f.etaVal[:0]
+	if len(f.work) != m {
 		f.work = make([]float64, m)
+		f.pivoted = make([]bool, m)
 		f.ybuf = make([]float64, m)
 	}
-	work := f.work[:m]
-	for i := range work {
-		work[i] = 0
-	}
-
-	pivoted := make([]bool, m)
-	var repairs []basisRepair
-	var touched []int32
-
-	loadColumn := func(v int) {
-		for _, r := range touched {
-			work[r] = 0
-		}
-		touched = touched[:0]
-		column(v, func(row int32, val float64) {
-			if work[row] == 0 && val != 0 {
-				touched = append(touched, row)
-			}
-			work[row] += val
-		})
-	}
+	work := f.work
+	clear(work)
+	clear(f.pivoted)
+	f.touched = f.touched[:0]
+	f.repairs = f.repairs[:0]
 
 	for t := 0; t < m; t++ {
-		loadColumn(heading[t])
-
-		eliminate := func() (ur []int32, uv []float64) {
-			for t2 := 0; t2 < t; t2++ {
-				pr := f.pivRow[t2]
-				fv := work[pr]
-				if fv == 0 {
-					continue
-				}
-				ur = append(ur, int32(t2))
-				uv = append(uv, fv)
-				work[pr] = 0
-				lr, lv := f.lRows[t2], f.lVals[t2]
-				for k, row := range lr {
-					if work[row] == 0 {
-						touched = append(touched, row)
-					}
-					work[row] -= fv * lv[k]
-				}
-			}
-			return ur, uv
-		}
-		ur, uv := eliminate()
+		f.loadColumn(heading[t], a, n)
+		uStart := len(f.uIdx)
+		f.eliminate(t)
 
 		// Partial pivoting over the unpivoted rows; strict max with the
 		// smallest row index winning ties keeps the factorization (and
@@ -142,7 +121,7 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 		piv := -1
 		best := 0.0
 		for r := 0; r < m; r++ {
-			if pivoted[r] {
+			if f.pivoted[r] {
 				continue
 			}
 			if a := math.Abs(work[r]); a > best {
@@ -157,7 +136,7 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 			// unpivoted, so no U entry fires), leaving a clean unit pivot.
 			rr := -1
 			for r := 0; r < m; r++ {
-				if !pivoted[r] && !logicalInBasis[r] {
+				if !f.pivoted[r] && !logicalInBasis[r] {
 					rr = r
 					break
 				}
@@ -169,20 +148,21 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 				// (cold restart); in practice this cannot happen because
 				// a logical column is never dependent.
 				for r := 0; r < m; r++ {
-					if !pivoted[r] {
+					if !f.pivoted[r] {
 						rr = r
 						break
 					}
 				}
 			}
-			repairs = append(repairs, basisRepair{pos: t, oldVar: heading[t], row: rr})
-			if old := heading[t] - logicalBase; old >= 0 && old < m {
+			f.repairs = append(f.repairs, basisRepair{pos: t, oldVar: heading[t], row: rr})
+			if old := heading[t] - n; old >= 0 && old < m {
 				logicalInBasis[old] = false
 			}
-			heading[t] = logicalBase + rr
+			heading[t] = n + rr
 			logicalInBasis[rr] = true
-			loadColumn(heading[t])
-			ur, uv = eliminate()
+			f.loadColumn(heading[t], a, n)
+			f.uIdx, f.uVal = f.uIdx[:uStart], f.uVal[:uStart]
+			f.eliminate(t)
 			piv = rr
 			if work[piv] == 0 {
 				work[piv] = 1 // defensive; e_rr survives elimination intact
@@ -190,11 +170,9 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 		}
 
 		pv := work[piv]
-		pivoted[piv] = true
-		var lr []int32
-		var lv []float64
-		for _, r := range touched {
-			if pivoted[r] {
+		f.pivoted[piv] = true
+		for _, r := range f.touched {
+			if f.pivoted[r] {
 				continue
 			}
 			v := work[r]
@@ -205,18 +183,65 @@ func (f *luFactor) factorize(m int, heading []int, logicalBase int,
 			// cancelled to zero, set again) is only extracted once.
 			work[r] = 0
 			if math.Abs(v) > luDropTol {
-				lr = append(lr, r)
-				lv = append(lv, v/pv)
+				f.lIdx = append(f.lIdx, r)
+				f.lVal = append(f.lVal, v/pv)
 			}
 		}
 		f.pivRow = append(f.pivRow, int32(piv))
 		f.pivVal = append(f.pivVal, pv)
-		f.lRows = append(f.lRows, lr)
-		f.lVals = append(f.lVals, lv)
-		f.uRows = append(f.uRows, ur)
-		f.uVals = append(f.uVals, uv)
+		f.lPtr = append(f.lPtr, int32(len(f.lIdx)))
+		f.uPtr = append(f.uPtr, int32(len(f.uIdx)))
 	}
-	return repairs
+	return f.repairs
+}
+
+// loadColumn clears the previous column from work and scatters variable
+// v's standard-form column into it, listing every row it makes nonzero in
+// touched.
+func (f *luFactor) loadColumn(v int, a *csc, n int) {
+	for _, r := range f.touched {
+		f.work[r] = 0
+	}
+	f.touched = f.touched[:0]
+	if v >= n {
+		f.scatter(int32(v-n), 1)
+		return
+	}
+	for k := a.colPtr[v]; k < a.colPtr[v+1]; k++ {
+		f.scatter(a.rowIdx[k], a.colVal[k])
+	}
+}
+
+// scatter adds val to work[row], listing row in touched when it turns
+// nonzero.
+func (f *luFactor) scatter(row int32, val float64) {
+	if f.work[row] == 0 && val != 0 {
+		f.touched = append(f.touched, row)
+	}
+	f.work[row] += val
+}
+
+// eliminate applies the first t pivots to the column in work, appending
+// the column's U entries to uIdx/uVal.
+func (f *luFactor) eliminate(t int) {
+	work := f.work
+	for t2 := 0; t2 < t; t2++ {
+		pr := f.pivRow[t2]
+		fv := work[pr]
+		if fv == 0 {
+			continue
+		}
+		f.uIdx = append(f.uIdx, int32(t2))
+		f.uVal = append(f.uVal, fv)
+		work[pr] = 0
+		for k := f.lPtr[t2]; k < f.lPtr[t2+1]; k++ {
+			row := f.lIdx[k]
+			if work[row] == 0 {
+				f.touched = append(f.touched, row)
+			}
+			work[row] -= fv * f.lVal[k]
+		}
+	}
 }
 
 // ftran solves B z = rhs in place: rhs is indexed by row on input and by
@@ -228,9 +253,8 @@ func (f *luFactor) ftran(v []float64) {
 	for t := 0; t < m; t++ {
 		ft := v[f.pivRow[t]]
 		if ft != 0 {
-			lr, lv := f.lRows[t], f.lVals[t]
-			for k, row := range lr {
-				v[row] -= ft * lv[k]
+			for k := f.lPtr[t]; k < f.lPtr[t+1]; k++ {
+				v[f.lIdx[k]] -= ft * f.lVal[k]
 			}
 		}
 		y[t] = ft
@@ -240,21 +264,19 @@ func (f *luFactor) ftran(v []float64) {
 		x := y[t] / f.pivVal[t]
 		y[t] = x
 		if x != 0 {
-			ur, uv := f.uRows[t], f.uVals[t]
-			for k, t2 := range ur {
-				y[t2] -= uv[k] * x
+			for k := f.uPtr[t]; k < f.uPtr[t+1]; k++ {
+				y[f.uIdx[k]] -= f.uVal[k] * x
 			}
 		}
 	}
 	copy(v, y)
 	// Update etas, in application order.
-	for e := range f.etas {
-		eta := &f.etas[e]
-		ft := v[eta.pos] / eta.piv
-		v[eta.pos] = ft
+	for e, pos := range f.etaPos {
+		ft := v[pos] / f.etaPiv[e]
+		v[pos] = ft
 		if ft != 0 {
-			for k, i := range eta.rows {
-				v[i] -= eta.vals[k] * ft
+			for k := f.etaPtr[e]; k < f.etaPtr[e+1]; k++ {
+				v[f.etaIdx[k]] -= f.etaVal[k] * ft
 			}
 		}
 	}
@@ -265,33 +287,29 @@ func (f *luFactor) ftran(v []float64) {
 func (f *luFactor) btran(v []float64) {
 	m := f.m
 	// Update etas transposed, in reverse order.
-	for e := len(f.etas) - 1; e >= 0; e-- {
-		eta := &f.etas[e]
-		s := v[eta.pos]
-		for k, i := range eta.rows {
-			s -= eta.vals[k] * v[i]
+	for e := len(f.etaPos) - 1; e >= 0; e-- {
+		pos := f.etaPos[e]
+		s := v[pos]
+		for k := f.etaPtr[e]; k < f.etaPtr[e+1]; k++ {
+			s -= f.etaVal[k] * v[f.etaIdx[k]]
 		}
-		v[eta.pos] = s / eta.piv
+		v[pos] = s / f.etaPiv[e]
 	}
 	// U' forward substitution (basis positions -> pivot coordinates).
 	y := f.ybuf[:m]
 	for t := 0; t < m; t++ {
 		s := v[t]
-		ur, uv := f.uRows[t], f.uVals[t]
-		for k, t2 := range ur {
-			s -= uv[k] * y[t2]
+		for k := f.uPtr[t]; k < f.uPtr[t+1]; k++ {
+			s -= f.uVal[k] * y[f.uIdx[k]]
 		}
 		y[t] = s / f.pivVal[t]
 	}
 	// L' backward pass scatters into row space.
-	for i := 0; i < m; i++ {
-		v[i] = 0
-	}
+	clear(v[:m])
 	for t := m - 1; t >= 0; t-- {
 		s := y[t]
-		lr, lv := f.lRows[t], f.lVals[t]
-		for k, row := range lr {
-			s -= lv[k] * v[row]
+		for k := f.lPtr[t]; k < f.lPtr[t+1]; k++ {
+			s -= f.lVal[k] * v[f.lIdx[k]]
 		}
 		v[f.pivRow[t]] = s
 	}
@@ -306,20 +324,20 @@ func (f *luFactor) update(pos int, alpha []float64) bool {
 	if math.Abs(piv) < singTol {
 		return false
 	}
-	var rows []int32
-	var vals []float64
 	for i, a := range alpha {
 		if i == pos {
 			continue
 		}
 		if math.Abs(a) > luDropTol {
-			rows = append(rows, int32(i))
-			vals = append(vals, a)
+			f.etaIdx = append(f.etaIdx, int32(i))
+			f.etaVal = append(f.etaVal, a)
 		}
 	}
-	f.etas = append(f.etas, luEta{pos: int32(pos), piv: piv, rows: rows, vals: vals})
+	f.etaPos = append(f.etaPos, int32(pos))
+	f.etaPiv = append(f.etaPiv, piv)
+	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
 	return true
 }
 
 // numEtas returns the current eta-file length (pivots since refactorize).
-func (f *luFactor) numEtas() int { return len(f.etas) }
+func (f *luFactor) numEtas() int { return len(f.etaPos) }

@@ -1,8 +1,9 @@
 package lp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sparse revised simplex over the standard form  A x + s = b  with native
@@ -36,17 +37,73 @@ const (
 // of the whole MaxIters budget.
 func stallLimit(m int) int { return 64 + m/4 }
 
+// csc is a problem's constraint matrix in compressed sparse column form:
+// the nonzeros of structural column j are rowIdx/colVal[colPtr[j]:colPtr[j+1]]
+// in ascending row order. Logical column n+i is the unit column e_i and is
+// never stored. A Problem builds it once and shares it read-only with its
+// clones.
+type csc struct {
+	colPtr []int32
+	rowIdx []int32
+	colVal []float64
+}
+
+// buildCSC gathers p's constraint terms as (col,row,val) triplets, sorts
+// them and accumulates duplicates within one row, mirroring the dense
+// oracle's += semantics for repeated variables.
+func buildCSC(p *Problem) *csc {
+	type trip struct {
+		col, row int32
+		val      float64
+	}
+	var trips []trip
+	for i, c := range p.cons {
+		for _, t := range c.terms {
+			if t.Coeff != 0 {
+				trips = append(trips, trip{col: int32(t.Var), row: int32(i), val: t.Coeff})
+			}
+		}
+	}
+	slices.SortFunc(trips, func(a, b trip) int {
+		if a.col != b.col {
+			return cmp.Compare(a.col, b.col)
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	a := &csc{colPtr: make([]int32, p.numVars+1)}
+	for k := 0; k < len(trips); {
+		c, r := trips[k].col, trips[k].row
+		v := trips[k].val
+		k++
+		for k < len(trips) && trips[k].col == c && trips[k].row == r {
+			v += trips[k].val
+			k++
+		}
+		if v != 0 {
+			a.rowIdx = append(a.rowIdx, r)
+			a.colVal = append(a.colVal, v)
+			a.colPtr[c+1]++
+		}
+	}
+	for c := 0; c < p.numVars; c++ {
+		a.colPtr[c+1] += a.colPtr[c]
+	}
+	return a
+}
+
+// spx is the simplex workspace of one Problem. It is sized by the
+// problem's shape (variables and rows) and kept on the problem between
+// solves, so a branch-and-bound worker re-solving its clone under new
+// bounds allocates nothing but the result. Every solve overwrites all of
+// its state before reading it; what one solve leaves behind never reaches
+// the next.
 type spx struct {
 	p   *Problem
 	m   int // rows
 	n   int // structural variables
 	tot int // n + m
 
-	// Structural columns in CSC order; logical j >= n is the unit column
-	// e_{j-n} and is never stored.
-	colPtr []int32
-	rowIdx []int32
-	colVal []float64
+	*csc
 
 	cost []float64 // internal minimize costs, len tot (logicals are 0)
 	lo   []float64 // len tot
@@ -67,13 +124,21 @@ type spx struct {
 	alpha []float64 // ftran image of the entering column, by position
 	y     []float64 // btran image of the basic costs, by row
 	rho   []float64 // btran image of a unit row vector, by row
+	grad  []float64 // phase-1 cost gradient, by position
 }
 
+// newSpx sizes a workspace for p and fills the parts that only change with
+// the constraint list: the CSC matrix (built on p unless a clone shares
+// it), the row right-hand sides and the logicals' bounds.
 func newSpx(p *Problem) *spx {
 	n := p.numVars
 	m := len(p.cons)
+	if p.a == nil {
+		p.a = buildCSC(p)
+	}
 	s := &spx{
 		p: p, m: m, n: n, tot: n + m,
+		csc:  p.a,
 		cost: make([]float64, n+m),
 		lo:   make([]float64, n+m),
 		up:   make([]float64, n+m),
@@ -87,31 +152,10 @@ func newSpx(p *Problem) *spx {
 		alpha: make([]float64, m),
 		y:     make([]float64, m),
 		rho:   make([]float64, m),
+		grad:  make([]float64, m),
 	}
-	for j := 0; j < n; j++ {
-		if p.maximize {
-			s.cost[j] = -p.obj[j]
-		} else {
-			s.cost[j] = p.obj[j]
-		}
-		s.lo[j] = p.lower[j]
-		s.up[j] = p.upper[j]
-	}
-	// Build the CSC matrix. Terms are gathered as (col,row,val) triplets,
-	// sorted, and duplicates within one row accumulated, mirroring the
-	// dense solver's += semantics for repeated variables.
-	type trip struct {
-		col, row int32
-		val      float64
-	}
-	var trips []trip
 	for i, c := range p.cons {
 		s.b[i] = c.rhs
-		for _, t := range c.terms {
-			if t.Coeff != 0 {
-				trips = append(trips, trip{col: int32(t.Var), row: int32(i), val: t.Coeff})
-			}
-		}
 		lj := n + i
 		switch c.op {
 		case LE:
@@ -122,35 +166,28 @@ func newSpx(p *Problem) *spx {
 			s.lo[lj], s.up[lj] = 0, 0
 		}
 	}
-	sort.Slice(trips, func(a, b int) bool {
-		if trips[a].col != trips[b].col {
-			return trips[a].col < trips[b].col
+	return s
+}
+
+// load copies the parts of p a caller may change between solves (the
+// objective, the bounds and MaxIters) into the workspace and resets the
+// pivot count.
+func (s *spx) load() {
+	p := s.p
+	for j := 0; j < s.n; j++ {
+		if p.maximize {
+			s.cost[j] = -p.obj[j]
+		} else {
+			s.cost[j] = p.obj[j]
 		}
-		return trips[a].row < trips[b].row
-	})
-	s.colPtr = make([]int32, n+1)
-	for k := 0; k < len(trips); {
-		c, r := trips[k].col, trips[k].row
-		v := trips[k].val
-		k++
-		for k < len(trips) && trips[k].col == c && trips[k].row == r {
-			v += trips[k].val
-			k++
-		}
-		if v != 0 {
-			s.rowIdx = append(s.rowIdx, r)
-			s.colVal = append(s.colVal, v)
-			s.colPtr[c+1]++
-		}
+		s.lo[j] = p.lower[j]
+		s.up[j] = p.upper[j]
 	}
-	for c := 0; c < n; c++ {
-		s.colPtr[c+1] += s.colPtr[c]
-	}
+	s.iters = 0
 	s.maxIters = p.MaxIters
 	if s.maxIters <= 0 {
-		s.maxIters = 50*(m+s.tot) + 10000
+		s.maxIters = 50*(s.m+s.tot) + 10000
 	}
-	return s
 }
 
 // colScatter invokes fn for every nonzero of variable v's standard-form
@@ -281,7 +318,7 @@ func (s *spx) adoptBasis(warm *Basis) {
 // factorizeNow rebuilds the LU factors, applies any singularity repairs
 // to the status vector, and recomputes the basic values.
 func (s *spx) factorizeNow() {
-	repairs := s.lu.factorize(s.m, s.heading, s.n, s.colScatter, s.logicalInBasis)
+	repairs := s.lu.factorize(s.heading, s.csc, s.n, s.logicalInBasis)
 	for _, rp := range repairs {
 		s.status[rp.oldVar] = s.defaultStatus(rp.oldVar)
 		s.status[s.n+rp.row] = Basic
@@ -549,7 +586,7 @@ func (s *spx) phase1() Status {
 	bland := false
 	stall := 0
 	limit := stallLimit(s.m)
-	w := make([]float64, s.m)
+	w := s.grad
 	for {
 		if s.iters >= s.maxIters || s.p.stopRequested() {
 			return IterationLimit
@@ -873,7 +910,11 @@ func solveSparse(p *Problem, warm *Basis) (*Result, *Basis, error) {
 			return &Result{Status: Infeasible}, nil, nil
 		}
 	}
-	s := newSpx(p)
+	if p.ws == nil {
+		p.ws = newSpx(p)
+	}
+	s := p.ws
+	s.load()
 	s.adoptBasis(warm)
 	s.factorizeNow()
 

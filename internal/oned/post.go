@@ -1,7 +1,8 @@
 package oned
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"eblow/internal/core"
 	"eblow/internal/matching"
@@ -57,18 +58,28 @@ func (s *solver) postSwapOnce() bool {
 		var bestMax, bestTotal int64
 
 		// after returns the maximum and total region time once u replaces
-		// v, and also v2 when v2 >= 0.
+		// v, and also v2 when v2 >= 0. It returns early, with that region's
+		// time as the maximum, once one region exceeds the maximum a move
+		// must beat (curMax, or bestMax once a move is found): wins rejects
+		// such a move whatever the other regions hold.
 		after := func(v, v2 int) (int64, int64) {
 			rv := s.red[v*s.nr : (v+1)*s.nr]
 			var rv2 []int64
 			if v2 >= 0 {
 				rv2 = s.red[v2*s.nr : (v2+1)*s.nr]
 			}
+			bound := curMax
+			if bestRow >= 0 {
+				bound = bestMax
+			}
 			var newMax, newTotal int64
 			for c := range times {
 				t := times[c] - ru[c] + rv[c]
 				if rv2 != nil {
 					t += rv2[c]
+				}
+				if t > bound {
+					return t, 0
 				}
 				if t > newMax {
 					newMax = t
@@ -320,11 +331,11 @@ func (s *solver) unselectedByProfit(profits []float64, limit int) []int {
 			ids = append(ids, i)
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		if profits[ids[a]] != profits[ids[b]] {
-			return profits[ids[a]] > profits[ids[b]]
+	slices.SortFunc(ids, func(a, b int) int {
+		if profits[a] != profits[b] {
+			return descending(profits[a], profits[b])
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
 	if len(ids) > limit {
 		ids = ids[:limit]

@@ -1,7 +1,8 @@
 package oned
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"eblow/internal/core"
 	"eblow/internal/par"
@@ -41,13 +42,13 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 		return nil
 	}
 	sorted := append([]int(nil), chars...)
-	sort.Slice(sorted, func(a, b int) bool {
-		sa := in.Characters[sorted[a]].SymmetricHBlank()
-		sb := in.Characters[sorted[b]].SymmetricHBlank()
+	slices.SortFunc(sorted, func(a, b int) int {
+		sa := in.Characters[a].SymmetricHBlank()
+		sb := in.Characters[b].SymmetricHBlank()
 		if sa != sb {
-			return sa > sb
+			return cmp.Compare(sb, sa)
 		}
-		return sorted[a] < sorted[b]
+		return cmp.Compare(a, b)
 	})
 
 	// hist links every kept state of every step, in step order, so back
@@ -128,14 +129,14 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 // as well from A). If more than limit solutions survive, the narrowest ones
 // are kept.
 func pruneInferior(sols []dpState, limit int) []dpState {
-	sort.Slice(sols, func(i, j int) bool {
-		if sols[i].width != sols[j].width {
-			return sols[i].width < sols[j].width
+	slices.SortFunc(sols, func(a, b dpState) int {
+		if a.width != b.width {
+			return cmp.Compare(a.width, b.width)
 		}
-		if sols[i].left != sols[j].left {
-			return sols[i].left > sols[j].left
+		if a.left != b.left {
+			return cmp.Compare(b.left, a.left)
 		}
-		return sols[i].right > sols[j].right
+		return cmp.Compare(b.right, a.right)
 	})
 	// kept is a prefix of sols that never overtakes the read position.
 	kept := sols[:0]

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"eblow/internal/core"
@@ -326,10 +326,6 @@ func (s *solver) solveRelaxation(unsolved []int, caps []float64) ([][]float64, e
 // round the variables close to the iteration maximum, update profits and
 // repeat until the stencil is full or assignments stall.
 func (s *solver) successiveRounding() {
-	type entry struct {
-		char, row int
-		value     float64
-	}
 	for iter := 0; iter < s.opt.MaxIterations; iter++ {
 		if s.ctx.Err() != nil {
 			return
@@ -352,7 +348,7 @@ func (s *solver) successiveRounding() {
 		}
 
 		apq := 0.0
-		var entries []entry
+		var entries []roundingEntry
 		for k, i := range unsolved {
 			for j := 0; j < s.m; j++ {
 				v := a[k][j]
@@ -360,7 +356,7 @@ func (s *solver) successiveRounding() {
 					apq = v
 				}
 				if v > 1e-9 {
-					entries = append(entries, entry{char: i, row: j, value: v})
+					entries = append(entries, roundingEntry{char: i, row: j, value: v})
 				}
 			}
 		}
@@ -369,21 +365,11 @@ func (s *solver) successiveRounding() {
 			return
 		}
 		threshold := apq * s.opt.Thinv
-		// Round in the relaxation's own ranking: by fractional value, then by
-		// profit density. Density keeps the realised selection close to the
-		// fractional-knapsack optimum of the relaxation; ranking ties by
-		// absolute profit instead measurably erodes the total reduction.
-		density := func(i int) float64 {
+		sortRoundingEntries(entries, func(i int) float64 {
 			if s.effW[i] <= 0 {
 				return s.profits[i]
 			}
 			return s.profits[i] / float64(s.effW[i])
-		}
-		sort.Slice(entries, func(x, y int) bool {
-			if entries[x].value != entries[y].value {
-				return entries[x].value > entries[y].value
-			}
-			return density(entries[x].char) > density(entries[y].char)
 		})
 
 		capAssign := s.opt.MaxAssignPerIteration
@@ -507,7 +493,7 @@ func (s *solver) fastConvergence() {
 		return
 	}
 	if len(undecided) > s.opt.MaxILPVariables {
-		sort.Slice(undecided, func(x, y int) bool { return undecided[x].value > undecided[y].value })
+		slices.SortFunc(undecided, func(x, y pair) int { return descending(x.value, y.value) })
 		undecided = undecided[:s.opt.MaxILPVariables]
 	}
 	s.trace.FastILPVariables = len(undecided)
@@ -536,7 +522,7 @@ func (s *solver) fastConvergence() {
 	for row := range rowTerms {
 		rows = append(rows, row)
 	}
-	sort.Ints(rows)
+	slices.Sort(rows)
 	for _, row := range rows {
 		prob.AddConstraint(rowTerms[row], lp.LE, caps[row])
 	}
@@ -544,7 +530,7 @@ func (s *solver) fastConvergence() {
 	for c := range charTerms {
 		chars = append(chars, c)
 	}
-	sort.Ints(chars)
+	slices.Sort(chars)
 	for _, c := range chars {
 		prob.AddConstraint(charTerms[c], lp.LE, 1)
 	}
@@ -571,7 +557,7 @@ func (s *solver) fastConvergence() {
 			picks = append(picks, chosen{p})
 		}
 	}
-	sort.Slice(picks, func(x, y int) bool { return picks[x].value > picks[y].value })
+	slices.SortFunc(picks, func(x, y chosen) int { return descending(x.value, y.value) })
 	for _, c := range picks {
 		if !s.solved[c.char] && s.fits(c.char, c.row) {
 			s.assign(c.char, c.row)
@@ -622,7 +608,7 @@ func (s *solver) convergeTail() {
 			picked = append(picked, ids[k])
 		}
 	}
-	sort.Slice(picked, func(a, b int) bool { return s.profits[picked[a]] > s.profits[picked[b]] })
+	slices.SortFunc(picked, func(a, b int) int { return descending(s.profits[a], s.profits[b]) })
 	for _, i := range picked {
 		for j := 0; j < s.m; j++ {
 			if s.fits(i, j) {
@@ -631,4 +617,40 @@ func (s *solver) convergeTail() {
 			}
 		}
 	}
+}
+
+// roundingEntry is one positive relaxation value a_ij, a successive-rounding
+// candidate.
+type roundingEntry struct {
+	char, row int
+	value     float64
+}
+
+// sortRoundingEntries puts entries in the relaxation's own ranking: by
+// fractional value, then by the character's profit density, both
+// descending. Density keeps the realised selection close to the
+// fractional-knapsack optimum of the relaxation; ranking ties by absolute
+// profit instead measurably erodes the total reduction.
+func sortRoundingEntries(entries []roundingEntry, density func(char int) float64) {
+	slices.SortFunc(entries, func(x, y roundingEntry) int {
+		if x.value != y.value {
+			return descending(x.value, y.value)
+		}
+		return descending(density(x.char), density(y.char))
+	})
+}
+
+// descending orders float keys from high to low for slices.SortFunc.
+// cmp(x, y) < 0 holds exactly when x > y, NaN included. slices.SortFunc and
+// sort.Slice are one pdqsort template that only tests cmp < 0 (less), so
+// the plan's tie order is that of sort.Slice with less x > y; TestSortTieOrder
+// checks it.
+func descending(x, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case x < y:
+		return 1
+	}
+	return 0
 }
