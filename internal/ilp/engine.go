@@ -184,7 +184,7 @@ func (e *engine) nextBatch(limit int) []*node {
 // bit-identical at every worker count. Warm vs cold agreement (same
 // objective always; same vertex on the golden families) is gated by the
 // warm-start tests — see docs/INVARIANTS.md.
-func (e *engine) solveNode(clone *lp.Problem, nd *node) (*lp.Result, error) {
+func (e *engine) solveNode(clone *lp.Problem, nd *node) *lp.Result {
 	for j := 0; j < e.n; j++ {
 		clone.SetBounds(j, e.origLo[j], e.origHi[j])
 	}
@@ -259,26 +259,25 @@ func (e *engine) integral(x []float64) bool {
 // node against the live incumbent bound (skipped[idx]) or solves its LP and,
 // when the relaxation comes back integral, publishes the objective so the
 // other workers start skipping immediately.
-func (e *engine) evalNode(clone *lp.Problem, batch []*node, idx int, results []*lp.Result, errs []error, skipped []bool) {
+func (e *engine) evalNode(clone *lp.Problem, batch []*node, idx int, results []*lp.Result, skipped []bool) {
 	if e.skipLive(batch[idx]) {
 		skipped[idx] = true
 		return
 	}
-	res, err := e.solveNode(clone, batch[idx])
-	results[idx], errs[idx] = res, err
-	if err == nil && res.Status == lp.Optimal && e.integral(res.X) {
+	res := e.solveNode(clone, batch[idx])
+	results[idx] = res
+	if res.Status == lp.Optimal && e.integral(res.X) {
 		e.publish(signAdjust(res.Objective, e.opt.Maximize))
 	}
 }
 
 // evaluate solves the LP relaxation of every batch node, spreading the work
-// over the per-worker deques with stealing. Slot i of every output slice
+// over the per-worker deques with stealing. Slot i of both output slices
 // belongs to batch[i] alone; a slot with nil result and skipped false means
 // the node was not evaluated because the stop channel fired first (the
 // caller re-enqueues it).
-func (e *engine) evaluate(batch []*node, stop <-chan struct{}) ([]*lp.Result, []error, []bool) {
+func (e *engine) evaluate(batch []*node, stop <-chan struct{}) ([]*lp.Result, []bool) {
 	results := make([]*lp.Result, len(batch))
-	errs := make([]error, len(batch))
 	skipped := make([]bool, len(batch))
 	workers := len(e.clones)
 	if workers > len(batch) {
@@ -289,9 +288,9 @@ func (e *engine) evaluate(batch []*node, stop <-chan struct{}) ([]*lp.Result, []
 			if stopped(stop) {
 				break
 			}
-			e.evalNode(e.clones[0], batch, i, results, errs, skipped)
+			e.evalNode(e.clones[0], batch, i, results, skipped)
 		}
-		return results, errs, skipped
+		return results, skipped
 	}
 
 	// Deal the batch into contiguous per-worker deques (cache-friendly and
@@ -328,12 +327,12 @@ func (e *engine) evaluate(batch []*node, stop <-chan struct{}) ([]*lp.Result, []
 						return
 					}
 				}
-				e.evalNode(clone, batch, idx, results, errs, skipped)
+				e.evalNode(clone, batch, idx, results, skipped)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return results, errs, skipped
+	return results, skipped
 }
 
 // merge folds one evaluated node into the search state: count it, prune or

@@ -197,14 +197,11 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		if len(batch) == 0 {
 			break // the incumbent pruned the whole frontier
 		}
-		results, errs, skipped := e.evaluate(batch, done)
+		results, skipped := e.evaluate(batch, done)
 		// Merge every slot in batch order even when interrupted mid-round:
 		// results already paid for must not be thrown away, and the order
 		// keeps the trace deterministic.
 		for i, nd := range batch {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
 			switch {
 			case skipped[i]:
 				// Pruned against an incumbent published mid-round: the

@@ -7,9 +7,12 @@
 // instead of running a general simplex over the n*m assignment variables.
 // This is what makes the successive-rounding loop of E-BLOW practical for
 // MCC-sized instances (4000 candidates) without a commercial LP solver.
+// Workspace.Relax keeps its scratch between calls, so the rounding loop
+// solves one relaxation per iteration without allocating.
 //
-// The package also contains an exact 0/1 knapsack dynamic program used by
-// tests to cross-check bounds.
+// The package also contains an exact 0/1 knapsack dynamic program, which
+// the 1D planner runs on every solve to decide the characters left over
+// after fast convergence.
 package knapsack
 
 import (
@@ -26,119 +29,100 @@ type Item struct {
 	Profit float64
 }
 
-// Relaxation is an optimal solution of the LP relaxation.
-type Relaxation struct {
-	// Value is the optimal objective of the relaxation.
-	Value float64
-	// A[i][j] is the fractional amount of item i assigned to knapsack j.
-	// For every item, sum_j A[i][j] <= 1.
-	A [][]float64
-	// Fraction[i] = sum_j A[i][j], the aggregate fractional selection y_i.
-	Fraction []float64
-}
-
 // ErrBadInput reports invalid items or capacities.
 var ErrBadInput = errors.New("knapsack: invalid input")
 
-// RelaxedAssignment solves the LP relaxation of
+// Workspace is the reusable scratch of Relax. The zero value is ready to
+// use; once it has grown to an input's size, Relax allocates nothing. A
+// Workspace must not be used by two goroutines at once.
+type Workspace struct {
+	order   []ranked
+	capLeft []float64
+}
+
+// ranked is one positive-profit item with its density computed once.
+type ranked struct {
+	density, profit float64
+	item            int
+}
+
+// Relax solves the LP relaxation of
 //
 //	max  sum_ij profit_i * a_ij
 //	s.t. sum_i weight_i * a_ij <= capacity_j   for every knapsack j
 //	     sum_j a_ij <= 1                       for every item i
 //	     a_ij >= 0
 //
+// and returns its optimal value. It overwrites a[:n*m] (n items, m
+// knapsacks) with the assignment, row-major: a[i*m+j] is the fractional
+// amount of item i assigned to knapsack j. a must hold at least n*m values.
+//
 // Items with non-positive profit are never selected (selecting them cannot
 // improve the objective); items with zero weight and positive profit are
 // always fully selected.
-func RelaxedAssignment(items []Item, capacities []float64) (*Relaxation, error) {
+func (w *Workspace) Relax(items []Item, capacities []float64, a []float64) (float64, error) {
 	n, m := len(items), len(capacities)
 	for i, it := range items {
 		if it.Weight < 0 {
-			return nil, fmt.Errorf("%w: item %d has negative weight", ErrBadInput, i)
+			return 0, fmt.Errorf("%w: item %d has negative weight", ErrBadInput, i)
 		}
 	}
 	total := 0.0
 	for j, c := range capacities {
 		if c < 0 {
-			return nil, fmt.Errorf("%w: knapsack %d has negative capacity", ErrBadInput, j)
+			return 0, fmt.Errorf("%w: knapsack %d has negative capacity", ErrBadInput, j)
 		}
 		total += c
 	}
-
-	rel := &Relaxation{
-		A:        make([][]float64, n),
-		Fraction: make([]float64, n),
-	}
-	for i := range rel.A {
-		rel.A[i] = make([]float64, m)
-	}
+	a = a[:n*m]
+	clear(a)
 	if n == 0 || m == 0 {
-		return rel, nil
+		return 0, nil
 	}
 
-	// Aggregate fractional knapsack: sort by profit density.
-	order := make([]int, 0, n)
+	// Aggregate fractional knapsack: zero-weight items first (infinite
+	// density), then by density, then by profit, both descending. The item
+	// index breaks the remaining ties, which makes the order strict and
+	// equal to that of a stable sort without the index.
+	order := slices.Grow(w.order[:0], n)
 	for i, it := range items {
 		if it.Profit > 0 {
-			order = append(order, i)
+			order = append(order, ranked{density: density(it), profit: it.Profit, item: i})
 		}
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		ia, ib := items[a], items[b]
-		// Zero-weight items first (infinite density), then by density,
-		// then by profit, both descending.
-		da, db := density(ia), density(ib)
-		switch {
-		case da > db:
-			return -1
-		case da != db:
-			return 1
-		case ia.Profit > ib.Profit:
-			return -1
-		case ia.Profit < ib.Profit:
-			return 1
-		}
-		return 0
-	})
+	w.order = order
+	slices.SortFunc(order, compareRanked)
 
-	remaining := total
-	for _, i := range order {
-		it := items[i]
-		if it.Weight == 0 {
-			rel.Fraction[i] = 1
-			rel.Value += it.Profit
+	// Take items greedily and distribute each one's fraction over the
+	// knapsacks with a first-fit split. This yields a feasible assignment
+	// whose row sums equal the aggregate fractions; at most one item per
+	// knapsack boundary is split, so the matrix is (vertex-like and) nearly
+	// integral.
+	capLeft := append(w.capLeft[:0], capacities...)
+	w.capLeft = capLeft
+	value, remaining := 0.0, total
+	j := 0
+	for _, r := range order {
+		i, wt := r.item, items[r.item].Weight
+		if wt == 0 {
+			// Zero-weight items fit anywhere; put them in the first knapsack.
+			value += r.profit
+			a[i*m] += 1
 			continue
 		}
 		if remaining <= 0 {
 			break
 		}
 		take := 1.0
-		if it.Weight > remaining {
-			take = remaining / it.Weight
+		if wt > remaining {
+			take = remaining / wt
 		}
-		rel.Fraction[i] = take
-		rel.Value += take * it.Profit
-		remaining -= take * it.Weight
-	}
-
-	// Distribute the aggregate fractions over the knapsacks with a first-fit
-	// split. This yields a feasible assignment matrix whose row sums equal
-	// the aggregate fractions; at most one item per knapsack boundary is
-	// split, so the matrix is (vertex-like and) nearly integral.
-	capLeft := append([]float64(nil), capacities...)
-	j := 0
-	for _, i := range order {
-		frac := rel.Fraction[i]
-		if frac <= 0 {
+		value += take * r.profit
+		remaining -= take * wt
+		if take <= 0 {
 			continue
 		}
-		w := items[i].Weight
-		if w == 0 {
-			// Zero-weight items fit anywhere; put them in the first knapsack.
-			rel.A[i][0] += frac
-			continue
-		}
-		need := frac * w
+		need := take * wt
 		for need > 1e-12 && j < len(capLeft) {
 			if capLeft[j] <= 1e-12 {
 				j++
@@ -148,12 +132,28 @@ func RelaxedAssignment(items []Item, capacities []float64) (*Relaxation, error) 
 			if put > capLeft[j] {
 				put = capLeft[j]
 			}
-			rel.A[i][j] += put / w
+			a[i*m+j] += put / wt
 			capLeft[j] -= put
 			need -= put
 		}
 	}
-	return rel, nil
+	return value, nil
+}
+
+// compareRanked is Relax's item order: density, then profit, descending,
+// then item index ascending.
+func compareRanked(x, y ranked) int {
+	switch {
+	case x.density > y.density:
+		return -1
+	case x.density != y.density:
+		return 1
+	case x.profit > y.profit:
+		return -1
+	case x.profit < y.profit:
+		return 1
+	}
+	return x.item - y.item
 }
 
 func density(it Item) float64 {
@@ -164,9 +164,10 @@ func density(it Item) float64 {
 }
 
 // ExactBinary solves the exact 0/1 knapsack with integer weights by dynamic
-// programming and returns the best profit and the chosen items. It is used
-// by tests as a reference for rounding bounds and by the baseline planner
-// for single-row character selection.
+// programming and returns the best profit and the chosen items. The 1D
+// planner's convergence tail runs it on every solve over the characters
+// still off the stencil; the tests use it as the reference for rounding
+// bounds.
 func ExactBinary(weights []int, profits []float64, capacity int) (float64, []bool) {
 	n := len(weights)
 	chosen := make([]bool, n)
@@ -176,11 +177,12 @@ func ExactBinary(weights []int, profits []float64, capacity int) (float64, []boo
 	if len(profits) != n {
 		panic("knapsack: weights and profits length mismatch")
 	}
-	// dp[c] = best profit with capacity c; keep per-item take decisions.
-	dp := make([]float64, capacity+1)
-	take := make([][]bool, n)
+	// dp[c] = best profit with capacity c; take[i*stride+c] records item
+	// i's take decision at capacity c.
+	stride := capacity + 1
+	dp := make([]float64, stride)
+	take := make([]bool, n*stride)
 	for i := 0; i < n; i++ {
-		take[i] = make([]bool, capacity+1)
 		w := weights[i]
 		if w < 0 {
 			panic("knapsack: negative weight")
@@ -189,17 +191,18 @@ func ExactBinary(weights []int, profits []float64, capacity int) (float64, []boo
 		if p <= 0 {
 			continue
 		}
+		row := take[i*stride : (i+1)*stride]
 		for c := capacity; c >= w; c-- {
 			if cand := dp[c-w] + p; cand > dp[c] {
 				dp[c] = cand
-				take[i][c] = true
+				row[c] = true
 			}
 		}
 	}
 	best := dp[capacity]
 	c := capacity
 	for i := n - 1; i >= 0; i-- {
-		if take[i][c] {
+		if take[i*stride+c] {
 			chosen[i] = true
 			c -= weights[i]
 		}

@@ -242,10 +242,9 @@ type Result struct {
 const eps = 1e-9
 
 // Solve runs the sparse revised simplex from a cold (all-logical) basis
-// and returns the result. The returned error is non-nil only for
-// structurally invalid problems; an infeasible or unbounded model is
-// reported through Result.Status.
-func Solve(p *Problem) (*Result, error) {
+// and returns the result. Every outcome, an infeasible or unbounded model
+// or a stopped solve included, is reported through Result.Status.
+func Solve(p *Problem) *Result {
 	return SolveWarm(p, nil)
 }
 
@@ -253,11 +252,8 @@ func Solve(p *Problem) (*Result, error) {
 // returns the final basis in Result.Basis on Optimal solves. The warm
 // basis is not modified; branch-and-bound children share their parent's
 // basis by pointer.
-func SolveWarm(p *Problem, warm *Basis) (*Result, error) {
-	res, basis, err := solveSparse(p, warm)
-	if err != nil {
-		return nil, err
-	}
+func SolveWarm(p *Problem, warm *Basis) *Result {
+	res, basis := solveSparse(p, warm)
 	res.Basis = basis
-	return res, nil
+	return res
 }

@@ -9,15 +9,6 @@ import (
 	"testing/quick"
 )
 
-func solveOK(t *testing.T, p *Problem) *Result {
-	t.Helper()
-	res, err := Solve(p)
-	if err != nil {
-		t.Fatalf("Solve error: %v", err)
-	}
-	return res
-}
-
 func TestSimpleMaximization(t *testing.T) {
 	// maximize 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0.
 	// Classic optimum: x=2, y=6, obj=36.
@@ -26,7 +17,7 @@ func TestSimpleMaximization(t *testing.T) {
 	p.AddDense([]float64{1, 0}, LE, 4)
 	p.AddDense([]float64{0, 2}, LE, 12)
 	p.AddDense([]float64{3, 2}, LE, 18)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -46,7 +37,7 @@ func TestSimpleMinimization(t *testing.T) {
 	p.AddDense([]float64{1, 1}, GE, 10)
 	p.SetBounds(0, 2, math.Inf(1))
 	p.SetBounds(1, 3, math.Inf(1))
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -62,7 +53,7 @@ func TestEqualityConstraint(t *testing.T) {
 	p.SetObjective([]float64{1, 2}, true)
 	p.AddDense([]float64{1, 1}, EQ, 5)
 	p.AddDense([]float64{1, -1}, LE, 1)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -81,7 +72,7 @@ func TestUpperBounds(t *testing.T) {
 	p.SetBounds(0, 0, 0.4)
 	p.SetBounds(1, 0, 0.7)
 	p.AddDense([]float64{1, 1}, LE, 2)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if math.Abs(res.Objective-1.1) > 1e-6 {
 		t.Errorf("objective = %v, want 1.1", res.Objective)
 	}
@@ -94,7 +85,7 @@ func TestNonzeroLowerBounds(t *testing.T) {
 	p.SetBounds(0, 1.5, math.Inf(1))
 	p.SetBounds(1, 2.5, math.Inf(1))
 	p.AddDense([]float64{1, 1}, GE, 5)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Optimal || math.Abs(res.Objective-5) > 1e-6 {
 		t.Errorf("got %v obj %v, want optimal 5", res.Status, res.Objective)
 	}
@@ -108,7 +99,7 @@ func TestInfeasible(t *testing.T) {
 	p.SetObjective([]float64{1}, true)
 	p.AddDense([]float64{1}, GE, 10)
 	p.AddDense([]float64{1}, LE, 5)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Infeasible {
 		t.Errorf("status = %v, want infeasible", res.Status)
 	}
@@ -117,7 +108,7 @@ func TestInfeasible(t *testing.T) {
 func TestInfeasibleBounds(t *testing.T) {
 	p := NewProblem(1)
 	p.SetBounds(0, 5, 3)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Infeasible {
 		t.Errorf("status = %v, want infeasible", res.Status)
 	}
@@ -127,7 +118,7 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective([]float64{1, 1}, true)
 	p.AddDense([]float64{1, -1}, LE, 1)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Unbounded {
 		t.Errorf("status = %v, want unbounded", res.Status)
 	}
@@ -138,7 +129,7 @@ func TestNegativeRHS(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective([]float64{-1}, true)
 	p.AddDense([]float64{-1}, LE, -3)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Optimal || math.Abs(res.Objective+3) > 1e-6 {
 		t.Errorf("got %v obj %v, want optimal -3", res.Status, res.Objective)
 	}
@@ -151,7 +142,7 @@ func TestDegenerateProblem(t *testing.T) {
 	p.AddDense([]float64{0.25, -60, -0.04, 9}, LE, 0)
 	p.AddDense([]float64{0.5, -90, -0.02, 3}, LE, 0)
 	p.AddDense([]float64{0, 0, 1, 0}, LE, 1)
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -198,8 +189,8 @@ func TestKnapsackRelaxationMatchesGreedy(t *testing.T) {
 			terms = append(terms, Term{Var: i, Coeff: w[i]})
 		}
 		p.AddConstraint(terms, LE, cap)
-		res, err := Solve(p)
-		if err != nil || res.Status != Optimal {
+		res := Solve(p)
+		if res.Status != Optimal {
 			return false
 		}
 
@@ -255,8 +246,8 @@ func TestRandomFeasibility(t *testing.T) {
 			rhs[i] = dot + rng.Float64()*3 // slack keeps x0 feasible
 			p.AddDense(rows[i], LE, rhs[i])
 		}
-		res, err := Solve(p)
-		if err != nil || res.Status != Optimal {
+		res := Solve(p)
+		if res.Status != Optimal {
 			return false
 		}
 		// Feasibility of the returned point.
@@ -302,7 +293,7 @@ func TestIterationLimit(t *testing.T) {
 	p.AddDense([]float64{1, 1, 1}, LE, 10)
 	p.AddDense([]float64{1, 2, 3}, LE, 15)
 	p.MaxIters = 1
-	res := solveOK(t, p)
+	res := Solve(p)
 	if res.Status != IterationLimit && res.Status != Optimal {
 		t.Errorf("status = %v, want iteration-limit or optimal", res.Status)
 	}
@@ -321,8 +312,8 @@ func TestCloneIsIndependent(t *testing.T) {
 	c.SetBounds(0, 0, 1) // tighten only the clone
 	c.AddConstraint([]Term{{Var: 1, Coeff: 1}}, LE, 2)
 
-	orig := solveOK(t, p)
-	cl := solveOK(t, c)
+	orig := Solve(p)
+	cl := Solve(c)
 	if math.Abs(orig.Objective-11) > 1e-6 { // x = (3, 1)
 		t.Errorf("original objective %v, want 11", orig.Objective)
 	}
@@ -351,8 +342,8 @@ func TestClonesSolveConcurrently(t *testing.T) {
 			defer wg.Done()
 			c := base.Clone()
 			c.SetBounds(w%3, 0, 0) // a different restriction per goroutine
-			res, err := Solve(c)
-			if err != nil || res.Status != Optimal {
+			res := Solve(c)
+			if res.Status != Optimal {
 				return
 			}
 			objs[w] = res.Objective
@@ -379,7 +370,7 @@ func TestCloneSharesStopChannel(t *testing.T) {
 	p.Stop = stop
 	c := p.Clone()
 	close(stop)
-	res := solveOK(t, c)
+	res := Solve(c)
 	if res.Status != IterationLimit {
 		t.Errorf("clone ignored the shared Stop channel: status %v", res.Status)
 	}

@@ -169,11 +169,7 @@ func TestSparseMatchesDenseOracle(t *testing.T) {
 		withFree := rng.Intn(2) == 0
 		p := randomLP(rng, withFree)
 
-		sp, err := Solve(p.Clone())
-		if err != nil {
-			t.Logf("seed %d: sparse error %v", seed, err)
-			return false
-		}
+		sp := Solve(p.Clone())
 		dp := p
 		if withFree {
 			dp = splitFree(p)
@@ -215,18 +211,12 @@ func TestWarmResolveIdenticalProblem(t *testing.T) {
 	solved := 0
 	for trial := 0; trial < 80; trial++ {
 		p := randomLP(rng, true)
-		cold, err := Solve(p)
-		if err != nil {
-			t.Fatalf("trial %d: cold solve error: %v", trial, err)
-		}
+		cold := Solve(p)
 		if cold.Status != Optimal || cold.Basis == nil {
 			continue
 		}
 		solved++
-		warm, err := SolveWarm(p, cold.Basis)
-		if err != nil {
-			t.Fatalf("trial %d: warm solve error: %v", trial, err)
-		}
+		warm := SolveWarm(p, cold.Basis)
 		if warm.Status != Optimal {
 			t.Fatalf("trial %d: warm status %v", trial, warm.Status)
 		}
@@ -252,10 +242,7 @@ func TestWarmPerturbedMatchesCold(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 120; trial++ {
 		p := randomLP(rng, false)
-		base, err := Solve(p)
-		if err != nil {
-			t.Fatalf("trial %d: base solve error: %v", trial, err)
-		}
+		base := Solve(p)
 		if base.Status != Optimal || base.Basis == nil {
 			continue
 		}
@@ -276,14 +263,8 @@ func TestWarmPerturbedMatchesCold(t *testing.T) {
 		}
 		mut.SetObjective(obj, mut.maximize)
 
-		cold, err := Solve(mut)
-		if err != nil {
-			t.Fatalf("trial %d: cold solve error: %v", trial, err)
-		}
-		warm, err := SolveWarm(mut.Clone(), base.Basis)
-		if err != nil {
-			t.Fatalf("trial %d: warm solve error: %v", trial, err)
-		}
+		cold := Solve(mut)
+		warm := SolveWarm(mut.Clone(), base.Basis)
 		if warm.Status != cold.Status {
 			t.Fatalf("trial %d: warm status %v vs cold %v", trial, warm.Status, cold.Status)
 		}
@@ -311,7 +292,7 @@ func TestCyclingLPTerminates(t *testing.T) {
 	for _, b := range []struct {
 		name  string
 		solve func(*Problem) (*Result, error)
-	}{{"sparse", Solve}, {"dense", solveDense}} {
+	}{{"sparse", func(p *Problem) (*Result, error) { return Solve(p), nil }}, {"dense", solveDense}} {
 		name := b.name
 		p := NewProblem(4)
 		p.SetObjective([]float64{0.75, -150, 0.02, -6}, true)
@@ -341,26 +322,19 @@ func TestCyclingLPTerminates(t *testing.T) {
 func TestSparseDeterministicAcrossWorkers(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		p := randomLP(rand.New(rand.NewSource(seed)), true)
-		ref, err := Solve(p.Clone())
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		ref := Solve(p.Clone())
 		const workers = 8
 		results := make([]*Result, workers)
-		errs := make([]error, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				results[w], errs[w] = Solve(p.Clone())
+				results[w] = Solve(p.Clone())
 			}(w)
 		}
 		wg.Wait()
 		for w := 0; w < workers; w++ {
-			if errs[w] != nil {
-				t.Fatalf("seed %d worker %d: %v", seed, w, errs[w])
-			}
 			r := results[w]
 			if r.Status != ref.Status || r.Objective != ref.Objective || r.Iters != ref.Iters {
 				t.Fatalf("seed %d worker %d: result diverged (%v %v %d vs %v %v %d)",

@@ -904,10 +904,10 @@ func (s *spx) dual() (Status, bool) {
 // solveSparse runs the revised simplex on p, warm-starting from warm when
 // provided. It returns the result and the final basis (nil unless the
 // solve reached Optimal).
-func solveSparse(p *Problem, warm *Basis) (*Result, *Basis, error) {
+func solveSparse(p *Problem, warm *Basis) (*Result, *Basis) {
 	for j := 0; j < p.numVars; j++ {
 		if p.lower[j] > p.upper[j]+eps {
-			return &Result{Status: Infeasible}, nil, nil
+			return &Result{Status: Infeasible}, nil
 		}
 	}
 	if p.ws == nil {
@@ -943,7 +943,7 @@ func solveSparse(p *Problem, warm *Basis) (*Result, *Basis, error) {
 
 	res := &Result{Status: st, Iters: s.iters}
 	if st != Optimal {
-		return res, nil, nil
+		return res, nil
 	}
 	x := make([]float64, s.n)
 	for j := 0; j < s.n; j++ {
@@ -973,5 +973,5 @@ func solveSparse(p *Problem, warm *Basis) (*Result, *Basis, error) {
 	res.Objective = obj
 	res.X = x
 	basis := &Basis{Status: append([]VarStatus(nil), s.status...)}
-	return res, basis, nil
+	return res, basis
 }

@@ -2,35 +2,22 @@ package oned
 
 import (
 	"context"
-	"math/rand"
 	"strconv"
 	"testing"
-
-	"eblow/internal/core"
-	"eblow/internal/gen"
 )
 
 // BenchmarkSolvePlan1D runs the whole E-BLOW 1D flow on single-worker
 // solves of 600-character, 10-region MCC instances shaped like the service
 // benchmark's plan1d jobs, cycling through four of them. On a 2-vCPU Xeon
-// (Go 1.24) its CPU splits as successive rounding 43% (the relaxation 19%,
-// the rounding-entry sort 8%), post-swap 23%, the fast-convergence ILP 18%
-// (LU factorization 8%) and the row DP 9%. Successive rounding makes four
-// fifths of the bytes, the relaxation blocks with their knapsack backend
-// over half. Bytes and allocs per op are the numbers to watch alongside
-// wall-clock.
+// (Go 1.24) its CPU splits as post-swap 34% (its candidate scan 24%), the
+// fast-convergence ILP 29% (LU factorization 11%), the row DP 15% and
+// successive rounding 13% (the relaxation 3%, the rounding-entry sort 2%).
+// Of the bytes, the row DP makes 27%, successive rounding 25% (mostly the
+// relaxation matrix and block workspaces its first iteration sizes) and
+// the fast-convergence ILP 20%. Bytes and allocs per op are the numbers to
+// watch alongside wall-clock.
 func BenchmarkSolvePlan1D(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ins := make([]*core.Instance, 4)
-	for k := range ins {
-		ins[k] = gen.Generate(gen.Params{
-			Kind: core.OneD, NumChars: 600, NumRegions: 10,
-			StencilW: 800, StencilH: 800, RowHeight: 40,
-			MinWidth: 28, MaxWidth: 44, MinBlank: 4, MaxBlank: 14,
-			MinShots: 2, MaxShots: 60, ShotAreaUnit: 45,
-			MaxRepeat: 25, RegionSkew: 0.85, Seed: rng.Int63(),
-		})
-	}
+	ins := plan1dInstances()
 	opt := Defaults()
 	opt.Workers = 1
 	b.ReportAllocs()

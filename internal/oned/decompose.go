@@ -2,6 +2,7 @@ package oned
 
 import (
 	"fmt"
+	"slices"
 
 	"eblow/internal/knapsack"
 	"eblow/internal/lp"
@@ -109,14 +110,22 @@ type relaxBlock struct {
 func (s *solver) relaxBlocks(unsolved []int) []relaxBlock {
 	nu := len(unsolved)
 	if s.rowGroup == nil {
-		b := relaxBlock{chars: make([]int, nu), rows: make([]int, s.m)}
-		for k := range b.chars {
-			b.chars[k] = k
+		// One block over everything, built from index lists sized by the
+		// first (largest) unsolved set and resliced afterwards.
+		if len(s.iota) < nu {
+			s.iota = make([]int, nu)
+			for k := range s.iota {
+				s.iota[k] = k
+			}
 		}
-		for j := range b.rows {
-			b.rows[j] = j
+		if s.allRows == nil {
+			s.allRows = make([]int, s.m)
+			for j := range s.allRows {
+				s.allRows[j] = j
+			}
 		}
-		return []relaxBlock{b}
+		s.oneBlock[0] = relaxBlock{chars: s.iota[:nu], rows: s.allRows}
+		return s.oneBlock[:]
 	}
 
 	parent := make([]int, nu+s.m)
@@ -174,68 +183,104 @@ type blockSolveStats struct {
 	lp     bool // an LP was actually solved
 }
 
+// blockWork is one block's reusable scratch and result. The solver keeps
+// one per block index, so blocks solved concurrently never share one.
+type blockWork struct {
+	ks    knapsack.Workspace
+	items []knapsack.Item
+	caps  []float64
+	a     []float64 // the block's own chars x rows split, before the scatter
+
+	stats blockSolveStats
+	err   error
+}
+
+// whole reports whether block b is the entire relaxation over nu unsolved
+// characters: every character and every row, both in order.
+func (s *solver) whole(b relaxBlock, nu int) bool {
+	return len(b.chars) == nu && len(b.rows) == s.m
+}
+
 // solveRelaxationBlocks solves the (restricted) relaxation block by block on
-// the worker pool and merges the per-block fractional assignments into one
-// matrix indexed like `unsolved`. Every block writes only its own
-// characters' rows, so the merge is deterministic for any worker count.
-func (s *solver) solveRelaxationBlocks(unsolved []int, caps []float64, blocks []relaxBlock) ([][]float64, error) {
-	a := make([][]float64, len(unsolved))
-	for k := range a {
-		a[k] = make([]float64, s.m)
+// the worker pool and merges the per-block fractional assignments into the
+// solver's relaxation buffer, indexed like `unsolved`. Every block writes
+// only its own characters' rows, so the merge is deterministic for any
+// worker count.
+func (s *solver) solveRelaxationBlocks(unsolved []int, caps []float64, blocks []relaxBlock) ([]float64, error) {
+	nu := len(unsolved)
+	if cap(s.relax) < nu*s.m {
+		s.relax = make([]float64, nu*s.m)
 	}
-	errs := make([]error, len(blocks))
-	stats := make([]blockSolveStats, len(blocks))
+	a := s.relax[:nu*s.m]
+	if len(s.work) < len(blocks) {
+		s.work = append(s.work, make([]blockWork, len(blocks)-len(s.work))...)
+	}
+	if len(blocks) != 1 || !s.whole(blocks[0], nu) || s.opt.Backend == SimplexLP {
+		// Entries outside every block (and disallowed pairs) stay zero; only
+		// a whole structured block overwrites the entire matrix itself.
+		clear(a)
+	}
 	par.For(s.opt.workerCount(), len(blocks), func(bi int) {
-		stats[bi], errs[bi] = s.solveRelaxBlock(blocks[bi], unsolved, caps, a)
+		w := &s.work[bi]
+		w.stats, w.err = s.solveRelaxBlock(w, blocks[bi], unsolved, caps, a)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, w := range s.work[:len(blocks)] {
+		if w.err != nil {
+			return nil, w.err
 		}
 	}
-	for _, st := range stats {
-		if st.lp {
+	for _, w := range s.work[:len(blocks)] {
+		if w.stats.lp {
 			s.trace.RelaxSolves++
-			s.trace.RelaxPivots += st.pivots
+			s.trace.RelaxPivots += w.stats.pivots
 		}
 	}
 	return a, nil
 }
 
-// solveRelaxBlock solves one block with the configured backend and scatters
-// the result into the shared assignment matrix.
-func (s *solver) solveRelaxBlock(b relaxBlock, unsolved []int, caps []float64, a [][]float64) (blockSolveStats, error) {
-	switch s.opt.Backend {
-	case SimplexLP:
+// solveRelaxBlock solves one block with the configured backend, using the
+// block's workspace w, and scatters the result into the shared flat
+// assignment matrix a (len(unsolved) x m).
+func (s *solver) solveRelaxBlock(w *blockWork, b relaxBlock, unsolved []int, caps []float64, a []float64) (blockSolveStats, error) {
+	if s.opt.Backend == SimplexLP {
 		return s.solveRelaxBlockSimplex(b, unsolved, caps, a)
-	default:
-		items := make([]knapsack.Item, len(b.chars))
-		for bk, k := range b.chars {
-			i := unsolved[k]
-			items[bk] = knapsack.Item{Weight: float64(s.effW[i]), Profit: s.profits[i]}
-		}
-		subcaps := make([]float64, len(b.rows))
-		for bj, j := range b.rows {
-			subcaps[bj] = caps[j]
-		}
-		rel, err := knapsack.RelaxedAssignment(items, subcaps)
-		if err != nil {
-			return blockSolveStats{}, err
-		}
-		for bk, k := range b.chars {
-			for bj, j := range b.rows {
-				a[k][j] = rel.A[bk][bj]
-			}
-		}
-		return blockSolveStats{}, nil
 	}
+	items := slices.Grow(w.items[:0], len(b.chars))
+	for _, k := range b.chars {
+		i := unsolved[k]
+		items = append(items, knapsack.Item{Weight: float64(s.effW[i]), Profit: s.profits[i]})
+	}
+	w.items = items
+	if s.whole(b, len(unsolved)) {
+		// The block's matrix is a itself.
+		_, err := w.ks.Relax(items, caps, a)
+		return blockSolveStats{}, err
+	}
+	subcaps := slices.Grow(w.caps[:0], len(b.rows))
+	for _, j := range b.rows {
+		subcaps = append(subcaps, caps[j])
+	}
+	w.caps = subcaps
+	nb := len(b.rows)
+	w.a = slices.Grow(w.a[:0], len(items)*nb)[:len(items)*nb]
+	if _, err := w.ks.Relax(items, subcaps, w.a); err != nil {
+		return blockSolveStats{}, err
+	}
+	for bk, k := range b.chars {
+		for bj, j := range b.rows {
+			a[k*s.m+j] = w.a[bk*nb+bj]
+		}
+	}
+	return blockSolveStats{}, nil
 }
 
 // solveRelaxBlockSimplex builds the block's restricted LP (variables only
 // for allowed character-row pairs, in character-major order; constraints
 // in row order, then character order) and solves it from scratch with the
-// sparse revised simplex.
-func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []float64, a [][]float64) (blockSolveStats, error) {
+// sparse revised simplex. The relaxation is feasible (all zeros) and
+// bounded, so a status other than Optimal means the solve was stopped or ran
+// out of pivots; that is the error.
+func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []float64, a []float64) (blockSolveStats, error) {
 	type varRef struct{ k, j int }
 	var vars []varRef
 	for _, k := range b.chars {
@@ -273,15 +318,12 @@ func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []flo
 		}
 	}
 
-	res, err := lp.Solve(prob)
-	if err != nil {
-		return blockSolveStats{}, err
-	}
+	res := lp.Solve(prob)
 	if res.Status != lp.Optimal {
 		return blockSolveStats{}, fmt.Errorf("oned: relaxation LP returned %v", res.Status)
 	}
 	for v, vr := range vars {
-		a[vr.k][vr.j] = res.X[v]
+		a[vr.k*s.m+vr.j] = res.X[v]
 	}
 	return blockSolveStats{pivots: res.Iters, lp: true}, nil
 }
@@ -291,7 +333,7 @@ func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []flo
 // decomposed path is validated against (the equivalence suite asserts
 // bit-identical assignment matrices) and for the decomposition benchmark;
 // production always goes through the block split.
-func (s *solver) solveRelaxationMonolithic(unsolved []int, caps []float64) ([][]float64, error) {
+func (s *solver) solveRelaxationMonolithic(unsolved []int, caps []float64) ([]float64, error) {
 	all := relaxBlock{rows: make([]int, s.m)}
 	for j := range all.rows {
 		all.rows[j] = j
@@ -301,11 +343,8 @@ func (s *solver) solveRelaxationMonolithic(unsolved []int, caps []float64) ([][]
 			all.chars = append(all.chars, k)
 		}
 	}
-	a := make([][]float64, len(unsolved))
-	for k := range a {
-		a[k] = make([]float64, s.m)
-	}
-	if _, err := s.solveRelaxBlock(all, unsolved, caps, a); err != nil {
+	a := make([]float64, len(unsolved)*s.m)
+	if _, err := s.solveRelaxBlock(&blockWork{}, all, unsolved, caps, a); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -70,22 +70,21 @@ func relaxSolver(t testing.TB, in *core.Instance, groups []RowGroup, backend LPB
 			}
 		}
 	}
-	s.profits = s.currentProfits()
-	unsolved := s.unsolvedIDs()
-	caps := s.rowCapacities(unsolved)
+	s.profits = s.currentProfits(nil)
+	unsolved := s.unsolvedIDs(nil)
+	caps := s.rowCapacities()
 	return s, unsolved, caps
 }
 
-func sameMatrix(t *testing.T, label string, a, b [][]float64) {
+// sameMatrix compares two flat relaxation matrices of m columns.
+func sameMatrix(t *testing.T, label string, m int, a, b []float64) {
 	t.Helper()
 	if len(a) != len(b) {
-		t.Fatalf("%s: %d vs %d rows", label, len(a), len(b))
+		t.Fatalf("%s: %d vs %d entries", label, len(a), len(b))
 	}
 	for k := range a {
-		for j := range a[k] {
-			if a[k][j] != b[k][j] {
-				t.Fatalf("%s: a[%d][%d] = %v vs %v (not bit-identical)", label, k, j, a[k][j], b[k][j])
-			}
+		if a[k] != b[k] {
+			t.Fatalf("%s: a[%d][%d] = %v vs %v (not bit-identical)", label, k/m, k%m, a[k], b[k])
 		}
 	}
 }
@@ -163,7 +162,7 @@ func TestBlockDecomposedMatchesMonolithicSimplex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameMatrix(t, tc.name, got, want)
+				sameMatrix(t, tc.name, s.m, got, want)
 			}
 		})
 	}
@@ -191,7 +190,37 @@ func TestBlockDecomposedDeterministicWorkers(t *testing.T) {
 	if len(unsolved1) != len(unsolved8) {
 		t.Fatal("solver setup diverged between worker counts")
 	}
-	sameMatrix(t, "workers 1 vs 8", a1, a8)
+	sameMatrix(t, "workers 1 vs 8", s1.m, a1, a8)
+}
+
+// TestRelaxationSkipsUnusableRows gives two rows to a group whose region no
+// character repeats in. Every character lands in one block that covers the
+// other rows only, and the structured relaxation must pool just those
+// rows' capacities: the unusable rows stay empty, twice in a row on one
+// solver's reused buffers.
+func TestRelaxationSkipsUnusableRows(t *testing.T) {
+	in, groups := groupedInstance(120, 2, 2, 1, 4)
+	in.NumRegions++
+	in.StencilHeight += 2 * in.RowHeight
+	for i := range in.Characters {
+		in.Characters[i].Repeats = append(in.Characters[i].Repeats, 0)
+	}
+	groups = append(groups, RowGroup{Rows: []int{4, 5}, Regions: []int{2}})
+	s, unsolved, caps := relaxSolver(t, in, groups, StructuredLP, 1, 0)
+	if blocks := s.relaxBlocks(unsolved); len(blocks) != 1 || len(blocks[0].chars) != len(unsolved) || len(blocks[0].rows) != 4 {
+		t.Fatalf("want one block of every character and rows 0-3, got %+v", blocks)
+	}
+	for pass := 0; pass < 2; pass++ {
+		a, err := s.solveRelaxation(unsolved, caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range unsolved {
+			if v := a[k*s.m+4] + a[k*s.m+5]; v != 0 {
+				t.Fatalf("pass %d: character %d has %v on the unusable rows", pass, unsolved[k], v)
+			}
+		}
+	}
 }
 
 // TestSolveWithRowGroups runs the full planner with row groups: the plan

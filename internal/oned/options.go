@@ -219,6 +219,11 @@ type Trace struct {
 	RelaxPivots int
 	// FastILPPivots sums the simplex iterations of every node relaxation in
 	// the fast-convergence branch and bound (0 when the step did not run).
+	// Like ilp.Result.LPPivots it is deterministic only at Workers=1: with
+	// more workers, which nodes a live incumbent lets the search skip
+	// depends on timing, so the count can change from run to run (45 of
+	// the 256 plan1d pool solves, seeds 1 and 7919, at Workers=4) while
+	// the plan does not.
 	FastILPPivots int
 	// UsedFastConvergence reports whether Algorithm 2 ran.
 	UsedFastConvergence bool

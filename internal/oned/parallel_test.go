@@ -75,7 +75,7 @@ func TestParallelEvaluationMatchesCore(t *testing.T) {
 		t.Errorf("regionTimes diverged from core.RegionTimes:\n got %v\nwant %v", gotTimes, wantTimes)
 	}
 	wantProfits := in.Profits(wantTimes)
-	gotProfits := s.currentProfits()
+	gotProfits := s.currentProfits(nil)
 	if !reflect.DeepEqual(gotProfits, wantProfits) {
 		t.Error("currentProfits diverged from core.Profits")
 	}

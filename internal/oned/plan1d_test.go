@@ -1,0 +1,158 @@
+package oned
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"eblow/internal/core"
+	"eblow/internal/gen"
+)
+
+// plan1dInstances returns the four 600-character, 10-region MCC instances
+// BenchmarkSolvePlan1D cycles through, shaped like the service benchmark's
+// plan1d jobs.
+func plan1dInstances() []*core.Instance {
+	rng := rand.New(rand.NewSource(1))
+	ins := make([]*core.Instance, 4)
+	for k := range ins {
+		ins[k] = gen.Generate(gen.Params{
+			Kind: core.OneD, NumChars: 600, NumRegions: 10,
+			StencilW: 800, StencilH: 800, RowHeight: 40,
+			MinWidth: 28, MaxWidth: 44, MinBlank: 4, MaxBlank: 14,
+			MinShots: 2, MaxShots: 60, ShotAreaUnit: 45,
+			MaxRepeat: 25, RegionSkew: 0.85, Seed: rng.Int63(),
+		})
+	}
+	return ins
+}
+
+// planHash is FNV-1a over the selection and every row's y, characters and
+// x positions.
+func planHash(sol *core.Solution) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, on := range sol.Selected {
+		if on {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	for _, r := range sol.Rows {
+		put(r.Y)
+		put(len(r.Chars))
+		for k, c := range r.Chars {
+			put(c)
+			put(r.X[k])
+		}
+	}
+	return h.Sum64()
+}
+
+// floatsHash is FNV-1a over the bits of vs.
+func floatsHash(vs []float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestPlan1DPinned pins the plans of the four plan1d-shaped instances, at
+// one and four workers: writing time, a hash of the plan, the characters
+// assigned per rounding iteration, and a hash of the last relaxation's
+// per-character maxima that fast convergence reads. The rounding loop's
+// reused buffers and the knapsack's sort keys are pure speed-ups: the
+// values match a solve that allocates every matrix afresh and sorts with a
+// stable sort, and a change that moves a plan or a tie order fails here.
+func TestPlan1DPinned(t *testing.T) {
+	want := []struct {
+		writingTime int64
+		plan        uint64
+		assigned    []int
+		lastLP      uint64
+		nLastLP     int
+	}{
+		{6538, 0xf2732e92591021e5, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 20, 2}, 0xff13773534caa9e, 28},
+		{5861, 0x460e7328dd14540f, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 14, 5}, 0x22f84a04b7ec9517, 31},
+		{6481, 0xb5fa5233ba2fe7c9, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 25, 2}, 0x2d83430e89d14096, 23},
+		{5814, 0x2bf2e33d15c38b37, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 14, 3}, 0x7e0af0d9f8b0d3ac, 33},
+	}
+	for k, in := range plan1dInstances() {
+		for _, workers := range []int{1, 4} {
+			opt := Defaults()
+			opt.Workers = workers
+			opt.CollectTrace = true
+			sol, tr, err := Solve(context.Background(), in, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := want[k]
+			if sol.WritingTime != w.writingTime {
+				t.Errorf("instance %d, %d workers: writing time %d, want %d", k, workers, sol.WritingTime, w.writingTime)
+			}
+			if h := planHash(sol); h != w.plan {
+				t.Errorf("instance %d, %d workers: plan hash %#x, want %#x", k, workers, h, w.plan)
+			}
+			if !slices.Equal(tr.AssignedPerIteration, w.assigned) {
+				t.Errorf("instance %d, %d workers: assigned per iteration %v, want %v", k, workers, tr.AssignedPerIteration, w.assigned)
+			}
+			if h := floatsHash(tr.LastLPValues); h != w.lastLP || len(tr.LastLPValues) != w.nLastLP {
+				t.Errorf("instance %d, %d workers: %d last LP values hashing to %#x, want %d and %#x",
+					k, workers, len(tr.LastLPValues), h, w.nLastLP, w.lastLP)
+			}
+		}
+	}
+}
+
+// TestRowGroupPlansPinned does the same for row-grouped instances, on both
+// relaxation backends: one block per group, and a bridge that merges two of
+// the four groups into one block. Their rounding runs several iterations
+// over several blocks, so a relaxation entry left over from an earlier
+// iteration or another block would move these plans.
+func TestRowGroupPlansPinned(t *testing.T) {
+	cases := []struct {
+		bridgeEvery int
+		backend     LPBackend
+		writingTime int64
+		plan        uint64
+		assigned    []int
+		lastLP      uint64
+	}{
+		{0, StructuredLP, 7666, 0xb84fc27db7c537df, []int{33, 33, 33, 29, 1}, 0x91237e7b5c3f25f1},
+		{0, SimplexLP, 7709, 0x17f491b626846b55, []int{33, 33, 33, 28, 0}, 0x75e41150f336b8d4},
+		{8, StructuredLP, 9041, 0xa8b266ca9e71e33e, []int{33, 33, 33, 30, 0}, 0x8e28c7f138dd0b29},
+		{8, SimplexLP, 9102, 0xc38564b71e7e7395, []int{33, 33, 33, 30, 0}, 0xaa2543c4d69a223b},
+	}
+	for _, c := range cases {
+		in, groups := groupedInstance(400, 4, 2, c.bridgeEvery, 3)
+		for _, workers := range []int{1, 4} {
+			opt := Defaults()
+			opt.Backend = c.backend
+			opt.RowGroups = groups
+			opt.Workers = workers
+			opt.CollectTrace = true
+			sol, tr, err := Solve(context.Background(), in, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.WritingTime != c.writingTime || planHash(sol) != c.plan ||
+				!slices.Equal(tr.AssignedPerIteration, c.assigned) || floatsHash(tr.LastLPValues) != c.lastLP {
+				t.Errorf("bridge every %d, %v, %d workers: writing time %d, plan hash %#x, assigned per iteration %v, last LP hash %#x; want %d, %#x, %v, %#x",
+					c.bridgeEvery, c.backend, workers, sol.WritingTime, planHash(sol), tr.AssignedPerIteration, floatsHash(tr.LastLPValues),
+					c.writingTime, c.plan, c.assigned, c.lastLP)
+			}
+		}
+	}
+}

@@ -34,7 +34,7 @@ func (s *solver) postSwap() {
 // whether any swap was applied.
 func (s *solver) postSwapOnce() bool {
 	times := s.regionTimes()
-	profits := s.currentProfits()
+	profits := s.currentProfits(nil)
 
 	candidates := s.unselectedByProfit(profits, s.opt.PostSwapCandidates)
 	if len(candidates) == 0 {
@@ -190,7 +190,7 @@ func (s *solver) postInsert() {
 // (Fig. 8 of the paper); the insertion point inside a row is the gap with
 // the smallest width increase.
 func (s *solver) postInsertOnce() int {
-	profits := s.currentProfits()
+	profits := s.currentProfits(nil)
 	candidates := s.unselectedByProfit(profits, s.opt.PostInsertCandidates)
 	if len(candidates) == 0 {
 		return 0
@@ -264,7 +264,7 @@ func (s *solver) postInsertOnce() int {
 // at the right end of the first row with enough slack (the simple insertion
 // of the prior work, used here as a final clean-up).
 func (s *solver) appendRemaining() {
-	profits := s.currentProfits()
+	profits := s.currentProfits(nil)
 	candidates := s.unselectedByProfit(profits, s.n)
 	for _, u := range candidates {
 		cu := &s.in.Characters[u]

@@ -178,7 +178,7 @@ func positionsForOrder(in *core.Instance, order []int) []int {
 // other row holds), so rows are independent and the outcome is identical for
 // any worker count.
 func (s *solver) refineAllRows() {
-	profits := s.currentProfits()
+	profits := s.currentProfits(nil)
 	par.For(s.opt.workerCount(), s.m, func(j int) {
 		r := &s.rows[j]
 		if len(r.chars) == 0 {

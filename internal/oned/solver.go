@@ -45,9 +45,30 @@ type solver struct {
 	rowGroup   []int
 	charGroups []uint64
 
-	// lastRelax maps character id -> per-row fractions from the most recent
-	// LP relaxation (used by fast convergence and the Fig. 6 trace).
-	lastRelax map[int][]float64
+	// Successive-rounding buffers, sized by the first iteration and reused
+	// by every later one of the same solve: the unsolved characters, the
+	// row capacities and the rounding entries.
+	unsolved []int
+	caps     []float64
+	entries  []roundingEntry
+
+	// relax is the most recent LP relaxation (used by fast convergence and
+	// the Fig. 6 trace) as a flat len(unsolved) x m matrix: relax[k*m+j] is
+	// the fraction of the k-th unsolved character on row j. The unsolved
+	// set only shrinks, so the first iteration sizes it for good.
+	// relaxAt[i] is character i's k in it, valid for every character still
+	// unsolved (each of them was unsolved then too); hasRelax reports
+	// whether the latest relaxation was solved.
+	relax    []float64
+	relaxAt  []int
+	hasRelax bool
+
+	// Relaxation block scratch: allRows lists every row, iota[k] = k
+	// indexes unsolved characters, oneBlock holds the single block of a
+	// solve without row groups, and work[b] is block b's workspace.
+	allRows, iota []int
+	oneBlock      [1]relaxBlock
+	work          []blockWork
 
 	trace Trace
 }
@@ -152,6 +173,7 @@ func newSolver(ctx context.Context, in *core.Instance, opt Options) (*solver, er
 	s.assigned = make([]int, s.n)
 	s.solved = make([]bool, s.n)
 	s.rows = make([]rowState, s.m)
+	s.relaxAt = make([]int, s.n)
 	s.red = make([]int64, s.n*s.nr)
 	for i := range in.Characters {
 		c := &in.Characters[i]
@@ -197,18 +219,21 @@ func (s *solver) regionTimes() []int64 {
 
 // currentProfits evaluates the profit of every character for the current
 // selection: the dynamic Eqn. (6) value by default, or the static total
-// reduction when the StaticProfit ablation is enabled. The per-character
-// profit sums are independent, so they are computed on the worker pool with
-// each worker writing only its own indices — bit-identical to the
-// sequential core.Instance.Profits for any worker count.
-func (s *solver) currentProfits() []float64 {
+// reduction when the StaticProfit ablation is enabled. The dynamic profits
+// are written into dst's backing array when it is large enough (nil
+// allocates). The per-character profit sums are independent, so they are
+// computed on the worker pool with each worker writing only its own
+// indices — bit-identical to the sequential core.Instance.Profits for any
+// worker count.
+func (s *solver) currentProfits(dst []float64) []float64 {
 	if s.opt.StaticProfit {
 		return s.in.StaticProfits()
 	}
 	times := s.regionTimes()
 	tmax := core.MaxInt64(times)
-	profits := make([]float64, s.n)
+	profits := slices.Grow(dst[:0], s.n)[:s.n]
 	if tmax <= 0 {
+		clear(profits)
 		return profits
 	}
 	par.For(s.opt.workerCount(), s.n, func(i int) {
@@ -272,9 +297,10 @@ func (s *solver) unassign(i int) {
 	s.assigned[i] = -1
 }
 
-// unsolvedIDs returns the characters that still need a rounding decision.
-func (s *solver) unsolvedIDs() []int {
-	var ids []int
+// unsolvedIDs returns the characters that still need a rounding decision,
+// written into dst's backing array (nil allocates).
+func (s *solver) unsolvedIDs(dst []int) []int {
+	ids := dst[:0]
 	for i := 0; i < s.n; i++ {
 		if !s.solved[i] {
 			ids = append(ids, i)
@@ -283,17 +309,32 @@ func (s *solver) unsolvedIDs() []int {
 	return ids
 }
 
+// countUnsolved returns len(s.unsolvedIDs(nil)) without building the list.
+func (s *solver) countUnsolved() int {
+	c := 0
+	for _, done := range s.solved {
+		if !done {
+			c++
+		}
+	}
+	return c
+}
+
 // rowCapacities returns the remaining symmetric-blank capacity of every row
-// for the LP relaxation. Empty rows reserve space for the largest blank
-// among the unsolved characters (the W - maxs bound of formulation (5)).
-func (s *solver) rowCapacities(unsolved []int) []float64 {
+// for the LP relaxation, in the solver's reused capacity buffer. Empty rows
+// reserve space for the largest blank among the unsolved characters (the
+// W - maxs bound of formulation (5)).
+func (s *solver) rowCapacities() []float64 {
 	maxBlankUnsolved := 0
-	for _, i := range unsolved {
-		if s.sblank[i] > maxBlankUnsolved {
+	for i, done := range s.solved {
+		if !done && s.sblank[i] > maxBlankUnsolved {
 			maxBlankUnsolved = s.sblank[i]
 		}
 	}
-	caps := make([]float64, s.m)
+	if s.caps == nil {
+		s.caps = make([]float64, s.m)
+	}
+	caps := s.caps
 	for j := range s.rows {
 		r := &s.rows[j]
 		reserve := r.maxBlank
@@ -311,11 +352,12 @@ func (s *solver) rowCapacities(unsolved []int) []float64 {
 
 // solveRelaxation solves the LP relaxation of the simplified formulation for
 // the unsolved characters and returns the fractional assignment matrix
-// indexed like `unsolved`. The relaxation is split into its independent
-// candidacy blocks (one block covering everything when no row groups are
-// configured) and the blocks are solved concurrently on the worker pool;
-// the relaxation wall-clock is accumulated into the trace.
-func (s *solver) solveRelaxation(unsolved []int, caps []float64) ([][]float64, error) {
+// indexed like `unsolved`, flat and row-major in the solver's relaxation
+// buffer (the next call overwrites it). The relaxation is split into its
+// independent candidacy blocks (one block covering everything when no row
+// groups are configured) and the blocks are solved concurrently on the
+// worker pool; the relaxation wall-clock is accumulated into the trace.
+func (s *solver) solveRelaxation(unsolved []int, caps []float64) ([]float64, error) {
 	start := time.Now()
 	a, err := s.solveRelaxationBlocks(unsolved, caps, s.relaxBlocks(unsolved))
 	s.trace.RelaxElapsed += time.Since(start)
@@ -330,47 +372,48 @@ func (s *solver) successiveRounding() {
 		if s.ctx.Err() != nil {
 			return
 		}
-		unsolved := s.unsolvedIDs()
+		s.unsolved = s.unsolvedIDs(s.unsolved)
+		unsolved := s.unsolved
 		if len(unsolved) == 0 {
 			return
 		}
-		s.profits = s.currentProfits()
-		caps := s.rowCapacities(unsolved)
-		a, err := s.solveRelaxation(unsolved, caps)
+		s.profits = s.currentProfits(s.profits)
+		a, err := s.solveRelaxation(unsolved, s.rowCapacities())
+		// A failed solve may have overwritten part of the buffer, so the
+		// previous relaxation is gone too.
+		s.hasRelax = err == nil
 		if err != nil {
 			return
 		}
-
-		// Remember the latest relaxation for fast convergence / tracing.
-		s.lastRelax = make(map[int][]float64, len(unsolved))
 		for k, i := range unsolved {
-			s.lastRelax[i] = a[k]
+			s.relaxAt[i] = k
 		}
 
+		// A first-fit split has at most one positive entry per character
+		// plus one per row boundary, so this capacity is rarely exceeded.
 		apq := 0.0
-		var entries []roundingEntry
+		entries := slices.Grow(s.entries[:0], len(unsolved)+s.m)
 		for k, i := range unsolved {
-			for j := 0; j < s.m; j++ {
-				v := a[k][j]
+			density := s.profits[i]
+			if s.effW[i] > 0 {
+				density /= float64(s.effW[i])
+			}
+			for j, v := range a[k*s.m : (k+1)*s.m] {
 				if v > apq {
 					apq = v
 				}
 				if v > 1e-9 {
-					entries = append(entries, roundingEntry{char: i, row: j, value: v})
+					entries = append(entries, roundingEntry{char: i, row: j, value: v, density: density})
 				}
 			}
 		}
+		s.entries = entries
 		if apq <= 1e-9 {
 			s.recordIteration(0)
 			return
 		}
 		threshold := apq * s.opt.Thinv
-		sortRoundingEntries(entries, func(i int) float64 {
-			if s.effW[i] <= 0 {
-				return s.profits[i]
-			}
-			return s.profits[i] / float64(s.effW[i])
-		})
+		sortRoundingEntries(entries)
 
 		capAssign := s.opt.MaxAssignPerIteration
 		if capAssign <= 0 {
@@ -428,31 +471,30 @@ func (s *solver) recordIteration(assigned int) {
 		return
 	}
 	s.trace.AssignedPerIteration = append(s.trace.AssignedPerIteration, assigned)
-	s.trace.UnsolvedPerIteration = append(s.trace.UnsolvedPerIteration, len(s.unsolvedIDs()))
+	s.trace.UnsolvedPerIteration = append(s.trace.UnsolvedPerIteration, s.countUnsolved())
 }
 
 // fastConvergence is Algorithm 2: variables below Lth are fixed to zero,
 // variables above Uth are rounded up, and the remaining ones are decided by
 // a small ILP solved with branch and bound.
 func (s *solver) fastConvergence() {
-	unsolved := s.unsolvedIDs()
-	if len(unsolved) == 0 || s.lastRelax == nil {
+	s.unsolved = s.unsolvedIDs(s.unsolved)
+	unsolved := s.unsolved
+	if len(unsolved) == 0 || !s.hasRelax {
 		return
 	}
 	s.trace.UsedFastConvergence = true
-	s.profits = s.currentProfits()
+	s.profits = s.currentProfits(s.profits)
 
 	if s.opt.CollectTrace {
 		for _, i := range unsolved {
-			if vals, ok := s.lastRelax[i]; ok {
-				best := 0.0
-				for _, v := range vals {
-					if v > best {
-						best = v
-					}
+			best := 0.0
+			for _, v := range s.lastRelax(i) {
+				if v > best {
+					best = v
 				}
-				s.trace.LastLPValues = append(s.trace.LastLPValues, best)
 			}
+			s.trace.LastLPValues = append(s.trace.LastLPValues, best)
 		}
 	}
 
@@ -462,12 +504,7 @@ func (s *solver) fastConvergence() {
 	}
 	var undecided []pair
 	for _, i := range unsolved {
-		vals, ok := s.lastRelax[i]
-		if !ok {
-			continue
-		}
-		for j := 0; j < s.m; j++ {
-			v := vals[j]
+		for j, v := range s.lastRelax(i) {
 			switch {
 			case v > s.opt.Uth:
 				if !s.solved[i] && s.fits(i, j) {
@@ -499,7 +536,7 @@ func (s *solver) fastConvergence() {
 	s.trace.FastILPVariables = len(undecided)
 
 	// Build the ILP over the undecided pairs.
-	caps := s.rowCapacities(s.unsolvedIDs())
+	caps := s.rowCapacities()
 	prob := lp.NewProblem(len(undecided))
 	obj := make([]float64, len(undecided))
 	binaries := make([]int, len(undecided))
@@ -573,7 +610,7 @@ func (s *solver) fastConvergence() {
 // absolute writing-time reduction; the exact knapsack re-evaluates that
 // trade-off by total profit before the stencil capacity is gone.
 func (s *solver) convergeTail() {
-	s.profits = s.currentProfits()
+	s.profits = s.currentProfits(s.profits)
 	var ids []int
 	for i := 0; i < s.n; i++ {
 		if s.assigned[i] < 0 && s.width[i] <= s.w && s.profits[i] > 0 {
@@ -619,24 +656,34 @@ func (s *solver) convergeTail() {
 	}
 }
 
+// lastRelax returns character i's row fractions in the most recent
+// relaxation; i must be unsolved and s.hasRelax set.
+func (s *solver) lastRelax(i int) []float64 {
+	k := s.relaxAt[i]
+	return s.relax[k*s.m : (k+1)*s.m]
+}
+
 // roundingEntry is one positive relaxation value a_ij, a successive-rounding
-// candidate.
+// candidate, with its character's profit density.
 type roundingEntry struct {
-	char, row int
-	value     float64
+	char, row      int
+	value, density float64
 }
 
 // sortRoundingEntries puts entries in the relaxation's own ranking: by
 // fractional value, then by the character's profit density, both
 // descending. Density keeps the realised selection close to the
 // fractional-knapsack optimum of the relaxation; ranking ties by absolute
-// profit instead measurably erodes the total reduction.
-func sortRoundingEntries(entries []roundingEntry, density func(char int) float64) {
+// profit instead measurably erodes the total reduction. Every entry
+// reaches the sort, also those the rounding loop will not consume: pdqsort
+// places equal entries by the whole input, so filtering first would change
+// the tie order.
+func sortRoundingEntries(entries []roundingEntry) {
 	slices.SortFunc(entries, func(x, y roundingEntry) int {
 		if x.value != y.value {
 			return descending(x.value, y.value)
 		}
-		return descending(density(x.char), density(y.char))
+		return descending(x.density, y.density)
 	})
 }
 

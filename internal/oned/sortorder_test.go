@@ -79,10 +79,11 @@ func TestSortTieOrder(t *testing.T) {
 		dens := func(c int) float64 { return density[c] }
 		entries := make([]roundingEntry, n)
 		for i := range entries {
-			entries[i] = roundingEntry{char: rng.Intn(len(density)), row: i, value: key(withNaN)}
+			c := rng.Intn(len(density))
+			entries[i] = roundingEntry{char: c, row: i, value: key(withNaN), density: density[c]}
 		}
 		got := slices.Clone(entries)
-		sortRoundingEntries(got, dens)
+		sortRoundingEntries(got)
 		want := slices.Clone(entries)
 		sort.Slice(want, func(x, y int) bool {
 			if want[x].value != want[y].value {
