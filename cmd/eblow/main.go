@@ -6,12 +6,6 @@
 // comparison. For a long-running batched service over the same solvers see
 // cmd/eblowd.
 //
-// A portfolio race can be learned: -learn conditions the race order, the
-// pruning of never-winning heavy entrants and the worker split on the
-// statistics accumulated in -learn-path (and records this race's outcome
-// back); -learn-report prints the learned schedule for the instance's shape
-// without solving anything.
-//
 // Examples:
 //
 //	eblow -solvers
@@ -19,8 +13,6 @@
 //	eblow -instance design.json -algorithm greedy
 //	eblow -benchmark 1T-3 -algorithm exact -timeout 30s
 //	eblow -benchmark 2D-1 -algorithm portfolio -timeout 10s -workers 8
-//	eblow -benchmark 2D-1 -algorithm portfolio -learn -learn-path stats.json
-//	eblow -benchmark 2D-1 -learn-report -learn-path stats.json
 //	eblow -benchmark 2D-1 -out plan.json
 package main
 
@@ -53,9 +45,6 @@ func main() {
 		workers      = flag.Int("workers", runtime.NumCPU(), "worker goroutines for the parallel solver stages (results are worker-count independent unless -timeout truncates an annealing run)")
 		restarts     = flag.Int("restarts", 1, "independent annealing restarts for the SA-based planners (best-of wins)")
 		outPath      = flag.String("out", "", "write the resulting stencil plan as JSON to this file")
-		learnFlag    = flag.Bool("learn", false, "learned portfolio scheduling: order/prune the race by the win rates in -learn-path and record this race back (portfolio only)")
-		learnPath    = flag.String("learn-path", eblow.DefaultLearnPath, "JSON statistics store for -learn / -learn-report")
-		learnReport  = flag.Bool("learn-report", false, "print the learned race schedule for the instance's shape (static vs learned order, per-strategy stats) and exit")
 	)
 	flag.Parse()
 
@@ -71,18 +60,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *learnReport {
-		if err := reportLearned(in, *learnPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	// Ctrl-C cancels the planner instead of killing the process mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	sol, err := run(ctx, in, *algorithm, *seed, *workers, *restarts, *timeout, *learnFlag, *learnPath)
+	sol, err := run(ctx, in, *algorithm, *seed, *workers, *restarts, *timeout)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,61 +104,9 @@ func loadInstance(path, benchmark string) (*eblow.Instance, error) {
 	}
 }
 
-// reportLearned prints the learned race schedule for the instance's shape:
-// the static registry order next to the order the statistics in the store
-// would race, the pruned entrants, and each strategy's per-shape record.
-func reportLearned(in *eblow.Instance, path string) error {
-	store, err := eblow.OpenLearn(path)
-	if err != nil {
-		return err
-	}
-	shape := eblow.Fingerprint(in)
-	plan := eblow.PlanRace(store, in)
-	fmt.Printf("instance      : %s (%s)\n", in.Name, in.Kind)
-	fmt.Printf("shape         : %s\n", shape)
-	fmt.Printf("store         : %s\n", path)
-	fmt.Printf("static order  : %v\n", raceOrder(in.Kind))
-	if plan.Learned {
-		fmt.Printf("learned order : %v\n", plan.Order)
-		if len(plan.Pruned) > 0 {
-			fmt.Printf("pruned        : %v\n", plan.Pruned)
-		} else {
-			fmt.Printf("pruned        : none\n")
-		}
-	} else {
-		fmt.Printf("learned order : (cold store for this shape; static order applies)\n")
-	}
-	if ss := store.Shape(shape); ss != nil {
-		fmt.Printf("recorded races: %d\n", ss.Races)
-		for _, name := range raceOrder(in.Kind) {
-			s := ss.Strategies[name]
-			if s == nil {
-				continue
-			}
-			fmt.Printf("  %-12s %d/%d wins, best T=%d, avg %dms\n",
-				name, s.Wins, s.Races, s.BestObjective, s.TotalElapsedMs/int64(s.Races))
-		}
-	} else {
-		fmt.Printf("recorded races: 0\n")
-	}
-	return nil
-}
-
-// raceOrder lists the strategies of the default portfolio race for the
-// kind, in race (registry) order.
-func raceOrder(kind eblow.Kind) []string {
-	var names []string
-	for _, s := range eblow.SolverInfos() {
-		if s.Racing && s.Supports(kind) {
-			names = append(names, s.Name)
-		}
-	}
-	return names
-}
-
 // run dispatches through the unified solver API: every algorithm name is a
 // registry strategy, configured by one Params struct.
-func run(ctx context.Context, in *eblow.Instance, algorithm string, seed int64, workers, restarts int, timeout time.Duration, learn bool, learnPath string) (*eblow.Solution, error) {
+func run(ctx context.Context, in *eblow.Instance, algorithm string, seed int64, workers, restarts int, timeout time.Duration) (*eblow.Solution, error) {
 	// Historical shorthand: -algorithm heuristic24 meant the prior-work
 	// baseline of the instance kind, which for 2D is the SA floorplanner.
 	if algorithm == "heuristic24" && in.Kind == eblow.TwoD {
@@ -191,13 +121,6 @@ func run(ctx context.Context, in *eblow.Instance, algorithm string, seed int64, 
 		Seed:       seed,
 		Restarts:   restarts,
 		Strategies: []string{algorithm},
-	}
-	if learn {
-		if algorithm != "portfolio" {
-			log.Printf("note: -learn only affects the portfolio strategy, not %q", algorithm)
-		}
-		p.Learn = true
-		p.LearnPath = learnPath
 	}
 	switch algorithm {
 	case "eblow":
@@ -223,10 +146,6 @@ func run(ctx context.Context, in *eblow.Instance, algorithm string, seed int64, 
 		}
 		fmt.Printf("portfolio     : %s won among %v (race took %s)\n",
 			res.Strategy, names, res.Elapsed.Round(time.Millisecond))
-	}
-	if res.Plan != nil && res.Plan.Learned {
-		fmt.Printf("learned plan  : order %v, pruned %v (shape %s)\n",
-			res.Plan.Order, res.Plan.Pruned, res.Plan.Shape)
 	}
 	if res.Exact != nil && !res.Exact.Optimal {
 		fmt.Printf("note: ILP hit its limit; solution is feasible but not proven optimal\n")

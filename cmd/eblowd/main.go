@@ -25,15 +25,9 @@
 // by a token-bucket request rate plus a pending-job quota (both 429). The
 // key's name is stamped into job records, events and the WAL.
 //
-// With -learn-path the server keeps one learned-scheduling store shared by
-// every job: portfolio races are reordered and pruned by the accumulated
-// per-shape win rates, every race outcome is recorded back, and the store
-// is persisted after each job. GET /v1/learn exposes the statistics.
-//
 // By default (-batch) the queue drains through a cost-model scheduler
 // instead of FIFO order: every job's cost is estimated (chars x regions x
-// strategy, sharpened by the learn store's measured runtimes when one is
-// loaded) and each free worker runs the cheapest queued job, so cheap jobs
+// strategy) and each free worker runs the cheapest queued job, so cheap jobs
 // may overtake expensive ones. Per-job results stay bit-identical to FIFO
 // execution, and -aging hard-bounds how many later jobs may overtake a
 // waiting one (no starvation). GET /v1/stats exposes the queue
@@ -42,17 +36,16 @@
 //
 // With -dispatch the process becomes a fleet front-end instead of a solver:
 // it owns the public API and shards submitted jobs across the named backend
-// eblowd nodes by consistent hashing on the instance's learned-scheduling
-// fingerprint, so every job of one shape lands on the same node and that
-// node's learn store stays hot. Status, results, cancels
-// and event streams are proxied back; GET /v1/stats and GET /v1/learn
-// aggregate across the fleet. With -wal the dispatcher keeps its own log of
+// eblowd nodes by consistent hashing on a coarse instance shape key, so
+// every job of one shape lands on the same node. Status, results, cancels
+// and event streams are proxied back; GET /v1/stats aggregates across the
+// fleet. With -wal the dispatcher keeps its own log of
 // accepted submissions, with the same format and fsync policy as a node's
 // job log: when a backend node dies (detected after -fail-after failed
 // probes, probed every -health-interval), its unfinished jobs are
 // re-dispatched to the surviving nodes from the logged specs — deterministic
 // re-solving makes the failed-over results bit-identical. Solver-side flags
-// (-workers, -batch, -learn-path, ...) are ignored in dispatch mode; they
+// (-workers, -batch, ...) are ignored in dispatch mode; they
 // belong to the backend nodes. -auth-keys guards the dispatcher's front
 // door, but per-key pending quotas and key stamps apply only on a node.
 //
@@ -63,7 +56,6 @@
 // Examples:
 //
 //	eblowd -addr 127.0.0.1:8080 -workers 8
-//	eblowd -addr 127.0.0.1:8080 -learn-path eblow.learn.json
 //	eblowd -addr 127.0.0.1:8090 -dispatch "a=http://127.0.0.1:8081,b=http://127.0.0.1:8082" -wal dispatch.wal
 //	curl -s localhost:8080/v1/jobs -d '{"benchmark": "1T-1", "params": {"seed": 1}}'
 //	curl -s localhost:8080/v1/jobs/j1
@@ -85,7 +77,6 @@ import (
 	"strings"
 	"time"
 
-	"eblow"
 	"eblow/internal/dispatch"
 	"eblow/internal/service"
 )
@@ -99,7 +90,6 @@ func main() {
 		workers     = flag.Int("workers", runtime.NumCPU(), "worker pool size shared by every submitted job")
 		recordTTL   = flag.Duration("record-ttl", time.Hour, "how long finished job records stay readable (0 keeps them forever)")
 		maxPending  = flag.Int("max-pending", 1024, "max queued jobs before submissions are rejected with 429 (0 = unbounded)")
-		learnPath   = flag.String("learn-path", "", "JSON store for learned portfolio scheduling, shared across all jobs and persisted after each race (\"\" disables learning)")
 		walPath     = flag.String("wal", "", "durable write-ahead job log: accepted jobs are fsynced before the ack and replayed on restart (\"\" disables durability)")
 		walMaxBytes = flag.Int64("wal-max-bytes", service.DefaultWALMaxBytes, "compact the WAL to a live-job snapshot once it exceeds this size")
 		authKeys    = flag.String("auth-keys", "", "API key file (one \"name secret [readonly] [pending=N] [rate=R] [burst=B]\" per line); \"\" serves unauthenticated")
@@ -118,15 +108,6 @@ func main() {
 		return
 	}
 
-	var store *eblow.LearnStore
-	if *learnPath != "" {
-		var err error
-		if store, err = eblow.OpenLearn(*learnPath); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("learned scheduling on, store %s", *learnPath)
-	}
-
 	var wal *service.WAL
 	if *walPath != "" {
 		var err error
@@ -139,7 +120,7 @@ func main() {
 	if *batchOn {
 		log.Printf("batch scheduling on: cost order, aging bound %d", *aging)
 	}
-	m := service.New(service.Config{Workers: *workers, RecordTTL: *recordTTL, MaxPending: *maxPending, Learn: store, WAL: wal, Batch: batchCfg})
+	m := service.New(service.Config{Workers: *workers, RecordTTL: *recordTTL, MaxPending: *maxPending, WAL: wal, Batch: batchCfg})
 	if wal != nil {
 		// New consumed the log: report what the replay found (the chaos
 		// test greps this line).

@@ -13,7 +13,6 @@
 //	ospbench -workers-sweep 1T-3 -sweep-workers 1,2,4,8 -exact-time 10s
 //	ospbench -perf small-1M -bench-json BENCH_small-1M.json
 //	ospbench -lp-perf small-1M -bench-json BENCH_lp.json
-//	ospbench -learn-replay 2T-1,2T-2,2T-3,2T-4 -learn-path stats.json
 package main
 
 import (
@@ -59,9 +58,6 @@ func main() {
 		tpWorkers    = flag.Int("tp-workers", 4, "service worker-pool size for -throughput")
 		assertSpdup  = flag.Float64("assert-speedup", 0, "fail -throughput unless the cost-order drain's goodput is at least this multiple of the FIFO drain's (0 disables the assertion)")
 		benchSummary = flag.Bool("bench-summary", false, "aggregate every BENCH_*.json record in the current directory into one table")
-		learnReplay  = flag.String("learn-replay", "", "replay this comma-separated benchmark case list through recorded portfolio races to warm the -learn-path store, then print the learned race ordering vs the static one per case")
-		learnPath    = flag.String("learn-path", "", "JSON statistics store for -learn-replay (\"\" uses a throwaway in-memory store)")
-		learnRounds  = flag.Int("learn-rounds", 3, "how many recorded races to replay per case for -learn-replay")
 		sweepWorkers = flag.String("sweep-workers", "1,2,4,8", "comma-separated worker counts for -workers-sweep")
 		sweepJSON    = flag.Bool("json", false, "emit the -workers-sweep result as JSON (for BENCH tracking) instead of a table")
 		cases        = flag.String("cases", "", "comma-separated case list (default: the paper's cases)")
@@ -95,8 +91,6 @@ func main() {
 		fail(runBenchSummary("."))
 	case *throughput:
 		fail(runThroughput(ctx, *tpJobs, *tpWorkers, *tpSpan, *tpSLO, *seed, *assertSpdup, *benchJSON))
-	case *learnReplay != "":
-		fail(replayLearn(ctx, *learnReplay, *learnPath, *learnRounds, *workers, *restarts, *seed, *timeout))
 	case *lpPerf != "":
 		fail(runLPPerf(ctx, *lpPerf, *benchJSON))
 	case *perf != "":
@@ -452,76 +446,6 @@ func sweepExactWorkers(ctx context.Context, caseName, workerList string, limit t
 		}
 	}
 	fmt.Printf("identical status/objective at every worker count\n")
-	return nil
-}
-
-// replayLearn warms a learned-scheduling store by replaying recorded
-// portfolio races over a benchmark case list, persists it, and prints the
-// learned race ordering next to the static registry one per case — showing
-// which heavy entrants the accumulated win rates reorder or prune on each
-// family.
-func replayLearn(ctx context.Context, caseList, path string, rounds, workers, restarts int, seed int64, timeout time.Duration) error {
-	var store *eblow.LearnStore
-	var err error
-	if path != "" {
-		if store, err = eblow.OpenLearn(path); err != nil {
-			return err
-		}
-	} else {
-		store = eblow.NewLearnStore()
-	}
-	names := strings.Split(caseList, ",")
-	if rounds < 1 {
-		rounds = 1
-	}
-
-	fmt.Printf("replaying %d recorded race(s) per case over %v\n", rounds, names)
-	instances := make([]*core.Instance, len(names))
-	for i, name := range names {
-		if instances[i], err = eblow.Benchmark(strings.TrimSpace(name)); err != nil {
-			return err
-		}
-	}
-	for round := 0; round < rounds; round++ {
-		for _, in := range instances {
-			res, err := eblow.SolveWith(ctx, in, eblow.Params{
-				Workers:    workers,
-				Restarts:   restarts,
-				Seed:       seed + int64(round),
-				Deadline:   timeout,
-				Strategies: []string{"portfolio"},
-				LearnStore: store,
-			})
-			if err != nil {
-				return fmt.Errorf("%s round %d: %w", in.Name, round+1, err)
-			}
-			fmt.Printf("  %-6s round %d: %-12s T=%-8d %s\n",
-				in.Name, round+1, res.Strategy, res.Objective, res.Elapsed.Round(time.Millisecond))
-		}
-	}
-	if err := store.Save(); err != nil {
-		return err
-	}
-	if path != "" {
-		fmt.Printf("store persisted to %s\n", path)
-	}
-
-	fmt.Printf("\nlearned schedule per case (static order vs the warmed store):\n")
-	for _, in := range instances {
-		plan := eblow.PlanRace(store, in)
-		fmt.Printf("%-6s shape %s\n", in.Name, plan.Shape)
-		fmt.Printf("  static  : %v\n", solver.RacingNames(in.Kind))
-		if !plan.Learned {
-			fmt.Printf("  learned : (cold — too few races for this shape)\n")
-			continue
-		}
-		fmt.Printf("  learned : %v\n", plan.Order)
-		if len(plan.Pruned) > 0 {
-			fmt.Printf("  pruned  : %v\n", plan.Pruned)
-		} else {
-			fmt.Printf("  pruned  : none\n")
-		}
-	}
 	return nil
 }
 

@@ -34,9 +34,7 @@ import (
 	"eblow/internal/exact"
 	"eblow/internal/gen"
 	"eblow/internal/jsonlex"
-	"eblow/internal/learn"
 	"eblow/internal/oned"
-	"eblow/internal/solver"
 	"eblow/internal/twod"
 )
 
@@ -103,60 +101,6 @@ func Defaults1D() Options1D { return oned.Defaults() }
 
 // Defaults2D returns the paper's parameter settings for the 2D planner.
 func Defaults2D() Options2D { return twod.Defaults() }
-
-// Learned portfolio scheduling. A LearnStore accumulates, per instance
-// shape (LearnShape), which strategy wins portfolio races of that shape;
-// the portfolio consults it to reorder the race by win rate, prune heavy
-// entrants that never win the shape, and rebalance its worker split — with
-// a cold store reproducing the static registry order bit-for-bit. Opt in
-// via Params.Learn/LearnPath (the race opens, records and saves the store
-// itself) or Params.LearnStore (an already-open store shared across solves,
-// persisted by its owner; cmd/eblowd holds one per server).
-type (
-	// LearnStore is the persistent shape-conditioned outcome store
-	// (JSON on disk, atomic rewrite, merge-on-load).
-	LearnStore = learn.Store
-	// LearnShape is an instance fingerprint: coarse buckets for kind,
-	// region count, character count, VSB pressure and stencil pressure.
-	LearnShape = learn.Shape
-	// LearnPlan is a scheduled race: entrant order, pruned entrants and
-	// heavy-pool weights (Result.Plan reports the one actually used).
-	LearnPlan = learn.Plan
-	// LearnShapeStats aggregates every strategy's record on one shape.
-	LearnShapeStats = learn.ShapeStats
-	// LearnStrategyStats is one strategy's record on one shape.
-	LearnStrategyStats = learn.StrategyStats
-)
-
-// DefaultLearnPath is the store file used when Params.Learn is set without
-// a Params.LearnPath.
-const DefaultLearnPath = learn.DefaultPath
-
-// OpenLearn opens (or, on first save, creates) the learned-scheduling
-// statistics store at path.
-func OpenLearn(path string) (*LearnStore, error) { return learn.Open(path) }
-
-// NewLearnStore returns an empty in-memory store with no backing file,
-// useful for learning within one process without persistence.
-func NewLearnStore() *LearnStore { return learn.NewStore() }
-
-// Fingerprint buckets the instance into the shape the learned portfolio
-// conditions its statistics on.
-func Fingerprint(in *Instance) LearnShape { return learn.Fingerprint(in) }
-
-// PlanRace returns the race plan the learned portfolio would use for the
-// instance under the store's current statistics, without running anything:
-// the default racing entrants for the instance's kind, reordered and pruned
-// by the recorded win rates (or the static order when the store is cold for
-// the instance's shape).
-func PlanRace(store *LearnStore, in *Instance) *LearnPlan {
-	entries := solver.Racing(in.Kind)
-	ents := make([]learn.Entrant, len(entries))
-	for i, e := range entries {
-		ents[i] = e.LearnEntrant()
-	}
-	return store.Plan(learn.Fingerprint(in), ents, learn.PlanConfig{})
-}
 
 // Solve plans the stencil of the instance with the E-BLOW planner for its
 // kind under the default parameters. It is shorthand for SolveWith with a

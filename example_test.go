@@ -51,42 +51,3 @@ func ExampleSolveWith_portfolioRace() {
 	// ran: row25 true
 	// ran: greedy true
 }
-
-// A learned race conditions the portfolio on the instance's shape: after a
-// few recorded races the store reorders the entrants by win rate and prunes
-// heavy strategies that never win the shape. An empty store reproduces the
-// static order bit-for-bit, so opting in is never a regression.
-func ExampleSolveWith_learnedRace() {
-	ctx := context.Background()
-	in := eblow.SmallInstance(eblow.TwoD, 40, 2, 12)
-	store := eblow.NewLearnStore() // or eblow.OpenLearn("stats.json")
-
-	p := eblow.Params{
-		Strategies: []string{"portfolio"},
-		Seed:       7,
-		Restarts:   2,
-		LearnStore: store, // consult the plan + record each race's outcome
-	}
-	// Warm the store: the first races run the static order and record who
-	// wins this shape.
-	for i := 0; i < 3; i++ {
-		if _, err := eblow.SolveWith(ctx, in, p); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// Now the schedule is learned: the race leads with the recorded winner
-	// and drops the heavy strategy that never won.
-	res, err := eblow.SolveWith(ctx, in, p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("learned:", res.Plan.Learned)
-	fmt.Println("order:", res.Plan.Order)
-	fmt.Println("pruned:", res.Plan.Pruned)
-	fmt.Println("winner:", res.Strategy)
-	// Output:
-	// learned: true
-	// order: [eblow greedy]
-	// pruned: [sa24]
-	// winner: eblow
-}

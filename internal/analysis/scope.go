@@ -19,7 +19,6 @@ var deterministicPkgs = map[string]bool{
 	"eblow/internal/seqpair":   true,
 	"eblow/internal/anneal":    true,
 	"eblow/internal/portfolio": true,
-	"eblow/internal/learn":     true,
 }
 
 // solverExtraPkgs extend the deterministic set for the RNG and

@@ -1,8 +1,7 @@
 // Package batch is the job service's cost-model scheduler.
 //
-// The service pushes every queued job with a cost estimate (Estimate:
-// chars x regions x strategy, replaced by measured runtimes from
-// internal/learn once a store has traffic history) and Queue.Pop returns
+// The service pushes every queued job with a static cost estimate
+// (Estimate: chars x regions x strategy) and Queue.Pop returns
 // the cheapest pending job, one job per pop. Fairness is bounded, not
 // best-effort: a job can be overtaken by at most the queue's aging bound
 // of later-submitted jobs before the scheduler pins it to the front, so

@@ -1,31 +1,13 @@
 package batch
 
-import (
-	"eblow/internal/core"
-	"eblow/internal/learn"
-)
+import "eblow/internal/core"
 
 // Estimate returns the scheduler's cost estimate for running the strategy
-// on the instance. Costs are in rough microseconds of expected solve time —
-// the absolute scale only matters so static estimates stay comparable with
-// measured ones; the scheduler consumes relative order.
-//
-// With a learn store loaded, a shape that has recorded traffic history for
-// the strategy reports its measured mean runtime instead of the static
-// model, so the queue ordering sharpens as the deployment runs. Without
-// history the static model is chars x regions x a per-strategy factor:
-// coarse, but it only has to rank a tiny greedy job below a medium
-// annealing job, which it does by orders of magnitude.
-func Estimate(in *core.Instance, strategy string, store *learn.Store) float64 {
-	if store != nil {
-		if d, ok := store.AvgElapsed(learn.Fingerprint(in), strategy); ok {
-			us := float64(d.Microseconds())
-			if us < 1 {
-				us = 1
-			}
-			return us
-		}
-	}
+// on the instance, in rough microseconds of expected solve time; the
+// scheduler consumes only the relative order. The model is chars x regions
+// x a per-strategy factor: coarse, but it only has to rank a tiny greedy
+// job below a medium annealing job, which it does by orders of magnitude.
+func Estimate(in *core.Instance, strategy string) float64 {
 	chars := float64(in.NumCharacters())
 	regions := float64(in.NumRegions)
 	if regions < 1 {

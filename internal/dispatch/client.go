@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"eblow/internal/learn"
 	"eblow/internal/service"
 )
 
@@ -172,35 +171,6 @@ func (c *nodeClient) stats(ctx context.Context) (service.Stats, error) {
 		return service.Stats{}, fmt.Errorf("dispatch: node %s stats: %w", c.name, err)
 	}
 	return s, nil
-}
-
-// learnSnapshot fetches the node's learned-scheduling statistics. A node
-// with learning disabled answers 404; that is reported as ok == false, not
-// an error, so aggregation skips it quietly.
-func (c *nodeClient) learnSnapshot(ctx context.Context) (path string, shapes map[string]*learn.ShapeStats, ok bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/learn", nil)
-	if err != nil {
-		return "", nil, false, err
-	}
-	resp, err := c.short.Do(req)
-	if err != nil {
-		return "", nil, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return "", nil, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", nil, false, fmt.Errorf("dispatch: node %s learn stats: %s", c.name, readError(resp))
-	}
-	var body struct {
-		Path   string                       `json:"path"`
-		Shapes map[string]*learn.ShapeStats `json:"shapes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return "", nil, false, fmt.Errorf("dispatch: node %s learn stats: %w", c.name, err)
-	}
-	return body.Path, body.Shapes, true, nil
 }
 
 // readError extracts the backend's error message from a non-2xx reply,

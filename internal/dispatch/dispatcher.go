@@ -10,9 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"eblow"
 	"eblow/internal/journal"
-	"eblow/internal/learn"
 	"eblow/internal/service"
 )
 
@@ -217,7 +215,7 @@ func (d *Dispatcher) Owner(id string) (node string, ok bool) {
 
 // Submit accepts one public submission: the body is validated exactly as a
 // backend would (service.ParseSubmitBody), the routing key is the instance's
-// learned-scheduling fingerprint, the accepted spec is fsynced to the
+// shape key (routingKey), the accepted spec is fsynced to the
 // dispatcher WAL before the ack, and the job is dispatched to the ring
 // owner. A submission with no reachable owner is still accepted — it waits
 // unassigned and the janitor dispatches it as soon as a node can take it.
@@ -226,7 +224,7 @@ func (d *Dispatcher) Submit(body []byte) (map[string]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	shape := eblow.Fingerprint(spec.Instance)
+	key := routingKey(spec.Instance)
 	// One copy of the request, shared by the job record (re-posted on
 	// failover) and its accepted WAL record.
 	body = append([]byte(nil), value...)
@@ -240,7 +238,7 @@ func (d *Dispatcher) Submit(body []byte) (map[string]any, error) {
 	j := &jobRecord{
 		id:         fmt.Sprintf("j%d", d.nextID),
 		body:       body,
-		routingKey: shape.Key(),
+		routingKey: key,
 		name:       spec.Instance.Name,
 		kind:       spec.Instance.Kind.String(),
 		solver:     service.SolverLabel(spec),
@@ -775,69 +773,6 @@ func addStats(dst *service.Stats, src service.Stats) {
 	dst.Batch.BatchedJobs += src.Batch.BatchedJobs
 	dst.Batch.Overtakes += src.Batch.Overtakes
 	dst.Batch.AgedPops += src.Batch.AgedPops
-}
-
-// LearnNode is one backend's entry in the aggregated learn stats.
-type LearnNode struct {
-	Name string `json:"name"`
-	// Path is the node's store file ("" when the node has learning
-	// disabled or could not be asked).
-	Path string `json:"path,omitempty"`
-	// Enabled reports whether the node serves learned-scheduling stats.
-	Enabled bool   `json:"enabled"`
-	Error   string `json:"error,omitempty"`
-}
-
-// FleetLearn is the dispatcher's GET /v1/learn document: per-node store
-// identities plus the per-shape statistics merged across the fleet.
-type FleetLearn struct {
-	Nodes []LearnNode `json:"nodes"`
-	// Shapes is the fleet-wide merge: counters add per shape and strategy,
-	// best objectives take the minimum (learn.MergeSnapshots).
-	Shapes map[string]*learn.ShapeStats `json:"shapes"`
-}
-
-// Learn aggregates GET /v1/learn across the fleet. Because routing pins
-// each shape to one node, the merged snapshot is also the sharding story:
-// each shape's races all come from its owning node.
-func (d *Dispatcher) Learn(ctx context.Context) FleetLearn {
-	d.mu.Lock()
-	clients := make([]*nodeState, 0, len(d.nodeOrder))
-	for _, name := range d.nodeOrder {
-		clients = append(clients, d.nodes[name])
-	}
-	d.mu.Unlock()
-
-	type reply struct {
-		node   LearnNode
-		shapes map[string]*learn.ShapeStats
-	}
-	replies := make([]reply, len(clients))
-	var wg sync.WaitGroup
-	for i, ns := range clients {
-		wg.Add(1)
-		go func(i int, ns *nodeState) {
-			defer wg.Done()
-			r := reply{node: LearnNode{Name: ns.name}}
-			path, shapes, enabled, err := ns.client.learnSnapshot(ctx)
-			switch {
-			case err != nil:
-				r.node.Error = err.Error()
-			case enabled:
-				r.node.Enabled = true
-				r.node.Path = path
-				r.shapes = shapes
-			}
-			replies[i] = r
-		}(i, ns)
-	}
-	wg.Wait()
-	out := FleetLearn{Shapes: make(map[string]*learn.ShapeStats)}
-	for _, r := range replies {
-		out.Nodes = append(out.Nodes, r.node)
-		learn.MergeSnapshots(out.Shapes, r.shapes)
-	}
-	return out
 }
 
 // Close stops the health loops and the janitor, closes the WAL, and

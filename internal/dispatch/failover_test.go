@@ -59,8 +59,9 @@ func newFleet(t *testing.T, n, workers int) ([]*fleetNode, []NodeConfig) {
 }
 
 // submitBody builds a POST /v1/jobs body for a small deterministic
-// instance. Same kind+chars+regions means same learn fingerprint, so jobs
-// built from the same geometry always share a routing key.
+// instance. The routing key is a coarse shape key, kept byte-stable for the
+// dispatcher WAL and for co-location, so jobs built from the same geometry
+// always share it and land on one node.
 func submitBody(t *testing.T, kind eblow.Kind, chars int, instSeed int64, solver, label string) []byte {
 	t.Helper()
 	in := eblow.SmallInstance(kind, chars, 2, instSeed)
@@ -163,8 +164,8 @@ func docDigest(doc map[string]any) string {
 // TestDispatchShardsAndAggregates is the happy-path e2e: a 3-node fleet
 // behind the dispatcher's public API. Jobs of the same shape must share a
 // node, every digest must match the single-node reference, the event
-// stream must carry public IDs to a terminal event, and the stats/learn
-// aggregation endpoints must see the whole fleet.
+// stream must carry public IDs to a terminal event, and the stats
+// aggregation must see the whole fleet.
 func TestDispatchShardsAndAggregates(t *testing.T) {
 	_, cfgs := newFleet(t, 3, 1)
 	d, err := New(Config{Nodes: cfgs, HealthInterval: 25 * time.Millisecond, FailAfter: 3})
@@ -273,17 +274,6 @@ func TestDispatchShardsAndAggregates(t *testing.T) {
 		t.Errorf("dispatcher table = %+v, want %d done", fs.Dispatcher.Jobs, len(bodies))
 	}
 
-	// Learn aggregation: these backends run without learning, which must
-	// read as a present-but-disabled fleet, not an error.
-	fl := d.Learn(context.Background())
-	if len(fl.Nodes) != 3 {
-		t.Fatalf("Learn lists %d nodes, want 3", len(fl.Nodes))
-	}
-	for _, ln := range fl.Nodes {
-		if ln.Error != "" || ln.Enabled {
-			t.Errorf("learn node %s: enabled=%v err=%q, want disabled and quiet", ln.Name, ln.Enabled, ln.Error)
-		}
-	}
 }
 
 // TestDispatchFailover is the satellite e2e: 3 nodes, one killed mid-queue,

@@ -1,8 +1,8 @@
 // HTTP surface of the dispatcher. The dispatcher implements service.API,
 // so the fleet front-end serves the single-node /v1 routes (listed in the
 // service package documentation) through the very same handler set: stats
-// and learn aggregate across the nodes, submissions are routed by instance
-// fingerprint, and status, result, cancel and the event stream are proxied
+// aggregate across the nodes, submissions are routed by instance shape
+// key, and status, result, cancel and the event stream are proxied
 // from the owning node, the stream re-attached across failover.
 //
 // Every backend document crosses rewriteJobDoc/rewriteEventLine on the way
@@ -77,9 +77,6 @@ func (d *Dispatcher) WireList(context.Context) any { return d.List() }
 
 // WireStats implements service.API.
 func (d *Dispatcher) WireStats(ctx context.Context) any { return d.Stats(ctx) }
-
-// WireLearn implements service.API.
-func (d *Dispatcher) WireLearn(ctx context.Context) (any, error) { return d.Learn(ctx), nil }
 
 // WireEvents implements service.API with StreamEvents.
 func (d *Dispatcher) WireEvents(ctx context.Context, id string) (func(io.Writer, func()), error) {

@@ -1,9 +1,10 @@
 // Package dispatch is the fleet front-end behind `eblowd -dispatch`: one
 // process that owns the public HTTP API and shards submitted jobs across N
-// backend solver nodes. Routing is consistent hashing on the internal/learn
-// instance fingerprint, so every job of one shape lands on the same node —
-// that node's learned store accumulates the shape's race statistics, exactly
-// as if the shape had a dedicated single-node deployment.
+// backend solver nodes. Routing is consistent hashing on a coarse instance
+// shape key (routingKey), so every job of one shape lands on the same node.
+// The key is kept byte-stable because the dispatcher WAL stores it: a
+// restarted dispatcher routes its replayed table exactly like its
+// predecessor.
 //
 // The dispatcher keeps its own write-ahead log of accepted submissions
 // (wal.go): a job acknowledged with 202 is on the dispatcher's disk before

@@ -1,0 +1,88 @@
+package portfolio
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"eblow/internal/core"
+	"eblow/internal/gen"
+)
+
+// planHash is FNV-1a over the selection, every row's y, characters and x
+// positions, and every placement.
+func planHash(sol *core.Solution) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, on := range sol.Selected {
+		if on {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	for _, r := range sol.Rows {
+		put(r.Y)
+		put(len(r.Chars))
+		for k, c := range r.Chars {
+			put(c)
+			put(r.X[k])
+		}
+	}
+	for _, p := range sol.Placements {
+		put(p.Char)
+		put(p.X)
+		put(p.Y)
+	}
+	return h.Sum64()
+}
+
+// TestStaticRacePinned pins the fixed-order race: winner, writing time and
+// a hash of the winning plan, at one and four workers, on the Table-5 tiny
+// families and one small generated instance per kind. The race runs the
+// registry's racing entrants in registration order with their seed offsets
+// and a uniform heavy-worker split; any change to that order, the offsets,
+// the tie-break or an entrant's plan shows up here. Runs under -short.
+func TestStaticRacePinned(t *testing.T) {
+	small1D := gen.Small(core.OneD, 60, 3, 11)
+	small1D.Name = "small-1D"
+	small2D := gen.Small(core.TwoD, 40, 2, 12)
+	small2D.Name = "small-2D"
+	cases := []struct {
+		in     *core.Instance
+		winner string
+		wt     int64
+		hash   uint64
+	}{
+		{gen.Tiny1T(1), "eblow", 49, 0xab282acabd9d19a3},
+		{gen.Tiny1T(2), "eblow", 67, 0x5b921a2aff733ba3},
+		{gen.Tiny1T(3), "eblow", 195, 0xfdc91669a1c444a3},
+		{gen.Tiny2T(1), "sa24", 22, 0x5226fa71ac59cd47},
+		{gen.Tiny2T(2), "eblow", 33, 0x8693f6b0d853ca9b},
+		{gen.Tiny2T(3), "eblow", 137, 0x82577a183312364c},
+		{gen.Tiny2T(4), "sa24", 199, 0x556a26864de8c0ee},
+		{small1D, "eblow", 653, 0xf6a1364edeac81c9},
+		{small2D, "eblow", 415, 0xb3296877d5ff3e1b},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", c.in.Name, workers), func(t *testing.T) {
+				res, err := Solve(context.Background(), c.in, Options{Workers: workers, Seed: 7, Restarts: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fmt.Sprintf("%s T=%d plan=%#x", res.Winner, res.Best.WritingTime, planHash(res.Best))
+				want := fmt.Sprintf("%s T=%d plan=%#x", c.winner, c.wt, c.hash)
+				if got != want {
+					t.Errorf("race = %s, want %s", got, want)
+				}
+			})
+		}
+	}
+}

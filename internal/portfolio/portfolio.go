@@ -15,13 +15,6 @@
 // usually wins, but on degenerate instances a baseline occasionally beats
 // it — the portfolio returns whichever plan writes fastest.
 //
-// The race can also be learned (package learn): with Options.Learn set the
-// entrant order, the pruning of never-winning heavy entrants and the
-// heavy-worker split come from the store's shape-conditioned win-rate
-// statistics, and the outcome of the race is recorded back. A cold store
-// reproduces the static registry order bit-for-bit, so opting in is never a
-// regression.
-//
 // The package also registers itself in the strategy registry under the name
 // "portfolio", so the job service and eblow.SolveWith can schedule a whole
 // race like any single strategy.
@@ -35,7 +28,6 @@ import (
 	"time"
 
 	"eblow/internal/core"
-	"eblow/internal/learn"
 	"eblow/internal/par"
 	"eblow/internal/solver"
 )
@@ -62,18 +54,6 @@ type Options struct {
 	// Only restricts the race to the named strategies (see Names). Nil
 	// means every registered racing strategy for the instance kind.
 	Only []string
-	// Learn, when set, makes the race shape-aware: the entrant order, the
-	// pruning of heavy entrants whose win probability on this instance's
-	// shape sits below the floor, and the heavy-worker split all come from
-	// the store's accumulated statistics (see learn.Store.Plan), and the
-	// race outcome (winner, objectives, wall-clock) is recorded back into
-	// the store unless NoRecord is set. With no or too few statistics for
-	// the shape the plan is the static registry order bit-for-bit. The
-	// caller owns persistence: Record only mutates memory, call
-	// Learn.Save() to write the file.
-	Learn *learn.Store
-	// NoRecord consults the store without recording this race's outcome.
-	NoRecord bool
 }
 
 func (o Options) workerCount() int {
@@ -92,13 +72,8 @@ type Result struct {
 	Best *core.Solution
 	// Winner names the strategy that produced Best.
 	Winner string
-	// Runs holds every strategy's outcome in the race order actually used
-	// (the static registry order, or the learned order when Options.Learn
-	// reordered or pruned the race).
+	// Runs holds every strategy's outcome in race order.
 	Runs []Run
-	// Plan is the learned race plan (nil unless Options.Learn was set). A
-	// cold store yields a plan with Learned == false and the static order.
-	Plan *learn.Plan
 	// Elapsed is the wall-clock time of the whole race.
 	Elapsed time.Duration
 }
@@ -134,32 +109,6 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 		return nil, err
 	}
 
-	// Learned scheduling: the store turns the instance's shape fingerprint
-	// into a race plan. A learned plan reorders the entrants by win rate and
-	// drops the pruned ones; a cold plan leaves the static order untouched,
-	// so the code below behaves bit-identically to a race without a store.
-	var plan *learn.Plan
-	if opt.Learn != nil {
-		ents := make([]learn.Entrant, len(entries))
-		for i, e := range entries {
-			ents[i] = e.LearnEntrant()
-		}
-		plan = opt.Learn.Plan(learn.Fingerprint(in), ents, learn.PlanConfig{})
-		if plan.Learned {
-			byName := make(map[string]*solver.Entry, len(entries))
-			for _, e := range entries {
-				byName[e.Name] = e
-			}
-			planned := make([]*solver.Entry, 0, len(plan.Order))
-			for _, n := range plan.Order {
-				if e := byName[n]; e != nil {
-					planned = append(planned, e)
-				}
-			}
-			entries = planned
-		}
-	}
-
 	// The heavy (annealing/LP) strategies race concurrently; handing each of
 	// them the full pool would oversubscribe the CPUs roughly heavy-fold and
 	// distort per-strategy timings, so the ones actually racing share it.
@@ -167,17 +116,13 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 	// metadata): a heavy entrant that cannot use more than one goroutine is
 	// handed exactly one, and the pool divides among the entrants that
 	// genuinely scale — the exact branch and bound included, now that its
-	// node evaluation is parallel. A learned plan rebalances the split
-	// toward the likely winners (largest-remainder shares, at least one
-	// worker each); the static split stays uniform. The split does not
-	// affect results — inner solvers are worker-count independent.
+	// node evaluation is parallel. The split does not affect results —
+	// inner solvers are worker-count independent.
 	workers := opt.workerCount()
 	scalable := 0
-	var heavyScalable []string
 	for _, e := range entries {
 		if e.Heavy && e.Scalable {
 			scalable++
-			heavyScalable = append(heavyScalable, e.Name)
 		}
 	}
 	if scalable < 1 {
@@ -187,10 +132,6 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 	if inner < 1 {
 		inner = 1
 	}
-	var shares map[string]int
-	if plan != nil && plan.Learned {
-		shares = plan.SplitWorkers(workers, heavyScalable)
-	}
 
 	// Race: every strategy writes only its own slot, so the runs slice is
 	// identical for any worker count; completion order never matters.
@@ -199,9 +140,6 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 	for i, e := range entries {
 		i, e := i, e
 		entrantWorkers := inner
-		if s, ok := shares[e.Name]; ok {
-			entrantWorkers = s
-		}
 		if e.Heavy && !e.Scalable {
 			entrantWorkers = 1
 		}
@@ -235,7 +173,7 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 	}
 	par.Do(workers, tasks...)
 
-	res := &Result{Runs: runs, Plan: plan, Elapsed: time.Since(start)}
+	res := &Result{Runs: runs, Elapsed: time.Since(start)}
 	for _, r := range runs {
 		if r.Solution == nil {
 			continue
@@ -251,26 +189,6 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 			return nil, err
 		}
 		return nil, ErrNoSolution
-	}
-	// Recording happens only for races that produced a winner: an aborted
-	// race says nothing about which strategy wins the shape. Memory only —
-	// persistence stays with whoever opened the store.
-	if opt.Learn != nil && !opt.NoRecord {
-		outcomes := make([]learn.RunOutcome, len(runs))
-		for i, r := range runs {
-			o := learn.RunOutcome{
-				Name:      r.Name,
-				Won:       r.Name == res.Winner,
-				Objective: -1,
-				Elapsed:   r.Elapsed,
-				Failed:    r.Solution == nil,
-			}
-			if r.Solution != nil {
-				o.Objective = r.Solution.WritingTime
-			}
-			outcomes[i] = o
-		}
-		opt.Learn.Record(plan.Shape, outcomes)
 	}
 	return res, nil
 }
@@ -312,45 +230,23 @@ func entrants(in *core.Instance, opt Options) ([]*solver.Entry, error) {
 // init registers the whole race as a strategy of its own, so callers that
 // schedule solvers by name (the job service, eblow.SolveWith) can ask for
 // "portfolio" like any other entry. Params map onto Options: Workers, Seed
-// and Restarts pass through, Strategies restricts the entrant set, the
-// Learn fields select the statistics store, and the deadline is already
-// carried by the context the registry wrapper built.
+// and Restarts pass through, Strategies restricts the entrant set, and the
+// deadline is already carried by the context the registry wrapper built.
 func init() {
 	solver.Register(&solver.Entry{
 		Name: "portfolio",
-		Doc:  "races the registered strategies under one deadline; best feasible plan wins (optionally learned: see Params.Learn)",
+		Doc:  "races the registered strategies under one deadline in fixed registry order; best feasible plan wins",
 		OneD: true, TwoD: true, Heavy: true, Scalable: true,
 	}, func(ctx context.Context, in *core.Instance, p solver.Params) (*solver.Result, error) {
-		// A caller-provided store is shared (the job service holds one for
-		// every job) and persisted by its owner; a store opened here from
-		// Params.LearnPath is owned by this solve and saved before returning.
-		store, ownStore := p.LearnStore, false
-		if store == nil && p.Learn {
-			path := p.LearnPath
-			if path == "" {
-				path = learn.DefaultPath
-			}
-			var err error
-			if store, err = learn.Open(path); err != nil {
-				return nil, err
-			}
-			ownStore = true
-		}
 		res, err := Solve(ctx, in, Options{
 			Workers:  p.Workers,
 			Seed:     p.Seed,
 			Restarts: p.Restarts,
 			Only:     p.Strategies,
-			Learn:    store,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if ownStore {
-			if err := store.Save(); err != nil {
-				return nil, err
-			}
-		}
-		return &solver.Result{Solution: res.Best, Strategy: res.Winner, Runs: res.Runs, Plan: res.Plan}, nil
+		return &solver.Result{Solution: res.Best, Strategy: res.Winner, Runs: res.Runs}, nil
 	})
 }

@@ -7,8 +7,6 @@
 //	GET    /v1/solvers            registered strategies
 //	GET    /v1/stats              queue depth, per-state job counts, batch counters
 //	                              (fleet: per node plus fleet-wide sums)
-//	GET    /v1/learn              learned-scheduling statistics snapshot
-//	                              (fleet: merged across the nodes)
 //	POST   /v1/jobs               submit a job (benchmark name or inline instance)
 //	GET    /v1/jobs               list jobs in submission order
 //	GET    /v1/jobs/{id}          job status (compact result summary)
@@ -48,7 +46,6 @@ type API interface {
 	WireCancel(ctx context.Context, id string) (any, error)
 	WireList(ctx context.Context) any
 	WireStats(ctx context.Context) any
-	WireLearn(ctx context.Context) (any, error)
 	// WireEvents resolves the job's event stream. An unknown job fails
 	// here, before any header is written; otherwise the returned function
 	// writes one JSON line per event to w, calling flush after each, until
@@ -64,9 +61,6 @@ var ErrNotReady = errors.New("result not ready")
 // node owning a job; the handler maps it to 502.
 var ErrUpstream = errors.New("service: upstream node failed")
 
-// errLearnDisabled answers GET /v1/learn on a node without a learn store.
-var errLearnDisabled = errors.New("service: learned scheduling is disabled (start the server with -learn-path)")
-
 // maxSubmitBytes bounds a POST /v1/jobs body (413 beyond it). The largest
 // built-in instance, 2M-8, encodes to about 1.4 MB.
 const maxSubmitBytes = 32 << 20
@@ -77,7 +71,7 @@ func statusOf(err error) int {
 	switch {
 	case errors.As(err, &tooLarge):
 		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrNotFound), errors.Is(err, errLearnDisabled):
+	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, ErrNotReady):
 		return http.StatusConflict
@@ -129,10 +123,6 @@ func NewHandler(api API) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, api.WireStats(r.Context()))
-	})
-	mux.HandleFunc("GET /v1/learn", func(w http.ResponseWriter, r *http.Request) {
-		doc, err := api.WireLearn(r.Context())
-		reply(w, http.StatusOK, doc, err)
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
@@ -227,15 +217,6 @@ func (m *Manager) WireList(context.Context) any {
 
 // WireStats implements API.
 func (m *Manager) WireStats(context.Context) any { return m.Stats() }
-
-// WireLearn implements API.
-func (m *Manager) WireLearn(context.Context) (any, error) {
-	store := m.Learn()
-	if store == nil {
-		return nil, errLearnDisabled
-	}
-	return map[string]any{"path": store.Path(), "shapes": store.Snapshot()}, nil
-}
 
 // WireEvents implements API.
 func (m *Manager) WireEvents(ctx context.Context, id string) (func(io.Writer, func()), error) {

@@ -72,13 +72,6 @@ type Config struct {
 	// which the HTTP layer maps to 429 Too Many Requests — backpressure
 	// instead of an unbounded queue under overload. 0 means no bound.
 	MaxPending int
-	// Learn is the optional learned-scheduling store shared by every job:
-	// portfolio jobs consult it for their race plan and record their
-	// outcome back, so the server's race scheduling improves as traffic
-	// accumulates. The manager saves the store after each job that recorded
-	// into it; GET /v1/learn exposes a statistics snapshot. Nil disables
-	// learning (cmd/eblowd enables it with -learn-path).
-	Learn *eblow.LearnStore
 	// WAL is the durable job log (see OpenWAL); nil disables durability.
 	// The manager owns it from here on: New replays it (re-enqueueing every
 	// job that was accepted but not terminal), each job transition appends
@@ -540,7 +533,7 @@ func (m *Manager) enqueueLocked(j *job) {
 		m.pool.Submit(func() { m.run(j) })
 		return
 	}
-	m.queue.Push(batch.Item{ID: j.id, Cost: batch.Estimate(j.spec.Instance, effectiveStrategy(j.spec), m.cfg.Learn)})
+	m.queue.Push(batch.Item{ID: j.id, Cost: batch.Estimate(j.spec.Instance, effectiveStrategy(j.spec))})
 	// One ticket per submitted job: the ticket of a job cancelled while
 	// queued finds the queue one job short and returns.
 	m.pool.Submit(m.drainOne)
@@ -557,12 +550,11 @@ func (m *Manager) run(j *job) {
 	}
 	m.mu.Unlock()
 
-	res, err := solveSpec(j.ctx, m.solveParams(j))
-	saveErr := m.saveLearn()
+	res, err := solveSpec(j.ctx, j.spec)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.finishLocked(j, res, err, saveErr)
+	m.finishLocked(j, res, err)
 }
 
 // drainOne is one scheduler pool ticket: it pops the job the cost model
@@ -578,17 +570,6 @@ func (m *Manager) drainOne() {
 	if j != nil {
 		m.run(j)
 	}
-}
-
-// solveParams returns the job's spec with the shared learning store riding
-// along; only the portfolio strategy consults it, and the manager owns
-// persistence (the race records in memory, saveLearn writes the file).
-func (m *Manager) solveParams(j *job) JobSpec {
-	spec := j.spec
-	if m.cfg.Learn != nil {
-		spec.Params.LearnStore = m.cfg.Learn
-	}
-	return spec
 }
 
 // startLocked transitions a job Queued -> Running and writes the started
@@ -612,11 +593,8 @@ func (m *Manager) startLocked(j *job) bool {
 
 // finishLocked applies a finished solve's terminal transition: state,
 // result, digest, events, terminal WAL record. Callers hold m.mu.
-func (m *Manager) finishLocked(j *job, res *eblow.Result, err error, saveErr error) {
+func (m *Manager) finishLocked(j *job, res *eblow.Result, err error) {
 	j.spec.instJSON = nil // a terminal job is never journalled as accepted again
-	if saveErr != nil {
-		m.appendEventLocked(j, "warning: saving learn store: "+saveErr.Error())
-	}
 	j.finished = time.Now()
 	j.cancel() // release the job's context resources
 	switch {
@@ -664,18 +642,6 @@ func (m *Manager) finishLocked(j *job, res *eblow.Result, err error, saveErr err
 	m.walAppendLocked(j, m.walTerminal(j))
 	m.maybeCompactWALLocked()
 }
-
-// saveLearn persists the shared learning store if the finished job recorded
-// a race outcome into it. Never called under m.mu — the save does file IO.
-func (m *Manager) saveLearn() error {
-	if m.cfg.Learn == nil || !m.cfg.Learn.Dirty() {
-		return nil
-	}
-	return m.cfg.Learn.Save()
-}
-
-// Learn returns the shared learned-scheduling store (nil when disabled).
-func (m *Manager) Learn() *eblow.LearnStore { return m.cfg.Learn }
 
 // Status returns a snapshot of the job.
 func (m *Manager) Status(id string) (JobStatus, error) {
@@ -802,10 +768,6 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 	m.baseCancel() // cancels every job context, queued slots drain as no-ops
 	m.pool.Close()
-	// Final best-effort flush of the learning store: the per-job saves
-	// already persisted every completed race, so at worst the outcome of a
-	// race that finished mid-shutdown is lost.
-	_ = m.saveLearn()
 	if m.cfg.WAL != nil {
 		_ = m.cfg.WAL.Close()
 	}

@@ -43,9 +43,8 @@ const (
 const DefaultWALMaxBytes = 8 << 20
 
 // walParams is the persisted subset of eblow.Params: exactly the fields a
-// wire submission can carry. In-process extras (Options1D/2D overrides, an
-// injected LearnStore) are not serializable and do not survive a replay —
-// the manager re-attaches its own shared store when the job re-runs.
+// wire submission can carry. In-process extras (the Options1D/2D
+// overrides) are not serializable and do not survive a replay.
 type walParams struct {
 	Workers    int      `json:"workers,omitempty"`
 	Seed       int64    `json:"seed,omitempty"`

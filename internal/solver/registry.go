@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"eblow/internal/core"
-	"eblow/internal/learn"
 )
 
 // Entry describes one registered strategy: the Solver plus the metadata the
@@ -46,14 +45,6 @@ type Entry struct {
 	SeedOffset int64
 
 	solve func(ctx context.Context, in *core.Instance, p Params) (*Result, error)
-}
-
-// LearnEntrant projects the entry onto the scheduler's view of a race
-// entrant. Both the portfolio race and eblow.PlanRace build their entrant
-// lists through this one conversion, so the plan a caller previews is
-// computed from exactly the metadata the race itself uses.
-func (e *Entry) LearnEntrant() learn.Entrant {
-	return learn.Entrant{Name: e.Name, Heavy: e.Heavy, Scalable: e.Scalable, Cheap: e.Cheap}
 }
 
 // Supports reports whether the strategy applies to the given instance kind.

@@ -26,7 +26,6 @@ import (
 
 	"eblow/internal/core"
 	"eblow/internal/exact"
-	"eblow/internal/learn"
 	"eblow/internal/oned"
 	"eblow/internal/twod"
 )
@@ -55,21 +54,6 @@ type Params struct {
 	// named ones. Nil means the default set. Single-strategy solvers
 	// ignore it.
 	Strategies []string
-	// Learn opts the portfolio strategy into learned scheduling: the race
-	// plan (entrant order, pruning of never-winning heavy entrants, the
-	// heavy-worker split) is conditioned on the instance's shape using the
-	// statistics store at LearnPath, and the race outcome is recorded back
-	// and persisted. A cold store reproduces the static registry order
-	// bit-for-bit. Strategies other than "portfolio" ignore it.
-	Learn bool
-	// LearnPath locates the JSON statistics store Learn uses; "" means
-	// learn.DefaultPath in the working directory.
-	LearnPath string
-	// LearnStore hands the portfolio an already-open store instead of
-	// opening LearnPath: the job service shares one store across all jobs
-	// this way. Implies Learn; the owner of the store persists it (the
-	// solve records outcomes in memory only).
-	LearnStore *learn.Store
 	// Options1D overrides the full E-BLOW 1D option set (nil = defaults
 	// completed with Workers/CollectTrace above).
 	Options1D *oned.Options
@@ -143,10 +127,6 @@ type Result struct {
 	// Runs holds every entrant's outcome of a portfolio race, in race
 	// order (portfolio strategy only).
 	Runs []Run
-	// Plan is the learned race plan of a portfolio race scheduled with
-	// Params.Learn or Params.LearnStore (nil otherwise; Learned == false
-	// when the store was cold for the instance's shape).
-	Plan *learn.Plan
 }
 
 // Run is one strategy's outcome inside a portfolio race.

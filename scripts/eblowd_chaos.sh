@@ -149,7 +149,7 @@ server_pid=""
 
 # ---------------------------------------------------------------------------
 # Dispatcher scenario: a 3-node fleet behind eblowd -dispatch. Jobs shard by
-# instance fingerprint, so every 2D-1 submission lands on one backend; that
+# instance shape key, so every 2D-1 submission lands on one backend; that
 # backend is kill -9'd while the cohort is mid-race, the survivors must pick
 # up its accepted-but-unfinished jobs from the dispatcher's WAL, and after
 # the dead node restarts the fleet must list every job exactly once with
