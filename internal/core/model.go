@@ -199,15 +199,11 @@ func (in *Instance) Validate() error {
 	if in.StencilWidth <= 0 || in.StencilHeight <= 0 {
 		return fmt.Errorf("core: non-positive stencil %dx%d", in.StencilWidth, in.StencilHeight)
 	}
-	seen := make(map[int]bool, len(in.Characters))
 	for i, c := range in.Characters {
+		// Dense IDs also rule out duplicates.
 		if c.ID != i {
 			return fmt.Errorf("core: character at index %d has ID %d (IDs must be dense 0..n-1)", i, c.ID)
 		}
-		if seen[c.ID] {
-			return fmt.Errorf("core: duplicate character ID %d", c.ID)
-		}
-		seen[c.ID] = true
 		if err := c.Validate(in.NumRegions); err != nil {
 			return err
 		}

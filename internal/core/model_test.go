@@ -114,6 +114,12 @@ func TestInstanceValidate(t *testing.T) {
 		t.Error("non-dense IDs should be rejected")
 	}
 
+	dup := tinyInstance()
+	dup.Characters[2].ID = 1
+	if err := dup.Validate(); err == nil {
+		t.Error("duplicate IDs should be rejected")
+	}
+
 	badHeight := tinyInstance()
 	badHeight.Characters[2].Height = 30
 	if err := badHeight.Validate(); err == nil {
@@ -124,6 +130,32 @@ func TestInstanceValidate(t *testing.T) {
 	badStencil.StencilWidth = 0
 	if err := badStencil.Validate(); err == nil {
 		t.Error("non-positive stencil should be rejected")
+	}
+}
+
+// Validate runs several times per served job (at submit, and again in the
+// solver entry points), so on a plan1d-shaped instance without row groups
+// (600 characters, 10 regions) it allocates nothing.
+func TestInstanceValidateAllocatesNothing(t *testing.T) {
+	const numChars, numRegions = 600, 10
+	in := &Instance{
+		Name: "plan1d-shaped", Kind: OneD, StencilWidth: 800, StencilHeight: 800,
+		NumRegions: numRegions, RowHeight: 40,
+		Characters: make([]Character, numChars),
+	}
+	for i := range in.Characters {
+		reps := make([]int64, numRegions)
+		for r := range reps {
+			reps[r] = int64((i + r) % 25)
+		}
+		in.Characters[i] = Character{ID: i, Width: 28 + i%17, Height: 40, BlankLeft: 4 + i%5, BlankRight: 4 + i%7,
+			VSBShots: 2 + i%59, Repeats: reps}
+	}
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = in.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times per call, want 0", n)
 	}
 }
 

@@ -81,7 +81,7 @@ var ErrNodeDown error = &wireError{"dispatch: the job's node is unreachable", se
 // unlocking without racing the sync loops.
 type jobRecord struct {
 	id         string
-	body       []byte // the submit body's JSON value, re-posted on failover
+	body       []byte // the submit body's JSON value, re-posted on failover; nil once terminal
 	routingKey string
 	name       string // instance name
 	kind       string
@@ -382,6 +382,7 @@ func (d *Dispatcher) terminateLocked(j *jobRecord) {
 		return
 	}
 	j.terminal = true
+	j.body = nil // never posted again; an in-flight post holds its own slice header
 	d.walAppendLocked(walRecord{
 		Op: walOpTerminal, Job: j.id, Time: time.Now(),
 		Node: j.node, BackendID: j.backendID,
@@ -839,7 +840,6 @@ func (d *Dispatcher) replayWALLocked() {
 		a := s.accepted
 		j := &jobRecord{
 			id:         id,
-			body:       append([]byte(nil), a.Body...),
 			routingKey: a.RoutingKey,
 			name:       a.Name,
 			kind:       a.Kind,
@@ -861,11 +861,13 @@ func (d *Dispatcher) replayWALLocked() {
 			j.backendID = s.terminal.BackendID
 			j.terminal = true
 			terminal++
-		case s.dispatched != nil:
-			j.node = s.dispatched.Node
-			j.backendID = s.dispatched.BackendID
-			resumed++
 		default:
+			// Only a job that may still be (re-)posted keeps its body.
+			j.body = append([]byte(nil), a.Body...)
+			if s.dispatched != nil {
+				j.node = s.dispatched.Node
+				j.backendID = s.dispatched.BackendID
+			}
 			resumed++
 		}
 		j.status = synthStatus(j)

@@ -408,6 +408,9 @@ func TestDispatchWALRestartRestoresTable(t *testing.T) {
 	if wantDigest == "" {
 		t.Fatal("finished job has no digest")
 	}
+	if jobBody(d, id) != nil {
+		t.Error("the finished job still holds its request body")
+	}
 	d.Close()
 
 	wal2, err := OpenWAL(walPath)
@@ -433,6 +436,9 @@ func TestDispatchWALRestartRestoresTable(t *testing.T) {
 	if got["replayed"] != true {
 		t.Errorf("restored job not marked replayed: %v", got)
 	}
+	if jobBody(d2, id) != nil {
+		t.Error("the replayed terminal job holds its request body")
+	}
 	// The result endpoint still answers: proxied in full while the
 	// backend retains the record, from the dispatcher's digest-only
 	// snapshot once it doesn't.
@@ -452,6 +458,67 @@ func TestDispatchWALRestartRestoresTable(t *testing.T) {
 	if doc2["id"].(string) == id {
 		t.Fatalf("public ID %s reused after restart", id)
 	}
+}
+
+// jobBody returns the request body the dispatcher keeps for the job.
+func jobBody(d *Dispatcher, id string) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.jobs[id].body
+}
+
+// A job keeps its request body, to post it again on failover, only until it
+// is terminal: a cancelled job drops it, and a restarted dispatcher
+// restores it for the unfinished job alone.
+func TestDispatchBodyKeptUntilTerminal(t *testing.T) {
+	nodes, cfgs := newFleet(t, 1, 1)
+	nodes[0].kill() // nothing can be assigned: both jobs wait for a node
+	walPath := filepath.Join(t.TempDir(), "dispatch.wal")
+	open := func() *Dispatcher {
+		t.Helper()
+		wal, err := OpenWAL(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(Config{Nodes: cfgs, HealthInterval: 10 * time.Millisecond, FailAfter: 1, WAL: wal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	body := submitBody(t, eblow.OneD, 30, 501, "greedy", "waiting")
+	_, value, err := service.ParseSubmitBody(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := open()
+	doc, err := d.Submit(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiting := doc["id"].(string)
+	doc, err = d.Submit(submitBody(t, eblow.OneD, 30, 502, "greedy", "cancelled"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled := doc["id"].(string)
+	if _, err := d.Cancel(context.Background(), cancelled); err != nil {
+		t.Fatal(err)
+	}
+	check := func(d *Dispatcher, when string) {
+		t.Helper()
+		if got := jobBody(d, waiting); !bytes.Equal(got, value) {
+			t.Errorf("%s: the waiting job holds %d body bytes, want its %d-byte request", when, len(got), len(value))
+		}
+		if jobBody(d, cancelled) != nil {
+			t.Errorf("%s: the cancelled job still holds its request body", when)
+		}
+	}
+	check(d, "live")
+	d.Close()
+	d2 := open()
+	defer d2.Close()
+	check(d2, "replayed")
 }
 
 // TestDispatchRejectsBadSubmitsLocally pins that validation happens at the

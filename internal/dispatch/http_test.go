@@ -127,6 +127,9 @@ func TestNodeFleetAPIParity(t *testing.T) {
 		{"unknown events", "GET", "/v1/jobs/nope/events", "", "", http.StatusNotFound},
 		{"result not ready", "GET", "/v1/jobs/" + backendID + "/result", "/v1/jobs/" + publicID + "/result", "", http.StatusConflict},
 		{"body too large", "POST", "/v1/jobs", "", tooLarge, http.StatusRequestEntityTooLarge},
+		{"unknown route", "GET", "/nope", "", "", http.StatusNotFound},
+		{"removed route", "GET", "/v1/learn", "", "", http.StatusNotFound},
+		{"wrong method", "PUT", "/v1/jobs", "", "", http.StatusMethodNotAllowed},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -1,12 +1,18 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"eblow"
 )
 
 // BenchmarkParseSubmit decodes one plan1d-shaped POST /v1/jobs body (a
@@ -116,4 +122,41 @@ func BenchmarkSubmitWAL(b *testing.B) {
 	}
 	b.StopTimer()
 	m.Close()
+}
+
+// BenchmarkHandleSubmit posts one plan1d-shaped body through NewHandler
+// with a declared Content-Length, as an HTTP client sends it: the body
+// read, the parse, the submit (no WAL) and the 202 reply. The solve is a
+// stub that waits for cancellation, and off the clock each job is
+// cancelled, so no solver work competes with the submits.
+func BenchmarkHandleSubmit(b *testing.B) {
+	orig := solveSpec
+	defer func() { solveSpec = orig }()
+	solveSpec = func(ctx context.Context, _ JobSpec) (*eblow.Result, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	body := plan1dBody(b, false)
+	m := New(Config{Workers: 1})
+	defer m.Close()
+	h := NewHandler(m)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		b.StartTimer()
+		h.ServeHTTP(rec, req)
+		b.StopTimer()
+		var doc struct{ ID string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || rec.Code != http.StatusAccepted {
+			b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		if _, err := m.Cancel(doc.ID); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"eblow"
@@ -125,7 +126,7 @@ func NewHandler(api API) http.Handler {
 		writeJSON(w, http.StatusOK, api.WireStats(r.Context()))
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+		body, err := readSubmitBody(w, r)
 		if err != nil {
 			err = fmt.Errorf("service: reading request: %w", err)
 			writeError(w, statusOf(err), err)
@@ -154,7 +155,43 @@ func NewHandler(api API) http.Handler {
 		}
 		stream(w, flush)
 	})
+	// Unmatched requests get a JSON error like every other reply: 405 with
+	// an Allow header when another method serves the path, 404 otherwise.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		var allow []string
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+			if _, pattern := mux.Handler(&http.Request{Method: method, Host: r.Host, URL: r.URL}); pattern != "/" {
+				allow = append(allow, method)
+				if method == http.MethodGet {
+					allow = append(allow, http.MethodHead) // GET routes serve HEAD too
+				}
+			}
+		}
+		if len(allow) == 0 {
+			writeError(w, http.StatusNotFound, fmt.Errorf("service: no route for %s", r.URL.Path))
+			return
+		}
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("service: %s does not serve %s", r.URL.Path, r.Method))
+	})
 	return mux
+}
+
+// readSubmitBody reads a POST /v1/jobs body. A declared length within the
+// cap is read into one buffer of exactly that size; an unknown length (a
+// chunked body) or one over the cap goes through io.ReadAll, where the
+// MaxBytesReader trips at the cap.
+func readSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
+	n := r.ContentLength
+	if n <= 0 || n > maxSubmitBytes {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // WireSubmit implements API: the body is parsed and validated by

@@ -261,6 +261,11 @@ func TestHTTPBadRequests(t *testing.T) {
 	if code, _ := getJSON(t, srv.URL+"/v1/jobs/none"); code != http.StatusNotFound {
 		t.Errorf("unknown job returned %d", code)
 	}
+	for _, path := range []string{"/nope", "/v1/learn"} {
+		if code, doc := getJSON(t, srv.URL+path); code != http.StatusNotFound || doc["error"] == nil {
+			t.Errorf("GET %s returned %d %v, want 404 with a JSON error", path, code, doc)
+		}
+	}
 }
 
 // Nonsense solver parameters must fail at decode time with a 400 that names

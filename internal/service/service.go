@@ -134,8 +134,16 @@ type JobSpec struct {
 	checked *eblow.Instance
 	// instJSON is the instance's compact JSON: the bytes the client sent
 	// for an inline instance, so the accepted WAL record journals them as
-	// they are. The job drops them once it is terminal.
+	// they are.
 	instJSON []byte
+}
+
+// dropInstance releases everything the spec holds of its instance. A job
+// calls it on reaching a terminal state: from then on its record renders
+// from instName and instKind, like a terminal record replayed from the WAL,
+// so a finished record pins no instance for the record TTL.
+func (s *JobSpec) dropInstance() {
+	s.Instance, s.checked, s.instJSON = nil, nil, nil
 }
 
 // Event is one entry of a job's progress stream.
@@ -548,9 +556,10 @@ func (m *Manager) run(j *job) {
 		m.mu.Unlock()
 		return
 	}
+	spec := j.spec // finishLocked drops the record's instance
 	m.mu.Unlock()
 
-	res, err := solveSpec(j.ctx, j.spec)
+	res, err := solveSpec(j.ctx, spec)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -594,7 +603,7 @@ func (m *Manager) startLocked(j *job) bool {
 // finishLocked applies a finished solve's terminal transition: state,
 // result, digest, events, terminal WAL record. Callers hold m.mu.
 func (m *Manager) finishLocked(j *job, res *eblow.Result, err error) {
-	j.spec.instJSON = nil // a terminal job is never journalled as accepted again
+	j.spec.dropInstance()
 	j.finished = time.Now()
 	j.cancel() // release the job's context resources
 	switch {
@@ -683,7 +692,7 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 			m.queue.Remove(j.id)
 		}
 		j.state = StateCanceled
-		j.spec.instJSON = nil
+		j.spec.dropInstance()
 		m.pending--
 		m.keyPendingAddLocked(j, -1)
 		j.err = context.Canceled
