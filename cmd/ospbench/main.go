@@ -1,6 +1,8 @@
 // Command ospbench regenerates the tables and figures of the E-BLOW paper's
 // evaluation section on the synthetic benchmark suite, measures the
-// parallel portfolio race, and writes the perf records (-perf, -lp-perf).
+// parallel portfolio race and the exact solver's worker scaling, and
+// benchmarks the job service's FIFO and cost-order drains (-throughput).
+// Solver hot-path timings are go test benchmarks, not ospbench modes.
 //
 // Examples:
 //
@@ -11,8 +13,7 @@
 //	ospbench -figure 11
 //	ospbench -portfolio 2D-1 -timeout 20s
 //	ospbench -workers-sweep 1T-3 -sweep-workers 1,2,4,8 -exact-time 10s
-//	ospbench -perf small-1M -bench-json BENCH_small-1M.json
-//	ospbench -lp-perf small-1M -bench-json BENCH_lp.json
+//	ospbench -throughput -tp-jobs 48 -tp-span 800ms -assert-speedup 1.0 -bench-json BENCH_throughput.json
 package main
 
 import (
@@ -30,11 +31,6 @@ import (
 	"time"
 
 	"eblow"
-	"eblow/internal/core"
-	"eblow/internal/floorsa"
-	"eblow/internal/gen"
-	"eblow/internal/oned"
-	"eblow/internal/pack2d"
 	"eblow/internal/report"
 	"eblow/internal/solver"
 )
@@ -48,16 +44,13 @@ func main() {
 		figure       = flag.Int("figure", 0, "figure to regenerate: 5, 6, 11 or 12")
 		portfolio    = flag.String("portfolio", "", "race the solver portfolio on this benchmark case (e.g. 2D-1), once with 1 worker and once with -workers, and report both wall-clock times")
 		workersSweep = flag.String("workers-sweep", "", "run the exact branch and bound on this benchmark case (e.g. 1T-3) at every -sweep-workers count and report the node-throughput scaling curve")
-		perf         = flag.String("perf", "", "measure the solver hot paths on this case (e.g. small-1M, 1M-5, small-2M): annealer moves/sec for 2D, solve + relaxation wall-clock at 1 and -workers workers for 1D")
-		lpPerf       = flag.String("lp-perf", "", "measure the sparse LP engine on this 1D case: the served planner's fast-ILP binaries and pivots, and relaxation pivots/sec with the simplex backend")
-		benchJSON    = flag.String("bench-json", "", "write the -perf record as JSON to this file (the BENCH_*.json perf trajectory)")
+		benchJSON    = flag.String("bench-json", "", "write the -throughput record as JSON to this file (e.g. BENCH_throughput.json)")
 		throughput   = flag.Bool("throughput", false, "benchmark the job service on a generated mixed workload: FIFO drain vs the cost-order drain, reporting jobs/sec and SLO goodput for both plus a cross-mode result-digest identity check")
 		tpJobs       = flag.Int("tp-jobs", 120, "workload size for -throughput")
 		tpSpan       = flag.Duration("tp-span", 2*time.Second, "open-loop arrival window for -throughput: jobs are submitted evenly across this span")
 		tpSLO        = flag.Duration("tp-slo", 400*time.Millisecond, "per-job latency budget for -throughput goodput (submit to finish)")
 		tpWorkers    = flag.Int("tp-workers", 4, "service worker-pool size for -throughput")
 		assertSpdup  = flag.Float64("assert-speedup", 0, "fail -throughput unless the cost-order drain's goodput is at least this multiple of the FIFO drain's (0 disables the assertion)")
-		benchSummary = flag.Bool("bench-summary", false, "aggregate every BENCH_*.json record in the current directory into one table")
 		sweepWorkers = flag.String("sweep-workers", "1,2,4,8", "comma-separated worker counts for -workers-sweep")
 		sweepJSON    = flag.Bool("json", false, "emit the -workers-sweep result as JSON (for BENCH tracking) instead of a table")
 		cases        = flag.String("cases", "", "comma-separated case list (default: the paper's cases)")
@@ -87,14 +80,8 @@ func main() {
 	}
 
 	switch {
-	case *benchSummary:
-		fail(runBenchSummary("."))
 	case *throughput:
 		fail(runThroughput(ctx, *tpJobs, *tpWorkers, *tpSpan, *tpSLO, *seed, *assertSpdup, *benchJSON))
-	case *lpPerf != "":
-		fail(runLPPerf(ctx, *lpPerf, *benchJSON))
-	case *perf != "":
-		fail(runPerf(ctx, *perf, *workers, *seed, *benchJSON))
 	case *workersSweep != "":
 		fail(sweepExactWorkers(ctx, *workersSweep, *sweepWorkers, *exactTime, *sweepJSON))
 	case *portfolio != "":
@@ -125,233 +112,8 @@ func main() {
 		fail(err)
 		fmt.Print(report.FormatAblation(rows))
 	default:
-		log.Fatal("specify -table 3|4|5, -figure 5|6|11|12, -portfolio <case>, -workers-sweep <case> or -perf <case>")
+		log.Fatal("specify -table 3|4|5, -figure 5|6|11|12, -portfolio <case>, -workers-sweep <case> or -throughput")
 	}
-}
-
-// perfRecord is one -perf measurement, shaped for the BENCH_*.json perf
-// trajectory log. 2D cases fill the annealer fields (wall-clock
-// milliseconds), 1D cases the planner fields (microseconds).
-type perfRecord struct {
-	Case    string `json:"case"`
-	Kind    string `json:"kind"`
-	Workers int    `json:"workers"`
-
-	// 2D: incremental sequence-pair annealer throughput.
-	Moves       int     `json:"moves,omitempty"`
-	AnnealMs    int64   `json:"annealMs,omitempty"`
-	MovesPerSec float64 `json:"movesPerSec,omitempty"`
-
-	// 1D: full planner and LP-relaxation wall-clock at 1 and at Workers
-	// workers, under the default shared-stencil configuration, plus the
-	// same planner run with one auto-derived row band per region so the
-	// block-decomposed relaxation path is exercised and tracked too.
-	// Microseconds, so the small CI cases still resolve.
-	SolveUs1W       int64 `json:"solveUs1Worker,omitempty"`
-	RelaxUs1W       int64 `json:"relaxUs1Worker,omitempty"`
-	SolveUs         int64 `json:"solveUs,omitempty"`
-	RelaxUs         int64 `json:"relaxUs,omitempty"`
-	RelaxBlocksUs1W int64 `json:"relaxBlocksUs1Worker,omitempty"`
-	RelaxBlocksUs   int64 `json:"relaxBlocksUs,omitempty"`
-}
-
-// perfInstance resolves a -perf case name: "small-<family>" maps to the
-// reduced deterministic instances, anything else to the full benchmarks.
-func perfInstance(name string) (*core.Instance, error) {
-	if fam, ok := strings.CutPrefix(name, "small-"); ok {
-		return gen.SmallFamily(fam)
-	}
-	return eblow.Benchmark(name)
-}
-
-// runPerf measures the hot paths reworked for incremental evaluation — the
-// sequence-pair annealer (2D) and the block-decomposed relaxation planner
-// (1D) — and emits one perf-trajectory record.
-func runPerf(ctx context.Context, caseName string, workers int, seed int64, jsonPath string) error {
-	in, err := perfInstance(caseName)
-	if err != nil {
-		return err
-	}
-	rec := perfRecord{Case: in.Name, Kind: in.Kind.String(), Workers: workers}
-
-	if in.Kind == eblow.TwoD {
-		blocks := make([]floorsa.Block, in.NumCharacters())
-		for i, c := range in.Characters {
-			reds := make([]int64, in.NumRegions)
-			for r := range reds {
-				reds[r] = in.Reduction(i, r)
-			}
-			blocks[i] = floorsa.Block{
-				Block: pack2d.Block{
-					W: c.Width, H: c.Height,
-					BlankL: c.BlankLeft, BlankR: c.BlankRight,
-					BlankT: c.BlankTop, BlankB: c.BlankBottom,
-				},
-				Reductions: reds,
-			}
-		}
-		budget := 40 * in.NumCharacters()
-		// One restart on one goroutine: the record measures single-core
-		// move throughput, not restart parallelism.
-		rec.Workers = 1
-		start := time.Now()
-		res := floorsa.Pack(ctx, blocks, in.VSBTime(), in.StencilWidth, in.StencilHeight,
-			floorsa.Options{Seed: seed, MoveBudget: budget, Restarts: 1})
-		elapsed := time.Since(start)
-		rec.Moves = res.Moves
-		rec.AnnealMs = elapsed.Milliseconds()
-		if s := elapsed.Seconds(); s > 0 {
-			rec.MovesPerSec = float64(res.Moves) / s
-		}
-		fmt.Printf("%s (%s): %d moves in %s -> %.0f moves/sec\n",
-			in.Name, in.Kind, res.Moves, elapsed.Round(time.Millisecond), rec.MovesPerSec)
-	} else {
-		solve := func(w int, groups []oned.RowGroup) (time.Duration, time.Duration, error) {
-			opt := oned.Defaults()
-			opt.Workers = w
-			opt.RowGroups = groups
-			start := time.Now()
-			_, trace, err := oned.Solve(ctx, in, opt)
-			if err != nil {
-				return 0, 0, err
-			}
-			return time.Since(start), trace.RelaxElapsed, nil
-		}
-		wall1, relax1, err := solve(1, nil)
-		if err != nil {
-			return err
-		}
-		wallN, relaxN, err := solve(workers, nil)
-		if err != nil {
-			return err
-		}
-		rec.SolveUs1W, rec.RelaxUs1W = wall1.Microseconds(), relax1.Microseconds()
-		rec.SolveUs, rec.RelaxUs = wallN.Microseconds(), relaxN.Microseconds()
-		fmt.Printf("%s (%s): solve %s (relaxation %s) at 1 worker, %s (relaxation %s) at %d workers\n",
-			in.Name, in.Kind, wall1.Round(time.Microsecond), relax1.Round(time.Microsecond),
-			wallN.Round(time.Microsecond), relaxN.Round(time.Microsecond), workers)
-		// The shared-stencil default runs the relaxation as one block; the
-		// generator's per-column-cell banding exercises the decomposed path
-		// so the trajectory can catch regressions there.
-		if groups := gen.CellBands(in); groups != nil {
-			_, blocks1, err := solve(1, groups)
-			if err != nil {
-				return err
-			}
-			_, blocksN, err := solve(workers, groups)
-			if err != nil {
-				return err
-			}
-			rec.RelaxBlocksUs1W = blocks1.Microseconds()
-			rec.RelaxBlocksUs = blocksN.Microseconds()
-			fmt.Printf("%s (%s): banded relaxation (%d blocks max) %s at 1 worker, %s at %d workers\n",
-				in.Name, in.Kind, in.NumRegions, blocks1.Round(time.Microsecond),
-				blocksN.Round(time.Microsecond), workers)
-		}
-	}
-
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rec); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("perf record written to %s\n", jsonPath)
-	}
-	return nil
-}
-
-// lpPerfRecord is one -lp-perf measurement, shaped for the BENCH_lp.json
-// perf trajectory. All counts come from Workers=1 runs so they are
-// deterministic run to run; only RelaxElapsedUs and PivotsPerSec carry
-// wall clock.
-type lpPerfRecord struct {
-	Case string `json:"case"`
-	Kind string `json:"kind"`
-
-	// Fast-convergence branch and bound of the served planner (default
-	// backend): binaries handed to the ILP and the total node-relaxation
-	// pivots, warm-started from each node's parent basis.
-	FastILPVars   int `json:"fastIlpVars"`
-	FastILPPivots int `json:"fastIlpPivots"`
-
-	// Successive-rounding relaxation with the simplex backend.
-	RelaxSolves    int     `json:"relaxSolves"`
-	RelaxPivots    int     `json:"relaxPivots"`
-	RelaxElapsedUs int64   `json:"relaxElapsedUs"`
-	PivotsPerSec   float64 `json:"pivotsPerSec"`
-}
-
-// runLPPerf runs the 1D planner twice on one case: once as served (default
-// backend), which exercises the sparse simplex only in the fast-ILP branch
-// and bound, and once with the simplex relaxation backend, which reports
-// the sparse simplex's pivot throughput on the successive-rounding LPs.
-func runLPPerf(ctx context.Context, caseName, jsonPath string) error {
-	in, err := perfInstance(caseName)
-	if err != nil {
-		return err
-	}
-	if in.Kind != core.OneD {
-		return fmt.Errorf("-lp-perf needs a 1D case; %s is %s", in.Name, in.Kind)
-	}
-	solve := func(backend oned.LPBackend) (*oned.Trace, error) {
-		opt := oned.Defaults()
-		opt.Backend = backend
-		opt.Workers = 1
-		_, trace, err := oned.Solve(ctx, in, opt)
-		return trace, err
-	}
-	served, err := solve(oned.StructuredLP)
-	if err != nil {
-		return err
-	}
-	simplex, err := solve(oned.SimplexLP)
-	if err != nil {
-		return err
-	}
-
-	rec := lpPerfRecord{
-		Case: in.Name, Kind: in.Kind.String(),
-		FastILPVars:    served.FastILPVariables,
-		FastILPPivots:  served.FastILPPivots,
-		RelaxSolves:    simplex.RelaxSolves,
-		RelaxPivots:    simplex.RelaxPivots,
-		RelaxElapsedUs: simplex.RelaxElapsed.Microseconds(),
-	}
-	if s := simplex.RelaxElapsed.Seconds(); s > 0 {
-		rec.PivotsPerSec = float64(simplex.RelaxPivots) / s
-	}
-
-	fmt.Printf("%s (%s): fast-ILP branch and bound: %d binaries, %d pivots\n",
-		in.Name, in.Kind, rec.FastILPVars, rec.FastILPPivots)
-	fmt.Printf("simplex relaxation: %d solves, %d pivots in %s -> %.0f pivots/sec\n",
-		rec.RelaxSolves, rec.RelaxPivots, simplex.RelaxElapsed.Round(time.Microsecond), rec.PivotsPerSec)
-
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rec); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("lp perf record written to %s\n", jsonPath)
-	}
-	return nil
 }
 
 // sweepRun is one -workers-sweep measurement, shaped for the BENCH json log.

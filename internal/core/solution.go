@@ -70,9 +70,15 @@ func (s *Solution) Finalize(in *Instance, algorithm string, elapsed time.Duratio
 	s.WritingTime = MaxInt64(s.RegionTimes)
 }
 
-// PlacementsFromRows flattens the 1D row structure into Placements.
+// PlacementsFromRows flattens the 1D row structure into Placements, in a
+// slice of exactly the placed length: a finished plan lives as long as its
+// job record, so it carries no append slack.
 func (s *Solution) PlacementsFromRows() {
-	s.Placements = s.Placements[:0]
+	n := 0
+	for _, row := range s.Rows {
+		n += len(row.Chars)
+	}
+	s.Placements = make([]Placement, 0, n)
 	for _, row := range s.Rows {
 		for k, id := range row.Chars {
 			s.Placements = append(s.Placements, Placement{Char: id, X: row.X[k], Y: row.Y})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -43,6 +44,36 @@ func TestValidate1DAcceptsLegalPacking(t *testing.T) {
 	}
 	if s.Rows[0].Width(in) != 75 {
 		t.Errorf("Row width = %d, want 75", s.Rows[0].Width(in))
+	}
+}
+
+// PlacementsFromRows lists every row's characters in row order, each at its
+// row's Y, in a slice with no spare capacity: a finished plan is kept for
+// its job record's lifetime. A solution that already holds placements gets
+// a fresh, exactly sized slice too.
+func TestPlacementsFromRowsExactSize(t *testing.T) {
+	s := &Solution{
+		Rows: []Row{
+			{Y: 0, Chars: []int{4, 0, 2}, X: []int{0, 30, 61}},
+			{Y: 40, Chars: []int{1}, X: []int{7}},
+			{Y: 80},
+			{Y: 120, Chars: []int{3, 5}, X: []int{0, 33}},
+		},
+		Placements: make([]Placement, 9, 16),
+	}
+	want := []Placement{
+		{Char: 4, X: 0, Y: 0}, {Char: 0, X: 30, Y: 0}, {Char: 2, X: 61, Y: 0},
+		{Char: 1, X: 7, Y: 40},
+		{Char: 3, X: 0, Y: 120}, {Char: 5, X: 33, Y: 120},
+	}
+	for pass := 0; pass < 2; pass++ {
+		s.PlacementsFromRows()
+		if !slices.Equal(s.Placements, want) {
+			t.Fatalf("pass %d: placements %v, want %v", pass, s.Placements, want)
+		}
+		if len(s.Placements) != cap(s.Placements) {
+			t.Errorf("pass %d: %d placements with capacity %d, want no slack", pass, len(s.Placements), cap(s.Placements))
+		}
 	}
 }
 

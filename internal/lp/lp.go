@@ -124,12 +124,15 @@ type Problem struct {
 }
 
 // stopRequested polls the Stop channel without blocking.
-func (p *Problem) stopRequested() bool {
-	if p.Stop == nil {
+func (p *Problem) stopRequested() bool { return closed(p.Stop) }
+
+// closed reports, without blocking, whether stop is closed (false for nil).
+func closed(stop <-chan struct{}) bool {
+	if stop == nil {
 		return false
 	}
 	select {
-	case <-p.Stop:
+	case <-stop:
 		return true
 	default:
 		return false

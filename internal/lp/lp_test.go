@@ -375,3 +375,49 @@ func TestCloneSharesStopChannel(t *testing.T) {
 		t.Errorf("clone ignored the shared Stop channel: status %v", res.Status)
 	}
 }
+
+// A cancel must interrupt the LU factorization itself, not only the pivot
+// loop: on a large basis one factorization scans every row once per column,
+// which took most of a minute under the race detector. With Stop closed,
+// factorize gives up at its first poll, and a solve returns IterationLimit
+// without a pivot.
+func TestFactorizeCancelStopsMidBasis(t *testing.T) {
+	const rows = 4 * stopPollEvery
+	p := NewProblem(rows)
+	obj := make([]float64, rows)
+	for j := range obj {
+		obj[j] = 1
+		p.SetBounds(j, 0, 1)
+		// Each row couples two neighbouring variables, so the basis is not
+		// diagonal after a pivot.
+		p.AddConstraint([]Term{{Var: j, Coeff: 2}, {Var: (j + 1) % rows, Coeff: 1}}, LE, 2)
+	}
+	p.SetObjective(obj, true)
+
+	factor := func(stop <-chan struct{}) (*luFactor, bool) {
+		s := newSpx(p.Clone())
+		s.load()
+		s.adoptBasis(nil)
+		var f luFactor
+		_, ok := f.factorize(s.heading, s.csc, s.n, s.logicalInBasis, stop)
+		return &f, ok
+	}
+	if f, ok := factor(nil); !ok || len(f.pivRow) != rows {
+		t.Fatalf("factorize without a stop: ok=%v after %d of %d columns", ok, len(f.pivRow), rows)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	if f, ok := factor(stop); ok || len(f.pivRow) != stopPollEvery-1 {
+		t.Fatalf("factorize with Stop closed: ok=%v after %d columns, want false after %d", ok, len(f.pivRow), stopPollEvery-1)
+	}
+
+	want := Solve(p.Clone())
+	if want.Status != Optimal {
+		t.Fatalf("uncancelled solve: status %v", want.Status)
+	}
+	c := p.Clone()
+	c.Stop = stop
+	if res := Solve(c); res.Status != IterationLimit || res.Iters != 0 {
+		t.Errorf("cancelled solve: status %v after %d pivots, want IterationLimit after 0", res.Status, res.Iters)
+	}
+}

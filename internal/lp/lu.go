@@ -65,6 +65,12 @@ const luDropTol = 1e-13
 // LU factors from scratch.
 const refactorEvery = 64
 
+// stopPollEvery is how many basis columns factorize eliminates between
+// polls of the stop channel. One column costs a scan over every row, so a
+// factorization of a large basis would otherwise delay a cancel by
+// seconds.
+const stopPollEvery = 64
+
 // basisRepair records one column the factorization had to replace: the
 // basis position, the variable that was evicted, and the logical variable
 // (expressed as a row index) that took its place.
@@ -83,7 +89,11 @@ type basisRepair struct {
 // returned slice is valid until the next factorize. logicalInBasis must
 // report, per row, whether that row's logical is currently in heading;
 // factorize updates it for replacements.
-func (f *luFactor) factorize(heading []int, a *csc, n int, logicalInBasis []bool) []basisRepair {
+//
+// factorize polls stop every stopPollEvery columns and reports false once
+// it is closed. The factors are then incomplete: the caller must not use
+// them, and must factorize again before its next solve.
+func (f *luFactor) factorize(heading []int, a *csc, n int, logicalInBasis []bool, stop <-chan struct{}) ([]basisRepair, bool) {
 	m := len(heading)
 	f.m = m
 	f.pivRow = f.pivRow[:0]
@@ -111,6 +121,9 @@ func (f *luFactor) factorize(heading []int, a *csc, n int, logicalInBasis []bool
 	f.repairs = f.repairs[:0]
 
 	for t := 0; t < m; t++ {
+		if t%stopPollEvery == stopPollEvery-1 && closed(stop) {
+			return f.repairs, false
+		}
 		f.loadColumn(heading[t], a, n)
 		uStart := len(f.uIdx)
 		f.eliminate(t)
@@ -192,7 +205,7 @@ func (f *luFactor) factorize(heading []int, a *csc, n int, logicalInBasis []bool
 		f.lPtr = append(f.lPtr, int32(len(f.lIdx)))
 		f.uPtr = append(f.uPtr, int32(len(f.uIdx)))
 	}
-	return f.repairs
+	return f.repairs, true
 }
 
 // loadColumn clears the previous column from work and scatters variable

@@ -316,14 +316,19 @@ func (s *spx) adoptBasis(warm *Basis) {
 }
 
 // factorizeNow rebuilds the LU factors, applies any singularity repairs
-// to the status vector, and recomputes the basic values.
-func (s *spx) factorizeNow() {
-	repairs := s.lu.factorize(s.heading, s.csc, s.n, s.logicalInBasis)
+// to the status vector, and recomputes the basic values. It reports false
+// when Stop closed mid-factorization; the factors are then incomplete and
+// the caller gives up without reading them.
+func (s *spx) factorizeNow() bool {
+	repairs, ok := s.lu.factorize(s.heading, s.csc, s.n, s.logicalInBasis, s.p.Stop)
 	for _, rp := range repairs {
 		s.status[rp.oldVar] = s.defaultStatus(rp.oldVar)
 		s.status[s.n+rp.row] = Basic
 	}
-	s.computeXB()
+	if ok {
+		s.computeXB()
+	}
+	return ok
 }
 
 // computeXB solves B x_B = b - N x_N for the basic values.
@@ -415,6 +420,8 @@ func (s *spx) pivot(r, enter int, enterVal float64, leaveSt VarStatus) {
 		s.logicalInBasis[enter-s.n] = true
 	}
 	s.xB[r] = enterVal
+	// A factorization cut short by Stop is never read: every loop polls
+	// Stop before its next use of the factors.
 	if !s.lu.update(r, s.alpha) {
 		s.factorizeNow()
 	}
@@ -434,8 +441,8 @@ func (s *spx) primal() Status {
 		if s.iters >= s.maxIters || s.p.stopRequested() {
 			return IterationLimit
 		}
-		if s.lu.numEtas() >= refactorEvery {
-			s.factorizeNow()
+		if s.lu.numEtas() >= refactorEvery && !s.factorizeNow() {
+			return IterationLimit
 		}
 		s.btranCost()
 		enter := -1
@@ -591,8 +598,8 @@ func (s *spx) phase1() Status {
 		if s.iters >= s.maxIters || s.p.stopRequested() {
 			return IterationLimit
 		}
-		if s.lu.numEtas() >= refactorEvery {
-			s.factorizeNow()
+		if s.lu.numEtas() >= refactorEvery && !s.factorizeNow() {
+			return IterationLimit
 		}
 		infeas := 0.0
 		for i := 0; i < s.m; i++ {
@@ -775,8 +782,8 @@ func (s *spx) dual() (Status, bool) {
 		if s.iters >= s.maxIters || s.p.stopRequested() {
 			return IterationLimit, true
 		}
-		if s.lu.numEtas() >= refactorEvery {
-			s.factorizeNow()
+		if s.lu.numEtas() >= refactorEvery && !s.factorizeNow() {
+			return IterationLimit, true
 		}
 		// Leaving row: largest bound violation (Bland: smallest basic
 		// variable among the violated), smallest row index on ties.
@@ -872,7 +879,9 @@ func (s *spx) dual() (Status, bool) {
 			if badPivots > 3 {
 				return Optimal, false
 			}
-			s.factorizeNow()
+			if !s.factorizeNow() {
+				return IterationLimit, true
+			}
 			continue
 		}
 		var beta float64
@@ -916,7 +925,9 @@ func solveSparse(p *Problem, warm *Basis) (*Result, *Basis) {
 	s := p.ws
 	s.load()
 	s.adoptBasis(warm)
-	s.factorizeNow()
+	if !s.factorizeNow() {
+		return &Result{Status: IterationLimit}, nil
+	}
 
 	var st Status
 	switch {

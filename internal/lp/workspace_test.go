@@ -97,7 +97,8 @@ func singularBasis(p *Problem, warm *Basis) bool {
 	s.load()
 	s.adoptBasis(warm)
 	var f luFactor
-	return len(f.factorize(s.heading, s.csc, s.n, s.logicalInBasis)) > 0
+	repairs, _ := f.factorize(s.heading, s.csc, s.n, s.logicalInBasis, nil)
+	return len(repairs) > 0
 }
 
 // TestWorkspaceReuseIsInvisible runs branch-and-bound-like sequences on one

@@ -210,8 +210,8 @@ type Trace struct {
 	// in the fast-convergence step (0 when the step did not run).
 	FastILPVariables int
 	// RelaxElapsed is the total wall-clock time spent solving LP relaxations
-	// across all successive-rounding iterations (always recorded; the perf
-	// harness tracks it in the BENCH trajectory).
+	// across all successive-rounding iterations (always recorded; the
+	// end-to-end benchmark's layer probe reports it as oned.relax_ms).
 	RelaxElapsed time.Duration
 	// RelaxSolves and RelaxPivots count the LP block solves and their total
 	// simplex iterations across the run (SimplexLP backend only).

@@ -1,10 +1,10 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestForCoversEveryIndex(t *testing.T) {
@@ -69,31 +69,43 @@ func TestPoolRunsEverySubmittedTask(t *testing.T) {
 	}
 }
 
+// TestPoolBoundsConcurrency holds every task until the test releases it:
+// once workers tasks have started, no further task may start until one is
+// released, and each release lets exactly one more start.
 func TestPoolBoundsConcurrency(t *testing.T) {
-	const workers = 3
+	const workers, tasks = 3, 20
 	p := NewPool(workers)
-	var running, peak int32
-	var wg sync.WaitGroup
-	wg.Add(20)
-	for i := 0; i < 20; i++ {
+	started := make(chan int, tasks)
+	release := make(chan struct{})
+	for i := 0; i < tasks; i++ {
 		p.Submit(func() {
-			defer wg.Done()
-			now := atomic.AddInt32(&running, 1)
-			for {
-				old := atomic.LoadInt32(&peak)
-				if now <= old || atomic.CompareAndSwapInt32(&peak, old, now) {
-					break
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
-			atomic.AddInt32(&running, -1)
+			started <- i
+			<-release
 		})
 	}
-	wg.Wait()
-	p.Close()
-	if peak > workers {
-		t.Fatalf("observed %d concurrent tasks on a %d-worker pool", peak, workers)
+	running := 0
+	for ; running < workers; running++ {
+		<-started
 	}
+	for done := 0; done < tasks; done++ {
+		// Yield so a worker beyond the bound, if there were one, gets to
+		// start its task before the check.
+		for i := 0; i < 4; i++ {
+			runtime.Gosched()
+		}
+		select {
+		case i := <-started:
+			t.Fatalf("task %d started while %d held tasks filled a %d-worker pool", i, running, workers)
+		default:
+		}
+		release <- struct{}{}
+		running--
+		if done+workers < tasks {
+			<-started
+			running++
+		}
+	}
+	p.Close()
 }
 
 func TestPoolSingleWorkerIsFIFO(t *testing.T) {

@@ -111,7 +111,9 @@ func gateSolve(t *testing.T, release <-chan struct{}) {
 // While a gate job holds the only worker, jobs queued in descending cost
 // order must run one per drain ticket, cheapest first, until the aging
 // bound pins the jobs the cheaper ones overtook; the scheduler counters
-// must count exactly those jumps.
+// must count exactly those jumps. With scheduling off the same queue
+// drains in submission order and counts nothing, even at a strict aging
+// bound.
 func TestBatchCostOrderDrain(t *testing.T) {
 	// Submitted most expensive first; static estimates 3000, 1200, 150, 100.
 	queued := []struct {
@@ -124,6 +126,7 @@ func TestBatchCostOrderDrain(t *testing.T) {
 		{"d", "greedy", 20},
 	}
 	for _, tc := range []struct {
+		fifo           bool
 		maxJump        int
 		order          string
 		overtakes, age int
@@ -133,8 +136,14 @@ func TestBatchCostOrderDrain(t *testing.T) {
 		// After d and c, a and b sit at the bound and pop in submission
 		// order, both forced by aging.
 		{maxJump: 2, order: "dcab", overtakes: 5, age: 2},
+		{fifo: true, maxJump: 16, order: "abcd"},
+		{fifo: true, maxJump: -1, order: "abcd"},
 	} {
-		t.Run(fmt.Sprintf("maxJump=%d", tc.maxJump), func(t *testing.T) {
+		name := fmt.Sprintf("maxJump=%d", tc.maxJump)
+		if tc.fifo {
+			name = "fifo-" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			release := make(chan struct{})
 			gateSolve(t, release)
 			var (
@@ -159,7 +168,7 @@ func TestBatchCostOrderDrain(t *testing.T) {
 				return gated(ctx, spec)
 			}
 
-			m := New(Config{Workers: 1, Batch: BatchConfig{Enabled: true, MaxJump: tc.maxJump}})
+			m := New(Config{Workers: 1, Batch: BatchConfig{Enabled: !tc.fifo, MaxJump: tc.maxJump}})
 			defer m.Close()
 			blocker, err := m.Submit(JobSpec{Instance: eblow.SmallInstance(eblow.OneD, 30, 2, 1), Solver: "eblow", Label: "gate"})
 			if err != nil {
@@ -196,8 +205,8 @@ func TestBatchCostOrderDrain(t *testing.T) {
 				t.Errorf("%d solves ran at once on a one-worker pool, want 1 per drain ticket", maxRun)
 			}
 			st := m.Stats()
-			if !st.Batch.Enabled {
-				t.Fatal("Batch.Enabled = false on a batch-configured manager")
+			if st.Batch.Enabled == tc.fifo {
+				t.Fatalf("Batch.Enabled = %v, want %v", st.Batch.Enabled, !tc.fifo)
 			}
 			if st.Batch.Overtakes != tc.overtakes || st.Batch.AgedPops != tc.age {
 				t.Errorf("overtakes %d, aged pops %d; want %d, %d", st.Batch.Overtakes, st.Batch.AgedPops, tc.overtakes, tc.age)

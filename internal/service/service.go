@@ -79,7 +79,7 @@ type Config struct {
 	// record is fsynced, and Close flushes and closes the log.
 	WAL *WAL
 	// Batch configures the cost-model scheduler (internal/batch). The
-	// zero value keeps the original FIFO drain byte-for-byte.
+	// zero value drains in FIFO order.
 	Batch BatchConfig
 }
 
@@ -98,9 +98,11 @@ type BatchConfig struct {
 }
 
 // maxJump resolves MaxJump's zero default; batch.NewQueue treats a
-// negative bound as strict submission order.
+// negative bound as strict submission order. With scheduling off every job
+// costs 0, equal costs pop earliest-first, and a bound of at least 1 keeps
+// the aging rule (and its AgedPops counter) out of that FIFO drain.
 func (b BatchConfig) maxJump() int {
-	if b.MaxJump == 0 {
+	if b.MaxJump == 0 || !b.Enabled {
 		return 16
 	}
 	return b.MaxJump
@@ -271,8 +273,8 @@ type Manager struct {
 	// guarded by mu
 	closed bool
 
-	// queue is the cost-model scheduler, nil unless cfg.Batch.Enabled; it
-	// holds exactly the StateQueued jobs. guarded by mu
+	// queue is the drain's scheduler; it holds exactly the StateQueued
+	// jobs. guarded by mu
 	queue *batch.Queue
 }
 
@@ -291,9 +293,7 @@ func New(cfg Config) *Manager {
 		baseCancel: cancel,
 		jobs:       make(map[string]*job),
 		keyPending: make(map[string]int),
-	}
-	if cfg.Batch.Enabled {
-		m.queue = batch.NewQueue(cfg.Batch.maxJump())
+		queue:      batch.NewQueue(cfg.Batch.maxJump()),
 	}
 	if cfg.WAL != nil {
 		m.mu.Lock()
@@ -533,23 +533,22 @@ func effectiveStrategy(spec JobSpec) string {
 	}
 }
 
-// enqueueLocked hands a freshly queued job to the drain: the FIFO pool
-// ticket when batching is off, or a scheduler push plus a drain ticket when
-// it is on. Callers hold m.mu.
+// enqueueLocked hands a freshly queued job to the drain: a scheduler push
+// plus a drain ticket. With cost scheduling off every job costs 0, so the
+// queue pops in submission order. Callers hold m.mu.
 func (m *Manager) enqueueLocked(j *job) {
-	if m.queue == nil {
-		m.pool.Submit(func() { m.run(j) })
-		return
+	var cost float64
+	if m.cfg.Batch.Enabled {
+		cost = batch.Estimate(j.spec.Instance, effectiveStrategy(j.spec))
 	}
-	m.queue.Push(batch.Item{ID: j.id, Cost: batch.Estimate(j.spec.Instance, effectiveStrategy(j.spec))})
+	m.queue.Push(batch.Item{ID: j.id, Cost: cost})
 	// One ticket per submitted job: the ticket of a job cancelled while
 	// queued finds the queue one job short and returns.
 	m.pool.Submit(m.drainOne)
 }
 
-// run executes one job on a pool worker: the start, solve and finish
-// sequence both drains share. The FIFO drain runs the job its ticket was
-// submitted for; the scheduler drain runs whichever job drainOne popped.
+// run executes the job drainOne popped on a pool worker: start, solve and
+// finish.
 func (m *Manager) run(j *job) {
 	m.mu.Lock()
 	if !m.startLocked(j) {
@@ -566,11 +565,11 @@ func (m *Manager) run(j *job) {
 	m.finishLocked(j, res, err)
 }
 
-// drainOne is one scheduler pool ticket: it pops the job the cost model
-// picks and runs it. The queue and the job states move in lockstep under
-// mu (Cancel removes queued jobs from both), so a popped job is queued
-// unless a Cancel or Close lands before run takes the lock, which
-// startLocked then refuses exactly as on the FIFO drain.
+// drainOne is one pool ticket: it pops the job the scheduler picks and
+// runs it. The queue and the job states move in lockstep under mu (Cancel
+// removes queued jobs from both), so a popped job is queued unless a
+// Cancel or Close lands before run takes the lock, which startLocked then
+// refuses.
 func (m *Manager) drainOne() {
 	m.mu.Lock()
 	it, _ := m.queue.Pop()
@@ -688,9 +687,7 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 	}
 	switch j.state {
 	case StateQueued:
-		if m.queue != nil {
-			m.queue.Remove(j.id)
-		}
+		m.queue.Remove(j.id)
 		j.state = StateCanceled
 		j.spec.dropInstance()
 		m.pending--

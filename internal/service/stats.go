@@ -57,8 +57,8 @@ type Stats struct {
 	InFlight int `json:"inFlight"`
 	// Jobs breaks the retained records down by state.
 	Jobs StateCounts `json:"jobs"`
-	// Batch reports the scheduler's counters (zero-valued with Enabled
-	// false when the FIFO drain is active).
+	// Batch reports the scheduler's counters (Overtakes and AgedPops stay
+	// 0 with Enabled false: the FIFO drain never reorders).
 	Batch BatchStats `json:"batch"`
 }
 
@@ -71,9 +71,7 @@ func (m *Manager) Stats() Stats {
 		s.Jobs.Add(m.jobs[id].state)
 	}
 	s.InFlight = s.Jobs.Running
-	if m.queue != nil {
-		qs := m.queue.Stats()
-		s.Batch = BatchStats{Enabled: true, Overtakes: qs.Overtakes, AgedPops: qs.AgedPops}
-	}
+	qs := m.queue.Stats()
+	s.Batch = BatchStats{Enabled: m.cfg.Batch.Enabled, Overtakes: qs.Overtakes, AgedPops: qs.AgedPops}
 	return s
 }
