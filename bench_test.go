@@ -184,7 +184,6 @@ func BenchmarkAblationClusterBound(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := twod.Defaults()
 				opt.SimilarityBound = bound
-				opt.TimeLimit = 5 * time.Second
 				sol, stats, err := twod.Solve(context.Background(), in, opt)
 				if err != nil {
 					b.Fatal(err)

@@ -21,9 +21,10 @@ func main() {
 
 	opt := eblow.Defaults2D()
 	opt.Seed = 7
-	opt.TimeLimit = 5 * time.Second
 
-	res, err := eblow.SolveWith(context.Background(), in, eblow.Params{Options2D: &opt})
+	// The deadline bounds the whole solve; one that fires during annealing
+	// ends the schedule and still returns the best plan found so far.
+	res, err := eblow.SolveWith(context.Background(), in, eblow.Params{Options2D: &opt, Deadline: 5 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-	"time"
 
 	"eblow/internal/floorsa"
 	"eblow/internal/gen"
@@ -57,15 +56,7 @@ func TestGoldenObjectives(t *testing.T) {
 				t.Fatal(err)
 			}
 			var p Params
-			if in.Kind == OneD {
-				opt := Defaults1D()
-				// The fast-convergence ILP normally carries a 2s wall-clock
-				// limit; on these tiny instances it finishes in milliseconds,
-				// but a generous limit makes the anchor immune to a heavily
-				// loaded CI machine truncating the search differently.
-				opt.ILPTimeLimit = 10 * time.Minute
-				p.Options1D = &opt
-			} else {
+			if in.Kind == TwoD {
 				opt := Defaults2D()
 				opt.Seed = 1
 				p.Options2D = &opt
@@ -114,7 +105,6 @@ func workCounts(t *testing.T, in *Instance) string {
 	if in.Kind == OneD {
 		opt := oned.Defaults()
 		opt.Workers = 1
-		opt.ILPTimeLimit = 10 * time.Minute
 		_, served, err := oned.Solve(context.Background(), in, opt)
 		if err != nil {
 			t.Fatal(err)

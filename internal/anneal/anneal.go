@@ -69,8 +69,6 @@ type Options struct {
 	MovesPerTemp int
 	// Seed seeds the internal random generator.
 	Seed int64
-	// TimeLimit bounds the wall-clock time (0 = no limit).
-	TimeLimit time.Duration
 	// Reheats is the number of times the schedule restarts from a fraction
 	// of the initial temperature after finishing; default 0.
 	Reheats int
@@ -114,19 +112,14 @@ func Minimize(ctx context.Context, s State, opt Options) Result {
 	best := s.Snapshot()
 	cur := initial
 
-	deadline := time.Time{}
-	if opt.TimeLimit > 0 {
-		deadline = start.Add(opt.TimeLimit)
-	}
 	done := ctx.Done()
 	stopped := func() bool {
 		select {
 		case <-done:
 			return true
 		default:
+			return false
 		}
-		//eblow:nondet-ok deadline cutoff is sanctioned cancellation: it decides when the search stops, never which candidate wins a merge
-		return !deadline.IsZero() && time.Now().After(deadline)
 	}
 
 	// Cost-delta aware acceptance: a DeltaState evaluates the move it just

@@ -56,8 +56,6 @@ type SA2DOptions struct {
 	MoveBudget int
 	// Seed seeds the annealer.
 	Seed int64
-	// TimeLimit bounds the annealing run.
-	TimeLimit time.Duration
 	// Restarts is the number of independent annealing restarts (best-of
 	// wins); 0 means 1.
 	Restarts int
@@ -97,7 +95,6 @@ func SA2D(ctx context.Context, in *core.Instance, opt SA2DOptions) (*core.Soluti
 	res := floorsa.Pack(ctx, blocks, in.VSBTime(), in.StencilWidth, in.StencilHeight, floorsa.Options{
 		MoveBudget:   opt.MoveBudget,
 		Seed:         opt.Seed,
-		TimeLimit:    opt.TimeLimit,
 		Restarts:     opt.Restarts,
 		Workers:      opt.Workers,
 		SumObjective: true,

@@ -3,7 +3,7 @@
 // solves them with the branch-and-bound solver of package ilp. The
 // formulations are exponential in practice (that is the point of the Table 5
 // comparison: they prove optimality on tiny instances and time out beyond a
-// dozen candidates), so every call takes a time limit.
+// dozen candidates), so callers bound every call with a context deadline.
 package exact
 
 import (
@@ -16,12 +16,10 @@ import (
 	"eblow/internal/lp"
 )
 
-// Options configures an exact solve.
+// Options configures an exact solve. It has no time option: the context is
+// the search's one stop signal, and a deadline on it returns the best
+// incumbent found so far (Result.Solution stays nil when there is none).
 type Options struct {
-	// TimeLimit bounds the branch-and-bound search (0 = only the context
-	// bounds it). The formulations are exponential, so production callers
-	// always set one.
-	TimeLimit time.Duration
 	// Workers is the number of branch-and-bound workers evaluating node
 	// relaxations in parallel, each on its own simplex clone (0 = one per
 	// CPU, 1 = sequential). Status, objective and solution are bit-identical
@@ -37,7 +35,7 @@ type Result struct {
 	Status ilp.Status
 	// Optimal reports whether the returned solution is provably optimal.
 	Optimal bool
-	// Nodes is the number of explored branch-and-bound nodes.
+	// Nodes is the number of dealt branch-and-bound nodes (ilp.Result.Nodes).
 	Nodes int
 	// BinaryVariables is the number of 0/1 variables in the formulation.
 	BinaryVariables int
@@ -151,9 +149,8 @@ func Solve1D(ctx context.Context, in *core.Instance, opt Options) (*Result, erro
 	}
 
 	res, err := ilp.Solve(ctx, ilp.NewBinaryProblem(prob, binaries), ilp.Options{
-		Maximize:  false,
-		TimeLimit: opt.TimeLimit,
-		Workers:   opt.Workers,
+		Maximize: false,
+		Workers:  opt.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -303,9 +300,8 @@ func Solve2D(ctx context.Context, in *core.Instance, opt Options) (*Result, erro
 	}
 
 	res, err := ilp.Solve(ctx, ilp.NewBinaryProblem(prob, binaries), ilp.Options{
-		Maximize:  false,
-		TimeLimit: opt.TimeLimit,
-		Workers:   opt.Workers,
+		Maximize: false,
+		Workers:  opt.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -3,11 +3,9 @@ package exact
 import (
 	"context"
 	"testing"
-	"time"
 
 	"eblow/internal/core"
 	"eblow/internal/gen"
-	"eblow/internal/ilp"
 	"eblow/internal/oned"
 )
 
@@ -28,7 +26,7 @@ func tiny1D(n int) *core.Instance {
 
 func TestSolve1DTinyOptimal(t *testing.T) {
 	in := tiny1D(5)
-	res, err := Solve1D(context.Background(), in, Options{TimeLimit: 30 * time.Second})
+	res, err := Solve1D(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,26 +50,6 @@ func TestSolve1DTinyOptimal(t *testing.T) {
 	}
 }
 
-func TestSolve1DRespectsTimeLimit(t *testing.T) {
-	in := gen.Tiny1T(3) // 11 candidates: too big to finish in a few ms
-	start := time.Now()
-	res, err := Solve1D(context.Background(), in, Options{TimeLimit: 150 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 20*time.Second {
-		t.Errorf("time limit ignored: %v", time.Since(start))
-	}
-	if res.Status == ilp.Optimal && res.Solution == nil {
-		t.Error("optimal status without a solution")
-	}
-	if res.Solution != nil {
-		if err := res.Solution.Validate(in); err != nil {
-			t.Errorf("incumbent invalid: %v", err)
-		}
-	}
-}
-
 func TestSolve2DTiny(t *testing.T) {
 	p := gen.Params{
 		Name: "exact-tiny2d", Kind: core.TwoD,
@@ -84,7 +62,7 @@ func TestSolve2DTiny(t *testing.T) {
 		Seed:      7,
 	}
 	in := gen.Generate(p)
-	res, err := Solve2D(context.Background(), in, Options{TimeLimit: 30 * time.Second})
+	res, err := Solve2D(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +78,10 @@ func TestSolve2DTiny(t *testing.T) {
 }
 
 func TestSolveRejectsWrongKind(t *testing.T) {
-	if _, err := Solve1D(context.Background(), gen.Small(core.TwoD, 5, 1, 1), Options{TimeLimit: time.Second}); err == nil {
+	if _, err := Solve1D(context.Background(), gen.Small(core.TwoD, 5, 1, 1), Options{}); err == nil {
 		t.Error("Solve1D accepted a 2D instance")
 	}
-	if _, err := Solve2D(context.Background(), gen.Small(core.OneD, 5, 1, 1), Options{TimeLimit: time.Second}); err == nil {
+	if _, err := Solve2D(context.Background(), gen.Small(core.OneD, 5, 1, 1), Options{}); err == nil {
 		t.Error("Solve2D accepted a 1D instance")
 	}
 }
@@ -114,11 +92,11 @@ func TestSolveRejectsWrongKind(t *testing.T) {
 // in CI).
 func TestWorkersDeterminism1D(t *testing.T) {
 	in := tiny1D(6)
-	seq, err := Solve1D(context.Background(), in, Options{TimeLimit: 30 * time.Second, Workers: 1})
+	seq, err := Solve1D(context.Background(), in, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Solve1D(context.Background(), in, Options{TimeLimit: 30 * time.Second, Workers: 8})
+	par, err := Solve1D(context.Background(), in, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +115,11 @@ func TestWorkersDeterminism2D(t *testing.T) {
 		Seed:      7,
 	}
 	in := gen.Generate(p)
-	seq, err := Solve2D(context.Background(), in, Options{TimeLimit: 30 * time.Second, Workers: 1})
+	seq, err := Solve2D(context.Background(), in, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Solve2D(context.Background(), in, Options{TimeLimit: 30 * time.Second, Workers: 8})
+	par, err := Solve2D(context.Background(), in, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"time"
 
 	"eblow/internal/anneal"
 	"eblow/internal/core"
@@ -40,10 +39,6 @@ type Options struct {
 	MoveBudget int
 	// Seed seeds the annealer and the initial sequence pair.
 	Seed int64
-	// TimeLimit bounds the wall-clock time of the whole annealing run,
-	// across all restarts (restarts cut off mid-schedule still contribute
-	// their best-so-far floorplans).
-	TimeLimit time.Duration
 	// Restarts is the number of independent annealing restarts (best-of
 	// wins); 0 or 1 means a single run. Restart 0 starts from the shelf
 	// floorplan, later restarts from seeded random sequence pairs.
@@ -338,14 +333,6 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 	if opt.SkipAnneal {
 		inside, exact, wt = pick(shelf)
 	} else {
-		// The time limit bounds the whole run, not each restart, so it is
-		// enforced as a context deadline shared by every restart rather
-		// than per-restart inside anneal.Minimize.
-		if opt.TimeLimit > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
-			defer cancel()
-		}
 		// Temperatures are scaled to typical per-move cost deltas (a small
 		// fraction of the total writing time), not to the absolute cost.
 		// The state built for the estimate is handed to restart 0 with its

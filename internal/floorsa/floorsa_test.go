@@ -110,10 +110,12 @@ func TestPackTimeLimit(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = mkBlock(20+i%10, 20+(i*3)%15, 2, int64(i))
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	Pack(context.Background(), blocks, []int64{10000}, 200, 200, Options{Seed: 5, TimeLimit: 50 * time.Millisecond, MoveBudget: 10_000_000})
+	Pack(ctx, blocks, []int64{10000}, 200, 200, Options{Seed: 5, MoveBudget: 10_000_000})
 	if time.Since(start) > 5*time.Second {
-		t.Errorf("time limit not respected: %v", time.Since(start))
+		t.Errorf("context deadline not respected: %v", time.Since(start))
 	}
 }
 

@@ -112,7 +112,7 @@ type engine struct {
 	// reads (math.Inf(-1) until an incumbent exists).
 	incBound atomic.Value
 
-	nodes         int // fully evaluated nodes (conclusive LP status)
+	nodes         int // dealt nodes (see Result.Nodes)
 	lpIters       int // simplex pivots across merged node relaxations
 	dropped       bool
 	rootUnbounded bool
@@ -335,32 +335,28 @@ func (e *engine) evaluate(batch []*node, stop <-chan struct{}) ([]*lp.Result, []
 	return results, skipped
 }
 
-// merge folds one evaluated node into the search state: count it, prune or
-// branch, and update the incumbent under the deterministic merge rule
-// (strictly better objective wins; equal objectives keep the incumbent of
-// the earlier node in (bound, seq) order). Callers invoke merge in batch
+// merge folds one evaluated node into the search state: prune or branch,
+// and update the incumbent under the deterministic merge rule (strictly
+// better objective wins; equal objectives keep the incumbent of the
+// earlier node in (bound, seq) order). Callers invoke merge in batch
 // order, which makes the whole search trace worker-count independent.
 func (e *engine) merge(nd *node, lpRes *lp.Result) {
 	e.lpIters += lpRes.Iters
 	switch lpRes.Status {
 	case lp.Infeasible:
-		e.nodes++
 		return
 	case lp.Unbounded:
-		e.nodes++
 		if nd.depth == 0 {
 			e.rootUnbounded = true
 		}
 		return
 	case lp.IterationLimit:
 		// The node hit its pivot budget (or a cancellation interrupted the
-		// simplex): it was not fully evaluated, so it does not count, and
-		// the subtree it guards is lost — the final status can no longer
-		// claim a proof.
+		// simplex): it was not fully evaluated, and the subtree it guards
+		// is lost — the final status can no longer claim a proof.
 		e.dropped = true
 		return
 	}
-	e.nodes++
 
 	obj := lpRes.Objective
 	// Prune against the incumbent as of this merge slot: a node evaluated

@@ -4,15 +4,18 @@
 // paper for the exact ILP formulations (3) and (7) and for the
 // fast-ILP-convergence step of the 1D planner.
 //
-// The solver uses best-bound node selection, most-fractional branching and
-// supports wall-clock and node-count limits, which matters because the exact
-// OSP formulations are deliberately allowed to time out in the Table 5
-// experiment (that is the point of the comparison).
+// The solver uses best-bound node selection and most-fractional branching.
+// A search has one stop signal, the caller's context, which decides when it
+// stops (the exact OSP formulations are deliberately allowed to time out in
+// the Table 5 experiment; that is the point of the comparison), and an
+// optional node budget (Options.MaxNodes), which is deterministic work and
+// so may decide what it returns.
 //
 // Node relaxations are evaluated by Options.Workers goroutines, each owning
 // a private clone of the LP (see engine.go for the work-stealing round
 // design). Status, Objective and Solution are bit-identical for every
-// worker count; only the wall-clock time changes.
+// worker count, also when the node budget cuts the search; only the
+// wall-clock time changes.
 package ilp
 
 import (
@@ -34,13 +37,13 @@ const (
 	// Optimal means the incumbent is provably optimal (within Options.Gap).
 	Optimal Status = iota
 	// Feasible means a feasible integral incumbent was found but the search
-	// stopped early (time or node limit).
+	// stopped early (node budget or a done context).
 	Feasible
 	// Infeasible means no integral solution exists.
 	Infeasible
 	// Unbounded means the LP relaxation is unbounded.
 	Unbounded
-	// Limit means a limit was hit before any integral solution was found.
+	// Limit means the search stopped before any integral solution was found.
 	Limit
 )
 
@@ -80,9 +83,10 @@ func NewBinaryProblem(p *lp.Problem, binaryVars []int) *Problem {
 
 // Options controls the search.
 type Options struct {
-	// TimeLimit bounds the wall-clock time (0 = no limit).
-	TimeLimit time.Duration
-	// MaxNodes bounds the number of explored nodes (0 = no limit).
+	// MaxNodes bounds the number of dealt nodes (0 = no limit): nodes the
+	// search hands out for evaluation, counted like Result.Nodes. The count
+	// is the same at every worker count, so a search the budget cuts still
+	// returns a bit-identical Status, Objective and Solution at any Workers.
 	MaxNodes int
 	// Gap is the relative optimality gap at which the search stops
 	// (default 1e-6).
@@ -110,12 +114,11 @@ type Result struct {
 	Status    Status
 	Objective float64
 	X         []float64
-	// Nodes counts the fully evaluated nodes: relaxations that ran to a
-	// conclusive LP status. Nodes pruned before or instead of evaluation,
-	// and nodes whose simplex was cut off by a pivot budget or a
-	// cancellation, do not count. For a fixed problem the count is
-	// deterministic at Workers=1 (absent limits); across worker counts it
-	// may differ even though the result never does.
+	// Nodes counts the dealt nodes: every open node a round hands out for
+	// evaluation, including those a live incumbent then lets the round skip
+	// and those a done context leaves unevaluated. Nodes the incumbent
+	// prunes before they are dealt do not count. Unless the context stops
+	// the search, the count is the same at every worker count.
 	Nodes     int
 	BestBound float64
 	Elapsed   time.Duration
@@ -134,9 +137,10 @@ const intTol = 1e-6
 // Solve runs parallel branch and bound. The LP inside p is used as a
 // read-only template: every worker solves node relaxations on its own clone,
 // so p is never mutated (callers may reuse it concurrently as long as they
-// do not mutate it either). A done context stops the search like a time
-// limit: the best incumbent found so far (if any) is returned with a
-// Feasible/Limit status.
+// do not mutate it either). A done context stops the search: the best
+// incumbent found so far (if any) is returned with a Feasible/Limit status.
+// Which incumbent that is depends on when the context fired; a search cut
+// by Options.MaxNodes instead returns the same one at every worker count.
 func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	if p == nil || p.LP == nil || len(p.Integer) != p.LP.NumVars() {
 		return nil, fmt.Errorf("%w: integrality flags do not match LP", ErrBadProblem)
@@ -158,17 +162,11 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	}
 	start := time.Now()
 
-	// Fold the wall-clock limit and the caller's context into one stop
-	// channel that interrupts the per-worker simplex runs between pivots,
-	// not just between nodes: a single node relaxation of a big formulation
-	// can run for a long time, and cancellation should not wait it out.
-	lpCtx := ctx
-	if opt.TimeLimit > 0 {
-		var cancel context.CancelFunc
-		lpCtx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
-		defer cancel()
-	}
-	done := lpCtx.Done()
+	// The context's done channel interrupts the per-worker simplex runs
+	// between pivots, not just between nodes: a single node relaxation of a
+	// big formulation can run for a long time, and cancellation should not
+	// wait it out.
+	done := ctx.Done()
 
 	e := newEngine(p, opt, workers, done)
 
@@ -178,10 +176,8 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	}
 	res := &Result{Status: Limit, Objective: sign * math.Inf(-1), BestBound: sign * math.Inf(1)}
 
-	interrupted := false
 	for e.queue.Len() > 0 && !e.rootUnbounded {
 		if stopped(done) {
-			interrupted = true
 			break
 		}
 		limit := maxBatch
@@ -197,6 +193,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		if len(batch) == 0 {
 			break // the incumbent pruned the whole frontier
 		}
+		e.nodes += len(batch)
 		results, skipped := e.evaluate(batch, done)
 		// Merge every slot in batch order even when interrupted mid-round:
 		// results already paid for must not be thrown away, and the order
@@ -210,7 +207,6 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 			case results[i] == nil:
 				// Not evaluated before the stop fired: still an open node.
 				heap.Push(&e.queue, nd)
-				interrupted = true
 			default:
 				e.merge(nd, results[i])
 			}
@@ -224,15 +220,23 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		res.Status = Unbounded
 		return res, nil
 	}
+	// Open nodes the incumbent prunes are explored as far as the proof
+	// goes: a search stopped with only those left has finished. The heap
+	// pops the best bound first and pruning is monotone in the bound, so
+	// the loop ends at the first node that could still hold a better plan.
+	for e.queue.Len() > 0 && e.prunable(e.queue[0].bound) {
+		heap.Pop(&e.queue)
+	}
+	finished := e.queue.Len() == 0 && !e.dropped
 	if e.haveInc {
 		res.X = e.incumbent
 		res.Objective = e.incObj
-		if e.queue.Len() == 0 && !interrupted && !e.dropped &&
-			(opt.MaxNodes == 0 || e.nodes < opt.MaxNodes) {
+		if finished {
 			res.Status = Optimal
 		} else {
-			// A dropped node (LP pivot budget or interrupt) may hide a
-			// better plan, so the incumbent is only Feasible, not proven.
+			// An open node, or one dropped at its LP pivot budget or by an
+			// interrupt, may hide a better plan, so the incumbent is only
+			// Feasible, not proven.
 			res.Status = Feasible
 		}
 		res.BestBound = res.Objective
@@ -254,7 +258,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	// An emptied queue only proves infeasibility when the whole tree was
 	// genuinely explored: an interrupt or a node dropped at its LP pivot
 	// budget leaves the run inconclusive (Status stays Limit).
-	if e.queue.Len() == 0 && !interrupted && !e.dropped {
+	if finished {
 		res.Status = Infeasible
 	}
 	return res, nil

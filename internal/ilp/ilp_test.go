@@ -123,19 +123,23 @@ func TestTimeLimitReturnsQuickly(t *testing.T) {
 		vars[i] = i
 	}
 	prob := NewBinaryProblem(p, vars)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res, err := Solve(context.Background(), prob, Options{Maximize: true, TimeLimit: 50 * time.Millisecond})
+	res, err := Solve(ctx, prob, Options{Maximize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > 3*time.Second {
-		t.Errorf("time limit not respected: took %v", time.Since(start))
+		t.Errorf("context deadline not respected: took %v", time.Since(start))
 	}
 	if res.Status != Optimal && res.Status != Feasible && res.Status != Limit {
 		t.Errorf("unexpected status %v", res.Status)
 	}
 }
 
+// MaxNodes counts dealt nodes: a budget of one deals the root alone, whose
+// fractional relaxation leaves the search open without an incumbent.
 func TestNodeLimit(t *testing.T) {
 	p := lp.NewProblem(3)
 	p.SetObjective([]float64{2, 3, 4}, true)
@@ -145,8 +149,15 @@ func TestNodeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Nodes > 1 {
-		t.Errorf("explored %d nodes with MaxNodes=1", res.Nodes)
+	if res.Nodes != 1 || res.Status != Limit || res.X != nil {
+		t.Errorf("MaxNodes=1: dealt %d nodes, status %v, solution %v; want 1 node, limit, none", res.Nodes, res.Status, res.X)
+	}
+	full, err := Solve(context.Background(), prob, Options{Maximize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Status != Optimal || full.Nodes <= 1 {
+		t.Errorf("unbudgeted run: status %v after %d nodes, want optimal after more than one", full.Status, full.Nodes)
 	}
 }
 

@@ -40,7 +40,7 @@ func randomBinaryProgram(seed int64, n, m int) *Problem {
 }
 
 // identicalResults fails the test unless the two results agree bit-for-bit
-// on status, objective and solution vector.
+// on status, objective, bound, dealt nodes and solution vector.
 func identicalResults(t *testing.T, a, b *Result, label string) {
 	t.Helper()
 	if a.Status != b.Status {
@@ -48,6 +48,12 @@ func identicalResults(t *testing.T, a, b *Result, label string) {
 	}
 	if a.Objective != b.Objective {
 		t.Errorf("%s: objective %v vs %v", label, a.Objective, b.Objective)
+	}
+	if a.BestBound != b.BestBound {
+		t.Errorf("%s: best bound %v vs %v", label, a.BestBound, b.BestBound)
+	}
+	if a.Nodes != b.Nodes {
+		t.Errorf("%s: dealt %d vs %d nodes", label, a.Nodes, b.Nodes)
 	}
 	if (a.X == nil) != (b.X == nil) {
 		t.Fatalf("%s: one run has a solution, the other does not", label)
@@ -123,8 +129,8 @@ func TestWorkersBitIdenticalMinimize(t *testing.T) {
 	identicalResults(t, seq, par, "set-cover")
 }
 
-// Result.Nodes must be reproducible run-to-run at Workers=1 (no limits, so
-// wall clock cannot interfere), and it only counts fully evaluated nodes.
+// Result.Nodes must be reproducible run-to-run at Workers=1 (no context
+// deadline, so wall clock cannot interfere).
 func TestNodesDeterministicAtOneWorker(t *testing.T) {
 	prob := randomBinaryProgram(42, 12, 3)
 	first, err := Solve(context.Background(), prob, Options{Maximize: true, Workers: 1})
@@ -178,23 +184,89 @@ func TestParallelCancellationExitsPromptly(t *testing.T) {
 	}
 }
 
-// A time limit must bound a parallel solve the same way it bounds the
-// sequential one, and the incumbent (when one exists) must be feasible.
+// A context deadline must bound a parallel solve the same way it bounds the
+// sequential one, and the incumbent (when one exists) must be integral.
 func TestParallelTimeLimit(t *testing.T) {
 	prob := randomBinaryProgram(11, 26, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res, err := Solve(context.Background(), prob, Options{Maximize: true, Workers: 4, TimeLimit: 50 * time.Millisecond})
+	res, err := Solve(ctx, prob, Options{Maximize: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("time limit ignored: solve ran %v", d)
+		t.Errorf("context deadline ignored: solve ran %v", d)
 	}
 	if res.X != nil {
 		for j, x := range res.X {
 			if f := x - math.Floor(x); math.Min(f, 1-f) > 1e-6 {
 				t.Errorf("incumbent X[%d] = %v is not integral", j, x)
 			}
+		}
+	}
+}
+
+// A node budget is deterministic work, so a search it cuts returns the same
+// status, objective, bound and solution at every worker count. The budgets
+// straddle the 64-node round (below it, at it, one past it, several rounds
+// deep) and include three quarters of the unbudgeted search, which cuts
+// some of these trees after they found an incumbent.
+func TestNodeBudgetBitIdenticalAcrossWorkers(t *testing.T) {
+	feasible := 0
+	for _, n := range []int{12, 18} {
+		for seed := int64(1); seed <= 6; seed++ {
+			prob := randomBinaryProgram(seed, n, 3)
+			full, err := Solve(context.Background(), prob, Options{Maximize: true, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, budget := range []int{1, 63, 64, 65, 200, full.Nodes * 3 / 4} {
+				ref, err := Solve(context.Background(), prob, Options{Maximize: true, Workers: 1, MaxNodes: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref.Nodes > budget {
+					t.Errorf("n %d seed %d budget %d: dealt %d nodes", n, seed, budget, ref.Nodes)
+				}
+				if ref.Status == Feasible {
+					feasible++
+				}
+				for _, workers := range []int{2, 8} {
+					got, err := Solve(context.Background(), prob, Options{Maximize: true, Workers: workers, MaxNodes: budget})
+					if err != nil {
+						t.Fatal(err)
+					}
+					identicalResults(t, ref, got, fmt.Sprintf("n %d seed %d budget %d workers %d", n, seed, budget, workers))
+				}
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Error("no budget cut a search after its first incumbent")
+	}
+}
+
+// A budget that runs out when only nodes the incumbent prunes are left has
+// finished the search: the result is the unbudgeted one, Optimal with the
+// bound closed, not Feasible.
+func TestNodeBudgetSpentOnFinishedSearchIsOptimal(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		prob := randomBinaryProgram(seed, 18, 3)
+		full, err := Solve(context.Background(), prob, Options{Maximize: true, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Status != Optimal {
+			t.Fatalf("seed %d: unbudgeted run is %v", seed, full.Status)
+		}
+		cut, err := Solve(context.Background(), prob, Options{Maximize: true, Workers: 1, MaxNodes: full.Nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalResults(t, full, cut, fmt.Sprintf("seed %d budget %d", seed, full.Nodes))
+		if cut.BestBound != cut.Objective {
+			t.Errorf("seed %d: best bound %v above objective %v", seed, cut.BestBound, cut.Objective)
 		}
 	}
 }

@@ -61,8 +61,6 @@ type Options struct {
 	// characters (and at least one iteration has run), the remaining
 	// variables are handed to the ILP. Set to 0 to only trigger on stalls.
 	ConvergenceFraction float64
-	// ILPTimeLimit bounds the branch-and-bound run inside fast convergence.
-	ILPTimeLimit time.Duration
 	// MaxILPVariables caps the number of binary variables handed to the ILP;
 	// if more remain the threshold filtering is tightened first.
 	MaxILPVariables int
@@ -136,7 +134,6 @@ func Defaults() Options {
 		MaxIterations:         60,
 		MaxAssignPerIteration: 0,
 		ConvergenceFraction:   0.01,
-		ILPTimeLimit:          2 * time.Second,
 		MaxILPVariables:       400,
 		EnableFastConvergence: true,
 		EnablePostInsertion:   true,
@@ -165,9 +162,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = d.MaxIterations
-	}
-	if o.ILPTimeLimit <= 0 {
-		o.ILPTimeLimit = d.ILPTimeLimit
 	}
 	if o.MaxILPVariables <= 0 {
 		o.MaxILPVariables = d.MaxILPVariables

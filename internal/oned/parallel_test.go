@@ -40,6 +40,32 @@ func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// On 1M-7 the fast-convergence branch and bound runs out of its node
+// budget. The budget counts dealt nodes, so the plan is pinned at every
+// worker count and machine speed, also under -race, which slows the search
+// several-fold the way a loaded machine does. Not skipped under -short: the
+// determinism step of CI runs it with -race.
+func TestFastILPBudgetPlanPinned(t *testing.T) {
+	in, err := gen.ByName("1M-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		opt := Defaults()
+		opt.Workers = workers
+		sol, _, err := Solve(context.Background(), in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.WritingTime != 41580 {
+			t.Errorf("%d workers: writing time %d, want 41580", workers, sol.WritingTime)
+		}
+		if h := planHash(sol); h != 0xe8dce0198b9f5203 {
+			t.Errorf("%d workers: plan hash %#x, want 0xe8dce0198b9f5203", workers, h)
+		}
+	}
+}
+
 // The solver's parallel per-region time and per-character profit
 // evaluations re-implement the core formulas so each worker can own its
 // indices, reading R_ic from the solver's dense table; this guard fails if

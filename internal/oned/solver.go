@@ -474,6 +474,15 @@ func (s *solver) recordIteration(assigned int) {
 	s.trace.UnsolvedPerIteration = append(s.trace.UnsolvedPerIteration, s.countUnsolved())
 }
 
+// fastILPMaxNodes is the node budget of the fast-convergence branch and
+// bound. It counts dealt nodes, which are the same at every worker count,
+// so a search the budget cuts still yields one plan at any Workers and any
+// machine speed; a caller's context only decides when the solve stops. The
+// budget is well above what the searches that finish need (at most 1493
+// nodes on the plan1d service pool, 2217 on 1M-4) and cuts the ones that
+// would run for seconds (1M-6, 1M-7) after a fraction of a second.
+const fastILPMaxNodes = 4096
+
 // fastConvergence is Algorithm 2: variables below Lth are fixed to zero,
 // variables above Uth are rounded up, and the remaining ones are decided by
 // a small ILP solved with branch and bound.
@@ -571,13 +580,14 @@ func (s *solver) fastConvergence() {
 	for _, c := range chars {
 		prob.AddConstraint(charTerms[c], lp.LE, 1)
 	}
-	// The ILP engine keeps its result worker-count independent, so handing
-	// it the planner's worker budget preserves the deterministic-plan
-	// contract while the fast-convergence step stops being single-threaded.
+	// The ILP engine keeps its result worker-count independent, also when
+	// the node budget cuts the search, so handing it the planner's worker
+	// budget preserves the deterministic-plan contract while the
+	// fast-convergence step stops being single-threaded.
 	res, err := ilp.Solve(s.ctx, ilp.NewBinaryProblem(prob, binaries), ilp.Options{
-		Maximize:  true,
-		TimeLimit: s.opt.ILPTimeLimit,
-		Workers:   s.opt.workerCount(),
+		Maximize: true,
+		MaxNodes: fastILPMaxNodes,
+		Workers:  s.opt.workerCount(),
 	})
 	if err != nil || res.X == nil {
 		return

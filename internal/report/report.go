@@ -41,8 +41,9 @@ type Config struct {
 	// Seed seeds the randomized algorithms.
 	Seed int64
 	// SATimeLimit bounds the prior-work 2D annealer per case (default 20s).
+	// Each limit becomes the deadline of the call's context.
 	SATimeLimit time.Duration
-	// EBlow2DTimeLimit bounds the E-BLOW 2D annealer per case (default 10s).
+	// EBlow2DTimeLimit bounds the E-BLOW 2D planner per case (default 10s).
 	EBlow2DTimeLimit time.Duration
 	// ExactTimeLimit bounds each exact ILP solve of Table 5 (default 20s;
 	// the paper used 3600s, the shape — which cases finish — is the same).
@@ -150,7 +151,9 @@ func Table4(ctx context.Context, cases []string, cfg Config) ([]Row, error) {
 		}
 		row.Results = append(row.Results, resultFromSolution("Greedy[24]", g))
 
-		sa, err := baseline.SA2D(ctx, in, baseline.SA2DOptions{Seed: cfg.Seed, TimeLimit: cfg.SATimeLimit, Workers: cfg.Workers})
+		saCtx, cancel := context.WithTimeout(ctx, cfg.SATimeLimit)
+		sa, err := baseline.SA2D(saCtx, in, baseline.SA2DOptions{Seed: cfg.Seed, Workers: cfg.Workers})
+		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("%s SA: %w", name, err)
 		}
@@ -158,9 +161,10 @@ func Table4(ctx context.Context, cases []string, cfg Config) ([]Row, error) {
 
 		opt := twod.Defaults()
 		opt.Seed = cfg.Seed
-		opt.TimeLimit = cfg.EBlow2DTimeLimit
 		opt.Workers = cfg.Workers
-		e, _, err := twod.Solve(ctx, in, opt)
+		eCtx, cancel := context.WithTimeout(ctx, cfg.EBlow2DTimeLimit)
+		e, _, err := twod.Solve(eCtx, in, opt)
+		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("%s e-blow: %w", name, err)
 		}
@@ -185,12 +189,14 @@ func Table5(ctx context.Context, cfg Config) ([]Row, error) {
 		row := Row{Case: name}
 
 		var exactRes *exact.Result
-		eopt := exact.Options{TimeLimit: cfg.ExactTimeLimit, Workers: cfg.Workers}
+		eopt := exact.Options{Workers: cfg.Workers}
+		exactCtx, cancel := context.WithTimeout(ctx, cfg.ExactTimeLimit)
 		if in.Kind == core.OneD {
-			exactRes, err = exact.Solve1D(ctx, in, eopt)
+			exactRes, err = exact.Solve1D(exactCtx, in, eopt)
 		} else {
-			exactRes, err = exact.Solve2D(ctx, in, eopt)
+			exactRes, err = exact.Solve2D(exactCtx, in, eopt)
 		}
+		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("%s exact: %w", name, err)
 		}

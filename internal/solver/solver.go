@@ -16,8 +16,9 @@
 //     plan passed core validation, which strategy produced it, and the
 //     wall-clock time of the solve.
 //   - For a fixed Params.Seed the result is independent of Params.Workers,
-//     unless a deadline truncates an annealing schedule mid-run (wall clock
-//     then decides how far it got, which nothing can make reproducible).
+//     unless a deadline truncates a search mid-run, an annealing schedule or
+//     the exact branch and bound (wall clock then decides how far it got,
+//     which nothing can make reproducible).
 package solver
 
 import (
@@ -43,7 +44,8 @@ type Params struct {
 	// race never feeds two entrants the same random stream.
 	Seed int64
 	// Deadline bounds the solve (0 = none beyond the caller's context).
-	// The exact strategy also uses it as the branch-and-bound time limit.
+	// It is folded into the context every strategy receives, which is the
+	// one stop signal of every search inside it.
 	Deadline time.Duration
 	// Restarts is the number of independent annealing restarts for the
 	// SA-based strategies (0 means 1).
@@ -79,6 +81,9 @@ func (p Params) effective1D() oned.Options {
 }
 
 // effective2D resolves the 2D planner options from the unified params.
+// Params.Deadline needs no option: it reaches the planner as the context's
+// deadline, and one that fires during annealing truncates the schedule and
+// still returns the best legalised plan found so far.
 func (p Params) effective2D() twod.Options {
 	o := twod.Defaults()
 	if p.Options2D != nil {
@@ -92,12 +97,6 @@ func (p Params) effective2D() twod.Options {
 	}
 	if o.Restarts == 0 {
 		o.Restarts = p.Restarts
-	}
-	if o.TimeLimit == 0 {
-		// Hand the deadline to the annealer too: it ends its schedule at
-		// the limit and returns the best plan so far, where the bare
-		// context timeout would surface an error from the later stages.
-		o.TimeLimit = p.Deadline
 	}
 	return o
 }

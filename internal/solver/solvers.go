@@ -46,10 +46,9 @@ func init() {
 		TwoD: true, Heavy: true, Racing: true, Scalable: true, SeedOffset: 2,
 	}, func(ctx context.Context, in *core.Instance, p Params) (*Result, error) {
 		sol, err := baseline.SA2D(ctx, in, baseline.SA2DOptions{
-			Seed:      p.Seed,
-			Restarts:  p.Restarts,
-			Workers:   p.Workers,
-			TimeLimit: p.Deadline,
+			Seed:     p.Seed,
+			Restarts: p.Restarts,
+			Workers:  p.Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -97,11 +96,11 @@ func solveEBlow(ctx context.Context, in *core.Instance, p Params) (*Result, erro
 	return &Result{Solution: sol, Stats: stats}, nil
 }
 
-// solveExact runs the exact branch-and-bound formulation; Params.Deadline is
-// the ILP time limit (0 leaves the search bounded only by the context) and
-// Params.Workers sizes the parallel node evaluation.
+// solveExact runs the exact branch-and-bound formulation; the context, which
+// carries Params.Deadline, bounds the search and Params.Workers sizes the
+// parallel node evaluation.
 func solveExact(ctx context.Context, in *core.Instance, p Params) (*Result, error) {
-	opt := exact.Options{TimeLimit: p.Deadline, Workers: p.Workers}
+	opt := exact.Options{Workers: p.Workers}
 	var (
 		res *exact.Result
 		err error

@@ -66,9 +66,9 @@ func TestRestartsNeverRegress(t *testing.T) {
 	}
 }
 
-// A deadline that expires during the annealing stage truncates the schedule
-// like Options.TimeLimit: the solver returns the best legalised plan found
-// so far rather than discarding finished work.
+// A deadline that expires during the annealing stage truncates the
+// schedule: the solver returns the best legalised plan found so far rather
+// than discarding finished work.
 func TestDeadlineDuringAnnealReturnsBestSoFar(t *testing.T) {
 	in := gen.Small(core.TwoD, 120, 2, 19)
 	opt := Defaults()

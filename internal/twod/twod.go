@@ -37,18 +37,16 @@ type Options struct {
 	MoveBudget int
 	// Seed seeds the annealer.
 	Seed int64
-	// TimeLimit bounds the annealing run (0 = no limit).
-	TimeLimit time.Duration
 	// Restarts is the number of independent annealing restarts raced inside
 	// the floorplanner (best-of wins); 0 means 1.
 	Restarts int
 	// Workers bounds the number of goroutines used by the parallel stages
 	// (block preparation, annealing restarts, and the clustered-vs-fallback
 	// race). 0 means one worker per CPU; 1 forces the sequential flow. As
-	// long as no TimeLimit or context deadline truncates the annealing
-	// schedule, the planner returns the same solution for every worker
-	// count; a truncated schedule stops on wall clock, which no worker
-	// count can make reproducible.
+	// long as no context deadline truncates the annealing schedule, the
+	// planner returns the same solution for every worker count; a
+	// truncated schedule stops on wall clock, which no worker count can
+	// make reproducible.
 	Workers int
 
 	// EnableClustering and EnablePreFilter exist for the ablation benches;
@@ -120,10 +118,10 @@ type Stats struct {
 // statistics. The context cancels the run: an already-done context returns
 // ctx.Err() before any work happens and a context that expires before the
 // annealing stage surfaces ctx.Err(); one that expires during annealing
-// truncates the schedule like Options.TimeLimit and the best legalised
-// floorplan found so far is still returned. The flow is deterministic for
-// a given seed regardless of opt.Workers, provided no TimeLimit or
-// deadline cuts the annealing schedule short (see Options.Workers).
+// truncates the schedule and the best legalised floorplan found so far is
+// still returned. The flow is deterministic for a given seed regardless of
+// opt.Workers, provided no deadline cuts the annealing schedule short (see
+// Options.Workers).
 func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution, *Stats, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -199,7 +197,6 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 			res = floorsa.Pack(ctx, blocks, vsb, in.StencilWidth, in.StencilHeight, floorsa.Options{
 				MoveBudget: opt.MoveBudget,
 				Seed:       opt.Seed,
-				TimeLimit:  opt.TimeLimit,
 				Restarts:   opt.Restarts,
 				Workers:    workers,
 			})
@@ -212,8 +209,8 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 		},
 	)
 	// No ctx check here on purpose: a deadline that expired during the
-	// annealing truncated the schedule exactly like Options.TimeLimit, and
-	// Pack already legalised the best floorplan found — returning it beats
+	// annealing truncated the schedule, and Pack already legalised the
+	// best floorplan found — returning it beats
 	// discarding finished work (the portfolio relies on this to let a
 	// truncated E-BLOW entrant still compete).
 	stats.Moves, stats.Accepted = res.Moves, res.Accepted
