@@ -3,9 +3,11 @@ package exact
 import (
 	"context"
 	"testing"
+	"time"
 
 	"eblow/internal/core"
 	"eblow/internal/gen"
+	"eblow/internal/ilp"
 	"eblow/internal/oned"
 )
 
@@ -47,6 +49,30 @@ func TestSolve1DTinyOptimal(t *testing.T) {
 	}
 	if res.Solution.WritingTime > heur.WritingTime {
 		t.Errorf("ILP writing time %d worse than heuristic %d", res.Solution.WritingTime, heur.WritingTime)
+	}
+}
+
+// The caller's context deadline is the time limit of an exact search: it
+// must cut a search too big to finish, and leave any incumbent valid.
+func TestSolve1DRespectsTimeLimit(t *testing.T) {
+	in := gen.Tiny1T(3) // 11 candidates: too big to finish in a few ms
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := Solve1D(ctx, in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if time.Since(start) > 20*time.Second {
+		t.Errorf("time limit ignored: %v", time.Since(start))
+	}
+	if res.Status == ilp.Optimal && res.Solution == nil {
+		t.Error("optimal status without a solution")
+	}
+	if res.Solution != nil {
+		if err := res.Solution.Validate(in); err != nil {
+			t.Errorf("incumbent invalid: %v", err)
+		}
 	}
 }
 
