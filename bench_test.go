@@ -126,17 +126,18 @@ func BenchmarkAblationThinv(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConvergence compares E-BLOW with and without the fast ILP
-// convergence step.
+// BenchmarkAblationConvergence compares E-BLOW with and without the
+// fast-convergence step (Algorithm 2's Uth rounding and the exact knapsack
+// tail).
 func BenchmarkAblationConvergence(b *testing.B) {
 	in, err := Benchmark("1M-3")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, enabled := range []bool{false, true} {
-		name := "without-fast-ilp"
+		name := "without-fast-convergence"
 		if enabled {
-			name = "with-fast-ilp"
+			name = "with-fast-convergence"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

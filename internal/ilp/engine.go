@@ -149,9 +149,9 @@ func (e *engine) prunable(bound float64) bool {
 		return false
 	}
 	if e.opt.Maximize {
-		return bound <= e.incObj+e.opt.Gap*math.Abs(e.incObj)+1e-9
+		return bound <= e.incObj+optGap*math.Abs(e.incObj)+1e-9
 	}
-	return -bound >= e.incObj-e.opt.Gap*math.Abs(e.incObj)-1e-9
+	return -bound >= e.incObj-optGap*math.Abs(e.incObj)-1e-9
 }
 
 // better reports whether objective a strictly beats b in the problem sense.

@@ -1,8 +1,10 @@
 // Package ilp implements a parallel branch-and-bound solver for (mixed)
 // integer linear programs on top of the simplex solver in package lp.
 // Together the two packages replace the commercial solver used by the E-BLOW
-// paper for the exact ILP formulations (3) and (7) and for the
-// fast-ILP-convergence step of the 1D planner.
+// paper for the exact ILP formulations (3) and (7); package exact is the only
+// caller. (The paper also solves a small ILP in the 1D planner's
+// fast-convergence step; package oned decides that residual with an exact
+// knapsack instead.)
 //
 // The solver uses best-bound node selection and most-fractional branching.
 // A search has one stop signal, the caller's context, which decides when it
@@ -34,7 +36,8 @@ import (
 type Status int
 
 const (
-	// Optimal means the incumbent is provably optimal (within Options.Gap).
+	// Optimal means the incumbent is provably optimal (within the relative
+	// gap optGap).
 	Optimal Status = iota
 	// Feasible means a feasible integral incumbent was found but the search
 	// stopped early (node budget or a done context).
@@ -88,9 +91,6 @@ type Options struct {
 	// is the same at every worker count, so a search the budget cuts still
 	// returns a bit-identical Status, Objective and Solution at any Workers.
 	MaxNodes int
-	// Gap is the relative optimality gap at which the search stops
-	// (default 1e-6).
-	Gap float64
 	// Maximize must match the LP objective sense. It defaults to true when
 	// constructed through Maximize()/Minimize() helpers; Solve reads the
 	// sense from this flag because lp.Problem does not expose it.
@@ -98,8 +98,8 @@ type Options struct {
 	// Workers is the number of goroutines evaluating node relaxations, each
 	// on its own clone of the LP (0 = one per CPU, 1 = sequential). The
 	// returned Status, Objective and Solution are bit-identical for every
-	// worker count; Nodes may differ because a faster incumbent lets the
-	// engine skip relaxations it would otherwise have evaluated.
+	// worker count, and so is Nodes, which counts dealt nodes, unless the
+	// context stops the search.
 	Workers int
 	// ColdLP disables warm starts: every node relaxation is solved from
 	// scratch instead of from its parent's optimal basis. The search trace
@@ -134,6 +134,10 @@ var ErrBadProblem = errors.New("ilp: invalid problem")
 
 const intTol = 1e-6
 
+// optGap is the relative optimality gap within which an incumbent prunes a
+// node and counts as optimal.
+const optGap = 1e-6
+
 // Solve runs parallel branch and bound. The LP inside p is used as a
 // read-only template: every worker solves node relaxations on its own clone,
 // so p is never mutated (callers may reuse it concurrently as long as they
@@ -144,9 +148,6 @@ const intTol = 1e-6
 func Solve(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	if p == nil || p.LP == nil || len(p.Integer) != p.LP.NumVars() {
 		return nil, fmt.Errorf("%w: integrality flags do not match LP", ErrBadProblem)
-	}
-	if opt.Gap <= 0 {
-		opt.Gap = 1e-6
 	}
 	workers := opt.Workers
 	if workers <= 0 {

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// assignmentLP builds an LP shaped like the 1D planner's fast-convergence
-// ILP relaxation: about 30 character-to-row binaries relaxed to [0,1], one
+// assignmentLP builds an LP shaped like the relaxation of the paper's
+// fast-convergence ILP over a plan1d-shaped residual: about 30 character-to-row binaries relaxed to [0,1], one
 // capacity row per stencil row and one at-most-once row per character,
 // about 30 rows in all.
 func assignmentLP(rng *rand.Rand) *Problem {

@@ -9,12 +9,12 @@ import (
 // BenchmarkSolvePlan1D runs the whole E-BLOW 1D flow on single-worker
 // solves of 600-character, 10-region MCC instances shaped like the service
 // benchmark's plan1d jobs, cycling through four of them. On a 2-vCPU Xeon
-// (Go 1.24) its CPU splits as post-swap 34% (its candidate scan 24%), the
-// fast-convergence ILP 29% (LU factorization 11%), the row DP 15% and
-// successive rounding 13% (the relaxation 3%, the rounding-entry sort 2%).
-// Of the bytes, the row DP makes 27%, successive rounding 25% (mostly the
+// (Go 1.24) its CPU splits as post-swap 41% (its candidate scan 30%),
+// successive rounding 28% (the rounding-entry sort 9%, the relaxation 8%),
+// the row DP 17%, the profit updates 7% and post-insertion 5%. Of the
+// bytes, the row DP makes 37%, successive rounding 32% (mostly the
 // relaxation matrix and block workspaces its first iteration sizes) and
-// the fast-convergence ILP 20%. Bytes and allocs per op are the numbers to
+// the solver's tables 13%. Bytes and allocs per op are the numbers to
 // watch alongside wall-clock.
 func BenchmarkSolvePlan1D(b *testing.B) {
 	ins := plan1dInstances()

@@ -40,12 +40,10 @@ func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// On 1M-7 the fast-convergence branch and bound runs out of its node
-// budget. The budget counts dealt nodes, so the plan is pinned at every
-// worker count and machine speed, also under -race, which slows the search
-// several-fold the way a loaded machine does. Not skipped under -short: the
-// determinism step of CI runs it with -race.
-func TestFastILPBudgetPlanPinned(t *testing.T) {
+// 1M-7 is the largest paper family the planner solves in a test that
+// -short keeps; its plan is pinned at 1 and 4 workers, also under -race,
+// which CI's determinism step runs it with.
+func TestMCCPlanPinnedAcrossWorkers(t *testing.T) {
 	in, err := gen.ByName("1M-7")
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +64,12 @@ func TestFastILPBudgetPlanPinned(t *testing.T) {
 	}
 }
 
-// The solver's parallel per-region time and per-character profit
-// evaluations re-implement the core formulas so each worker can own its
-// indices, reading R_ic from the solver's dense table; this guard fails if
-// the table or the two implementations ever diverge. The solver comes from
-// newSolver, the same constructor Solve uses, so the table cannot be
-// bypassed.
+// The solver keeps the per-region writing times current through assign and
+// unassign, and evaluates per-character profits on the worker pool from
+// them and its dense R_ic table; this guard fails if the table, the kept
+// times or the profit formula ever diverge from the core ones. The solver
+// comes from newSolver, the same constructor Solve uses, so the table
+// cannot be bypassed.
 func TestParallelEvaluationMatchesCore(t *testing.T) {
 	in := gen.Small(core.OneD, 90, 7, 41)
 	s, err := newSolver(context.Background(), in, Defaults().withDefaults())
@@ -88,23 +86,70 @@ func TestParallelEvaluationMatchesCore(t *testing.T) {
 			}
 		}
 	}
-	for i := range s.assigned {
-		// A deterministic mixed selection: every third character "on row 0".
-		s.assigned[i] = -1
-		if i%3 == 0 {
-			s.assigned[i] = 0
-		}
+	// A deterministic mixed selection: every third character on a row,
+	// then every ninth taken off again.
+	for i := 0; i < s.n; i += 3 {
+		s.assign(i, (i/3)%s.m)
+	}
+	for i := 0; i < s.n; i += 9 {
+		s.unassign(i)
 	}
 	wantTimes := in.RegionTimes(s.selection())
-	gotTimes := s.regionTimes()
-	if !reflect.DeepEqual(gotTimes, wantTimes) {
-		t.Errorf("regionTimes diverged from core.RegionTimes:\n got %v\nwant %v", gotTimes, wantTimes)
+	if !reflect.DeepEqual(s.times, wantTimes) {
+		t.Errorf("kept region times diverged from core.RegionTimes:\n got %v\nwant %v", s.times, wantTimes)
 	}
 	wantProfits := in.Profits(wantTimes)
 	gotProfits := s.currentProfits(nil)
 	if !reflect.DeepEqual(gotProfits, wantProfits) {
 		t.Error("currentProfits diverged from core.Profits")
 	}
+}
+
+// The kept region times match core.Instance.RegionTimes after every stage
+// that moves characters, at four workers: successive rounding, the row
+// refinement whose evictions run on the worker pool and are applied after
+// it, post-swap and post-insertion. The first plan1d-shaped instance
+// has the refinement evict characters.
+func TestParallelStagesKeepRegionTimes(t *testing.T) {
+	in := plan1dInstances()[0]
+	opt := Defaults()
+	opt.Workers = 4
+	s, err := newSolver(context.Background(), in, opt.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		if want := in.RegionTimes(s.selection()); !reflect.DeepEqual(s.times, want) {
+			t.Errorf("after %s: kept region times %v, core.RegionTimes %v", stage, s.times, want)
+		}
+	}
+	s.successiveRounding()
+	check("successive rounding")
+	s.fastConvergence()
+	s.convergeTail()
+	check("fast convergence")
+	before := countSelected(s)
+	s.refineAllRows()
+	if countSelected(s) >= before {
+		t.Fatalf("refineAllRows evicted nothing (%d selected before and after); the instance no longer exercises evictions", before)
+	}
+	check("refineAllRows evictions")
+	s.postSwap()
+	check("post-swap")
+	s.postInsert()
+	check("post-insert")
+}
+
+// countSelected returns how many characters are on the stencil.
+func countSelected(s *solver) int {
+	n := 0
+	for _, j := range s.assigned {
+		if j >= 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestSolveCancelledContext(t *testing.T) {

@@ -84,10 +84,10 @@ func TestPlan1DPinned(t *testing.T) {
 		lastLP      uint64
 		nLastLP     int
 	}{
-		{6538, 0xf2732e92591021e5, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 20, 2}, 0xff13773534caa9e, 28},
-		{5861, 0x460e7328dd14540f, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 14, 5}, 0x22f84a04b7ec9517, 31},
-		{6481, 0xb5fa5233ba2fe7c9, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 25, 2}, 0x2d83430e89d14096, 23},
-		{5814, 0x2bf2e33d15c38b37, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 14, 3}, 0x7e0af0d9f8b0d3ac, 33},
+		{6538, 0x69d9cd99c5872f4e, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 20, 2}, 0xff13773534caa9e, 28},
+		{5861, 0x508d806f122c0209, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 14, 5}, 0x22f84a04b7ec9517, 31},
+		{6481, 0x77c012adfbb3b1d2, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 25, 2}, 0x2d83430e89d14096, 23},
+		{5814, 0x98679666b43205fc, []int{50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 14, 3}, 0x7e0af0d9f8b0d3ac, 33},
 	}
 	for k, in := range plan1dInstances() {
 		for _, workers := range []int{1, 4} {

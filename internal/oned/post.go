@@ -33,7 +33,8 @@ func (s *solver) postSwap() {
 // postSwapOnce performs one sweep over the unselected candidates and reports
 // whether any swap was applied.
 func (s *solver) postSwapOnce() bool {
-	times := s.regionTimes()
+	// times is the solver's own slice: the swaps below keep it current.
+	times := s.times
 	profits := s.currentProfits(nil)
 
 	candidates := s.unselectedByProfit(profits, s.opt.PostSwapCandidates)
@@ -51,7 +52,7 @@ func (s *solver) postSwapOnce() bool {
 		if s.assigned[u] >= 0 {
 			continue
 		}
-		ru := s.red[u*s.nr : (u+1)*s.nr]
+		ru := s.reds(u)
 		curMax := core.MaxInt64(times)
 		curTotal := sumTimes(times)
 		bestRow := -1
@@ -63,10 +64,10 @@ func (s *solver) postSwapOnce() bool {
 		// must beat (curMax, or bestMax once a move is found): wins rejects
 		// such a move whatever the other regions hold.
 		after := func(v, v2 int) (int64, int64) {
-			rv := s.red[v*s.nr : (v+1)*s.nr]
+			rv := s.reds(v)
 			var rv2 []int64
 			if v2 >= 0 {
-				rv2 = s.red[v2*s.nr : (v2+1)*s.nr]
+				rv2 = s.reds(v2)
 			}
 			bound := curMax
 			if bestRow >= 0 {
@@ -143,18 +144,11 @@ func (s *solver) postSwapOnce() bool {
 		// Apply the swap.
 		for _, v := range bestOut {
 			s.unassign(v)
-			rv := s.red[v*s.nr : (v+1)*s.nr]
-			for c := range times {
-				times[c] += rv[c]
-			}
 		}
 		s.assign(u, bestRow)
 		row := &s.rows[bestRow]
 		row.order = append(row.order[:0], bestOrder...)
 		row.width = s.rowWidthWithOrder(row.order)
-		for c := range times {
-			times[c] -= ru[c]
-		}
 		improvedAny = true
 	}
 	return improvedAny

@@ -173,12 +173,14 @@ func positionsForOrder(in *core.Instance, order []int) []int {
 // refineAllRows orders every row, legalising rows that overflow the stencil
 // width by evicting their lowest-profit characters. Rows are refined on the
 // worker pool: the DP and the eviction loop of row j only touch row j's
-// state and the characters assigned to it (unassign on an evicted character
+// state and the characters assigned to it (leaveRow on an evicted character
 // mutates s.rows[j], s.assigned[i] and s.solved[i] for a character i that no
 // other row holds), so rows are independent and the outcome is identical for
-// any worker count.
+// any worker count. The region times are shared by every row, so the
+// evictions are recorded per row and put back on them after the loop.
 func (s *solver) refineAllRows() {
 	profits := s.currentProfits(nil)
+	evicted := make([][]int, s.m)
 	par.For(s.opt.workerCount(), s.m, func(j int) {
 		r := &s.rows[j]
 		if len(r.chars) == 0 {
@@ -198,15 +200,21 @@ func (s *solver) refineAllRows() {
 					worst = k
 				}
 			}
-			evicted := order[worst]
-			s.unassign(evicted)
-			s.solved[evicted] = true
+			i := order[worst]
+			s.leaveRow(i)
+			s.solved[i] = true
+			evicted[j] = append(evicted[j], i)
 			order = refineRow(s.in, s.rows[j].chars, s.opt.PruneThreshold)
 			width = core.MinRowLength(s.in, order)
 		}
 		r.order = order
 		r.width = width
 	})
+	for _, ids := range evicted {
+		for _, i := range ids {
+			s.restoreTimes(i)
+		}
+	}
 }
 
 // rowWidthWithOrder recomputes a row's packed width for an arbitrary order.

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"eblow/internal/core"
-	"eblow/internal/ilp"
 	"eblow/internal/knapsack"
-	"eblow/internal/lp"
 	"eblow/internal/par"
 )
 
@@ -25,9 +23,14 @@ type solver struct {
 
 	// red is the paper's R_ic as a dense characters x regions table,
 	// red[i*nr+c] = in.Reduction(i, c), built once per solve so the hot
-	// readers (regionTimes, post-swap) index a flat slice instead of
+	// readers (assign, unassign, post-swap) index a flat slice instead of
 	// copying a Character per read.
 	red []int64
+	// times holds the per-region writing times of the current selection,
+	// equal to in.RegionTimes(s.selection()) at every stage boundary:
+	// assign takes the character's row of red off it and unassign puts it
+	// back. Integer sums are exact, so the order of updates never matters.
+	times []int64
 
 	width  []int // bounding-box widths
 	sblank []int // symmetric blanks s_i
@@ -175,6 +178,7 @@ func newSolver(ctx context.Context, in *core.Instance, opt Options) (*solver, er
 	s.rows = make([]rowState, s.m)
 	s.relaxAt = make([]int, s.n)
 	s.red = make([]int64, s.n*s.nr)
+	s.times = in.VSBTime()
 	for i := range in.Characters {
 		c := &in.Characters[i]
 		for r := range s.nr {
@@ -202,19 +206,10 @@ func (s *solver) selection() []bool {
 	return sel
 }
 
-// regionTimes returns the current per-region writing times. Regions are
-// evaluated on the worker pool; each worker owns whole regions, so the
-// result matches the sequential core.Instance.RegionTimes exactly.
-func (s *solver) regionTimes() []int64 {
-	t := s.in.VSBTime()
-	par.For(s.opt.workerCount(), len(t), func(r int) {
-		for i, j := range s.assigned {
-			if j >= 0 {
-				t[r] -= s.red[i*s.nr+r]
-			}
-		}
-	})
-	return t
+// reds returns character i's row of the R table: its writing-time
+// reduction in every region.
+func (s *solver) reds(i int) []int64 {
+	return s.red[i*s.nr : (i+1)*s.nr]
 }
 
 // currentProfits evaluates the profit of every character for the current
@@ -229,7 +224,7 @@ func (s *solver) currentProfits(dst []float64) []float64 {
 	if s.opt.StaticProfit {
 		return s.in.StaticProfits()
 	}
-	times := s.regionTimes()
+	times := s.times
 	tmax := core.MaxInt64(times)
 	profits := slices.Grow(dst[:0], s.n)[:s.n]
 	if tmax <= 0 {
@@ -262,7 +257,8 @@ func (s *solver) fits(i, j int) bool {
 	return r.usedEff+s.effW[i]+maxBlank <= s.w
 }
 
-// assign puts character i on row j.
+// assign puts character i on row j and takes its reductions off the region
+// times.
 func (s *solver) assign(i, j int) {
 	r := &s.rows[j]
 	r.chars = append(r.chars, i)
@@ -272,14 +268,34 @@ func (s *solver) assign(i, j int) {
 	}
 	s.assigned[i] = j
 	s.solved[i] = true
+	for c, red := range s.reds(i) {
+		s.times[c] -= red
+	}
 }
 
-// unassign removes character i from its row (used by post-swap).
+// unassign removes character i from its row (used by post-swap) and puts
+// its reductions back on the region times.
 func (s *solver) unassign(i int) {
-	j := s.assigned[i]
-	if j < 0 {
+	if s.assigned[i] < 0 {
 		return
 	}
+	s.leaveRow(i)
+	s.restoreTimes(i)
+}
+
+// restoreTimes puts the reductions of character i, just taken off the
+// stencil, back on the region times.
+func (s *solver) restoreTimes(i int) {
+	for c, red := range s.reds(i) {
+		s.times[c] += red
+	}
+}
+
+// leaveRow takes the assigned character i off its row without touching the
+// region times. It only writes row assigned[i]'s state and assigned[i]
+// itself, so the rows' refinement can evict characters concurrently.
+func (s *solver) leaveRow(i int) {
+	j := s.assigned[i]
 	r := &s.rows[j]
 	for k, id := range r.chars {
 		if id == i {
@@ -474,18 +490,11 @@ func (s *solver) recordIteration(assigned int) {
 	s.trace.UnsolvedPerIteration = append(s.trace.UnsolvedPerIteration, s.countUnsolved())
 }
 
-// fastILPMaxNodes is the node budget of the fast-convergence branch and
-// bound. It counts dealt nodes, which are the same at every worker count,
-// so a search the budget cuts still yields one plan at any Workers and any
-// machine speed; a caller's context only decides when the solve stops. The
-// budget is well above what the searches that finish need (at most 1493
-// nodes on the plan1d service pool, 2217 on 1M-4) and cuts the ones that
-// would run for seconds (1M-6, 1M-7) after a fraction of a second.
-const fastILPMaxNodes = 4096
-
-// fastConvergence is Algorithm 2: variables below Lth are fixed to zero,
-// variables above Uth are rounded up, and the remaining ones are decided by
-// a small ILP solved with branch and bound.
+// fastConvergence is Algorithm 2's threshold pass: every variable above
+// Uth in the last relaxation is rounded up, the rest stay off the stencil.
+// The paper hands the variables between Lth and Uth to an ILP; this planner
+// leaves them, like everything still unassigned, to convergeTail (see the
+// package doc).
 func (s *solver) fastConvergence() {
 	s.unsolved = s.unsolvedIDs(s.unsolved)
 	unsolved := s.unsolved
@@ -493,7 +502,6 @@ func (s *solver) fastConvergence() {
 		return
 	}
 	s.trace.UsedFastConvergence = true
-	s.profits = s.currentProfits(s.profits)
 
 	if s.opt.CollectTrace {
 		for _, i := range unsolved {
@@ -507,115 +515,19 @@ func (s *solver) fastConvergence() {
 		}
 	}
 
-	type pair struct {
-		char, row int
-		value     float64
-	}
-	var undecided []pair
 	for _, i := range unsolved {
 		for j, v := range s.lastRelax(i) {
-			switch {
-			case v > s.opt.Uth:
-				if !s.solved[i] && s.fits(i, j) {
-					s.assign(i, j)
-				}
-			case v >= s.opt.Lth:
-				undecided = append(undecided, pair{char: i, row: j, value: v})
+			if v > s.opt.Uth && !s.solved[i] && s.fits(i, j) {
+				s.assign(i, j)
 			}
-		}
-	}
-	// Characters whose every variable fell below Lth stay off the stencil;
-	// nothing to do for them (they simply remain unassigned).
-
-	// Drop pairs whose character got assigned by the Uth pass.
-	kept := undecided[:0]
-	for _, p := range undecided {
-		if !s.solved[p.char] {
-			kept = append(kept, p)
-		}
-	}
-	undecided = kept
-	if len(undecided) == 0 {
-		return
-	}
-	if len(undecided) > s.opt.MaxILPVariables {
-		slices.SortFunc(undecided, func(x, y pair) int { return descending(x.value, y.value) })
-		undecided = undecided[:s.opt.MaxILPVariables]
-	}
-	s.trace.FastILPVariables = len(undecided)
-
-	// Build the ILP over the undecided pairs.
-	caps := s.rowCapacities()
-	prob := lp.NewProblem(len(undecided))
-	obj := make([]float64, len(undecided))
-	binaries := make([]int, len(undecided))
-	for v, p := range undecided {
-		obj[v] = s.profits[p.char]
-		binaries[v] = v
-	}
-	prob.SetObjective(obj, true)
-	// Row capacity constraints.
-	rowTerms := make(map[int][]lp.Term)
-	charTerms := make(map[int][]lp.Term)
-	for v, p := range undecided {
-		rowTerms[p.row] = append(rowTerms[p.row], lp.Term{Var: v, Coeff: float64(s.effW[p.char])})
-		charTerms[p.char] = append(charTerms[p.char], lp.Term{Var: v, Coeff: 1})
-	}
-	// Constraint order shapes the simplex pivot sequence and the B&B
-	// tree, so it must not come from map iteration: add rows and chars in
-	// sorted key order to keep the fast-ILP plan bit-identical run to run.
-	rows := make([]int, 0, len(rowTerms))
-	for row := range rowTerms {
-		rows = append(rows, row)
-	}
-	slices.Sort(rows)
-	for _, row := range rows {
-		prob.AddConstraint(rowTerms[row], lp.LE, caps[row])
-	}
-	chars := make([]int, 0, len(charTerms))
-	for c := range charTerms {
-		chars = append(chars, c)
-	}
-	slices.Sort(chars)
-	for _, c := range chars {
-		prob.AddConstraint(charTerms[c], lp.LE, 1)
-	}
-	// The ILP engine keeps its result worker-count independent, also when
-	// the node budget cuts the search, so handing it the planner's worker
-	// budget preserves the deterministic-plan contract while the
-	// fast-convergence step stops being single-threaded.
-	res, err := ilp.Solve(s.ctx, ilp.NewBinaryProblem(prob, binaries), ilp.Options{
-		Maximize: true,
-		MaxNodes: fastILPMaxNodes,
-		Workers:  s.opt.workerCount(),
-	})
-	if err != nil || res.X == nil {
-		return
-	}
-	s.trace.FastILPPivots = res.LPPivots
-	// Apply the ILP decisions (highest value first so capacity conflicts are
-	// resolved in favour of the more attractive pairs).
-	type chosen struct {
-		pair
-	}
-	var picks []chosen
-	for v, p := range undecided {
-		if res.X[v] > 0.5 {
-			picks = append(picks, chosen{p})
-		}
-	}
-	slices.SortFunc(picks, func(x, y chosen) int { return descending(x.value, y.value) })
-	for _, c := range picks {
-		if !s.solved[c.char] && s.fits(c.char, c.row) {
-			s.assign(c.char, c.row)
 		}
 	}
 }
 
 // convergeTail decides the remaining unassigned characters with an exact
 // 0/1 knapsack over the aggregate remaining capacity and assigns the chosen
-// ones first-fit. This is the structured counterpart of handing the whole
-// residual formulation (4) to the ILP: the LP relaxation excludes characters
+// ones first-fit. It takes the place of the paper's ILP over the residual
+// formulation (4) (see the package doc): the LP relaxation excludes characters
 // purely by profit density, which can strand wide characters with a large
 // absolute writing-time reduction; the exact knapsack re-evaluates that
 // trade-off by total profit before the stencil capacity is gone.

@@ -44,7 +44,7 @@ func refPruneInferior(sols []dpState, limit int) []dpState {
 // less function, on random inputs where most keys tie: pruneInferior (the
 // surviving state of a tie group is the first one sorted), the
 // successive-rounding entry order, and the descending float key the
-// fast-ILP and convergence sorts use, NaN keys included. Lengths run from
+// convergence-tail and candidate sorts use, NaN keys included. Lengths run from
 // the insertion-sort range to well past pdqsort's pivot sampling, so every
 // branch of the shared sort template runs.
 func TestSortTieOrder(t *testing.T) {

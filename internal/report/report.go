@@ -276,7 +276,7 @@ func Fig6(ctx context.Context, caseName string, cfg Config) ([]int, error) {
 	return hist, nil
 }
 
-// AblationRow compares E-BLOW-0 (no fast ILP convergence, no post-insertion)
+// AblationRow compares E-BLOW-0 (no fast convergence, no post-insertion)
 // against E-BLOW-1 on one case (Figs. 11 and 12).
 type AblationRow struct {
 	Case           string
@@ -394,7 +394,7 @@ func FormatFig6(caseName string, hist []int) string {
 // FormatAblation renders the E-BLOW-0 vs E-BLOW-1 comparison.
 func FormatAblation(rows []AblationRow) string {
 	var b strings.Builder
-	b.WriteString("Figures 11/12: E-BLOW-0 (no fast ILP convergence, no post-insertion) vs E-BLOW-1\n")
+	b.WriteString("Figures 11/12: E-BLOW-0 (no fast convergence, no post-insertion) vs E-BLOW-1\n")
 	fmt.Fprintf(&b, "%-8s %12s %12s %8s %12s %12s %8s\n", "case", "T(E-BLOW-0)", "T(E-BLOW-1)", "ratio", "CPU(0)", "CPU(1)", "ratio")
 	var sumT0, sumT1 float64
 	var sumC0, sumC1 float64
