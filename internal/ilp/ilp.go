@@ -1,10 +1,8 @@
 // Package ilp implements a parallel branch-and-bound solver for (mixed)
 // integer linear programs on top of the simplex solver in package lp.
 // Together the two packages replace the commercial solver used by the E-BLOW
-// paper for the exact ILP formulations (3) and (7); package exact is the only
-// caller. (The paper also solves a small ILP in the 1D planner's
-// fast-convergence step; package oned decides that residual with an exact
-// knapsack instead.)
+// paper for the exact ILP formulations (3) and (7); package exact is its only
+// caller.
 //
 // The solver uses best-bound node selection and most-fractional branching.
 // A search has one stop signal, the caller's context, which decides when it
