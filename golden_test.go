@@ -30,8 +30,8 @@ import (
 // change can still move (workCounts): the simplex relaxation backend's
 // solves and pivots in the 1D planner, and the 2D annealer's moves.
 // Their timings are the go test benchmarks BenchmarkSolvePlan1D,
-// BenchmarkRelaxationDecomposed, BenchmarkWarmNodeSolve,
-// BenchmarkMoveIncremental and BenchmarkAnnealIncremental.
+// BenchmarkRelaxationDecomposed, BenchmarkMoveIncremental and
+// BenchmarkAnnealIncremental.
 func TestGoldenObjectives(t *testing.T) {
 	golden := map[string]struct {
 		writingTime int64

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// assignmentLP builds an LP shaped like the relaxation of the paper's
-// fast-convergence ILP over a plan1d-shaped residual: about 30 character-to-row binaries relaxed to [0,1], one
-// capacity row per stencil row and one at-most-once row per character,
-// about 30 rows in all.
+// assignmentLP builds a small test assignment LP: about 30
+// character-to-row binaries relaxed to [0,1], one capacity row per stencil
+// row and one at-most-once row per character, about 30 rows in all. It is
+// a fixed shape for the workspace tests and the warm-node benchmark, not a
+// model of served traffic.
 func assignmentLP(rng *rand.Rand) *Problem {
 	const rows = 10
 	chars := 18 + rng.Intn(6)
@@ -232,7 +233,7 @@ func TestWarmNodeSolveAllocs(t *testing.T) {
 
 var nodeSink *Result
 
-// BenchmarkWarmNodeSolve re-solves a plan1d-shaped assignment LP (about
+// BenchmarkWarmNodeSolve re-solves the small test assignment LP (about
 // 30 binaries, about 30 rows) warm from its root basis, fixing one variable
 // per node the way a branch-and-bound child does, on one reused problem as
 // an ilp worker's clone is.

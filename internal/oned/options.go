@@ -6,10 +6,10 @@
 // that minimizes the MCC writing time.
 //
 // Deviation from the paper: Algorithm 2 rounds the variables above Uth up
-// and hands those between Lth and Uth to an ILP that maximises their summed
-// profit. This planner keeps the Uth pass but has no ILP: an exact 0/1
-// knapsack over the remaining capacity (convergeTail) decides every
-// character still off the stencil. Summed profit is only a proxy for the
+// and hands those between its lower threshold Lth and Uth to an ILP that
+// maximises their summed profit. This planner keeps only the Uth pass; it
+// has neither the ILP nor Lth. An exact 0/1 knapsack over the remaining
+// capacity (convergeTail) decides every character still off the stencil. Summed profit is only a proxy for the
 // maximum region time a plan is judged by, and on the paper's twelve 1D
 // families the ILP left E-BLOW-1 behind E-BLOW-0 on four of them while
 // costing about a quarter of a plan1d-shaped solve; without it E-BLOW-1 is
@@ -47,16 +47,14 @@ func (b LPBackend) String() string {
 
 // Options configures the E-BLOW 1D planner. The zero value is completed by
 // Defaults(); the default parameter values are the ones reported in the
-// paper (thinv = 0.9, Lth = 0.1, Uth = 0.9, refinement pruning threshold 20).
+// paper (thinv = 0.9, Uth = 0.9, refinement pruning threshold 20).
 type Options struct {
 	// Thinv is the rounding threshold of Algorithm 1: every variable within
 	// Thinv of the iteration maximum is rounded up.
 	Thinv float64
-	// Lth and Uth are the fast-convergence thresholds of Algorithm 2: the
-	// variables above Uth in the last relaxation are rounded up. Lth bounds
-	// the variables the paper's ILP would decide; this planner has no such
-	// ILP (see the package doc), so Lth no longer changes a plan.
-	Lth, Uth float64
+	// Uth is the fast-convergence threshold of Algorithm 2: the variables
+	// above Uth in the last relaxation are rounded up.
+	Uth float64
 	// PruneThreshold bounds the number of partial solutions kept per step of
 	// the refinement dynamic program (Algorithm 3).
 	PruneThreshold int
@@ -139,7 +137,6 @@ const maxRowGroups = core.MaxRowGroups
 func Defaults() Options {
 	return Options{
 		Thinv:                 0.9,
-		Lth:                   0.1,
 		Uth:                   0.9,
 		PruneThreshold:        20,
 		MaxIterations:         60,
@@ -160,9 +157,6 @@ func (o Options) withDefaults() Options {
 	d := Defaults()
 	if o.Thinv <= 0 || o.Thinv > 1 {
 		o.Thinv = d.Thinv
-	}
-	if o.Lth <= 0 {
-		o.Lth = d.Lth
 	}
 	if o.Uth <= 0 {
 		o.Uth = d.Uth

@@ -490,9 +490,9 @@ func (s *solver) recordIteration(assigned int) {
 	s.trace.UnsolvedPerIteration = append(s.trace.UnsolvedPerIteration, s.countUnsolved())
 }
 
-// fastConvergence is Algorithm 2's threshold pass: every variable above
-// Uth in the last relaxation is rounded up, the rest stay off the stencil.
-// The paper hands the variables between Lth and Uth to an ILP; this planner
+// fastConvergence keeps only the Uth pass of Algorithm 2: every variable
+// above Uth in the last relaxation is rounded up. The paper hands the
+// variables between its lower threshold and Uth to an ILP; this planner
 // leaves them, like everything still unassigned, to convergeTail (see the
 // package doc).
 func (s *solver) fastConvergence() {

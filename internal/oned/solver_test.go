@@ -166,7 +166,7 @@ func TestSimplexBackendAgreesOnTinyInstance(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	d := o.withDefaults()
-	if d.Thinv != 0.9 || d.Lth != 0.1 || d.Uth != 0.9 || d.PruneThreshold != 20 {
+	if d.Thinv != 0.9 || d.Uth != 0.9 || d.PruneThreshold != 20 {
 		t.Errorf("paper defaults not applied: %+v", d)
 	}
 	if LPBackend(0).String() != "structured" || SimplexLP.String() != "simplex" {
