@@ -1,20 +1,18 @@
 package eblow
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus ablation benches for the design choices called
-// out in DESIGN.md. Each benchmark iteration regenerates the corresponding
+// evaluation section, plus ablation benches for the 1D planner's fast
+// convergence and LP backend. Each benchmark iteration regenerates the corresponding
 // table/figure on the synthetic benchmark suite and reports it through b.Log,
 // so `go test -bench . -benchmem` reproduces the full evaluation.
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
 	"eblow/internal/oned"
 	"eblow/internal/report"
-	"eblow/internal/twod"
 )
 
 // benchConfig keeps the full evaluation affordable on a laptop: the prior
@@ -103,28 +101,8 @@ func BenchmarkFig11And12(b *testing.B) {
 	}
 }
 
-// --- Ablation benches for the design choices listed in DESIGN.md. ---
-
-// BenchmarkAblationThinv varies the successive-rounding threshold.
-func BenchmarkAblationThinv(b *testing.B) {
-	in, err := Benchmark("1M-2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, thinv := range []float64{0.5, 0.7, 0.9, 0.99} {
-		b.Run(formatFloat("thinv", thinv), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opt := oned.Defaults()
-				opt.Thinv = thinv
-				sol, _, err := oned.Solve(context.Background(), in, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(sol.WritingTime), "writingTime")
-			}
-		})
-	}
-}
+// --- Ablation benches for the two 1D design choices the planner options
+// still select: the fast-convergence step and the LP relaxation backend. ---
 
 // BenchmarkAblationConvergence compares E-BLOW with and without the
 // fast-convergence step (Algorithm 2's Uth rounding and the exact knapsack
@@ -148,49 +126,6 @@ func BenchmarkAblationConvergence(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(sol.WritingTime), "writingTime")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPrune varies the refinement pruning threshold.
-func BenchmarkAblationPrune(b *testing.B) {
-	in, err := Benchmark("1D-3")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, prune := range []int{1, 5, 20, 100} {
-		b.Run(formatInt("prune", prune), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opt := oned.Defaults()
-				opt.PruneThreshold = prune
-				sol, _, err := oned.Solve(context.Background(), in, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(sol.WritingTime), "writingTime")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationClusterBound varies the 2D clustering similarity bound.
-func BenchmarkAblationClusterBound(b *testing.B) {
-	in, err := Benchmark("2M-2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bound := range []float64{0.05, 0.2, 0.5} {
-		b.Run(formatFloat("bound", bound), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opt := twod.Defaults()
-				opt.SimilarityBound = bound
-				sol, stats, err := twod.Solve(context.Background(), in, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(sol.WritingTime), "writingTime")
-				b.ReportMetric(float64(stats.Clusters), "clusters")
 			}
 		})
 	}
@@ -229,6 +164,3 @@ func BenchmarkEBlow1DLarge(b *testing.B) {
 		}
 	}
 }
-
-func formatFloat(prefix string, v float64) string { return fmt.Sprintf("%s=%g", prefix, v) }
-func formatInt(prefix string, v int) string       { return fmt.Sprintf("%s=%d", prefix, v) }

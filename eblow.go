@@ -10,7 +10,10 @@
 // around one unified solver API:
 //
 //   - Solver is the single interface every planning strategy implements;
-//     Params configures any of them and Result is the uniform outcome.
+//     Params configures any of them and Result is the uniform outcome. The
+//     planners' own parameters are the paper's settings and are not
+//     exposed; column-cell bands for the 1D planner travel with the
+//     instance (Instance.RowGroups).
 //   - Lookup / Solvers / SolverInfos expose the strategy registry: "eblow"
 //     (the paper's 1D and 2D planners), the prior-work baselines "greedy",
 //     "heuristic24", "row25" and "sa24", the exact ILP "exact", and
@@ -61,29 +64,18 @@ const (
 	TwoD = core.TwoD
 )
 
-// Options1D configures the E-BLOW 1D planner; the zero value uses the
-// paper's parameters. Set Params.Options1D to pass it through the unified
-// API.
-type Options1D = oned.Options
-
-// Options2D configures the E-BLOW 2D planner; the zero value uses the
-// paper's parameters. Set Params.Options2D to pass it through the unified
-// API.
-type Options2D = twod.Options
-
 // RowGroup pins a band of stencil rows to a set of wafer regions — the
-// stencil band of one MCC column cell. Set Options1D.RowGroups (or generate
-// the instance with bands attached: Instance.RowGroups, cmd/ospgen -bands)
-// to make the 1D planner treat the stencil as per-column-cell bands; the LP
-// relaxation then decomposes into independent blocks solved in parallel.
-type RowGroup = oned.RowGroup
+// stencil band of one MCC column cell. Bands live on the instance
+// (Instance.RowGroups; CellBands derives them, cmd/ospgen -bands attaches
+// them): the 1D planner then treats the stencil as per-column-cell bands and
+// its LP relaxation decomposes into independent blocks solved in parallel.
+type RowGroup = core.RowGroup
 
 // CellBands derives the per-column-cell stencil banding of a 1DOSP
 // instance: one row band per wafer region, stencil rows dealt round-robin.
-// Assign the result to Instance.RowGroups (or pass it as
-// Options1D.RowGroups) to run the planner in banded MCC mode; it returns
-// nil when the instance cannot be banded (2DOSP, fewer than two regions, or
-// fewer rows than regions).
+// Assign the result to Instance.RowGroups to run the planner in banded MCC
+// mode; it returns nil when the instance cannot be banded (2DOSP, fewer than
+// two regions, or fewer rows than regions).
 func CellBands(in *Instance) []RowGroup { return gen.CellBands(in) }
 
 // Trace1D exposes the successive-rounding iteration trace (Figs. 5 and 6 of
@@ -95,12 +87,6 @@ type ClusterStats = twod.Stats
 
 // ExactResult is the outcome of an exact ILP solve (Result.Exact).
 type ExactResult = exact.Result
-
-// Defaults1D returns the paper's parameter settings for the 1D planner.
-func Defaults1D() Options1D { return oned.Defaults() }
-
-// Defaults2D returns the paper's parameter settings for the 2D planner.
-func Defaults2D() Options2D { return twod.Defaults() }
 
 // Solve plans the stencil of the instance with the E-BLOW planner for its
 // kind under the default parameters. It is shorthand for SolveWith with a

@@ -112,12 +112,3 @@ func TestInstanceRoundTrip(t *testing.T) {
 		t.Error("missing file should error")
 	}
 }
-
-func TestDefaultsExposed(t *testing.T) {
-	if Defaults1D().Thinv != 0.9 {
-		t.Error("1D defaults not exposed")
-	}
-	if Defaults2D().SimilarityBound != 0.2 {
-		t.Error("2D defaults not exposed")
-	}
-}

@@ -19,12 +19,9 @@ func main() {
 	in := eblow.SmallInstance(eblow.TwoD, 300, 2, 7)
 	in.Name = "via-layer-demo"
 
-	opt := eblow.Defaults2D()
-	opt.Seed = 7
-
 	// The deadline bounds the whole solve; one that fires during annealing
 	// ends the schedule and still returns the best plan found so far.
-	res, err := eblow.SolveWith(context.Background(), in, eblow.Params{Options2D: &opt, Deadline: 5 * time.Second})
+	res, err := eblow.SolveWith(context.Background(), in, eblow.Params{Seed: 7, Deadline: 5 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,13 +54,8 @@ func TestGoldenObjectives(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var p Params
-			if in.Kind == TwoD {
-				opt := Defaults2D()
-				opt.Seed = 1
-				p.Options2D = &opt
-			}
-			res, err := SolveWith(context.Background(), in, p)
+			// The seed drives the 2D anneal; the 1D planner ignores it.
+			res, err := SolveWith(context.Background(), in, Params{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

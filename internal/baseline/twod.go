@@ -62,9 +62,6 @@ type SA2DOptions struct {
 	// Workers bounds how many restarts anneal concurrently; 0 means one
 	// goroutine per restart.
 	Workers int
-	// PreFilterFactor keeps PreFilterFactor * (stencil area / average
-	// character area) candidates before annealing; 0 means 2.5.
-	PreFilterFactor float64
 }
 
 // SA2D reimplements the fixed-outline floorplanning flow of [24]: a
@@ -82,11 +79,7 @@ func SA2D(ctx context.Context, in *core.Instance, opt SA2DOptions) (*core.Soluti
 	if err := check2D(in); err != nil {
 		return nil, err
 	}
-	if opt.PreFilterFactor <= 0 {
-		opt.PreFilterFactor = 2.5
-	}
-
-	ids := preFilter2D(in, opt.PreFilterFactor)
+	ids := preFilter2D(in)
 	blocks := make([]floorsa.Block, len(ids))
 	for k, id := range ids {
 		blocks[k] = charBlock(in, id)
@@ -128,9 +121,13 @@ func charBlock(in *core.Instance, id int) floorsa.Block {
 	}
 }
 
+// preFilterFactor bounds the candidates SA2D anneals to preFilterFactor times
+// the estimated stencil capacity (stencil area / average character area).
+const preFilterFactor = 2.5
+
 // preFilter2D keeps the most profitable candidates (by profit per area),
-// bounded by factor times the estimated stencil capacity.
-func preFilter2D(in *core.Instance, factor float64) []int {
+// bounded by preFilterFactor times the estimated stencil capacity.
+func preFilter2D(in *core.Instance) []int {
 	profits := in.StaticProfits()
 	ids := make([]int, 0, in.NumCharacters())
 	var totalArea int64
@@ -146,7 +143,7 @@ func preFilter2D(in *core.Instance, factor float64) []int {
 	}
 	avgArea := float64(totalArea) / float64(len(ids))
 	capEstimate := float64(in.StencilWidth) * float64(in.StencilHeight) / avgArea
-	limit := int(factor * capEstimate)
+	limit := int(preFilterFactor * capEstimate)
 	if limit < 1 {
 		limit = 1
 	}

@@ -143,8 +143,9 @@ func (k Kind) String() string {
 }
 
 // MaxRowGroups bounds Instance.RowGroups so the 1D planner can keep each
-// character's band candidacy in one uint64 bitmask. Validate enforces it,
-// so a validated instance never fails banding-related checks at solve time.
+// character's band candidacy in one uint64 bitmask. Validate enforces it
+// together with the band's row and region ranges; the planner checks none
+// of them again.
 const MaxRowGroups = 64
 
 // RowGroup pins a band of stencil rows to a set of wafer regions — the
@@ -177,9 +178,9 @@ type Instance struct {
 	RowHeight int `json:"rowHeight,omitempty"`
 
 	// RowGroups optionally bands the stencil rows per column cell (1DOSP
-	// only): the planner treats the instance in per-column-cell-band mode
-	// unless the caller overrides the bands through its options. Nil keeps
-	// the paper's shared-stencil semantics.
+	// only) and is the one place to set bands: the 1D planner treats a
+	// banded instance in per-column-cell-band mode. Nil keeps the paper's
+	// shared-stencil semantics.
 	RowGroups []RowGroup `json:"rowGroups,omitempty"`
 
 	Characters []Character `json:"characters"`

@@ -51,10 +51,6 @@ type Options struct {
 	// regions. The prior-work baseline of the paper uses the sum; E-BLOW
 	// uses the maximum.
 	SumObjective bool
-	// RandomInitial starts the annealer from a random sequence pair instead
-	// of the default shelf-packed initial floorplan built from the block
-	// order (most profitable blocks first).
-	RandomInitial bool
 	// SkipAnneal evaluates only the shelf initial floorplan (no annealing).
 	// Used by the planner as a fast fallback evaluation.
 	SkipAnneal bool
@@ -344,17 +340,13 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 			initialTemp = 50
 		}
 		runs := anneal.MultiStart(ctx, func(r int) anneal.State {
-			if r == 0 && !opt.RandomInitial {
+			if r == 0 {
 				return st0
 			}
-			sp := shelf.Clone()
-			if opt.RandomInitial || r > 0 {
-				// Later restarts diversify from seeded random sequence pairs;
-				// the initial depends only on the seed and restart index, so
-				// the run set is reproducible.
-				sp = seqpair.Random(n, rand.New(rand.NewSource(opt.Seed+int64(r)*104729)))
-			}
-			return mkState(sp)
+			// Later restarts diversify from seeded random sequence pairs;
+			// the initial depends only on the seed and restart index, so
+			// the run set is reproducible.
+			return mkState(seqpair.Random(n, rand.New(rand.NewSource(opt.Seed+int64(r)*104729))))
 		}, restarts, opt.Workers, anneal.Options{
 			Seed:         opt.Seed + 1,
 			InitialTemp:  initialTemp,
@@ -372,8 +364,6 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 				inside, exact, wt = ins, ex, w
 			}
 		}
-	}
-	if !opt.RandomInitial && !opt.SkipAnneal {
 		// The annealing cost uses the approximate packing; if every annealed
 		// floorplan turns out worse than the initial shelf floorplan under
 		// the exact evaluation, keep the initial.

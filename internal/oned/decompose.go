@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the block decomposition of the LP relaxation of
-// formulation (4)/(5). When Options.RowGroups pins stencil row bands to
+// formulation (4)/(5). When the instance's RowGroups pin stencil row bands to
 // wafer regions (the per-column-cell stencils of an MCC system), the
 // capacity matrix of the relaxation is block-diagonal across disjoint row
 // groups. The planner detects the independent blocks with a union-find over
@@ -28,39 +28,25 @@ import (
 // bridge characters matters. Without row groups there is a single block
 // holding the whole problem.
 
-// initRowGroups validates Options.RowGroups against the instance and builds
-// the candidacy tables: rowGroup[j] is the group owning row j (-1 = open
-// row, usable by everyone) and charGroups[i] is the bitmask of groups whose
-// regions character i repeats in. Groups with an empty region list are open:
-// their rows stay at -1.
-func (s *solver) initRowGroups() error {
-	groups := s.opt.RowGroups
+// initRowGroups builds the candidacy tables of the instance's row groups,
+// which core validation has already checked: rowGroup[j] is the group
+// owning row j (-1 = open row, usable by everyone) and charGroups[i] is the
+// bitmask of groups whose regions character i repeats in. Groups with an
+// empty region list are open: their rows stay at -1.
+func (s *solver) initRowGroups() {
+	groups := s.in.RowGroups
 	if len(groups) == 0 {
-		return nil
-	}
-	if len(groups) > maxRowGroups {
-		return fmt.Errorf("oned: %d row groups exceed the maximum of %d", len(groups), maxRowGroups)
+		return
 	}
 	s.rowGroup = make([]int, s.m)
 	for j := range s.rowGroup {
 		s.rowGroup[j] = -1
 	}
 	for g, grp := range groups {
-		for _, r := range grp.Regions {
-			if r < 0 || r >= s.in.NumRegions {
-				return fmt.Errorf("oned: row group %d references region %d of %d", g, r, s.in.NumRegions)
-			}
-		}
 		if len(grp.Regions) == 0 {
 			continue // open rows
 		}
 		for _, j := range grp.Rows {
-			if j < 0 || j >= s.m {
-				return fmt.Errorf("oned: row group %d references row %d of %d", g, j, s.m)
-			}
-			if s.rowGroup[j] >= 0 {
-				return fmt.Errorf("oned: row %d belongs to row groups %d and %d", j, s.rowGroup[j], g)
-			}
 			s.rowGroup[j] = g
 		}
 	}
@@ -80,7 +66,6 @@ func (s *solver) initRowGroups() error {
 		}
 		s.charGroups[i] = mask
 	}
-	return nil
 }
 
 // allowed reports whether character i may be assigned to row j under the

@@ -13,7 +13,7 @@ import (
 // together with row groups that pin rowsPerGroup stencil rows to every
 // region — the per-column-cell stencil band layout that makes the
 // relaxation's capacity matrix block-diagonal.
-func groupedInstance(nChars, nGroups, rowsPerGroup, bridgeEvery int, seed int64) (*core.Instance, []RowGroup) {
+func groupedInstance(nChars, nGroups, rowsPerGroup, bridgeEvery int, seed int64) (*core.Instance, []core.RowGroup) {
 	rng := rand.New(rand.NewSource(seed))
 	in := &core.Instance{
 		Name: "grouped", Kind: core.OneD,
@@ -37,7 +37,7 @@ func groupedInstance(nChars, nGroups, rowsPerGroup, bridgeEvery int, seed int64)
 		}
 		in.Characters = append(in.Characters, c)
 	}
-	groups := make([]RowGroup, nGroups)
+	groups := make([]core.RowGroup, nGroups)
 	for g := range groups {
 		for r := 0; r < rowsPerGroup; r++ {
 			groups[g].Rows = append(groups[g].Rows, g*rowsPerGroup+r)
@@ -47,16 +47,22 @@ func groupedInstance(nChars, nGroups, rowsPerGroup, bridgeEvery int, seed int64)
 	return in, groups
 }
 
+// withBands returns a shallow copy of the instance carrying the row groups.
+func withBands(in *core.Instance, groups []core.RowGroup) *core.Instance {
+	banded := *in
+	banded.RowGroups = groups
+	return &banded
+}
+
 // relaxSolver builds a solver mid-flight: row groups installed, profits
 // evaluated, and a few characters pre-assigned so the row capacities are
 // uneven the way they are in later rounding iterations.
-func relaxSolver(t testing.TB, in *core.Instance, groups []RowGroup, backend LPBackend, workers, preAssign int) (*solver, []int, []float64) {
+func relaxSolver(t testing.TB, in *core.Instance, groups []core.RowGroup, backend LPBackend, workers, preAssign int) (*solver, []int, []float64) {
 	t.Helper()
 	opt := Defaults()
 	opt.Backend = backend
 	opt.Workers = workers
-	opt.RowGroups = groups
-	s, err := newSolver(context.Background(), in, opt.withDefaults())
+	s, err := newSolver(context.Background(), withBands(in, groups), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestRelaxationSkipsUnusableRows(t *testing.T) {
 	for i := range in.Characters {
 		in.Characters[i].Repeats = append(in.Characters[i].Repeats, 0)
 	}
-	groups = append(groups, RowGroup{Rows: []int{4, 5}, Regions: []int{2}})
+	groups = append(groups, core.RowGroup{Rows: []int{4, 5}, Regions: []int{2}})
 	s, unsolved, caps := relaxSolver(t, in, groups, StructuredLP, 1, 0)
 	if blocks := s.relaxBlocks(unsolved); len(blocks) != 1 || len(blocks[0].chars) != len(unsolved) || len(blocks[0].rows) != 4 {
 		t.Fatalf("want one block of every character and rows 0-3, got %+v", blocks)
@@ -227,11 +233,11 @@ func TestRelaxationSkipsUnusableRows(t *testing.T) {
 // must be identical for every worker count, must only place characters on
 // rows their group allows, and must stay valid.
 func TestSolveWithRowGroups(t *testing.T) {
-	in, groups := groupedInstance(120, 4, 2, 13, 3)
+	plain, groups := groupedInstance(120, 4, 2, 13, 3)
+	in := withBands(plain, groups)
 	for _, backend := range []LPBackend{StructuredLP, SimplexLP} {
 		opt := Defaults()
 		opt.Backend = backend
-		opt.RowGroups = groups
 		opt.Workers = 1
 		ref, _, err := Solve(context.Background(), in, opt)
 		if err != nil {
@@ -283,40 +289,5 @@ func TestSolveWithRowGroups(t *testing.T) {
 			t.Errorf("%v: workers changed the plan: T=%d/%d selected=%d/%d",
 				backend, ref.WritingTime, par.WritingTime, ref.NumSelected(), par.NumSelected())
 		}
-	}
-}
-
-// TestRowGroupValidation exercises the option validation.
-func TestRowGroupValidation(t *testing.T) {
-	in, groups := groupedInstance(20, 2, 2, 0, 5)
-	bad := []struct {
-		name   string
-		mutate func([]RowGroup) []RowGroup
-	}{
-		{"row out of range", func(g []RowGroup) []RowGroup {
-			g[0].Rows = append(g[0].Rows, 99)
-			return g
-		}},
-		{"region out of range", func(g []RowGroup) []RowGroup {
-			g[0].Regions = []int{7}
-			return g
-		}},
-		{"row in two groups", func(g []RowGroup) []RowGroup {
-			g[1].Rows = append(g[1].Rows, g[0].Rows[0])
-			return g
-		}},
-	}
-	for _, tc := range bad {
-		t.Run(tc.name, func(t *testing.T) {
-			gs := make([]RowGroup, len(groups))
-			for i, g := range groups {
-				gs[i] = RowGroup{Rows: append([]int(nil), g.Rows...), Regions: append([]int(nil), g.Regions...)}
-			}
-			opt := Defaults()
-			opt.RowGroups = tc.mutate(gs)
-			if _, _, err := Solve(context.Background(), in, opt); err == nil {
-				t.Fatal("expected a validation error")
-			}
-		})
 	}
 }

@@ -5,47 +5,41 @@ import (
 	"reflect"
 	"testing"
 
+	"eblow/internal/core"
 	"eblow/internal/gen"
 )
 
-// An instance that carries its own column-cell banding must solve exactly
-// as if the same bands had been passed through Options.RowGroups — the end
-// to end contract of per-column-cell-band mode.
-func TestInstanceRowGroupsMatchOptionRowGroups(t *testing.T) {
+// The instance's column-cell banding is the one source of row bands: a
+// banded instance places every character on a band row only if it repeats
+// in the band's region, and an instance whose one band is open solves
+// exactly like the unbanded instance.
+func TestInstanceRowGroupsBandThePlan(t *testing.T) {
 	plain := gen.Small(0, 60, 4, 17)
 	bands := gen.CellBands(plain)
 	if bands == nil {
 		t.Fatal("test instance cannot be banded")
 	}
-
-	banded := gen.Small(0, 60, 4, 17)
-	banded.RowGroups = bands
-
 	opt := Defaults()
 	opt.Workers = 2
-	viaOptions := opt
-	viaOptions.RowGroups = bands
 
-	solA, _, err := Solve(context.Background(), plain, viaOptions)
+	banded := withBands(plain, bands)
+	sol, _, err := Solve(context.Background(), banded, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solB, _, err := Solve(context.Background(), banded, opt)
-	if err != nil {
-		t.Fatal(err)
+	if sol.NumSelected() == 0 {
+		t.Fatal("banded instance planned an empty stencil")
 	}
-	if solA.WritingTime != solB.WritingTime ||
-		!reflect.DeepEqual(solA.Selected, solB.Selected) ||
-		!reflect.DeepEqual(solA.Placements, solB.Placements) {
-		t.Fatal("instance-level banding solved differently from option-level banding")
+	for _, row := range sol.Rows {
+		region := bands[row.Y/banded.RowHeight%len(bands)].Regions[0]
+		for _, c := range row.Chars {
+			if banded.Characters[c].Repeats[region] == 0 {
+				t.Errorf("character %d on a row of region %d's band, where it does not repeat", c, region)
+			}
+		}
 	}
 
-	// And the banded solve must differ in configuration from the unbanded
-	// one in at least the candidacy sense: explicit options still override
-	// the instance's bands (an open band makes every row open again).
-	override := opt
-	override.RowGroups = []RowGroup{{Rows: nil, Regions: nil}}
-	solC, _, err := Solve(context.Background(), banded, override)
+	open, _, err := Solve(context.Background(), withBands(plain, []core.RowGroup{{}}), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +47,9 @@ func TestInstanceRowGroupsMatchOptionRowGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solC.WritingTime != solPlain.WritingTime {
-		t.Fatalf("options override did not win over instance bands: T=%d vs unbanded T=%d",
-			solC.WritingTime, solPlain.WritingTime)
+	if open.WritingTime != solPlain.WritingTime ||
+		!reflect.DeepEqual(open.Selected, solPlain.Selected) ||
+		!reflect.DeepEqual(open.Placements, solPlain.Placements) {
+		t.Fatalf("an open band planned differently from no bands: T=%d vs T=%d", open.WritingTime, solPlain.WritingTime)
 	}
 }

@@ -72,7 +72,7 @@ func TestMCCPlanPinnedAcrossWorkers(t *testing.T) {
 // cannot be bypassed.
 func TestParallelEvaluationMatchesCore(t *testing.T) {
 	in := gen.Small(core.OneD, 90, 7, 41)
-	s, err := newSolver(context.Background(), in, Defaults().withDefaults())
+	s, err := newSolver(context.Background(), in, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestParallelStagesKeepRegionTimes(t *testing.T) {
 	in := plan1dInstances()[0]
 	opt := Defaults()
 	opt.Workers = 4
-	s, err := newSolver(context.Background(), in, opt.withDefaults())
+	s, err := newSolver(context.Background(), in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,11 +136,10 @@ func TestRowGroupPlansPinned(t *testing.T) {
 		{8, SimplexLP, 9102, 0xc38564b71e7e7395, []int{33, 33, 33, 30, 0}, 0xaa2543c4d69a223b},
 	}
 	for _, c := range cases {
-		in, groups := groupedInstance(400, 4, 2, c.bridgeEvery, 3)
+		in := withBands(groupedInstance(400, 4, 2, c.bridgeEvery, 3))
 		for _, workers := range []int{1, 4} {
 			opt := Defaults()
 			opt.Backend = c.backend
-			opt.RowGroups = groups
 			opt.Workers = workers
 			opt.CollectTrace = true
 			sol, tr, err := Solve(context.Background(), in, opt)

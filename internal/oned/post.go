@@ -37,7 +37,7 @@ func (s *solver) postSwapOnce() bool {
 	times := s.times
 	profits := s.currentProfits(nil)
 
-	candidates := s.unselectedByProfit(profits, s.opt.PostSwapCandidates)
+	candidates := s.unselectedByProfit(profits, postSwapCandidates)
 	if len(candidates) == 0 {
 		return false
 	}
@@ -185,7 +185,7 @@ func (s *solver) postInsert() {
 // the smallest width increase.
 func (s *solver) postInsertOnce() int {
 	profits := s.currentProfits(nil)
-	candidates := s.unselectedByProfit(profits, s.opt.PostInsertCandidates)
+	candidates := s.unselectedByProfit(profits, postInsertCandidates)
 	if len(candidates) == 0 {
 		return 0
 	}

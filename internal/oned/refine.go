@@ -187,7 +187,7 @@ func (s *solver) refineAllRows() {
 			r.order, r.width = nil, 0
 			return
 		}
-		order := refineRow(s.in, r.chars, s.opt.PruneThreshold)
+		order := refineRow(s.in, r.chars, pruneThreshold)
 		width := core.MinRowLength(s.in, order)
 		for width > s.w && len(order) > 0 {
 			if s.ctx.Err() != nil {
@@ -204,7 +204,7 @@ func (s *solver) refineAllRows() {
 			s.leaveRow(i)
 			s.solved[i] = true
 			evicted[j] = append(evicted[j], i)
-			order = refineRow(s.in, s.rows[j].chars, s.opt.PruneThreshold)
+			order = refineRow(s.in, s.rows[j].chars, pruneThreshold)
 			width = core.MinRowLength(s.in, order)
 		}
 		r.order = order

@@ -43,7 +43,7 @@ type solver struct {
 	rows []rowState
 
 	// rowGroup[j] is the row group owning row j (-1 = open row); nil when
-	// Options.RowGroups is unset. charGroups[i] is the bitmask of groups
+	// the instance has no row groups. charGroups[i] is the bitmask of groups
 	// whose regions character i repeats in.
 	rowGroup   []int
 	charGroups []uint64
@@ -102,13 +102,6 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 	if in.Kind != core.OneD {
 		return nil, nil, fmt.Errorf("oned: instance %q is not a 1DOSP instance", in.Name)
 	}
-	opt = opt.withDefaults()
-	if len(opt.RowGroups) == 0 {
-		// An instance generated in per-column-cell-band mode carries its
-		// banding with it; explicit options still override.
-		opt.RowGroups = in.RowGroups
-	}
-
 	s, err := newSolver(ctx, in, opt)
 	if err != nil {
 		return nil, nil, err
@@ -152,8 +145,7 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 	return sol, &trace, nil
 }
 
-// newSolver builds the working state for one run; opt must already have its
-// defaults filled in.
+// newSolver builds the working state for one run.
 func newSolver(ctx context.Context, in *core.Instance, opt Options) (*solver, error) {
 	s := &solver{
 		ctx: ctx,
@@ -167,9 +159,7 @@ func newSolver(ctx context.Context, in *core.Instance, opt Options) (*solver, er
 	if s.m == 0 {
 		return nil, fmt.Errorf("oned: stencil of %q has no rows", in.Name)
 	}
-	if err := s.initRowGroups(); err != nil {
-		return nil, err
-	}
+	s.initRowGroups()
 	s.width = make([]int, s.n)
 	s.sblank = make([]int, s.n)
 	s.effW = make([]int, s.n)
@@ -212,18 +202,13 @@ func (s *solver) reds(i int) []int64 {
 	return s.red[i*s.nr : (i+1)*s.nr]
 }
 
-// currentProfits evaluates the profit of every character for the current
-// selection: the dynamic Eqn. (6) value by default, or the static total
-// reduction when the StaticProfit ablation is enabled. The dynamic profits
-// are written into dst's backing array when it is large enough (nil
-// allocates). The per-character profit sums are independent, so they are
-// computed on the worker pool with each worker writing only its own
-// indices — bit-identical to the sequential core.Instance.Profits for any
-// worker count.
+// currentProfits evaluates the dynamic Eqn. (6) profit of every character
+// for the current selection, written into dst's backing array when it is
+// large enough (nil allocates). The per-character profit sums are
+// independent, so they are computed on the worker pool with each worker
+// writing only its own indices — bit-identical to the sequential
+// core.Instance.Profits for any worker count.
 func (s *solver) currentProfits(dst []float64) []float64 {
-	if s.opt.StaticProfit {
-		return s.in.StaticProfits()
-	}
 	times := s.times
 	tmax := core.MaxInt64(times)
 	profits := slices.Grow(dst[:0], s.n)[:s.n]
@@ -384,7 +369,7 @@ func (s *solver) solveRelaxation(unsolved []int, caps []float64) ([]float64, err
 // round the variables close to the iteration maximum, update profits and
 // repeat until the stencil is full or assignments stall.
 func (s *solver) successiveRounding() {
-	for iter := 0; iter < s.opt.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		if s.ctx.Err() != nil {
 			return
 		}
@@ -428,16 +413,14 @@ func (s *solver) successiveRounding() {
 			s.recordIteration(0)
 			return
 		}
-		threshold := apq * s.opt.Thinv
+		threshold := apq * thinv
 		sortRoundingEntries(entries)
 
-		capAssign := s.opt.MaxAssignPerIteration
-		if capAssign <= 0 {
-			capAssign = s.n / 12
-			if capAssign < 25 {
-				capAssign = 25
-			}
-		}
+		// The structured LP backend returns nearly integral solutions, so
+		// without a cap the whole stencil would be filled in one iteration
+		// and the dynamic profit update of Eqn. (6) would never get a chance
+		// to rebalance the MCC regions.
+		capAssign := max(25, s.n/12)
 		assignedThisIter := 0
 		for _, e := range entries {
 			if e.value < threshold || assignedThisIter >= capAssign {
@@ -475,7 +458,7 @@ func (s *solver) successiveRounding() {
 }
 
 func (s *solver) convergenceTrigger() int {
-	t := int(math.Ceil(s.opt.ConvergenceFraction * float64(s.n)))
+	t := int(math.Ceil(convergenceFraction * float64(s.n)))
 	if t < 2 {
 		t = 2
 	}
@@ -517,7 +500,7 @@ func (s *solver) fastConvergence() {
 
 	for _, i := range unsolved {
 		for j, v := range s.lastRelax(i) {
-			if v > s.opt.Uth && !s.solved[i] && s.fits(i, j) {
+			if v > uth && !s.solved[i] && s.fits(i, j) {
 				s.assign(i, j)
 			}
 		}

@@ -143,6 +143,9 @@ func TestTraceCollection(t *testing.T) {
 }
 
 func TestSimplexBackendAgreesOnTinyInstance(t *testing.T) {
+	if LPBackend(0).String() != "structured" || SimplexLP.String() != "simplex" {
+		t.Error("backend names")
+	}
 	in := gen.Tiny1T(1)
 	optS := Defaults()
 	optS.Backend = SimplexLP
@@ -160,22 +163,6 @@ func TestSimplexBackendAgreesOnTinyInstance(t *testing.T) {
 	}
 	if diff > 0.5*float64(solK.WritingTime) {
 		t.Errorf("backends disagree too much: simplex %d vs structured %d", solS.WritingTime, solK.WritingTime)
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	d := o.withDefaults()
-	if d.Thinv != 0.9 || d.Uth != 0.9 || d.PruneThreshold != 20 {
-		t.Errorf("paper defaults not applied: %+v", d)
-	}
-	if LPBackend(0).String() != "structured" || SimplexLP.String() != "simplex" {
-		t.Error("backend names")
-	}
-	custom := Options{Thinv: 0.5}
-	c := custom.withDefaults()
-	if c.Thinv != 0.5 {
-		t.Error("explicit Thinv overridden")
 	}
 }
 

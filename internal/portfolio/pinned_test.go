@@ -9,6 +9,7 @@ import (
 
 	"eblow/internal/core"
 	"eblow/internal/gen"
+	"eblow/internal/solver"
 )
 
 // planHash is FNV-1a over the selection, every row's y, characters and x
@@ -73,11 +74,11 @@ func TestStaticRacePinned(t *testing.T) {
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", c.in.Name, workers), func(t *testing.T) {
-				res, err := Solve(context.Background(), c.in, Options{Workers: workers, Seed: 7, Restarts: 2})
+				res, err := solver.Solve(context.Background(), "portfolio", c.in, solver.Params{Workers: workers, Seed: 7, Restarts: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := fmt.Sprintf("%s T=%d plan=%#x", res.Winner, res.Best.WritingTime, planHash(res.Best))
+				got := fmt.Sprintf("%s T=%d plan=%#x", res.Strategy, res.Solution.WritingTime, planHash(res.Solution))
 				want := fmt.Sprintf("%s T=%d plan=%#x", c.winner, c.wt, c.hash)
 				if got != want {
 					t.Errorf("race = %s, want %s", got, want)

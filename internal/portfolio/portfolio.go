@@ -15,9 +15,10 @@
 // usually wins, but on degenerate instances a baseline occasionally beats
 // it — the portfolio returns whichever plan writes fastest.
 //
-// The package also registers itself in the strategy registry under the name
-// "portfolio", so the job service and eblow.SolveWith can schedule a whole
-// race like any single strategy.
+// The package exports no entry point: it registers the race in the strategy
+// registry under the name "portfolio", so the job service and
+// eblow.SolveWith schedule a whole race like any single strategy, configured
+// by the same solver.Params.
 package portfolio
 
 import (
@@ -32,79 +33,33 @@ import (
 	"eblow/internal/solver"
 )
 
-// Options configures a portfolio race.
-type Options struct {
-	// Workers bounds how many strategies run concurrently and how many
-	// goroutines the inner planners may use (the heavy strategies share
-	// the pool; see entrants). 0 means one worker per CPU; 1 runs
-	// the whole portfolio sequentially. The returned solution is the same
-	// for every worker count unless the deadline truncates an entrant.
-	Workers int
-	// Timeout is the shared deadline for the whole race (0 = none beyond
-	// the caller's context). Strategies cut off by the deadline simply
-	// drop out; the best finished strategy still wins.
-	Timeout time.Duration
-	// Seed seeds the randomized strategies; each strategy derives its own
-	// sub-seed (Seed plus its registry seed offset), so runs are
-	// reproducible and entrants never share a random stream.
-	Seed int64
-	// Restarts is the number of annealing restarts given to the SA-based
-	// strategies (0 means 1).
-	Restarts int
-	// Only restricts the race to the named strategies (see Names). Nil
-	// means every registered racing strategy for the instance kind.
-	Only []string
-}
-
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run is one strategy's outcome in the race.
-type Run = solver.Run
-
-// Result is the outcome of a portfolio race.
-type Result struct {
-	// Best is the fastest-writing feasible plan any strategy produced.
-	Best *core.Solution
-	// Winner names the strategy that produced Best.
-	Winner string
-	// Runs holds every strategy's outcome in race order.
-	Runs []Run
-	// Elapsed is the wall-clock time of the whole race.
-	Elapsed time.Duration
-}
-
 // ErrNoSolution is returned when no strategy produced a feasible solution
 // (for example because the deadline cut all of them off).
 var ErrNoSolution = errors.New("portfolio: no strategy produced a feasible solution")
 
-// Names lists the strategies applicable to the given instance kind, in race
-// order. The order comes from the strategy registry and is part of the
-// determinism contract: ties in writing time go to the earlier strategy.
-func Names(kind core.Kind) []string { return solver.RacingNames(kind) }
+// init registers the whole race as a strategy of its own, so callers that
+// schedule solvers by name (the job service, eblow.SolveWith) can ask for
+// "portfolio" like any other entry.
+func init() {
+	solver.Register(&solver.Entry{
+		Name: "portfolio",
+		Doc:  "races the registered strategies under one deadline in fixed registry order; best feasible plan wins",
+		OneD: true, TwoD: true, Heavy: true, Scalable: true,
+	}, race)
+}
 
-// Solve races every applicable registered strategy on the instance and
-// returns the best feasible plan. The context plus opt.Timeout bound the
-// whole race; a context that is already done returns ctx.Err() immediately.
-func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error) {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
-	}
-
-	entries, err := entrants(in, opt)
+// race runs every applicable registered strategy on the instance and
+// returns the best feasible plan, its winner and every entrant's run. The
+// registry wrapper has already validated the instance, checked the context
+// and folded p.Deadline into ctx, the race's shared deadline: strategies it
+// cuts off drop out and the best finished one still wins. p.Workers bounds
+// how many entrants run at once and how many goroutines the inner planners
+// may use (0 = one per CPU); the result is the same for every worker count
+// unless the deadline truncates an entrant. Each entrant runs with
+// p.Seed plus its registry seed offset and with p.Restarts; p.Strategies
+// restricts the entrant set.
+func race(ctx context.Context, in *core.Instance, p solver.Params) (*solver.Result, error) {
+	entries, err := entrants(in, p.Strategies)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +73,10 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 	// genuinely scale — the exact branch and bound included, now that its
 	// node evaluation is parallel. The split does not affect results —
 	// inner solvers are worker-count independent.
-	workers := opt.workerCount()
+	workers := p.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	scalable := 0
 	for _, e := range entries {
 		if e.Heavy && e.Scalable {
@@ -135,7 +93,7 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 
 	// Race: every strategy writes only its own slot, so the runs slice is
 	// identical for any worker count; completion order never matters.
-	runs := make([]Run, len(entries))
+	runs := make([]solver.Run, len(entries))
 	tasks := make([]func(), len(entries))
 	for i, e := range entries {
 		i, e := i, e
@@ -143,10 +101,10 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 		if e.Heavy && !e.Scalable {
 			entrantWorkers = 1
 		}
-		p := solver.Params{
+		ep := solver.Params{
 			Workers:  entrantWorkers,
-			Seed:     opt.Seed + e.SeedOffset,
-			Restarts: opt.Restarts,
+			Seed:     p.Seed + e.SeedOffset,
+			Restarts: p.Restarts,
 		}
 		// The cheap deterministic heuristics run outside the shared
 		// deadline: they finish in milliseconds and guarantee a feasible
@@ -158,7 +116,7 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 		}
 		tasks[i] = func() {
 			t0 := time.Now()
-			res, err := e.Solver().Solve(runCtx, in, p)
+			res, err := e.Solver().Solve(runCtx, in, ep)
 			var sol *core.Solution
 			switch {
 			case err != nil:
@@ -168,22 +126,22 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 			default:
 				sol = res.Solution
 			}
-			runs[i] = Run{Name: e.Name, Solution: sol, Err: err, Elapsed: time.Since(t0)}
+			runs[i] = solver.Run{Name: e.Name, Solution: sol, Err: err, Elapsed: time.Since(t0)}
 		}
 	}
 	par.Do(workers, tasks...)
 
-	res := &Result{Runs: runs, Elapsed: time.Since(start)}
+	res := &solver.Result{Runs: runs}
 	for _, r := range runs {
 		if r.Solution == nil {
 			continue
 		}
-		if res.Best == nil || r.Solution.WritingTime < res.Best.WritingTime {
-			res.Best = r.Solution
-			res.Winner = r.Name
+		if res.Solution == nil || r.Solution.WritingTime < res.Solution.WritingTime {
+			res.Solution = r.Solution
+			res.Strategy = r.Name
 		}
 	}
-	if res.Best == nil {
+	if res.Solution == nil {
 		// Prefer surfacing the caller's cancellation over the generic error.
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -194,16 +152,16 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*Result, error)
 }
 
 // entrants resolves the registry entries racing for the instance kind, in
-// the fixed registration (race) order. With no opt.Only filter the default
+// the fixed registration (race) order. With no only filter the default
 // racing set runs; an explicit filter may name any registered strategy that
 // supports the kind (so "exact" can be raced on tiny instances), except the
 // portfolio itself.
-func entrants(in *core.Instance, opt Options) ([]*solver.Entry, error) {
-	if len(opt.Only) == 0 {
+func entrants(in *core.Instance, only []string) ([]*solver.Entry, error) {
+	if len(only) == 0 {
 		return solver.Racing(in.Kind), nil
 	}
-	allowed := make(map[string]bool, len(opt.Only))
-	for _, n := range opt.Only {
+	allowed := make(map[string]bool, len(only))
+	for _, n := range only {
 		allowed[n] = true
 	}
 	var kept []*solver.Entry
@@ -215,38 +173,14 @@ func entrants(in *core.Instance, opt Options) ([]*solver.Entry, error) {
 	}
 	// Report leftovers in the caller's order, not map order, so the same
 	// bad filter always produces the same error.
-	for _, n := range opt.Only {
+	for _, n := range only {
 		if !allowed[n] {
 			continue
 		}
 		if n == "portfolio" {
-			return nil, errors.New("portfolio: the race cannot contain itself; drop \"portfolio\" from Only")
+			return nil, errors.New("portfolio: the race cannot contain itself; drop \"portfolio\" from Params.Strategies")
 		}
-		return nil, fmt.Errorf("portfolio: unknown strategy %q for %s instances (have %v)", n, in.Kind, Names(in.Kind))
+		return nil, fmt.Errorf("portfolio: unknown strategy %q for %s instances (have %v)", n, in.Kind, solver.RacingNames(in.Kind))
 	}
 	return kept, nil
-}
-
-// init registers the whole race as a strategy of its own, so callers that
-// schedule solvers by name (the job service, eblow.SolveWith) can ask for
-// "portfolio" like any other entry. Params map onto Options: Workers, Seed
-// and Restarts pass through, Strategies restricts the entrant set, and the
-// deadline is already carried by the context the registry wrapper built.
-func init() {
-	solver.Register(&solver.Entry{
-		Name: "portfolio",
-		Doc:  "races the registered strategies under one deadline in fixed registry order; best feasible plan wins",
-		OneD: true, TwoD: true, Heavy: true, Scalable: true,
-	}, func(ctx context.Context, in *core.Instance, p solver.Params) (*solver.Result, error) {
-		res, err := Solve(ctx, in, Options{
-			Workers:  p.Workers,
-			Seed:     p.Seed,
-			Restarts: p.Restarts,
-			Only:     p.Strategies,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &solver.Result{Solution: res.Best, Strategy: res.Winner, Runs: res.Runs}, nil
-	})
 }

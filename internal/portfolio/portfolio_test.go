@@ -9,43 +9,44 @@ import (
 
 	"eblow/internal/core"
 	"eblow/internal/gen"
+	"eblow/internal/solver"
 )
 
 func TestRace1D(t *testing.T) {
 	in := gen.Small(core.OneD, 60, 3, 11)
-	res, err := Solve(context.Background(), in, Options{Seed: 1})
+	res, err := solver.Solve(context.Background(), "portfolio", in, solver.Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best == nil || res.Winner == "" {
+	if res.Solution == nil || res.Strategy == "" {
 		t.Fatal("race produced no winner")
 	}
-	if err := res.Best.Validate(in); err != nil {
+	if err := res.Solution.Validate(in); err != nil {
 		t.Fatalf("winning plan invalid: %v", err)
 	}
-	if len(res.Runs) != len(Names(core.OneD)) {
-		t.Fatalf("expected %d runs, got %d", len(Names(core.OneD)), len(res.Runs))
+	if len(res.Runs) != len(solver.RacingNames(core.OneD)) {
+		t.Fatalf("expected %d runs, got %d", len(solver.RacingNames(core.OneD)), len(res.Runs))
 	}
 	// The winner must be at least as good as every finished entrant.
 	for _, r := range res.Runs {
-		if r.Solution != nil && r.Solution.WritingTime < res.Best.WritingTime {
+		if r.Solution != nil && r.Solution.WritingTime < res.Solution.WritingTime {
 			t.Errorf("%s (T=%d) beat the declared winner %s (T=%d)",
-				r.Name, r.Solution.WritingTime, res.Winner, res.Best.WritingTime)
+				r.Name, r.Solution.WritingTime, res.Strategy, res.Solution.WritingTime)
 		}
 	}
 }
 
 func TestRace2D(t *testing.T) {
 	in := gen.Small(core.TwoD, 40, 2, 12)
-	res, err := Solve(context.Background(), in, Options{Seed: 1, Restarts: 2})
+	res, err := solver.Solve(context.Background(), "portfolio", in, solver.Params{Seed: 1, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Best.Validate(in); err != nil {
+	if err := res.Solution.Validate(in); err != nil {
 		t.Fatalf("winning plan invalid: %v", err)
 	}
-	if len(res.Runs) != len(Names(core.TwoD)) {
-		t.Fatalf("expected %d runs, got %d", len(Names(core.TwoD)), len(res.Runs))
+	if len(res.Runs) != len(solver.RacingNames(core.TwoD)) {
+		t.Fatalf("expected %d runs, got %d", len(solver.RacingNames(core.TwoD)), len(res.Runs))
 	}
 }
 
@@ -53,9 +54,9 @@ func TestRace2D(t *testing.T) {
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, kind := range []core.Kind{core.OneD, core.TwoD} {
 		in := gen.Small(kind, 50, 2, 21)
-		var ref *Result
+		var ref *solver.Result
 		for _, workers := range []int{1, 4} {
-			res, err := Solve(context.Background(), in, Options{Workers: workers, Seed: 5, Restarts: 2})
+			res, err := solver.Solve(context.Background(), "portfolio", in, solver.Params{Workers: workers, Seed: 5, Restarts: 2})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", kind, workers, err)
 			}
@@ -63,15 +64,15 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 				ref = res
 				continue
 			}
-			if res.Winner != ref.Winner {
-				t.Errorf("%s: winner changed with worker count: %s vs %s", kind, ref.Winner, res.Winner)
+			if res.Strategy != ref.Strategy {
+				t.Errorf("%s: winner changed with worker count: %s vs %s", kind, ref.Strategy, res.Strategy)
 			}
-			if res.Best.WritingTime != ref.Best.WritingTime {
+			if res.Solution.WritingTime != ref.Solution.WritingTime {
 				t.Errorf("%s: writing time changed with worker count: %d vs %d",
-					kind, ref.Best.WritingTime, res.Best.WritingTime)
+					kind, ref.Solution.WritingTime, res.Solution.WritingTime)
 			}
-			if !reflect.DeepEqual(res.Best.Selected, ref.Best.Selected) ||
-				!reflect.DeepEqual(res.Best.Placements, ref.Best.Placements) {
+			if !reflect.DeepEqual(res.Solution.Selected, ref.Solution.Selected) ||
+				!reflect.DeepEqual(res.Solution.Placements, ref.Solution.Placements) {
 				t.Errorf("%s: plan changed with worker count", kind)
 			}
 		}
@@ -83,7 +84,7 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 	cancel()
 	in := gen.Small(core.OneD, 40, 2, 3)
 	start := time.Now()
-	_, err := Solve(ctx, in, Options{})
+	_, err := solver.Solve(ctx, "portfolio", in, solver.Params{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
@@ -99,11 +100,11 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 func TestDeadlineStillYieldsFeasiblePlan(t *testing.T) {
 	in := gen.Small(core.OneD, 150, 4, 9)
 	for _, timeout := range []time.Duration{time.Nanosecond, 5 * time.Millisecond} {
-		res, err := Solve(context.Background(), in, Options{Timeout: timeout})
+		res, err := solver.Solve(context.Background(), "portfolio", in, solver.Params{Deadline: timeout})
 		if err != nil {
 			t.Fatalf("timeout %s: race yielded no incumbent: %v", timeout, err)
 		}
-		if err := res.Best.Validate(in); err != nil {
+		if err := res.Solution.Validate(in); err != nil {
 			t.Fatalf("timeout %s: plan under deadline invalid: %v", timeout, err)
 		}
 	}
@@ -111,20 +112,20 @@ func TestDeadlineStillYieldsFeasiblePlan(t *testing.T) {
 
 func TestOnlyFiltersStrategies(t *testing.T) {
 	in := gen.Small(core.OneD, 30, 1, 2)
-	res, err := Solve(context.Background(), in, Options{Only: []string{"greedy", "row25"}})
+	res, err := solver.Solve(context.Background(), "portfolio", in, solver.Params{Strategies: []string{"greedy", "row25"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Runs) != 2 {
 		t.Fatalf("expected 2 runs, got %d", len(res.Runs))
 	}
-	if _, err := Solve(context.Background(), in, Options{Only: []string{"sa24"}}); err == nil {
+	if _, err := solver.Solve(context.Background(), "portfolio", in, solver.Params{Strategies: []string{"sa24"}}); err == nil {
 		t.Error("2D-only strategy accepted for a 1D instance")
 	}
 }
 
 func TestRejectsInvalidInstance(t *testing.T) {
-	if _, err := Solve(context.Background(), &core.Instance{}, Options{}); err == nil {
+	if _, err := solver.Solve(context.Background(), "portfolio", &core.Instance{}, solver.Params{}); err == nil {
 		t.Error("empty instance accepted")
 	}
 }

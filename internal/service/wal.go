@@ -43,8 +43,8 @@ const (
 const DefaultWALMaxBytes = 8 << 20
 
 // walParams is the persisted subset of eblow.Params: exactly the fields a
-// wire submission can carry. In-process extras (the Options1D/2D
-// overrides) are not serializable and do not survive a replay.
+// wire submission can carry, which is every field but CollectTrace; that
+// one changes neither the plan nor its digest.
 type walParams struct {
 	Workers    int      `json:"workers,omitempty"`
 	Seed       int64    `json:"seed,omitempty"`

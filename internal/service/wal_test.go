@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -601,5 +602,44 @@ func TestTerminalJobDropsInstanceBytes(t *testing.T) {
 	}
 	if instanceBytes(m2, hold) {
 		t.Errorf("re-run job %s still holds its instance bytes", hold)
+	}
+}
+
+// Every eblow.Params field must survive the WAL, or a replayed job runs
+// with other settings than the one submitted and may plan differently. The
+// one exception changes neither plan nor digest.
+func TestWALParamsRoundTripEveryField(t *testing.T) {
+	digestNeutral := map[string]bool{"CollectTrace": true}
+	typ := reflect.TypeOf(eblow.Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if digestNeutral[f.Name] {
+			continue
+		}
+		var p eblow.Params
+		v := reflect.ValueOf(&p).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Slice:
+			v.Set(reflect.ValueOf([]string{"greedy", "row25"}))
+		case reflect.Pointer:
+			v.Set(reflect.New(f.Type.Elem()))
+		default:
+			t.Fatalf("Params.%s: no sample value for kind %s", f.Name, f.Type.Kind())
+		}
+		data, err := json.Marshal(toWalParams(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back walParams
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if got := reflect.ValueOf(back.params()).Field(i); !reflect.DeepEqual(got.Interface(), v.Interface()) {
+			t.Errorf("Params.%s = %v does not survive the WAL: replayed as %v", f.Name, v, got)
+		}
 	}
 }

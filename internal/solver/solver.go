@@ -31,9 +31,10 @@ import (
 	"eblow/internal/twod"
 )
 
-// Params is the unified solver configuration shared by every strategy.
-// The zero value asks for the paper's defaults: one worker per CPU, seed 0,
-// no deadline, one annealing restart.
+// Params is the unified solver configuration shared by every strategy and
+// the only way to configure one: the planners' own parameters are the
+// paper's settings, fixed inside their packages. The zero value asks for
+// one worker per CPU, seed 0, no deadline, one annealing restart.
 type Params struct {
 	// Workers bounds the goroutines a strategy may use for its parallel
 	// stages (and, for the portfolio, how many strategies race at once).
@@ -56,12 +57,6 @@ type Params struct {
 	// named ones. Nil means the default set. Single-strategy solvers
 	// ignore it.
 	Strategies []string
-	// Options1D overrides the full E-BLOW 1D option set (nil = defaults
-	// completed with Workers/CollectTrace above).
-	Options1D *oned.Options
-	// Options2D overrides the full E-BLOW 2D option set (nil = defaults
-	// completed with Workers/Seed/Restarts above).
-	Options2D *twod.Options
 	// CollectTrace asks the 1D planner to record its successive-rounding
 	// iteration trace in Result.Trace.
 	CollectTrace bool
@@ -70,13 +65,8 @@ type Params struct {
 // effective1D resolves the 1D planner options from the unified params.
 func (p Params) effective1D() oned.Options {
 	o := oned.Defaults()
-	if p.Options1D != nil {
-		o = *p.Options1D
-	}
-	if o.Workers == 0 {
-		o.Workers = p.Workers
-	}
-	o.CollectTrace = o.CollectTrace || p.CollectTrace
+	o.Workers = p.Workers
+	o.CollectTrace = p.CollectTrace
 	return o
 }
 
@@ -86,18 +76,9 @@ func (p Params) effective1D() oned.Options {
 // still returns the best legalised plan found so far.
 func (p Params) effective2D() twod.Options {
 	o := twod.Defaults()
-	if p.Options2D != nil {
-		o = *p.Options2D
-	}
-	if o.Workers == 0 {
-		o.Workers = p.Workers
-	}
-	if o.Seed == 0 {
-		o.Seed = p.Seed
-	}
-	if o.Restarts == 0 {
-		o.Restarts = p.Restarts
-	}
+	o.Workers = p.Workers
+	o.Seed = p.Seed
+	o.Restarts = p.Restarts
 	return o
 }
 
@@ -117,7 +98,7 @@ type Result struct {
 	Elapsed time.Duration
 
 	// Trace is the 1D successive-rounding trace (only when requested via
-	// Params.CollectTrace or Options1D.CollectTrace).
+	// Params.CollectTrace).
 	Trace *oned.Trace
 	// Stats reports what the 2D clustering stage did (2D E-BLOW only).
 	Stats *twod.Stats

@@ -22,17 +22,21 @@ import (
 	"eblow/internal/par"
 )
 
-// Options configures the E-BLOW 2D planner. The zero value is completed with
-// the paper's settings (similarity bound 0.2).
+// The paper's parameter settings of the 2D planner.
+const (
+	// similarityBound is the relative difference allowed by the clustering
+	// similarity test of Eqn. (8).
+	similarityBound = 0.2
+	// preFilterFactor keeps preFilterFactor * (stencil area / average
+	// character area) candidates before clustering.
+	preFilterFactor = 2.5
+	// maxClusterMembers bounds how many characters one cluster may absorb.
+	maxClusterMembers = 3
+)
+
+// Options configures the E-BLOW 2D planner; the clustering parameters are
+// the constants above.
 type Options struct {
-	// SimilarityBound is the relative difference allowed by the clustering
-	// similarity test of Eqn. (8); the paper uses 0.2.
-	SimilarityBound float64
-	// PreFilterFactor keeps PreFilterFactor * (stencil area / average
-	// character area) candidates before clustering; 0 means 2.5.
-	PreFilterFactor float64
-	// MaxClusterMembers bounds how many characters one cluster may absorb.
-	MaxClusterMembers int
 	// MoveBudget is the annealing move budget (0 = automatic).
 	MoveBudget int
 	// Seed seeds the annealer.
@@ -48,38 +52,10 @@ type Options struct {
 	// truncated schedule stops on wall clock, which no worker count can
 	// make reproducible.
 	Workers int
-
-	// EnableClustering and EnablePreFilter exist for the ablation benches;
-	// the E-BLOW flow keeps both enabled.
-	DisableClustering bool
-	DisablePreFilter  bool
 }
 
-// Defaults returns the paper's parameter settings.
-func Defaults() Options {
-	return Options{
-		SimilarityBound:   0.2,
-		PreFilterFactor:   2.5,
-		MaxClusterMembers: 3,
-	}
-}
-
-func (o Options) withDefaults() Options {
-	d := Defaults()
-	if o.SimilarityBound <= 0 {
-		o.SimilarityBound = d.SimilarityBound
-	}
-	if o.PreFilterFactor <= 0 {
-		o.PreFilterFactor = d.PreFilterFactor
-	}
-	if o.MaxClusterMembers <= 0 {
-		o.MaxClusterMembers = d.MaxClusterMembers
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 1
-	}
-	return o
-}
+// Defaults returns the paper's settings: every option at its zero value.
+func Defaults() Options { return Options{} }
 
 // workerCount resolves Options.Workers: 0 means one worker per CPU.
 func (o Options) workerCount() int {
@@ -133,7 +109,6 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 	if in.Kind != core.TwoD {
 		return nil, nil, fmt.Errorf("twod: instance %q is not a 2DOSP instance", in.Name)
 	}
-	opt = opt.withDefaults()
 	workers := opt.workerCount()
 	stats := &Stats{Candidates: in.NumCharacters()}
 
@@ -141,10 +116,7 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 
 	// Pre-filter: keep the most profitable candidates, bounded by a factor
 	// of the estimated stencil capacity.
-	ids := candidateIDs(in)
-	if !opt.DisablePreFilter {
-		ids = preFilter(in, ids, profits, opt.PreFilterFactor)
-	}
+	ids := preFilter(in, candidateIDs(in), profits, preFilterFactor)
 	stats.AfterFilter = len(ids)
 
 	// Per-candidate reduction vectors feed both the clustered blocks and the
@@ -161,7 +133,7 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 	})
 
 	// Clustering (Algorithm 4).
-	clusters := buildClusters(in, ids, profits, reds, opt, stats)
+	clusters := buildClusters(in, ids, profits, reds, similarityBound, maxClusterMembers)
 	stats.Clusters = len(clusters)
 	stats.ClusteredAway = stats.AfterFilter - len(clusters)
 	if err := ctx.Err(); err != nil {
@@ -320,15 +292,10 @@ func similar(in *core.Instance, profits []float64, i, j int, bound float64) bool
 }
 
 // buildClusters runs Algorithm 4: candidates sorted by profit repeatedly
-// absorb similar unclustered candidates found through KD-tree range queries.
-func buildClusters(in *core.Instance, ids []int, profits []float64, reds [][]int64, opt Options, stats *Stats) []cluster {
+// absorb similar unclustered candidates (within bound, see similar) found
+// through KD-tree range queries, up to maxMembers characters per cluster.
+func buildClusters(in *core.Instance, ids []int, profits []float64, reds [][]int64, bound float64, maxMembers int) []cluster {
 	clusters := make([]cluster, 0, len(ids))
-	if opt.DisableClustering {
-		for _, id := range ids {
-			clusters = append(clusters, singletonCluster(in, profits, reds, id))
-		}
-		return clusters
-	}
 
 	sorted := append([]int(nil), ids...)
 	sort.Slice(sorted, func(a, b int) bool {
@@ -355,17 +322,17 @@ func buildClusters(in *core.Instance, ids []int, profits []float64, reds [][]int
 		clustered[id] = true
 		tree.Delete(id)
 		// Grow the cluster while similar unclustered candidates exist.
-		for len(cl.members) < opt.MaxClusterMembers {
+		for len(cl.members) < maxMembers {
 			f := feature(in, profits, id)
 			lo := make(kdtree.Point, len(f))
 			hi := make(kdtree.Point, len(f))
 			for d := range f {
-				delta := math.Abs(f[d]) * opt.SimilarityBound
+				delta := math.Abs(f[d]) * bound
 				lo[d], hi[d] = f[d]-delta, f[d]+delta
 			}
 			found := -1
 			for _, cand := range tree.Range(lo, hi) {
-				if !clustered[cand] && similar(in, profits, id, cand, opt.SimilarityBound) &&
+				if !clustered[cand] && similar(in, profits, id, cand, bound) &&
 					absorb(in, profits, reds, &cl, cand) {
 					found = cand
 					break

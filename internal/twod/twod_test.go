@@ -45,42 +45,35 @@ func TestSolveRejectsBadInput(t *testing.T) {
 
 func TestClusteringReducesBlockCount(t *testing.T) {
 	in := gen.Small(core.TwoD, 120, 2, 9)
-	_, with, err := Solve(context.Background(), in, Defaults())
-	if err != nil {
-		t.Fatal(err)
+	profits := in.StaticProfits()
+	ids := candidateIDs(in)
+	reds := make([][]int64, in.NumCharacters())
+	for _, id := range ids {
+		reds[id] = make([]int64, in.NumRegions)
+		for c := range reds[id] {
+			reds[id][c] = in.Reduction(id, c)
+		}
 	}
-	opt := Defaults()
-	opt.DisableClustering = true
-	_, without, err := Solve(context.Background(), in, opt)
-	if err != nil {
-		t.Fatal(err)
+	with := buildClusters(in, ids, profits, reds, similarityBound, maxClusterMembers)
+	// One member per cluster leaves every candidate a singleton.
+	without := buildClusters(in, ids, profits, reds, similarityBound, 1)
+	if len(without) != len(ids) {
+		t.Fatalf("singleton clustering built %d blocks from %d candidates", len(without), len(ids))
 	}
-	if with.Clusters >= without.Clusters {
-		t.Errorf("clustering did not reduce block count: %d vs %d", with.Clusters, without.Clusters)
-	}
-	if with.ClusteredAway == 0 {
-		t.Error("no characters were clustered")
+	if len(with) >= len(without) {
+		t.Errorf("clustering did not reduce block count: %d vs %d", len(with), len(without))
 	}
 }
 
 func TestPreFilterLimitsCandidates(t *testing.T) {
 	in := gen.Small(core.TwoD, 200, 2, 13)
-	opt := Defaults()
-	opt.PreFilterFactor = 0.5
-	_, stats, err := Solve(context.Background(), in, opt)
-	if err != nil {
-		t.Fatal(err)
+	profits := in.StaticProfits()
+	ids := candidateIDs(in)
+	if kept := preFilter(in, ids, profits, 0.5); len(kept) >= len(ids) {
+		t.Errorf("pre-filter kept all %d of %d candidates", len(kept), len(ids))
 	}
-	if stats.AfterFilter >= stats.Candidates {
-		t.Errorf("pre-filter kept everything: %+v", stats)
-	}
-	opt.DisablePreFilter = true
-	_, stats2, err := Solve(context.Background(), in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.AfterFilter != stats2.Candidates {
-		t.Errorf("disabled pre-filter still filtered: %+v", stats2)
+	if kept := preFilter(in, ids, profits, 1e9); len(kept) != len(ids) {
+		t.Errorf("an unbounded pre-filter kept %d of %d candidates", len(kept), len(ids))
 	}
 }
 
@@ -151,18 +144,6 @@ func TestAbsorbKeepsMemberGeometryLegal(t *testing.T) {
 		if cl.reds[r] != want {
 			t.Errorf("cluster reductions wrong in region %d", r)
 		}
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	d := o.withDefaults()
-	if d.SimilarityBound != 0.2 || d.PreFilterFactor != 2.5 || d.MaxClusterMembers != 3 {
-		t.Errorf("defaults: %+v", d)
-	}
-	custom := Options{SimilarityBound: 0.5}
-	if custom.withDefaults().SimilarityBound != 0.5 {
-		t.Error("explicit bound overridden")
 	}
 }
 

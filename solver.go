@@ -20,7 +20,8 @@ type (
 	// plus Params.Deadline, and returns a uniform Result.
 	Solver = solver.Solver
 	// Params is the unified solver configuration (workers, seed, deadline,
-	// restarts, strategy set, optional fine-grained planner options).
+	// restarts, strategy set, trace collection) and the only way to
+	// configure a strategy.
 	Params = solver.Params
 	// Result is the unified solve outcome: the plan, its writing-time
 	// objective, feasibility, the producing strategy, wall-clock time and
