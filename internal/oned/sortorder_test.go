@@ -9,11 +9,13 @@ import (
 )
 
 // refPruneInferior is pruneInferior with its sort written as sort.Slice and
-// a less function, the reference the typed sort must reproduce.
-func refPruneInferior(sols []dpState, limit int) []dpState {
+// a less function on the states' widths and blanks, the reference the typed
+// sort on packed keys must reproduce.
+func refPruneInferior(pack dpPacking, sols []dpState, limit int) []dpState {
+	width := func(s dpState) int { return pack.width(s.key) }
 	sort.Slice(sols, func(i, j int) bool {
-		if sols[i].width != sols[j].width {
-			return sols[i].width < sols[j].width
+		if width(sols[i]) != width(sols[j]) {
+			return width(sols[i]) < width(sols[j])
 		}
 		if sols[i].left != sols[j].left {
 			return sols[i].left > sols[j].left
@@ -24,7 +26,7 @@ func refPruneInferior(sols []dpState, limit int) []dpState {
 	for _, s := range sols {
 		dominated := false
 		for _, k := range kept {
-			if k.width <= s.width && k.left >= s.left && k.right >= s.right {
+			if width(k) <= width(s) && k.left >= s.left && k.right >= s.right {
 				dominated = true
 				break
 			}
@@ -42,7 +44,8 @@ func refPruneInferior(sols []dpState, limit int) []dpState {
 // TestSortTieOrder checks that the 1D flow's typed sorts leave elements
 // with equal keys in the order sort.Slice leaves them under the equivalent
 // less function, on random inputs where most keys tie: pruneInferior (the
-// surviving state of a tie group is the first one sorted), the
+// surviving state of a tie group is the first one sorted), with packed
+// keys and with the width-only key of a row too wide to pack, the
 // successive-rounding entry order, and the descending float key the
 // convergence-tail and candidate sorts use, NaN keys included. Lengths run from
 // the insertion-sort range to well past pdqsort's pivot sampling, so every
@@ -63,12 +66,16 @@ func TestSortTieOrder(t *testing.T) {
 		}
 		withNaN := trial%5 == 0
 
+		pack := newPacking(2, 3)
+		if trial%3 == 1 {
+			pack = dpPacking{} // the unpacked key of an oversized row
+		}
 		sols := make([]dpState, n)
 		for i := range sols {
-			sols[i] = dpState{width: rng.Intn(4), left: rng.Intn(3), right: rng.Intn(3), parent: i, atLeft: rng.Intn(2) == 0}
+			sols[i] = pack.state(rng.Intn(4), rng.Intn(3), rng.Intn(3), int32(i), rng.Intn(2) == 0)
 		}
 		limit := 1 + rng.Intn(n+1)
-		if got, want := pruneInferior(slices.Clone(sols), limit), refPruneInferior(slices.Clone(sols), limit); !slices.Equal(got, want) {
+		if got, want := pruneInferior(slices.Clone(sols), limit), refPruneInferior(pack, slices.Clone(sols), limit); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: pruneInferior kept %v, sort.Slice reference %v", trial, got, want)
 		}
 
