@@ -1,8 +1,8 @@
 package eblow
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus ablation benches for the 1D planner's fast
-// convergence and LP backend. Each benchmark iteration regenerates the corresponding
+// evaluation section, plus an ablation bench for the 1D planner's fast
+// convergence. Each benchmark iteration regenerates the corresponding
 // table/figure on the synthetic benchmark suite and reports it through b.Log,
 // so `go test -bench . -benchmem` reproduces the full evaluation.
 
@@ -101,8 +101,8 @@ func BenchmarkFig11And12(b *testing.B) {
 	}
 }
 
-// --- Ablation benches for the two 1D design choices the planner options
-// still select: the fast-convergence step and the LP relaxation backend. ---
+// --- Ablation bench for the 1D design choice the planner options still
+// select: the fast-convergence step. ---
 
 // BenchmarkAblationConvergence compares E-BLOW with and without the
 // fast-convergence step (Algorithm 2's Uth rounding and the exact knapsack
@@ -121,25 +121,6 @@ func BenchmarkAblationConvergence(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := oned.Defaults()
 				opt.EnableFastConvergence = enabled
-				sol, _, err := oned.Solve(context.Background(), in, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(sol.WritingTime), "writingTime")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationLPBackend compares the structured knapsack relaxation with
-// the sparse revised simplex on a small instance where both are affordable.
-func BenchmarkAblationLPBackend(b *testing.B) {
-	in := SmallInstance(OneD, 120, 4, 7)
-	for _, backend := range []oned.LPBackend{oned.StructuredLP, oned.SimplexLP} {
-		b.Run(backend.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opt := oned.Defaults()
-				opt.Backend = backend
 				sol, _, err := oned.Solve(context.Background(), in, opt)
 				if err != nil {
 					b.Fatal(err)

@@ -27,10 +27,10 @@ import (
 // leave bit-identical.
 //
 // The work column pins deterministic effort counts that a plan-preserving
-// change can still move (workCounts): the simplex relaxation backend's
-// solves and pivots in the 1D planner, and the 2D annealer's moves.
-// Their timings are the go test benchmarks BenchmarkSolvePlan1D,
-// BenchmarkRelaxationDecomposed, BenchmarkMoveIncremental and
+// change can still move (workCounts): the 1D planner's rounding iterations
+// and the characters they assigned, and the 2D annealer's moves. Their
+// timings are the go test benchmarks BenchmarkSolvePlan1D,
+// BenchmarkRelaxationStructured, BenchmarkMoveIncremental and
 // BenchmarkAnnealIncremental.
 func TestGoldenObjectives(t *testing.T) {
 	golden := map[string]struct {
@@ -39,11 +39,11 @@ func TestGoldenObjectives(t *testing.T) {
 		layout      string
 		work        string
 	}{
-		"1D": {writingTime: 2540, selected: 117, layout: "127ae73ee058815a", work: "simplex=7/1058"},
-		"1M": {writingTime: 1590, selected: 114, layout: "e42c89dc22e93b82", work: "simplex=7/1023"},
+		"1D": {writingTime: 2540, selected: 117, layout: "127ae73ee058815a", work: "rounding=8/116"},
+		"1M": {writingTime: 1590, selected: 114, layout: "e42c89dc22e93b82", work: "rounding=6/108"},
 		"2D": {writingTime: 2552, selected: 102, layout: "6023f74b59dfcca6", work: "moves=5160"},
 		"2M": {writingTime: 1246, selected: 108, layout: "dbecc62a737c0638", work: "moves=5160"},
-		"1T": {writingTime: 49, selected: 6, layout: "b866368912780def", work: "simplex=2/8"},
+		"1T": {writingTime: 49, selected: 6, layout: "b866368912780def", work: "rounding=2/6"},
 		"2T": {writingTime: 32, selected: 5, layout: "f20b7a60751faaff", work: "moves=860"},
 	}
 
@@ -89,20 +89,25 @@ func TestGoldenObjectives(t *testing.T) {
 }
 
 // workCounts renders the deterministic effort of planning in. A 1D instance
-// is solved at one worker with the simplex relaxation backend, reporting its
-// LP solves and pivots. A 2D instance is annealed whole by floorsa with seed 1, one
-// restart and a budget of 40 moves per character, reporting the moves made.
+// is solved by the default planner at one worker, reporting its rounding
+// iterations and the characters they assigned in all. A 2D instance is
+// annealed whole by floorsa with seed 1, one restart and a budget of 40
+// moves per character, reporting the moves made.
 func workCounts(t *testing.T, in *Instance) string {
 	t.Helper()
 	if in.Kind == OneD {
 		opt := oned.Defaults()
 		opt.Workers = 1
-		opt.Backend = oned.SimplexLP
-		_, simplex, err := oned.Solve(context.Background(), in, opt)
+		opt.CollectTrace = true
+		_, tr, err := oned.Solve(context.Background(), in, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("simplex=%d/%d", simplex.RelaxSolves, simplex.RelaxPivots)
+		assigned := 0
+		for _, a := range tr.AssignedPerIteration {
+			assigned += a
+		}
+		return fmt.Sprintf("rounding=%d/%d", len(tr.AssignedPerIteration), assigned)
 	}
 	blocks := make([]floorsa.Block, in.NumCharacters())
 	for i, c := range in.Characters {

@@ -12,7 +12,6 @@ package kdtree
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -28,8 +27,7 @@ type node struct {
 	right   *node
 }
 
-// Tree is a k-d tree. The zero value is not usable; create trees with New or
-// Build.
+// Tree is a k-d tree. The zero value is not usable; create trees with Build.
 type Tree struct {
 	k        int
 	root     *node
@@ -39,20 +37,16 @@ type Tree struct {
 	rebuilds int
 }
 
-// New creates an empty tree for k-dimensional points.
-func New(k int) *Tree {
+// Build creates a balanced tree from parallel slices of k-dimensional points
+// and their ids. Ids identify character candidates and must be unique.
+func Build(k int, points []Point, ids []int) *Tree {
 	if k <= 0 {
 		panic("kdtree: dimension must be positive")
 	}
-	return &Tree{k: k, byID: make(map[int]*node)}
-}
-
-// Build creates a balanced tree from parallel slices of points and ids.
-func Build(k int, points []Point, ids []int) *Tree {
 	if len(points) != len(ids) {
 		panic("kdtree: points and ids length mismatch")
 	}
-	t := New(k)
+	t := &Tree{k: k, byID: make(map[int]*node)}
 	nodes := make([]*node, len(points))
 	for i := range points {
 		t.checkDim(points[i])
@@ -91,52 +85,9 @@ func (t *Tree) checkDim(p Point) {
 // Len returns the number of live points.
 func (t *Tree) Len() int { return t.size }
 
-// K returns the dimensionality of the tree.
-func (t *Tree) K() int { return t.k }
-
 // Rebuilds returns how many times the tree compacted itself; exposed for
 // tests and instrumentation.
 func (t *Tree) Rebuilds() int { return t.rebuilds }
-
-// Insert adds a point with the given id. Inserting an id that is already
-// present (and not deleted) panics: ids identify character candidates and
-// must be unique.
-func (t *Tree) Insert(p Point, id int) {
-	t.checkDim(p)
-	if n, ok := t.byID[id]; ok && !n.deleted {
-		panic(fmt.Sprintf("kdtree: duplicate id %d", id))
-	}
-	nn := &node{point: append(Point(nil), p...), id: id}
-	t.byID[id] = nn
-	t.size++
-	t.total++
-	if t.root == nil {
-		nn.axis = 0
-		t.root = nn
-		return
-	}
-	cur := t.root
-	depth := 0
-	for {
-		axis := depth % t.k
-		if p[axis] < cur.point[axis] {
-			if cur.left == nil {
-				nn.axis = (depth + 1) % t.k
-				cur.left = nn
-				return
-			}
-			cur = cur.left
-		} else {
-			if cur.right == nil {
-				nn.axis = (depth + 1) % t.k
-				cur.right = nn
-				return
-			}
-			cur = cur.right
-		}
-		depth++
-	}
-}
 
 // Delete removes the point with the given id. It reports whether the id was
 // present and live.
@@ -216,51 +167,4 @@ func (t *Tree) Range(lo, hi Point) []int {
 	}
 	visit(t.root)
 	return out
-}
-
-// Nearest returns the id of the live point closest to q in Euclidean
-// distance and the distance itself. ok is false when the tree is empty.
-func (t *Tree) Nearest(q Point) (id int, dist float64, ok bool) {
-	t.checkDim(q)
-	bestID := -1
-	best := math.Inf(1)
-	var visit func(n *node)
-	visit = func(n *node) {
-		if n == nil {
-			return
-		}
-		if !n.deleted {
-			d := sqDist(n.point, q)
-			if d < best {
-				best = d
-				bestID = n.id
-			}
-		}
-		axis := n.axis
-		diff := q[axis] - n.point[axis]
-		var near, far *node
-		if diff < 0 {
-			near, far = n.left, n.right
-		} else {
-			near, far = n.right, n.left
-		}
-		visit(near)
-		if diff*diff < best {
-			visit(far)
-		}
-	}
-	visit(t.root)
-	if bestID < 0 {
-		return 0, 0, false
-	}
-	return bestID, math.Sqrt(best), true
-}
-
-func sqDist(a, b Point) float64 {
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }

@@ -9,15 +9,12 @@ import (
 )
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(2)
-	if tr.Len() != 0 || tr.K() != 2 {
+	tr := Build(2, nil, nil)
+	if tr.Len() != 0 {
 		t.Error("unexpected empty tree state")
 	}
 	if got := tr.Range(Point{0, 0}, Point{10, 10}); len(got) != 0 {
 		t.Errorf("Range on empty tree = %v", got)
-	}
-	if _, _, ok := tr.Nearest(Point{1, 1}); ok {
-		t.Error("Nearest on empty tree should report !ok")
 	}
 	if tr.Delete(3) {
 		t.Error("Delete on empty tree should return false")
@@ -25,11 +22,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestInsertRangeDelete(t *testing.T) {
-	tr := New(2)
-	pts := []Point{{1, 1}, {2, 5}, {5, 2}, {8, 8}, {3, 3}}
-	for i, p := range pts {
-		tr.Insert(p, i)
-	}
+	tr := Build(2, []Point{{1, 1}, {2, 5}, {5, 2}, {8, 8}, {3, 3}}, []int{0, 1, 2, 3, 4})
 	if tr.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", tr.Len())
 	}
@@ -71,27 +64,14 @@ func TestBuildBalanced(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	tr := Build(2, []Point{{0, 0}, {10, 10}, {5, 5}, {-3, 4}}, []int{0, 1, 2, 3})
-	id, dist, ok := tr.Nearest(Point{6, 6})
-	if !ok || id != 2 {
-		t.Errorf("Nearest = %d, want 2", id)
-	}
-	if math.Abs(dist-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("dist = %v, want sqrt(2)", dist)
-	}
-	tr.Delete(2)
-	id, _, ok = tr.Nearest(Point{6, 6})
-	if !ok || id != 1 {
-		t.Errorf("Nearest after delete = %d, want 1", id)
-	}
-}
-
 func TestCompaction(t *testing.T) {
-	tr := New(3)
+	var pts []Point
+	var ids []int
 	for i := 0; i < 64; i++ {
-		tr.Insert(Point{float64(i), float64(i % 7), float64(i % 3)}, i)
+		pts = append(pts, Point{float64(i), float64(i % 7), float64(i % 3)})
+		ids = append(ids, i)
 	}
+	tr := Build(3, pts, ids)
 	for i := 0; i < 40; i++ {
 		tr.Delete(i)
 	}
@@ -105,10 +85,8 @@ func TestCompaction(t *testing.T) {
 	if len(got) != 24 {
 		t.Errorf("Range after compaction = %d ids, want 24", len(got))
 	}
-	// Re-inserting a previously deleted id must be allowed.
-	tr.Insert(Point{1, 1, 1}, 5)
-	if tr.Len() != 25 {
-		t.Errorf("Len after re-insert = %d, want 25", tr.Len())
+	if tr.Delete(5) {
+		t.Error("Delete of a compacted-away id should return false")
 	}
 }
 
@@ -121,14 +99,10 @@ func TestPanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanics("zero dimension", func() { New(0) })
-	assertPanics("dim mismatch insert", func() { New(2).Insert(Point{1}, 0) })
-	assertPanics("dim mismatch range", func() { New(2).Range(Point{1}, Point{1, 2}) })
-	assertPanics("duplicate id", func() {
-		tr := New(1)
-		tr.Insert(Point{1}, 7)
-		tr.Insert(Point{2}, 7)
-	})
+	assertPanics("zero dimension", func() { Build(0, nil, nil) })
+	assertPanics("dim mismatch build", func() { Build(2, []Point{{1}}, []int{0}) })
+	assertPanics("dim mismatch range", func() { Build(2, nil, nil).Range(Point{1}, Point{1, 2}) })
+	assertPanics("duplicate id", func() { Build(1, []Point{{1}, {2}}, []int{7, 7}) })
 	assertPanics("build length mismatch", func() { Build(1, []Point{{1}}, nil) })
 }
 
@@ -151,56 +125,41 @@ func linearRange(pts map[int]Point, lo, hi Point) []int {
 	return out
 }
 
-// Property: range queries on the tree match a linear scan under random
-// interleavings of builds, inserts and deletes.
+// Property: range queries on the tree match a linear scan on a built tree
+// under random deletions, through the compactions they trigger.
 func TestRangeMatchesLinearScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(4)
-		tr := New(k)
+		n := rng.Intn(60)
+		pts := make([]Point, n)
+		ids := make([]int, n)
 		live := make(map[int]Point)
-		nextID := 0
-		for op := 0; op < 60; op++ {
-			switch {
-			case len(live) == 0 || rng.Float64() < 0.6:
-				p := make(Point, k)
-				for d := range p {
-					p[d] = float64(rng.Intn(20))
+		for i := range pts {
+			p := make(Point, k)
+			for d := range p {
+				p[d] = float64(rng.Intn(20))
+			}
+			pts[i], ids[i] = p, 3*i+1
+			live[ids[i]] = p
+		}
+		tr := Build(k, pts, ids)
+		for round := 0; round < 4; round++ {
+			// delete a random share of the live ids
+			for _, id := range ids {
+				if _, ok := live[id]; !ok || rng.Float64() < 0.7 {
+					continue
 				}
-				tr.Insert(p, nextID)
-				live[nextID] = p
-				nextID++
-			default:
-				// delete a random live id
-				ids := make([]int, 0, len(live))
-				for id := range live {
-					ids = append(ids, id)
-				}
-				victim := ids[rng.Intn(len(ids))]
-				if !tr.Delete(victim) {
+				if !tr.Delete(id) {
 					return false
 				}
-				delete(live, victim)
+				delete(live, id)
 			}
-		}
-		for q := 0; q < 10; q++ {
-			lo := make(Point, k)
-			hi := make(Point, k)
-			for d := range lo {
-				a := float64(rng.Intn(20))
-				b := float64(rng.Intn(20))
-				lo[d], hi[d] = math.Min(a, b), math.Max(a, b)
-			}
-			got := tr.Range(lo, hi)
-			sort.Ints(got)
-			want := linearRange(live, lo, hi)
-			if len(got) != len(want) {
+			if tr.Len() != len(live) {
 				return false
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
+			if !rangesMatch(rng, tr, live, k) {
+				return false
 			}
 		}
 		return true
@@ -210,43 +169,30 @@ func TestRangeMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// Property: Nearest matches the linear-scan nearest neighbour.
-func TestNearestMatchesLinearScan(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := 1 + rng.Intn(3)
-		n := 1 + rng.Intn(40)
-		pts := make([]Point, n)
-		ids := make([]int, n)
-		for i := range pts {
-			p := make(Point, k)
-			for d := range p {
-				p[d] = rng.Float64() * 100
-			}
-			pts[i] = p
-			ids[i] = i
+// rangesMatch runs ten random range queries against the tree and the linear
+// scan over live.
+func rangesMatch(rng *rand.Rand, tr *Tree, live map[int]Point, k int) bool {
+	for q := 0; q < 10; q++ {
+		lo := make(Point, k)
+		hi := make(Point, k)
+		for d := range lo {
+			a := float64(rng.Intn(20))
+			b := float64(rng.Intn(20))
+			lo[d], hi[d] = math.Min(a, b), math.Max(a, b)
 		}
-		tr := Build(k, pts, ids)
-		q := make(Point, k)
-		for d := range q {
-			q[d] = rng.Float64() * 100
-		}
-		id, dist, ok := tr.Nearest(q)
-		if !ok {
+		got := tr.Range(lo, hi)
+		sort.Ints(got)
+		want := linearRange(live, lo, hi)
+		if len(got) != len(want) {
 			return false
 		}
-		bestDist := math.Inf(1)
-		for _, p := range pts {
-			if d := math.Sqrt(sqDist(p, q)); d < bestDist {
-				bestDist = d
+		for i := range got {
+			if got[i] != want[i] {
+				return false
 			}
 		}
-		_ = id
-		return math.Abs(dist-bestDist) < 1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+	return true
 }
 
 func BenchmarkRangeQuery(b *testing.B) {

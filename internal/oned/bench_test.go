@@ -30,64 +30,15 @@ func BenchmarkSolvePlan1D(b *testing.B) {
 	}
 }
 
-// BenchmarkRelaxationDecomposed measures the block-decomposed LP relaxation
-// (simplex backend, one MCC column-cell band per region) against the
-// monolithic restricted LP, and its multi-worker scaling. One iteration is
-// one full relaxation solve of the kind every successive-rounding iteration
-// pays; wall-clock per op is the number to watch.
-func BenchmarkRelaxationDecomposed(b *testing.B) {
-	in, groups := groupedInstance(800, 10, 2, 0, 3)
-	run := func(b *testing.B, workers int, monolithic bool) {
-		s, unsolved, caps := relaxSolver(b, in, groups, SimplexLP, workers, 0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if monolithic {
-				_, err = s.solveRelaxationMonolithic(unsolved, caps)
-			} else {
-				_, err = s.solveRelaxation(unsolved, caps)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("monolithic", func(b *testing.B) { run(b, 1, true) })
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run("blocks-w"+strconv.Itoa(w), func(b *testing.B) { run(b, w, false) })
-	}
-}
-
-// BenchmarkRelaxationMCC is the 4000-character MCC-scale variant (10
-// column-cell bands of 5 rows). The monolithic dense LP does not fit at this
-// scale — the decomposition is what makes the simplex backend feasible at
-// all — so only the decomposed solve is measured. Skipped in -short runs.
-func BenchmarkRelaxationMCC(b *testing.B) {
-	if testing.Short() {
-		b.Skip("MCC-scale relaxation benchmark skipped in -short mode")
-	}
-	in, groups := groupedInstance(4000, 10, 5, 0, 17)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run("blocks-w"+strconv.Itoa(w), func(b *testing.B) {
-			s, unsolved, caps := relaxSolver(b, in, groups, SimplexLP, w, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.solveRelaxation(unsolved, caps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRelaxationStructured measures the default structured backend on
-// the same grouped instance, at MCC scale: the block split also applies
-// there (per-band pooled capacities) and must stay cheap.
+// BenchmarkRelaxationStructured measures one full relaxation solve of the
+// kind every successive-rounding iteration pays, on a 4000-character MCC
+// instance with 10 column-cell bands of 5 rows: one block per band, each
+// pooling its own rows' capacities, solved on 1 and 4 workers.
 func BenchmarkRelaxationStructured(b *testing.B) {
 	in, groups := groupedInstance(4000, 10, 5, 0, 5)
 	for _, w := range []int{1, 4} {
 		b.Run("blocks-w"+strconv.Itoa(w), func(b *testing.B) {
-			s, unsolved, caps := relaxSolver(b, in, groups, StructuredLP, w, 0)
+			s, unsolved, caps := relaxSolver(b, in, groups, w, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.solveRelaxation(unsolved, caps); err != nil {

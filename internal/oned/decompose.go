@@ -1,11 +1,9 @@
 package oned
 
 import (
-	"fmt"
 	"slices"
 
 	"eblow/internal/knapsack"
-	"eblow/internal/lp"
 	"eblow/internal/par"
 )
 
@@ -19,13 +17,11 @@ import (
 // assignment matrices in block index order, so the result is identical for
 // every worker count.
 //
-// The simplex backend creates variables only for allowed character-row
-// pairs, so its decomposed solve equals solving the whole restricted
-// relaxation as one LP. The structured backend pools each block's row
-// capacities and ignores which of them a bridging character may use,
-// trading that precision for O(n log n) speed; integral assignments are
-// still candidacy-checked by fits(). Use SimplexLP when exact banding of
-// bridge characters matters. Without row groups there is a single block
+// Every block is solved as a fractional multiple knapsack
+// (knapsack.Workspace.Relax) over its own rows: the block pools those rows'
+// capacities and ignores which of them a bridging character may use, which
+// keeps each solve O(n log n). Integral assignments are still
+// candidacy-checked by fits(). Without row groups there is a single block
 // holding the whole problem.
 
 // initRowGroups builds the candidacy tables of the instance's row groups,
@@ -162,12 +158,6 @@ func (s *solver) relaxBlocks(unsolved []int) []relaxBlock {
 	return kept
 }
 
-// blockSolveStats reports one block solve for the trace.
-type blockSolveStats struct {
-	pivots int  // simplex iterations (SimplexLP backend only)
-	lp     bool // an LP was actually solved
-}
-
 // blockWork is one block's reusable scratch and result. The solver keeps
 // one per block index, so blocks solved concurrently never share one.
 type blockWork struct {
@@ -175,8 +165,6 @@ type blockWork struct {
 	items []knapsack.Item
 	caps  []float64
 	a     []float64 // the block's own chars x rows split, before the scatter
-
-	stats blockSolveStats
 	err   error
 }
 
@@ -200,36 +188,28 @@ func (s *solver) solveRelaxationBlocks(unsolved []int, caps []float64, blocks []
 	if len(s.work) < len(blocks) {
 		s.work = append(s.work, make([]blockWork, len(blocks)-len(s.work))...)
 	}
-	if len(blocks) != 1 || !s.whole(blocks[0], nu) || s.opt.Backend == SimplexLP {
-		// Entries outside every block (and disallowed pairs) stay zero; only
-		// a whole structured block overwrites the entire matrix itself.
+	if len(blocks) != 1 || !s.whole(blocks[0], nu) {
+		// Entries outside every block stay zero; only a whole block
+		// overwrites the entire matrix itself.
 		clear(a)
 	}
 	par.For(s.opt.workerCount(), len(blocks), func(bi int) {
 		w := &s.work[bi]
-		w.stats, w.err = s.solveRelaxBlock(w, blocks[bi], unsolved, caps, a)
+		w.err = s.solveRelaxBlock(w, blocks[bi], unsolved, caps, a)
 	})
 	for _, w := range s.work[:len(blocks)] {
 		if w.err != nil {
 			return nil, w.err
 		}
 	}
-	for _, w := range s.work[:len(blocks)] {
-		if w.stats.lp {
-			s.trace.RelaxSolves++
-			s.trace.RelaxPivots += w.stats.pivots
-		}
-	}
 	return a, nil
 }
 
-// solveRelaxBlock solves one block with the configured backend, using the
-// block's workspace w, and scatters the result into the shared flat
-// assignment matrix a (len(unsolved) x m).
-func (s *solver) solveRelaxBlock(w *blockWork, b relaxBlock, unsolved []int, caps []float64, a []float64) (blockSolveStats, error) {
-	if s.opt.Backend == SimplexLP {
-		return s.solveRelaxBlockSimplex(b, unsolved, caps, a)
-	}
+// solveRelaxBlock solves one block as a fractional multiple knapsack over
+// the block's pooled row capacities, using the block's workspace w, and
+// scatters the result into the shared flat assignment matrix a
+// (len(unsolved) x m).
+func (s *solver) solveRelaxBlock(w *blockWork, b relaxBlock, unsolved []int, caps []float64, a []float64) error {
 	items := slices.Grow(w.items[:0], len(b.chars))
 	for _, k := range b.chars {
 		i := unsolved[k]
@@ -239,7 +219,7 @@ func (s *solver) solveRelaxBlock(w *blockWork, b relaxBlock, unsolved []int, cap
 	if s.whole(b, len(unsolved)) {
 		// The block's matrix is a itself.
 		_, err := w.ks.Relax(items, caps, a)
-		return blockSolveStats{}, err
+		return err
 	}
 	subcaps := slices.Grow(w.caps[:0], len(b.rows))
 	for _, j := range b.rows {
@@ -249,102 +229,12 @@ func (s *solver) solveRelaxBlock(w *blockWork, b relaxBlock, unsolved []int, cap
 	nb := len(b.rows)
 	w.a = slices.Grow(w.a[:0], len(items)*nb)[:len(items)*nb]
 	if _, err := w.ks.Relax(items, subcaps, w.a); err != nil {
-		return blockSolveStats{}, err
+		return err
 	}
 	for bk, k := range b.chars {
 		for bj, j := range b.rows {
 			a[k*s.m+j] = w.a[bk*nb+bj]
 		}
 	}
-	return blockSolveStats{}, nil
-}
-
-// solveRelaxBlockSimplex builds the block's restricted LP (variables only
-// for allowed character-row pairs, in character-major order; constraints
-// in row order, then character order) and solves it from scratch with the
-// sparse revised simplex. The relaxation is feasible (all zeros) and
-// bounded, so a status other than Optimal means the solve was stopped or ran
-// out of pivots; that is the error.
-func (s *solver) solveRelaxBlockSimplex(b relaxBlock, unsolved []int, caps []float64, a []float64) (blockSolveStats, error) {
-	type varRef struct{ k, j int }
-	var vars []varRef
-	for _, k := range b.chars {
-		i := unsolved[k]
-		for _, j := range b.rows {
-			if s.allowed(i, j) {
-				vars = append(vars, varRef{k, j})
-			}
-		}
-	}
-	if len(vars) == 0 {
-		return blockSolveStats{}, nil
-	}
-	prob := lp.NewProblem(len(vars))
-	prob.Stop = s.ctx.Done()
-	obj := make([]float64, len(vars))
-	rowTerms := make(map[int][]lp.Term, len(b.rows))
-	charTerms := make(map[int][]lp.Term, len(b.chars))
-	for v, vr := range vars {
-		i := unsolved[vr.k]
-		obj[v] = s.profits[i]
-		prob.SetBounds(v, 0, 1)
-		rowTerms[vr.j] = append(rowTerms[vr.j], lp.Term{Var: v, Coeff: float64(s.effW[i])})
-		charTerms[vr.k] = append(charTerms[vr.k], lp.Term{Var: v, Coeff: 1})
-	}
-	prob.SetObjective(obj, true)
-	for _, j := range b.rows {
-		if terms := rowTerms[j]; len(terms) > 0 {
-			prob.AddConstraint(terms, lp.LE, caps[j])
-		}
-	}
-	for _, k := range b.chars {
-		if terms := charTerms[k]; len(terms) > 0 {
-			prob.AddConstraint(terms, lp.LE, 1)
-		}
-	}
-
-	res := lp.Solve(prob)
-	if res.Status != lp.Optimal {
-		return blockSolveStats{}, fmt.Errorf("oned: relaxation LP returned %v", res.Status)
-	}
-	for v, vr := range vars {
-		a[vr.k*s.m+vr.j] = res.X[v]
-	}
-	return blockSolveStats{pivots: res.Iters, lp: true}, nil
-}
-
-// solveRelaxationMonolithic solves the restricted relaxation as a single
-// problem, ignoring the block structure. It exists as the reference the
-// decomposed path is validated against (the equivalence suite asserts
-// bit-identical assignment matrices) and for the decomposition benchmark;
-// production always goes through the block split.
-func (s *solver) solveRelaxationMonolithic(unsolved []int, caps []float64) ([]float64, error) {
-	all := relaxBlock{rows: make([]int, s.m)}
-	for j := range all.rows {
-		all.rows[j] = j
-	}
-	for k, i := range unsolved {
-		if s.candidacyCount(i) > 0 {
-			all.chars = append(all.chars, k)
-		}
-	}
-	a := make([]float64, len(unsolved)*s.m)
-	if _, err := s.solveRelaxBlock(&blockWork{}, all, unsolved, caps, a); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// candidacyCount returns how many rows character i may use.
-func (s *solver) candidacyCount(i int) int {
-	if s.rowGroup == nil {
-		return s.m
-	}
-	c := 0
-	for j := 0; j < s.m; j++ {
-		if s.allowed(i, j) {
-			c++
-		}
-	}
-	return c
+	return nil
 }

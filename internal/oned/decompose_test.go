@@ -57,10 +57,9 @@ func withBands(in *core.Instance, groups []core.RowGroup) *core.Instance {
 // relaxSolver builds a solver mid-flight: row groups installed, profits
 // evaluated, and a few characters pre-assigned so the row capacities are
 // uneven the way they are in later rounding iterations.
-func relaxSolver(t testing.TB, in *core.Instance, groups []core.RowGroup, backend LPBackend, workers, preAssign int) (*solver, []int, []float64) {
+func relaxSolver(t testing.TB, in *core.Instance, groups []core.RowGroup, workers, preAssign int) (*solver, []int, []float64) {
 	t.Helper()
 	opt := Defaults()
-	opt.Backend = backend
 	opt.Workers = workers
 	s, err := newSolver(context.Background(), withBands(in, groups), opt)
 	if err != nil {
@@ -100,7 +99,7 @@ func sameMatrix(t *testing.T, label string, m int, a, b []float64) {
 // merge their two groups, and without row groups everything is one block.
 func TestRelaxBlocksDetection(t *testing.T) {
 	in, groups := groupedInstance(60, 4, 2, 0, 1)
-	s, unsolved, _ := relaxSolver(t, in, groups, StructuredLP, 1, 0)
+	s, unsolved, _ := relaxSolver(t, in, groups, 1, 0)
 	blocks := s.relaxBlocks(unsolved)
 	if len(blocks) != 4 {
 		t.Fatalf("disjoint instance split into %d blocks, want 4", len(blocks))
@@ -121,61 +120,21 @@ func TestRelaxBlocksDetection(t *testing.T) {
 	// A character bridging every pair of adjacent groups chains all blocks
 	// together.
 	in2, groups2 := groupedInstance(60, 4, 2, 1, 2)
-	s2, unsolved2, _ := relaxSolver(t, in2, groups2, StructuredLP, 1, 0)
+	s2, unsolved2, _ := relaxSolver(t, in2, groups2, 1, 0)
 	if blocks := s2.relaxBlocks(unsolved2); len(blocks) != 1 {
 		t.Fatalf("bridged instance split into %d blocks, want 1", len(blocks))
 	}
 
 	// No row groups: one block covering every character and row.
-	s3, unsolved3, _ := relaxSolver(t, in, nil, StructuredLP, 1, 0)
+	s3, unsolved3, _ := relaxSolver(t, in, nil, 1, 0)
 	blocks3 := s3.relaxBlocks(unsolved3)
 	if len(blocks3) != 1 || len(blocks3[0].chars) != len(unsolved3) || len(blocks3[0].rows) != s3.m {
 		t.Fatalf("ungrouped instance should be one full block, got %+v", blocks3)
 	}
 }
 
-// TestBlockDecomposedMatchesMonolithicSimplex asserts the core equivalence
-// guarantee of the decomposition: solving the candidacy blocks independently
-// and merging in block order yields bit-for-bit the assignment matrix of the
-// monolithic restricted LP — on block-diagonal instances, on instances with
-// bridging characters, and on non-decomposable (ungrouped) instances, at
-// several worker counts and with uneven row fill.
-func TestBlockDecomposedMatchesMonolithicSimplex(t *testing.T) {
-	cases := []struct {
-		name        string
-		bridgeEvery int
-		grouped     bool
-		preAssign   int
-	}{
-		{name: "block-diagonal", grouped: true},
-		{name: "block-diagonal-filled", grouped: true, preAssign: 12},
-		{name: "bridged", grouped: true, bridgeEvery: 7},
-		{name: "ungrouped", grouped: false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			in, groups := groupedInstance(48, 3, 2, tc.bridgeEvery, 7)
-			if !tc.grouped {
-				groups = nil
-			}
-			for _, workers := range []int{1, 4} {
-				s, unsolved, caps := relaxSolver(t, in, groups, SimplexLP, workers, tc.preAssign)
-				got, err := s.solveRelaxation(unsolved, caps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := s.solveRelaxationMonolithic(unsolved, caps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameMatrix(t, tc.name, s.m, got, want)
-			}
-		})
-	}
-}
-
-// TestBlockDecomposedDeterministicWorkers asserts the structured backend's
-// block solve is bit-identical for every worker count, at MCC scale (4000
+// TestBlockDecomposedDeterministicWorkers asserts the block-decomposed
+// relaxation is bit-identical for every worker count, at MCC scale (4000
 // characters, 10 column-cell bands).
 func TestBlockDecomposedDeterministicWorkers(t *testing.T) {
 	nChars := 4000
@@ -183,12 +142,12 @@ func TestBlockDecomposedDeterministicWorkers(t *testing.T) {
 		nChars = 400
 	}
 	in, groups := groupedInstance(nChars, 10, 5, 11, 9)
-	s1, unsolved1, caps1 := relaxSolver(t, in, groups, StructuredLP, 1, 40)
+	s1, unsolved1, caps1 := relaxSolver(t, in, groups, 1, 40)
 	a1, err := s1.solveRelaxation(unsolved1, caps1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, unsolved8, caps8 := relaxSolver(t, in, groups, StructuredLP, 8, 40)
+	s8, unsolved8, caps8 := relaxSolver(t, in, groups, 8, 40)
 	a8, err := s8.solveRelaxation(unsolved8, caps8)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +171,7 @@ func TestRelaxationSkipsUnusableRows(t *testing.T) {
 		in.Characters[i].Repeats = append(in.Characters[i].Repeats, 0)
 	}
 	groups = append(groups, core.RowGroup{Rows: []int{4, 5}, Regions: []int{2}})
-	s, unsolved, caps := relaxSolver(t, in, groups, StructuredLP, 1, 0)
+	s, unsolved, caps := relaxSolver(t, in, groups, 1, 0)
 	if blocks := s.relaxBlocks(unsolved); len(blocks) != 1 || len(blocks[0].chars) != len(unsolved) || len(blocks[0].rows) != 4 {
 		t.Fatalf("want one block of every character and rows 0-3, got %+v", blocks)
 	}
@@ -235,59 +194,56 @@ func TestRelaxationSkipsUnusableRows(t *testing.T) {
 func TestSolveWithRowGroups(t *testing.T) {
 	plain, groups := groupedInstance(120, 4, 2, 13, 3)
 	in := withBands(plain, groups)
-	for _, backend := range []LPBackend{StructuredLP, SimplexLP} {
-		opt := Defaults()
-		opt.Backend = backend
-		opt.Workers = 1
-		ref, _, err := Solve(context.Background(), in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Validate(in); err != nil {
-			t.Fatalf("%v: invalid solution: %v", backend, err)
-		}
-		if ref.NumSelected() == 0 {
-			t.Fatalf("%v: empty plan", backend)
-		}
+	opt := Defaults()
+	opt.Workers = 1
+	ref, _, err := Solve(context.Background(), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Validate(in); err != nil {
+		t.Fatalf("invalid solution: %v", err)
+	}
+	if ref.NumSelected() == 0 {
+		t.Fatal("empty plan")
+	}
 
-		// Candidacy respected on every row.
-		rowGroupOf := make([]int, in.NumRows())
-		for j := range rowGroupOf {
-			rowGroupOf[j] = -1
+	// Candidacy respected on every row.
+	rowGroupOf := make([]int, in.NumRows())
+	for j := range rowGroupOf {
+		rowGroupOf[j] = -1
+	}
+	for g, grp := range groups {
+		for _, j := range grp.Rows {
+			rowGroupOf[j] = g
 		}
-		for g, grp := range groups {
-			for _, j := range grp.Rows {
-				rowGroupOf[j] = g
-			}
+	}
+	for _, row := range ref.Rows {
+		j := row.Y / in.RowHeight
+		g := rowGroupOf[j]
+		if g < 0 {
+			continue
 		}
-		for _, row := range ref.Rows {
-			j := row.Y / in.RowHeight
-			g := rowGroupOf[j]
-			if g < 0 {
-				continue
-			}
-			for _, c := range row.Chars {
-				ok := false
-				for _, r := range groups[g].Regions {
-					if in.Characters[c].Repeats[r] > 0 {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Errorf("%v: character %d placed on row %d outside its groups", backend, c, j)
+		for _, c := range row.Chars {
+			ok := false
+			for _, r := range groups[g].Regions {
+				if in.Characters[c].Repeats[r] > 0 {
+					ok = true
+					break
 				}
 			}
+			if !ok {
+				t.Errorf("character %d placed on row %d outside its groups", c, j)
+			}
 		}
+	}
 
-		opt.Workers = 8
-		par, _, err := Solve(context.Background(), in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.WritingTime != ref.WritingTime || par.NumSelected() != ref.NumSelected() {
-			t.Errorf("%v: workers changed the plan: T=%d/%d selected=%d/%d",
-				backend, ref.WritingTime, par.WritingTime, ref.NumSelected(), par.NumSelected())
-		}
+	opt.Workers = 8
+	par, _, err := Solve(context.Background(), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.WritingTime != ref.WritingTime || planHash(par) != planHash(ref) {
+		t.Errorf("workers changed the plan: T=%d/%d, plan hash %#x/%#x",
+			ref.WritingTime, par.WritingTime, planHash(ref), planHash(par))
 	}
 }

@@ -21,28 +21,6 @@ import (
 	"time"
 )
 
-// LPBackend selects how the LP relaxation of formulation (4) is solved in
-// each successive-rounding iteration.
-type LPBackend int
-
-const (
-	// StructuredLP solves the relaxation with the dedicated multiple-knapsack
-	// greedy solver (package knapsack). This is the default: it exploits the
-	// structure of formulation (5) and scales to MCC-sized instances.
-	StructuredLP LPBackend = iota
-	// SimplexLP solves the relaxation with the general sparse revised
-	// simplex (package lp), every block from scratch. Intended for small
-	// instances and for the ablation bench that compares the two backends.
-	SimplexLP
-)
-
-func (b LPBackend) String() string {
-	if b == SimplexLP {
-		return "simplex"
-	}
-	return "structured"
-}
-
 // The paper's parameter settings of the 1D planner.
 const (
 	// thinv is the rounding threshold of Algorithm 1: every variable within
@@ -87,9 +65,6 @@ type Options struct {
 	// returns the same solution for every worker count.
 	Workers int
 
-	// Backend selects the LP relaxation solver.
-	Backend LPBackend
-
 	// CollectTrace records per-iteration statistics (Figs. 5 and 6).
 	CollectTrace bool
 }
@@ -101,7 +76,6 @@ func Defaults() Options {
 		EnableFastConvergence: true,
 		EnablePostInsertion:   true,
 		EnablePostSwap:        true,
-		Backend:               StructuredLP,
 	}
 }
 
@@ -135,9 +109,9 @@ type Trace struct {
 	// across all successive-rounding iterations (always recorded; the
 	// end-to-end benchmark's layer probe reports it as oned.relax_ms).
 	RelaxElapsed time.Duration
-	// RelaxSolves and RelaxPivots count the LP block solves and their total
-	// simplex iterations across the run (SimplexLP backend only).
-	RelaxSolves int
+	// RelaxPivots is always 0: the relaxation is the structured knapsack,
+	// which makes no simplex pivots. It stays until the end-to-end benchmark
+	// stops reading it.
 	RelaxPivots int
 	// FastILPPivots is always 0, like FastILPVariables, and stays for the
 	// same reason.

@@ -116,30 +116,26 @@ func TestPlan1DPinned(t *testing.T) {
 	}
 }
 
-// TestRowGroupPlansPinned does the same for row-grouped instances, on both
-// relaxation backends: one block per group, and a bridge that merges two of
-// the four groups into one block. Their rounding runs several iterations
-// over several blocks, so a relaxation entry left over from an earlier
-// iteration or another block would move these plans.
+// TestRowGroupPlansPinned does the same for row-grouped instances: one
+// block per group, and a bridge that merges two of the four groups into one
+// block. Their rounding runs several iterations over several blocks, so a
+// relaxation entry left over from an earlier iteration or another block
+// would move these plans.
 func TestRowGroupPlansPinned(t *testing.T) {
 	cases := []struct {
 		bridgeEvery int
-		backend     LPBackend
 		writingTime int64
 		plan        uint64
 		assigned    []int
 		lastLP      uint64
 	}{
-		{0, StructuredLP, 7666, 0xb84fc27db7c537df, []int{33, 33, 33, 29, 1}, 0x91237e7b5c3f25f1},
-		{0, SimplexLP, 7709, 0x17f491b626846b55, []int{33, 33, 33, 28, 0}, 0x75e41150f336b8d4},
-		{8, StructuredLP, 9041, 0xa8b266ca9e71e33e, []int{33, 33, 33, 30, 0}, 0x8e28c7f138dd0b29},
-		{8, SimplexLP, 9102, 0xc38564b71e7e7395, []int{33, 33, 33, 30, 0}, 0xaa2543c4d69a223b},
+		{0, 7666, 0xb84fc27db7c537df, []int{33, 33, 33, 29, 1}, 0x91237e7b5c3f25f1},
+		{8, 9041, 0xa8b266ca9e71e33e, []int{33, 33, 33, 30, 0}, 0x8e28c7f138dd0b29},
 	}
 	for _, c := range cases {
 		in := withBands(groupedInstance(400, 4, 2, c.bridgeEvery, 3))
 		for _, workers := range []int{1, 4} {
 			opt := Defaults()
-			opt.Backend = c.backend
 			opt.Workers = workers
 			opt.CollectTrace = true
 			sol, tr, err := Solve(context.Background(), in, opt)
@@ -148,8 +144,8 @@ func TestRowGroupPlansPinned(t *testing.T) {
 			}
 			if sol.WritingTime != c.writingTime || planHash(sol) != c.plan ||
 				!slices.Equal(tr.AssignedPerIteration, c.assigned) || floatsHash(tr.LastLPValues) != c.lastLP {
-				t.Errorf("bridge every %d, %v, %d workers: writing time %d, plan hash %#x, assigned per iteration %v, last LP hash %#x; want %d, %#x, %v, %#x",
-					c.bridgeEvery, c.backend, workers, sol.WritingTime, planHash(sol), tr.AssignedPerIteration, floatsHash(tr.LastLPValues),
+				t.Errorf("bridge every %d, %d workers: writing time %d, plan hash %#x, assigned per iteration %v, last LP hash %#x; want %d, %#x, %v, %#x",
+					c.bridgeEvery, workers, sol.WritingTime, planHash(sol), tr.AssignedPerIteration, floatsHash(tr.LastLPValues),
 					c.writingTime, c.plan, c.assigned, c.lastLP)
 			}
 		}

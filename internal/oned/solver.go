@@ -431,7 +431,7 @@ func (s *solver) successiveRounding() {
 		threshold := apq * thinv
 		sortRoundingEntries(entries)
 
-		// The structured LP backend returns nearly integral solutions, so
+		// The structured relaxation returns nearly integral solutions, so
 		// without a cap the whole stencil would be filled in one iteration
 		// and the dynamic profit update of Eqn. (6) would never get a chance
 		// to rebalance the MCC regions.

@@ -142,30 +142,6 @@ func TestTraceCollection(t *testing.T) {
 	}
 }
 
-func TestSimplexBackendAgreesOnTinyInstance(t *testing.T) {
-	if LPBackend(0).String() != "structured" || SimplexLP.String() != "simplex" {
-		t.Error("backend names")
-	}
-	in := gen.Tiny1T(1)
-	optS := Defaults()
-	optS.Backend = SimplexLP
-	solS, _ := solveInstance(t, in, optS)
-	solK, _ := solveInstance(t, in, Defaults())
-	// Both backends must produce valid solutions of similar quality on a
-	// tiny instance (identical results are not required: rounding order may
-	// differ).
-	if solS.NumSelected() == 0 || solK.NumSelected() == 0 {
-		t.Error("backends selected nothing")
-	}
-	diff := float64(solS.WritingTime) - float64(solK.WritingTime)
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 0.5*float64(solK.WritingTime) {
-		t.Errorf("backends disagree too much: simplex %d vs structured %d", solS.WritingTime, solK.WritingTime)
-	}
-}
-
 func TestBestInsertion(t *testing.T) {
 	in := rowInstance([][3]int{{40, 5, 5}, {40, 10, 10}, {30, 2, 2}}, 1000)
 	s := &solver{in: in, n: 3, m: 1, w: 1000}
