@@ -373,6 +373,62 @@ func TestRelaxMatchesStableReference(t *testing.T) {
 	}
 }
 
+// TestSortRankedMatchesCompareRanked checks Relax's radix order against a
+// comparison sort under compareRanked, its definition, on items whose
+// densities and profits repeat (2/1 and 4/2 share a density, profits share
+// values), zero-weight items (density 1e18), continuous random items,
+// densities shared by pairs of items, densities that differ in a single
+// low byte, and a few NaN weights, at sizes from 0 to 700 on both sides of radixMin. One
+// workspace serves every trial, so its swapped radix buffers are reused
+// at every size.
+func TestSortRankedMatchesCompareRanked(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var ws Workspace
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(2 * radixMin)
+		if trial%3 == 0 {
+			n = rng.Intn(700)
+		}
+		items := tieHeavyItems(rng, n)
+		for i := range items {
+			switch {
+			case trial%2 == 1 && rng.Intn(2) == 0:
+				items[i] = Item{Weight: float64(rng.Intn(40)), Profit: 40 * rng.ExpFloat64()}
+			case trial%3 == 1:
+				// Density a exactly, from a range wide enough that most
+				// densities occur once or twice, with distinct profits.
+				w := float64(1 + rng.Intn(40))
+				items[i] = Item{Weight: w, Profit: float64(1+rng.Intn(n+1)) * w}
+			case trial%3 == 2:
+				// Densities that differ in one byte only, at every byte
+				// position below the exponent.
+				bits := math.Float64bits(1.5) ^ uint64(rng.Intn(256))<<(8*rng.Intn(6))
+				items[i] = Item{Weight: 1, Profit: math.Float64frombits(bits)}
+			case trial%7 == 0 && rng.Intn(50) == 0:
+				items[i].Weight = math.NaN()
+			}
+		}
+		order := ws.order[:0]
+		for i, it := range items {
+			if it.Profit > 0 {
+				order = append(order, ranked{density: density(it), profit: it.Profit, item: i})
+			}
+		}
+		ws.order = order
+		want := slices.Clone(order)
+		slices.SortFunc(want, compareRanked)
+		got := ws.sortRanked(order)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: sorted %d items, want %d", trial, len(got), len(want))
+		}
+		for k := range got {
+			if got[k].item != want[k].item {
+				t.Fatalf("trial %d: position %d holds item %d, compareRanked order has item %d", trial, k, got[k].item, want[k].item)
+			}
+		}
+	}
+}
+
 // plan1dItems is a relaxation shaped like one rounding iteration of the
 // service's plan1d jobs: 600 characters with effective widths 18–40 and
 // skewed profits over the 20 rows of an 800-wide stencil.

@@ -9,14 +9,15 @@ import (
 // BenchmarkSolvePlan1D runs the whole E-BLOW 1D flow on single-worker
 // solves of 600-character, 10-region MCC instances shaped like the service
 // benchmark's plan1d jobs, cycling through four of them. On a 2-vCPU Xeon
-// (Go 1.24) its CPU splits as successive rounding 34% (the relaxation 11%,
-// the rounding-entry sort 9%), the row DP 27% (its state sort 10%),
-// post-swap 21% (its candidate scan 12%) and post-insertion 6%; the
-// profit updates inside those stages take 6% in all. Of the bytes, the row
-// DP makes 36%, successive rounding 35% (mostly the relaxation matrix and
-// block workspaces its first iteration sizes) and the solver's tables 16%.
-// Bytes and allocs per op are the numbers to watch alongside wall-clock;
-// scripts/benchpair.sh compares them between two revisions.
+// (Go 1.24, 3000 solves under -cpuprofile) its CPU splits as successive
+// rounding 39% (the relaxation 12%, of which the knapsack's radix order
+// 8%; the rounding queue 6%; the profit updates 4%), the row DP 27% (its
+// pdqsort state sort and dominance pruning 19%), post-swap 17% and
+// post-insertion 9%. Of the bytes, successive rounding makes 56% (the
+// relaxation matrix 25%, the block workspaces 10%, the rounding queue's
+// copy 5%), the solver's tables 22%, the final solution 8% and the row DP
+// 5%. Bytes and allocs per op are the numbers to watch alongside
+// wall-clock; scripts/benchpair.sh compares them between two revisions.
 func BenchmarkSolvePlan1D(b *testing.B) {
 	ins := plan1dInstances()
 	opt := Defaults()

@@ -14,21 +14,10 @@ import (
 )
 
 // plan1dInstances returns the four 600-character, 10-region MCC instances
-// BenchmarkSolvePlan1D cycles through, shaped like the service benchmark's
-// plan1d jobs.
+// BenchmarkSolvePlan1D cycles through: the first four of the service
+// benchmark's plan1d pool at seed 1.
 func plan1dInstances() []*core.Instance {
-	rng := rand.New(rand.NewSource(1))
-	ins := make([]*core.Instance, 4)
-	for k := range ins {
-		ins[k] = gen.Generate(gen.Params{
-			Kind: core.OneD, NumChars: 600, NumRegions: 10,
-			StencilW: 800, StencilH: 800, RowHeight: 40,
-			MinWidth: 28, MaxWidth: 44, MinBlank: 4, MaxBlank: 14,
-			MinShots: 2, MaxShots: 60, ShotAreaUnit: 45,
-			MaxRepeat: 25, RegionSkew: 0.85, Seed: rng.Int63(),
-		})
-	}
-	return ins
+	return plan1dPool(1, 4)
 }
 
 // planHash is FNV-1a over the selection and every row's y, characters and
@@ -72,10 +61,12 @@ func floatsHash(vs []float64) uint64 {
 // TestPlan1DPinned pins the plans of the four plan1d-shaped instances, at
 // one and four workers: writing time, a hash of the plan, the characters
 // assigned per rounding iteration, and a hash of the last relaxation's
-// per-character maxima that fast convergence reads. The rounding loop's
-// reused buffers and the knapsack's sort keys are pure speed-ups: the
-// values match a solve that allocates every matrix afresh and sorts with a
-// stable sort, and a change that moves a plan or a tie order fails here.
+// per-character maxima that fast convergence reads. The reused rounding
+// and row-DP buffers, the rounding queue that sorts only the entries the
+// loop reads, and the knapsack's radix order are pure speed-ups: the
+// values match a solve that allocates every matrix afresh, sorts every
+// rounding entry and orders the knapsack items by comparison, and a change
+// that moves a plan or a tie order fails here.
 func TestPlan1DPinned(t *testing.T) {
 	want := []struct {
 		writingTime int64
@@ -149,5 +140,52 @@ func TestRowGroupPlansPinned(t *testing.T) {
 					c.writingTime, c.plan, c.assigned, c.lastLP)
 			}
 		}
+	}
+}
+
+// plan1dPool returns the first n instances of the service benchmark's
+// plan1d pool for seed, drawn as that benchmark draws them: one rng.Int63()
+// per job as the generator seed of a 600-character, 10-region MCC instance.
+func plan1dPool(seed int64, n int) []*core.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	pool := make([]*core.Instance, n)
+	for i := range pool {
+		pool[i] = gen.Generate(gen.Params{
+			Kind: core.OneD, NumChars: 600, NumRegions: 10,
+			StencilW: 800, StencilH: 800, RowHeight: 40,
+			MinWidth: 28, MaxWidth: 44, MinBlank: 4, MaxBlank: 14,
+			MinShots: 2, MaxShots: 60, ShotAreaUnit: 45,
+			MaxRepeat: 25, RegionSkew: 0.85, Seed: rng.Int63(),
+		})
+	}
+	return pool
+}
+
+// TestPlan1DPoolPinned pins every plan of the plan1d pools at seeds 1 and
+// 7919 on single-worker solves, as one FNV-1a digest over their plan
+// hashes in pool order. The four plan1d instances of TestPlan1DPinned hit
+// few of the rounding and row-DP ties whose placement decides a plan; 256
+// solves hit many more, so a speed-up that moves any tie fails here.
+func TestPlan1DPoolPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256 solves; run without -short")
+	}
+	const want = 0x2495b2e7fe41b0a6
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, seed := range []int64{1, 7919} {
+		for _, in := range plan1dPool(seed, 128) {
+			opt := Defaults()
+			opt.Workers = 1
+			sol, _, err := Solve(context.Background(), in, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(buf[:], planHash(sol))
+			h.Write(buf[:])
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("plan1d pool digest %#x, want %#x", got, want)
 	}
 }

@@ -91,23 +91,29 @@ type dpLink struct {
 	atLeft bool
 }
 
-// refineRow finds a near-minimal-width ordering for the characters of a row.
-// Characters are processed in decreasing order of symmetric blank; each step
-// extends every kept partial solution at the left or the right end and prunes
-// dominated solutions, keeping at most pruneThreshold of them.
-func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
+// rowDP is the reusable scratch of refineRow's dynamic program: the
+// blank-sorted characters and their sort keys, the history of back
+// pointers and the two state generations. The solver keeps one per worker
+// of the row refinement, so every row and eviction retry a worker refines
+// reuses the same buffers.
+type rowDP struct {
+	keys      []int64
+	sorted    []int
+	hist      []dpLink
+	cur, next []dpState
+}
+
+// refineRow finds a near-minimal-width ordering for the characters of a row
+// and writes it into dst's backing array (nil allocates); no chars yields
+// nil. Characters are processed in decreasing order of symmetric blank;
+// each step extends every kept partial solution at the left or the right
+// end and prunes dominated solutions, keeping at most pruneThreshold of
+// them.
+func (w *rowDP) refineRow(in *core.Instance, chars []int, pruneThreshold int, dst []int) []int {
 	if len(chars) == 0 {
 		return nil
 	}
-	sorted := append([]int(nil), chars...)
-	slices.SortFunc(sorted, func(a, b int) int {
-		sa := in.Characters[a].SymmetricHBlank()
-		sb := in.Characters[b].SymmetricHBlank()
-		if sa != sb {
-			return cmp.Compare(sb, sa)
-		}
-		return cmp.Compare(a, b)
-	})
+	sorted := w.sortByBlank(in, chars)
 
 	// hist links every kept state of every step, in step order, so back
 	// pointers stay valid after their generation has been replaced. Step k
@@ -120,11 +126,9 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 	}
 	pack := packingFor(in, sorted)
 	first := &in.Characters[sorted[0]]
-	hist := make([]dpLink, 1, size)
-	hist[0] = dpLink{parent: -1}
-	solutions := make([]dpState, 1, 2*states)
-	solutions[0] = pack.state(first.Width, first.BlankLeft, first.BlankRight, -1, false)
-	next := make([]dpState, 0, 2*states)
+	hist := append(slices.Grow(w.hist[:0], size), dpLink{parent: -1})
+	solutions := append(slices.Grow(w.cur[:0], 2*states), pack.state(first.Width, first.BlankLeft, first.BlankRight, -1, false))
+	next := slices.Grow(w.next[:0], 2*states)
 
 	for _, id := range sorted[1:] {
 		c := &in.Characters[id]
@@ -144,12 +148,13 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 		}
 		solutions, next = kept, solutions
 	}
+	w.hist, w.cur, w.next = hist, solutions, next
 
 	// Walk the back pointers from the last step's first state, the
 	// narrowest (pruneInferior keeps the states sorted by width), to the
 	// first step, filling the order from both ends inwards: each step's
 	// character is the outermost one on its side.
-	order := make([]int, len(sorted))
+	order := slices.Grow(dst[:0], len(sorted))[:len(sorted)]
 	lo, hi := 0, len(order)-1
 	link := hist[len(hist)-len(solutions)]
 	for k := len(sorted) - 1; k >= 0; k-- {
@@ -165,6 +170,39 @@ func refineRow(in *core.Instance, chars []int, pruneThreshold int) []int {
 		}
 	}
 	return order
+}
+
+// sortByBlank returns chars in w.sorted, ordered by symmetric blank
+// descending, then by id. The order is strict, so any sort gives this
+// permutation. When every blank fits in 31 bits and every id in 32, as it
+// does for fewer than 2^32 characters under 2^32 wide, one int64 key per
+// character (the negated blank above the id) lets the sort compare
+// integers.
+func (w *rowDP) sortByBlank(in *core.Instance, chars []int) []int {
+	sorted := append(w.sorted[:0], chars...)
+	w.sorted = sorted
+	keys := slices.Grow(w.keys[:0], len(chars))
+	for _, id := range chars {
+		blank := in.Characters[id].SymmetricHBlank()
+		if blank > math.MaxInt32 || uint64(id) > math.MaxUint32 {
+			slices.SortFunc(sorted, func(a, b int) int {
+				sa := in.Characters[a].SymmetricHBlank()
+				sb := in.Characters[b].SymmetricHBlank()
+				if sa != sb {
+					return cmp.Compare(sb, sa)
+				}
+				return cmp.Compare(a, b)
+			})
+			return sorted
+		}
+		keys = append(keys, int64(-blank)<<32|int64(id))
+	}
+	w.keys = keys
+	slices.Sort(keys)
+	for k, key := range keys {
+		sorted[k] = int(key & math.MaxUint32)
+	}
+	return sorted
 }
 
 // pruneInferior removes dominated partial solutions, in place. Solution B is
@@ -185,24 +223,34 @@ func pruneInferior(sols []dpState, limit int) []dpState {
 		return cmp.Compare(b.right, a.right)
 	})
 	// kept is a prefix of sols that never overtakes the read position. Every
-	// kept state sorts before s, so it is no wider than s.
+	// kept state sorts before s, so it is no wider than s. A state with a
+	// blank above every kept state's blank on that side cannot be dominated,
+	// so the scan only runs for the others. Once limit states are kept, the
+	// later ones would be cut off anyway.
 	kept := sols[:0]
+	maxLeft, maxRight := math.MinInt, math.MinInt
 	for _, s := range sols {
-		dominated := false
-		for _, k := range kept {
-			if k.left >= s.left && k.right >= s.right {
-				dominated = true
-				break
-			}
+		if len(kept) == limit {
+			break
 		}
-		if !dominated {
-			kept = append(kept, s)
+		if s.left <= maxLeft && s.right <= maxRight && dominated(kept, s) {
+			continue
 		}
-	}
-	if len(kept) > limit {
-		kept = kept[:limit]
+		kept = append(kept, s)
+		maxLeft, maxRight = max(maxLeft, s.left), max(maxRight, s.right)
 	}
 	return kept
+}
+
+// dominated reports whether a kept state has both outer blanks at least as
+// large as s's.
+func dominated(kept []dpState, s dpState) bool {
+	for _, k := range kept {
+		if k.left >= s.left && k.right >= s.right {
+			return true
+		}
+	}
+	return false
 }
 
 // positionsForOrder packs an ordered row flush left and returns the x
@@ -223,45 +271,62 @@ func positionsForOrder(in *core.Instance, order []int) []int {
 // state and the characters assigned to it (leaveRow on an evicted character
 // mutates s.rows[j], s.assigned[i] and s.solved[i] for a character i that no
 // other row holds), so rows are independent and the outcome is identical for
-// any worker count. The region times are shared by every row, so the
+// any worker count. Each worker refines one contiguous run of rows with its
+// own rowDP scratch. The region times are shared by every row, so the
 // evictions are recorded per row and put back on them after the loop.
 func (s *solver) refineAllRows() {
 	profits := s.currentProfits()
 	evicted := make([][]int, s.m)
-	par.For(s.opt.workerCount(), s.m, func(j int) {
-		r := &s.rows[j]
-		if len(r.chars) == 0 {
-			r.order, r.width = nil, 0
-			return
+	workers := min(s.opt.workerCount(), s.m)
+	if len(s.dp) < workers {
+		s.dp = make([]rowDP, workers)
+	}
+	chunk := (s.m + workers - 1) / workers
+	par.For(workers, workers, func(c int) {
+		for j := c * chunk; j < min((c+1)*chunk, s.m); j++ {
+			evicted[j] = s.refineRowEvicting(&s.dp[c], j, profits)
 		}
-		order := refineRow(s.in, r.chars, pruneThreshold)
-		width := core.MinRowLength(s.in, order)
-		for width > s.w && len(order) > 0 {
-			if s.ctx.Err() != nil {
-				break // Solve surfaces ctx.Err(); partial orders are discarded
-			}
-			// Evict the lowest-profit character and re-run the ordering.
-			worst := 0
-			for k := 1; k < len(order); k++ {
-				if profits[order[k]] < profits[order[worst]] {
-					worst = k
-				}
-			}
-			i := order[worst]
-			s.leaveRow(i)
-			s.solved[i] = true
-			evicted[j] = append(evicted[j], i)
-			order = refineRow(s.in, s.rows[j].chars, pruneThreshold)
-			width = core.MinRowLength(s.in, order)
-		}
-		r.order = order
-		r.width = width
 	})
 	for _, ids := range evicted {
 		for _, i := range ids {
 			s.restoreTimes(i)
 		}
 	}
+}
+
+// refineRowEvicting orders row j with the DP scratch w, evicting its
+// lowest-profit character and ordering again while the row overflows the
+// stencil width, and returns the evicted characters.
+func (s *solver) refineRowEvicting(w *rowDP, j int, profits []float64) []int {
+	r := &s.rows[j]
+	if len(r.chars) == 0 {
+		r.order, r.width = nil, 0
+		return nil
+	}
+	var evicted []int
+	order := w.refineRow(s.in, r.chars, pruneThreshold, nil)
+	width := core.MinRowLength(s.in, order)
+	for width > s.w && len(order) > 0 {
+		if s.ctx.Err() != nil {
+			break // Solve surfaces ctx.Err(); partial orders are discarded
+		}
+		// Evict the lowest-profit character and re-run the ordering.
+		worst := 0
+		for k := 1; k < len(order); k++ {
+			if profits[order[k]] < profits[order[worst]] {
+				worst = k
+			}
+		}
+		i := order[worst]
+		s.leaveRow(i)
+		s.solved[i] = true
+		evicted = append(evicted, i)
+		order = w.refineRow(s.in, r.chars, pruneThreshold, order)
+		width = core.MinRowLength(s.in, order)
+	}
+	r.order = order
+	r.width = width
+	return evicted
 }
 
 // rowWidthWithOrder recomputes a row's packed width for an arbitrary order.

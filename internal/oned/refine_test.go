@@ -1,8 +1,10 @@
 package oned
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -28,12 +30,19 @@ func rowInstance(specs [][3]int, stencilW int) *core.Instance {
 	return in
 }
 
+// refineFresh runs refineRow on a workspace of its own, as a solve's
+// first row does.
+func refineFresh(in *core.Instance, chars []int, limit int) []int {
+	var w rowDP
+	return w.refineRow(in, chars, limit, nil)
+}
+
 func TestRefineRowSingleAndEmpty(t *testing.T) {
 	in := rowInstance([][3]int{{40, 5, 5}}, 100)
-	if got := refineRow(in, nil, 20); got != nil {
+	if got := refineFresh(in, nil, 20); got != nil {
 		t.Errorf("empty row refined to %v", got)
 	}
-	got := refineRow(in, []int{0}, 20)
+	got := refineFresh(in, []int{0}, 20)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("single char order = %v", got)
 	}
@@ -43,7 +52,7 @@ func TestRefineRowSymmetricMatchesLemma(t *testing.T) {
 	// Symmetric blanks: the DP must achieve the Lemma 1 closed form.
 	specs := [][3]int{{50, 8, 8}, {50, 3, 3}, {50, 6, 6}, {50, 1, 1}}
 	in := rowInstance(specs, 1000)
-	order := refineRow(in, []int{0, 1, 2, 3}, 20)
+	order := refineFresh(in, []int{0, 1, 2, 3}, 20)
 	width := core.MinRowLength(in, order)
 	want := core.SymmetricRowLength([]int{50, 50, 50, 50}, []int{8, 3, 6, 1})
 	if width != want {
@@ -104,11 +113,11 @@ func TestRefineRowMatchesBruteForce(t *testing.T) {
 		for i := range chars {
 			chars[i] = i
 		}
-		unpruned := refineRow(in, chars, 1<<12)
+		unpruned := refineFresh(in, chars, 1<<12)
 		if core.MinRowLength(in, unpruned) != bruteInsertionMin(in, chars) {
 			return false
 		}
-		pruned := refineRow(in, chars, 20)
+		pruned := refineFresh(in, chars, 20)
 		sorted := core.MinRowLength(in, sortedByBlankOrder(in, chars))
 		return core.MinRowLength(in, pruned) <= sorted
 	}
@@ -293,7 +302,7 @@ func TestRefineRowMatchesReference(t *testing.T) {
 		in := rowInstance(specs, 100000)
 		chars := rng.Perm(n)
 		for _, limit := range []int{1, 2, 3, 5, 20, 1 << 12} {
-			got := refineRow(in, chars, limit)
+			got := refineFresh(in, chars, limit)
 			want := refineRowReference(in, chars, limit)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, limit %d (tied=%v): refineRow = %v, reference = %v",
@@ -306,6 +315,7 @@ func TestRefineRowMatchesReference(t *testing.T) {
 // Rows whose summed width leaves no room for the blanks in a 63-bit key
 // keep the width alone as the key (dpPacking.packed false); refineRow must
 // still return exactly the reference DP's order on them, tie-heavy rows
+// and rows whose blanks are too large for sortByBlank's integer keys
 // included.
 func TestRefineRowUnpackedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -325,8 +335,98 @@ func TestRefineRowUnpackedMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: a row of %d characters 2^58 wide packed", trial, n)
 		}
 		for _, limit := range []int{1, 3, 20} {
-			if got, want := refineRow(in, chars, limit), refineRowReference(in, chars, limit); !reflect.DeepEqual(got, want) {
+			if got, want := refineFresh(in, chars, limit), refineRowReference(in, chars, limit); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, limit %d: refineRow = %v, reference = %v", trial, limit, got, want)
+			}
+		}
+	}
+	// Blanks past 2^31, few distinct ones, take sortByBlank's comparator
+	// sort.
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(20)
+		specs := make([][3]int, n)
+		for i := range specs {
+			specs[i] = [3]int{1 << 58, 1<<40 + rng.Intn(4)<<50, 1<<40 + rng.Intn(4)<<50}
+		}
+		in := rowInstance(specs, 1<<62)
+		chars := rng.Perm(n)
+		for _, limit := range []int{1, 3, 20} {
+			if got, want := refineFresh(in, chars, limit), refineRowReference(in, chars, limit); !reflect.DeepEqual(got, want) {
+				t.Fatalf("huge blanks, trial %d, limit %d: refineRow = %v, reference = %v", trial, limit, got, want)
+			}
+		}
+	}
+}
+
+// TestRowDPWorkspaceReuse checks that a reused row-DP workspace orders
+// every row as fresh buffers do. First one workspace takes rows that grow
+// and shrink at random, each followed by eviction-style retries that drop
+// a character and order the rest into the previous order's array. Then
+// refineAllRows, with one workspace per worker at 1 and 4 workers, must
+// leave the same orders, widths, evictions and region times as refining
+// each row on a workspace of its own, both on a plan1d instance and on
+// the same instance with the stencil narrowed so that most rows evict.
+func TestRowDPWorkspaceReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	specs := make([][3]int, 60)
+	for i := range specs {
+		specs[i] = [3]int{20 + rng.Intn(30), rng.Intn(14), rng.Intn(14)}
+	}
+	in := rowInstance(specs, 10000)
+	var w rowDP
+	for trial := 0; trial < 200; trial++ {
+		chars := rng.Perm(len(specs))[:rng.Intn(len(specs)+1)]
+		order := w.refineRow(in, chars, pruneThreshold, nil)
+		for len(chars) > 0 {
+			if want := refineFresh(in, chars, pruneThreshold); !reflect.DeepEqual(order, want) {
+				t.Fatalf("trial %d, %d chars: reused workspace ordered %v, fresh %v", trial, len(chars), order, want)
+			}
+			if rng.Intn(3) == 0 {
+				break
+			}
+			k := rng.Intn(len(chars))
+			chars = append(chars[:k:k], chars[k+1:]...)
+			order = w.refineRow(in, chars, pruneThreshold, order)
+		}
+	}
+
+	prepared := func(workers, narrow int) *solver {
+		opt := Defaults()
+		opt.Workers = workers
+		s, err := newSolver(context.Background(), plan1dInstances()[0], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.successiveRounding()
+		s.fastConvergence()
+		s.convergeTail()
+		s.w -= narrow
+		return s
+	}
+	for _, narrow := range []int{0, 40} {
+		ref := prepared(1, narrow)
+		before := countSelected(ref)
+		profits := ref.currentProfits()
+		for j := range ref.rows {
+			for _, i := range ref.refineRowEvicting(new(rowDP), j, profits) {
+				ref.restoreTimes(i)
+			}
+		}
+		if countSelected(ref) == before {
+			t.Fatalf("narrowed by %d: no row evicted; the instance no longer exercises eviction retries", narrow)
+		}
+		for _, workers := range []int{1, 4} {
+			s := prepared(workers, narrow)
+			s.refineAllRows()
+			for j := range s.rows {
+				got, want := &s.rows[j], &ref.rows[j]
+				if !slices.Equal(got.order, want.order) || got.width != want.width {
+					t.Fatalf("narrowed by %d, %d workers, row %d: order %v width %d, fresh buffers %v width %d",
+						narrow, workers, j, got.order, got.width, want.order, want.width)
+				}
+			}
+			if !slices.Equal(s.assigned, ref.assigned) || !slices.Equal(s.times, ref.times) {
+				t.Fatalf("narrowed by %d, %d workers: assignment or region times differ from fresh buffers", narrow, workers)
 			}
 		}
 	}

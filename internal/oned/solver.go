@@ -47,6 +47,8 @@ type solver struct {
 	regionW []float64
 
 	rows []rowState
+	// dp[c] is worker c's row-DP scratch in refineAllRows.
+	dp []rowDP
 
 	// rowGroup[j] is the row group owning row j (-1 = open row); nil when
 	// the instance has no row groups. charGroups[i] is the bitmask of groups
@@ -56,10 +58,12 @@ type solver struct {
 
 	// Successive-rounding buffers, sized by the first iteration and reused
 	// by every later one of the same solve: the unsolved characters, the
-	// row capacities and the rounding entries.
+	// row capacities, the rounding entries and the queue that hands them
+	// out in rank order.
 	unsolved []int
 	caps     []float64
 	entries  []roundingEntry
+	queue    roundingQueue
 
 	// relax is the most recent LP relaxation (used by fast convergence and
 	// the Fig. 6 trace) as a flat len(unsolved) x m matrix: relax[k*m+j] is
@@ -213,12 +217,19 @@ func (s *solver) reds(i int) []int64 {
 
 // currentProfits evaluates the dynamic Eqn. (6) profit of every character
 // for the current selection into the solver's profits buffer and returns
-// it; the next call overwrites it. Each region's weight times[r]/tmax is
-// divided once per call. The per-character profit sums are independent, so
-// they are computed on the worker pool with each worker writing only its
-// own indices — bit-identical to the sequential core.Instance.Profits for
-// any worker count.
+// it; the next call overwrites it.
 func (s *solver) currentProfits() []float64 {
+	return s.profitsOf(nil)
+}
+
+// profitsOf is currentProfits for the characters in ids only, or for every
+// character when ids is nil; the buffer's other entries are left stale.
+// Each region's weight times[r]/tmax is divided once per call. The
+// per-character profit sums are independent, so they are computed on the
+// worker pool with each worker writing only its own indices —
+// bit-identical to the sequential core.Instance.Profits for any worker
+// count.
+func (s *solver) profitsOf(ids []int) []float64 {
 	times := s.times
 	tmax := core.MaxInt64(times)
 	s.profits = slices.Grow(s.profits[:0], s.n)[:s.n]
@@ -231,7 +242,15 @@ func (s *solver) currentProfits() []float64 {
 	for r, t := range times {
 		weights[r] = float64(t) / float64(tmax)
 	}
-	par.For(s.opt.workerCount(), s.n, func(i int) {
+	n := s.n
+	if ids != nil {
+		n = len(ids)
+	}
+	par.For(s.opt.workerCount(), n, func(k int) {
+		i := k
+		if ids != nil {
+			i = ids[k]
+		}
 		var p float64
 		c := &s.in.Characters[i]
 		for r, rep := range c.Repeats {
@@ -393,7 +412,8 @@ func (s *solver) successiveRounding() {
 		if len(unsolved) == 0 {
 			return
 		}
-		s.currentProfits()
+		// The iteration reads the profits of unsolved characters only.
+		s.profitsOf(unsolved)
 		a, err := s.solveRelaxation(unsolved, s.rowCapacities())
 		// A failed solve may have overwritten part of the buffer, so the
 		// previous relaxation is gone too.
@@ -429,16 +449,20 @@ func (s *solver) successiveRounding() {
 			return
 		}
 		threshold := apq * thinv
-		sortRoundingEntries(entries)
 
 		// The structured relaxation returns nearly integral solutions, so
 		// without a cap the whole stencil would be filled in one iteration
 		// and the dynamic profit update of Eqn. (6) would never get a chance
-		// to rebalance the MCC regions.
+		// to rebalance the MCC regions. The loop reads past the first
+		// capAssign entries only when it skips one as solved or unfit,
+		// which no iteration of the plan1d pools or the 1D, 1M and 1T
+		// families does, so the queue ranks that many up front.
 		capAssign := max(25, s.n/12)
 		assignedThisIter := 0
-		for _, e := range entries {
-			if e.value < threshold || assignedThisIter >= capAssign {
+		s.queue.reset(entries, capAssign)
+		for assignedThisIter < capAssign {
+			e, ok := s.queue.next()
+			if !ok || e.value < threshold {
 				break
 			}
 			if s.solved[e.char] {
@@ -594,17 +618,133 @@ type roundingEntry struct {
 // fractional value, then by the character's profit density, both
 // descending. Density keeps the realised selection close to the
 // fractional-knapsack optimum of the relaxation; ranking ties by absolute
-// profit instead measurably erodes the total reduction. Every entry
-// reaches the sort, also those the rounding loop will not consume: pdqsort
-// places equal entries by the whole input, so filtering first would change
-// the tie order.
+// profit instead measurably erodes the total reduction. pdqsort places
+// equal entries by the whole input, so wherever ties decide the order,
+// every entry must reach the sort unfiltered; roundingQueue skips the sort
+// only where no tie can reach the entries it hands out.
 func sortRoundingEntries(entries []roundingEntry) {
-	slices.SortFunc(entries, func(x, y roundingEntry) int {
-		if x.value != y.value {
-			return descending(x.value, y.value)
+	slices.SortFunc(entries, compareRounding)
+}
+
+// compareRounding is sortRoundingEntries' order: value, then density, both
+// descending.
+func compareRounding(x, y roundingEntry) int {
+	if x.value != y.value {
+		return descending(x.value, y.value)
+	}
+	return descending(x.density, y.density)
+}
+
+// roundingQueue hands out rounding entries in sortRoundingEntries order
+// while sorting only what the rounding loop reads: reset quick-selects the
+// k highest-ranked entries into a scratch copy and sorts just those. When
+// no two of them tie and the k-th ranks strictly above every other entry,
+// they are exactly the first k entries of the full sort, whatever its tie
+// placement. Otherwise, or once the loop reads past k, the queue runs
+// sortRoundingEntries over the unmodified entries and reads on from there,
+// so the sequence it hands out is always the full sort's.
+type roundingQueue struct {
+	all  []roundingEntry // the entries, in their original order until sorted
+	top  []roundingEntry // scratch copy for the selection, reused
+	cur  []roundingEntry // the sorted sequence being read: a prefix of top, or all
+	full bool            // cur is all, sorted
+	pos  int
+}
+
+// reset starts a queue over entries that ranks the first k of them up
+// front.
+func (q *roundingQueue) reset(entries []roundingEntry, k int) {
+	q.all, q.pos = entries, 0
+	if k >= len(entries) || !q.selectTop(k) {
+		q.sortAll()
+	}
+}
+
+// selectTop puts the k highest-ranked entries, sorted, in q.cur and reports
+// whether they are the full sort's prefix: no ties among them or with the
+// rest. 0 < k < len(q.all).
+func (q *roundingQueue) selectTop(k int) bool {
+	q.top = append(q.top[:0], q.all...)
+	selectRoundingTop(q.top, k)
+	top := q.top[:k]
+	sortRoundingEntries(top)
+	for i := 1; i < k; i++ {
+		if compareRounding(top[i-1], top[i]) >= 0 {
+			return false
 		}
-		return descending(x.density, y.density)
-	})
+	}
+	for _, e := range q.top[k:] {
+		if compareRounding(top[k-1], e) >= 0 {
+			return false
+		}
+	}
+	q.cur, q.full = top, false
+	return true
+}
+
+// sortAll sorts the unmodified entries and reads on from the current
+// position.
+func (q *roundingQueue) sortAll() {
+	sortRoundingEntries(q.all)
+	q.cur, q.full = q.all, true
+}
+
+// next returns the next entry in rank order; ok is false once every entry
+// has been handed out.
+func (q *roundingQueue) next() (e roundingEntry, ok bool) {
+	if q.pos == len(q.cur) && !q.full {
+		q.sortAll()
+	}
+	if q.pos == len(q.cur) {
+		return roundingEntry{}, false
+	}
+	e = q.cur[q.pos]
+	q.pos++
+	return e, true
+}
+
+// selectRoundingTop reorders es so that es[:k] holds k entries no one of
+// es[k:] ranks above (Hoare quickselect under compareRounding, median-of-
+// three pivot). Among tied entries the split is arbitrary; roundingQueue
+// checks for ties afterwards. 0 < k < len(es).
+func selectRoundingTop(es []roundingEntry, k int) {
+	lo, hi, t := 0, len(es)-1, k-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		a, b, c := es[lo], es[mid], es[hi]
+		if compareRounding(b, a) < 0 {
+			a, b = b, a
+		}
+		if compareRounding(c, b) < 0 {
+			b = c
+			if compareRounding(b, a) < 0 {
+				b = a
+			}
+		}
+		p := b
+		i, j := lo, hi
+		for i <= j {
+			for compareRounding(es[i], p) < 0 {
+				i++
+			}
+			for compareRounding(p, es[j]) < 0 {
+				j--
+			}
+			if i <= j {
+				es[i], es[j] = es[j], es[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case t <= j:
+			hi = j
+		case t >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // descending orders float keys from high to low for slices.SortFunc.

@@ -44,8 +44,10 @@ func refPruneInferior(pack dpPacking, sols []dpState, limit int) []dpState {
 // TestSortTieOrder checks that the 1D flow's typed sorts leave elements
 // with equal keys in the order sort.Slice leaves them under the equivalent
 // less function, on random inputs where most keys tie: pruneInferior (the
-// surviving state of a tie group is the first one sorted), with packed
-// keys and with the width-only key of a row too wide to pack, the
+// surviving state of a tie group is the first one sorted; the reference's
+// full dominance scan also checks the scan pruneInferior skips for a state
+// with a blank above every kept one), with packed keys and with the
+// width-only key of a row too wide to pack, the
 // successive-rounding entry order, and the descending float key the
 // convergence-tail and candidate sorts use, NaN keys included. Lengths run from
 // the insertion-sort range to well past pdqsort's pivot sampling, so every
@@ -119,4 +121,64 @@ func entryRows(es []roundingEntry) []int {
 		out[i] = e.row
 	}
 	return out
+}
+
+// TestRoundingQueueOrder checks that roundingQueue hands out exactly the
+// sortRoundingEntries order of the whole input, for every prefix size k
+// from 1 to past the input's length and for reads that stop before k, run
+// past it or run out: on inputs where most (value, density) keys tie
+// (where the queue must fall back to the full sort), on inputs with
+// distinct keys (where the selection stands), and with NaN densities. One
+// queue serves every trial, as one serves a whole solve.
+func TestRoundingQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q roundingQueue
+	selected, readPast := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%4 == 0 {
+			n = 40 + rng.Intn(300)
+		}
+		key := func() float64 { return float64(1+rng.Intn(4)) / 4 }
+		switch trial % 3 {
+		case 1:
+			key = func() float64 { return float64(1+rng.Intn(64*n)) / 64 }
+		case 2:
+			key = rng.Float64
+		}
+		entries := make([]roundingEntry, n)
+		for i := range entries {
+			entries[i] = roundingEntry{char: i, row: i, value: key(), density: key()}
+			if trial%10 == 0 && rng.Intn(16) == 0 {
+				entries[i].density = math.NaN()
+			}
+		}
+		want := slices.Clone(entries)
+		sortRoundingEntries(want)
+		for k := 1; k <= n+1; k++ {
+			reads := rng.Intn(n + 2)
+			q.reset(slices.Clone(entries), k)
+			if !q.full {
+				selected++
+				if reads > k {
+					readPast++
+				}
+			}
+			for r := 0; r < reads; r++ {
+				e, ok := q.next()
+				if r == n {
+					if ok {
+						t.Fatalf("trial %d, k %d: read %d of %d entries returned row %d", trial, k, r+1, n, e.row)
+					}
+					break
+				}
+				if !ok || e.row != want[r].row {
+					t.Fatalf("trial %d, k %d: read %d gave row %d (ok %v), full sort has row %d", trial, k, r, e.row, ok, want[r].row)
+				}
+			}
+		}
+	}
+	if selected == 0 || readPast == 0 {
+		t.Fatalf("the selection stood in %d resets and was read past in %d; both paths must run", selected, readPast)
+	}
 }
