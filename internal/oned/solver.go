@@ -651,8 +651,8 @@ type roundingQueue struct {
 	pos  int
 }
 
-// reset starts a queue over entries that ranks the first k of them up
-// front.
+// reset starts the queue over entries, ranking their k highest-ranked
+// entries up front.
 func (q *roundingQueue) reset(entries []roundingEntry, k int) {
 	q.all, q.pos = entries, 0
 	if k >= len(entries) || !q.selectTop(k) {
