@@ -39,9 +39,9 @@ func TestGoldenObjectives(t *testing.T) {
 		layout      string
 		work        string
 	}{
-		"1D": {writingTime: 2540, selected: 117, layout: "127ae73ee058815a", work: "rounding=8/116"},
-		"1M": {writingTime: 1590, selected: 114, layout: "e42c89dc22e93b82", work: "rounding=6/108"},
-		"2D": {writingTime: 2552, selected: 102, layout: "6023f74b59dfcca6", work: "moves=5160"},
+		"1D": {writingTime: 2540, selected: 117, layout: "c35284ce866a3c7e", work: "rounding=8/116"},
+		"1M": {writingTime: 1590, selected: 114, layout: "4c5171afabea79bc", work: "rounding=6/108"},
+		"2D": {writingTime: 2552, selected: 102, layout: "bd7e53a118fca08c", work: "moves=5160"},
 		"2M": {writingTime: 1246, selected: 108, layout: "dbecc62a737c0638", work: "moves=5160"},
 		"1T": {writingTime: 49, selected: 6, layout: "b866368912780def", work: "rounding=2/6"},
 		"2T": {writingTime: 32, selected: 5, layout: "f20b7a60751faaff", work: "moves=860"},

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"eblow/internal/geom"
@@ -179,12 +180,14 @@ func (s *Solution) Validate2D(in *Instance) error {
 		box     geom.Rect
 		pattern geom.Rect
 	}
-	rects := make([]pb, 0, len(placed))
-	for id, p := range placed {
-		ch := in.Characters[id]
-		rects = append(rects, pb{id: id, box: ch.BoundingRect(p.X, p.Y), pattern: ch.PatternRect(p.X, p.Y)})
+	// Placements in a strict (x, id) order, so an invalid plan always
+	// reports the same pair.
+	rects := make([]pb, 0, len(s.Placements))
+	for _, p := range s.Placements {
+		ch := in.Characters[p.Char]
+		rects = append(rects, pb{id: p.Char, box: ch.BoundingRect(p.X, p.Y), pattern: ch.PatternRect(p.X, p.Y)})
 	}
-	sort.Slice(rects, func(i, j int) bool { return rects[i].box.X < rects[j].box.X })
+	slices.SortFunc(rects, func(a, b pb) int { return cmp.Or(cmp.Compare(a.box.X, b.box.X), cmp.Compare(a.id, b.id)) })
 	for i := range rects {
 		for j := i + 1; j < len(rects); j++ {
 			a, b := rects[i], rects[j]

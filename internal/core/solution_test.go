@@ -237,6 +237,23 @@ func TestValidate2DRejections(t *testing.T) {
 	}
 }
 
+// When several pairs overlap, Validate2D names the first pair in (x, id)
+// order, the same one on every call: three characters placed at one x,
+// listed out of id order.
+func TestValidate2DReportsOnePair(t *testing.T) {
+	in := twoDInstance()
+	s := &Solution{
+		Selected:   []bool{true, true, true},
+		Placements: []Placement{{Char: 2, X: 0, Y: 0}, {Char: 1, X: 0, Y: 0}, {Char: 0, X: 0, Y: 0}},
+	}
+	const want = "core: characters 0 and 1 overlap beyond their blanks"
+	for i := 0; i < 50; i++ {
+		if err := s.Validate(in); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestMinRowLength(t *testing.T) {
 	in := tinyInstance()
 	if got := MinRowLength(in, nil); got != 0 {

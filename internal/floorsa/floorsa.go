@@ -15,9 +15,10 @@
 package floorsa
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"eblow/internal/anneal"
 	"eblow/internal/core"
@@ -276,21 +277,17 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 	// from outranking individually better characters just because they are
 	// bigger.
 	order := make([]int, n)
+	density := make([]float64, n)
 	for i := range order {
 		order[i] = i
-	}
-	density := func(i int) float64 {
 		var t int64
 		for _, r := range reds[i] {
 			t += r
 		}
-		area := raw[i].W * raw[i].H
-		if area <= 0 {
-			area = 1
-		}
-		return float64(t) / float64(area)
+		area := max(raw[i].W*raw[i].H, 1)
+		density[i] = float64(t) / float64(area)
 	}
-	sort.Slice(order, func(a, b int) bool { return density(order[a]) > density(order[b]) })
+	slices.SortFunc(order, func(a, b int) int { return compareShelf(density, a, b) })
 	shelf := shelfInitial(raw, order, w)
 
 	mkState := func(sp *seqpair.SeqPair) *state {
@@ -376,6 +373,13 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 	copy(res.Y, exact.Y)
 	res.WritingTime = wt
 	return res
+}
+
+// compareShelf orders block indices for the initial shelf: by density
+// descending, NaN last, then by index. The order is strict, so the shelf
+// does not depend on how a sort places equal densities.
+func compareShelf(density []float64, a, b int) int {
+	return cmp.Or(cmp.Compare(density[b], density[a]), cmp.Compare(a, b))
 }
 
 // shelfInitial builds a sequence pair that realises a shelf (row-by-row)

@@ -2,6 +2,8 @@ package floorsa
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -125,5 +127,35 @@ func TestDefaultBudgetBounds(t *testing.T) {
 	}
 	if defaultBudget(100000) > 60000 {
 		t.Error("upper bound")
+	}
+}
+
+// TestStrictOrder checks that compareShelf, the order of the initial
+// shelf, is a strict total order on tie-heavy densities, NaN included: it
+// is 0 only for an index against itself, antisymmetric, and transitive on
+// sampled triples, so the shelf does not depend on how a sort places equal
+// densities.
+func TestStrictOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	keys := []float64{0, 0.5, 1, math.NaN()}
+	for trial := 0; trial < 30; trial++ {
+		density := make([]float64, 40)
+		for i := range density {
+			density[i] = keys[rng.Intn(len(keys))]
+		}
+		sign := func(a, b int) int { return max(-1, min(1, compareShelf(density, a, b))) }
+		for a := range density {
+			for b := range density {
+				if c := sign(a, b); (c == 0) != (a == b) || sign(b, a) != -c {
+					t.Fatalf("densities %v, %v: cmp(%d, %d) = %d, cmp(%d, %d) = %d", density[a], density[b], a, b, c, b, a, sign(b, a))
+				}
+			}
+		}
+		for range 20 * len(density) {
+			a, b, c := rng.Intn(len(density)), rng.Intn(len(density)), rng.Intn(len(density))
+			if sign(a, b) <= 0 && sign(b, c) <= 0 && sign(a, c) > 0 {
+				t.Fatalf("not transitive on %d ≤ %d ≤ %d (densities %v, %v, %v)", a, b, c, density[a], density[b], density[c])
+			}
+		}
 	}
 }

@@ -11,8 +11,9 @@
 package kdtree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Point is a k-dimensional coordinate vector.
@@ -67,13 +68,21 @@ func buildRec(nodes []*node, depth, k int) *node {
 		return nil
 	}
 	axis := depth % k
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].point[axis] < nodes[j].point[axis] })
+	slices.SortFunc(nodes, func(a, b *node) int { return compareOnAxis(axis, a, b) })
 	mid := len(nodes) / 2
 	n := nodes[mid]
 	n.axis = axis
 	n.left = buildRec(append([]*node(nil), nodes[:mid]...), depth+1, k)
 	n.right = buildRec(append([]*node(nil), nodes[mid+1:]...), depth+1, k)
 	return n
+}
+
+// compareOnAxis orders nodes by their coordinate on axis, NaN first, then
+// by id. Ids are unique, so the order is strict and the tree's shape, and
+// with it the order Range reports ids in, does not depend on how a sort
+// places equal coordinates.
+func compareOnAxis(axis int, a, b *node) int {
+	return cmp.Or(cmp.Compare(a.point[axis], b.point[axis]), cmp.Compare(a.id, b.id))
 }
 
 func (t *Tree) checkDim(p Point) {

@@ -3,6 +3,7 @@ package kdtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -211,5 +212,53 @@ func BenchmarkRangeQuery(b *testing.B) {
 		lo := Point{c[0] - 50, c[1] - 50, c[2] - 10, c[3] - 10}
 		hi := Point{c[0] + 50, c[1] + 50, c[2] + 10, c[3] + 10}
 		tr.Range(lo, hi)
+	}
+}
+
+// TestStrictOrder checks that compareOnAxis, the order buildRec sorts each
+// level by, is a strict total order on tie-heavy coordinates, NaN
+// included: it is 0 only for a node against itself, antisymmetric, and
+// transitive on sampled triples. So the tree, and the order Range reports
+// ids in, depends on the points alone: trees built from two shuffles of
+// the same points report the same ids in the same order.
+func TestStrictOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	coords := []float64{0, 1, 2, math.NaN()}
+	for trial := 0; trial < 30; trial++ {
+		nodes := make([]*node, 40)
+		for i := range nodes {
+			nodes[i] = &node{point: Point{coords[rng.Intn(len(coords))], coords[rng.Intn(len(coords))]}, id: i}
+		}
+		for axis := range 2 {
+			sign := func(a, b *node) int { return max(-1, min(1, compareOnAxis(axis, a, b))) }
+			for _, a := range nodes {
+				for _, b := range nodes {
+					if c := sign(a, b); (c == 0) != (a == b) || sign(b, a) != -c {
+						t.Fatalf("axis %d: cmp(%v, %v) = %d, cmp(%v, %v) = %d", axis, a, b, c, b, a, sign(b, a))
+					}
+				}
+			}
+			for range 20 * len(nodes) {
+				a, b, c := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+				if sign(a, b) <= 0 && sign(b, c) <= 0 && sign(a, c) > 0 {
+					t.Fatalf("axis %d: not transitive on %v ≤ %v ≤ %v", axis, a, b, c)
+				}
+			}
+		}
+
+		points := make([]Point, 60)
+		ids := rng.Perm(len(points))
+		for i := range points {
+			points[i] = Point{float64(rng.Intn(3)), float64(rng.Intn(3))}
+		}
+		lo, hi := Point{0, 0}, Point{2, 2}
+		want := Build(2, points, ids).Range(lo, hi)
+		rng.Shuffle(len(points), func(i, j int) {
+			points[i], points[j] = points[j], points[i]
+			ids[i], ids[j] = ids[j], ids[i]
+		})
+		if got := Build(2, points, ids).Range(lo, hi); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: a shuffled build reports %v, want %v", trial, got, want)
+		}
 	}
 }

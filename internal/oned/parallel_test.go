@@ -55,11 +55,11 @@ func TestMCCPlanPinnedAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sol.WritingTime != 41580 {
-			t.Errorf("%d workers: writing time %d, want 41580", workers, sol.WritingTime)
+		if sol.WritingTime != 41587 {
+			t.Errorf("%d workers: writing time %d, want 41587", workers, sol.WritingTime)
 		}
-		if h := planHash(sol); h != 0xe8dce0198b9f5203 {
-			t.Errorf("%d workers: plan hash %#x, want 0xe8dce0198b9f5203", workers, h)
+		if h := planHash(sol); h != 0xdb2d6fb3f9bac3d {
+			t.Errorf("%d workers: plan hash %#x, want 0xdb2d6fb3f9bac3d", workers, h)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package oned
 
 import (
-	"cmp"
 	"slices"
 
 	"eblow/internal/core"
@@ -349,12 +348,7 @@ func (s *solver) unselectedByProfit(profits []float64, limit int) []int {
 			ids = append(ids, i)
 		}
 	}
-	slices.SortFunc(ids, func(a, b int) int {
-		if profits[a] != profits[b] {
-			return descending(profits[a], profits[b])
-		}
-		return cmp.Compare(a, b)
-	})
+	slices.SortFunc(ids, func(a, b int) int { return compareProfit(profits, a, b) })
 	if len(ids) > limit {
 		ids = ids[:limit]
 	}

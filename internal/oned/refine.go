@@ -34,8 +34,8 @@ type dpState struct {
 // one integer. Every blank of the row takes b bits, stored as top minus the
 // blank so that a larger blank sorts first, and the width takes the bits
 // above them. A row whose summed width and blanks do not fit in 63 bits is
-// not packed: its key is the width alone, and pruneInferior's comparator
-// breaks key ties on the blanks, so both forms order states exactly alike.
+// not packed: its key is the width alone, and compareStates breaks key ties
+// on the blanks, so both forms order states exactly alike.
 type dpPacking struct {
 	packed bool
 	b      uint  // bits per blank
@@ -209,19 +209,9 @@ func (w *rowDP) sortByBlank(in *core.Instance, chars []int) []int {
 // dominated by A when A is no wider and both of A's outer blanks are at
 // least as large (so any future extension of B can be replicated at least
 // as well from A). If more than limit solutions survive, the narrowest ones
-// are kept. The sort orders by width, then by the left and right blank
-// descending: the key decides every pair whose keys differ, and equal keys
-// fall through to the blanks, which then only matter for an unpacked row.
+// are kept, in compareStates order.
 func pruneInferior(sols []dpState, limit int) []dpState {
-	slices.SortFunc(sols, func(a, b dpState) int {
-		if a.key != b.key {
-			return cmp.Compare(a.key, b.key)
-		}
-		if a.left != b.left {
-			return cmp.Compare(b.left, a.left)
-		}
-		return cmp.Compare(b.right, a.right)
-	})
+	slices.SortFunc(sols, compareStates)
 	// kept is a prefix of sols that never overtakes the read position. Every
 	// kept state sorts before s, so it is no wider than s. A state with a
 	// blank above every kept state's blank on that side cannot be dominated,
@@ -240,6 +230,35 @@ func pruneInferior(sols []dpState, limit int) []dpState {
 		maxLeft, maxRight = max(maxLeft, s.left), max(maxRight, s.right)
 	}
 	return kept
+}
+
+// compareStates orders DP states by width, then by the left and right
+// blank descending, then in the order refineRow generated them: by parent,
+// the left insertion first. The key decides every pair whose keys differ,
+// and equal keys fall through to the blanks, which then only matter for an
+// unpacked row. Every state of a generation has its own (parent, atLeft),
+// so the order is strict, and of states that share width and blanks the
+// first generated survives pruning.
+func compareStates(a, b dpState) int {
+	if a.key != b.key {
+		return cmp.Compare(a.key, b.key)
+	}
+	if a.left != b.left {
+		return cmp.Compare(b.left, a.left)
+	}
+	if a.right != b.right {
+		return cmp.Compare(b.right, a.right)
+	}
+	if a.parent != b.parent {
+		return cmp.Compare(a.parent, b.parent)
+	}
+	switch {
+	case a.atLeft == b.atLeft:
+		return 0
+	case a.atLeft:
+		return -1
+	}
+	return 1
 }
 
 // dominated reports whether a kept state has both outer blanks at least as

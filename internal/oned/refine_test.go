@@ -205,8 +205,9 @@ type partialOrder struct {
 
 // refineRowReference is the order-copying form of Algorithm 3 that
 // refineRow replaced: every state owns a copied order. It prunes with the
-// same comparator and dominance rule, so the back-pointer DP must return
-// exactly its order, ties included.
+// same dominance rule after a stable sort on width and blanks, which keeps
+// tied states in the order they were generated, as compareStates does, so
+// the back-pointer DP must return exactly its order, ties included.
 func refineRowReference(in *core.Instance, chars []int, pruneThreshold int) []int {
 	if len(chars) == 0 {
 		return nil
@@ -248,7 +249,7 @@ func refineRowReference(in *core.Instance, chars []int, pruneThreshold int) []in
 }
 
 func pruneInferiorReference(sols []partialOrder, limit int) []partialOrder {
-	sort.Slice(sols, func(i, j int) bool {
+	sort.SliceStable(sols, func(i, j int) bool {
 		if sols[i].width != sols[j].width {
 			return sols[i].width < sols[j].width
 		}
@@ -278,7 +279,7 @@ func pruneInferiorReference(sols []partialOrder, limit int) []partialOrder {
 
 // Property: the back-pointer DP returns exactly the reference DP's order.
 // Half the rows draw their characters from a handful of shapes, so many
-// states tie on (width, left, right) and only the sort's tie order decides
+// states tie on (width, left, right) and only the generation order decides
 // which one survives pruning; the thresholds range from cutting through
 // those ties to the default (20) and an effectively unbounded one.
 func TestRefineRowMatchesReference(t *testing.T) {

@@ -1,6 +1,7 @@
 package oned
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -589,7 +590,7 @@ func (s *solver) convergeTail() {
 			picked = append(picked, ids[k])
 		}
 	}
-	slices.SortFunc(picked, func(a, b int) int { return descending(s.profits[a], s.profits[b]) })
+	slices.SortFunc(picked, func(a, b int) int { return compareProfit(s.profits, a, b) })
 	for _, i := range picked {
 		for j := 0; j < s.m; j++ {
 			if s.fits(i, j) {
@@ -598,6 +599,13 @@ func (s *solver) convergeTail() {
 			}
 		}
 	}
+}
+
+// compareProfit ranks characters by profit descending, then by id: the
+// order convergeTail assigns its picks in and post-insertion tries its
+// candidates in.
+func compareProfit(profits []float64, a, b int) int {
+	return cmp.Or(descending(profits[a], profits[b]), cmp.Compare(a, b))
 }
 
 // lastRelax returns character i's row fractions in the most recent
@@ -614,99 +622,64 @@ type roundingEntry struct {
 	value, density float64
 }
 
-// sortRoundingEntries puts entries in the relaxation's own ranking: by
-// fractional value, then by the character's profit density, both
-// descending. Density keeps the realised selection close to the
+// compareRounding ranks rounding entries by fractional value, then by the
+// character's profit density, both descending, then by character and row
+// ascending. Density keeps the realised selection close to the
 // fractional-knapsack optimum of the relaxation; ranking ties by absolute
-// profit instead measurably erodes the total reduction. pdqsort places
-// equal entries by the whole input, so wherever ties decide the order,
-// every entry must reach the sort unfiltered; roundingQueue skips the sort
-// only where no tie can reach the entries it hands out.
-func sortRoundingEntries(entries []roundingEntry) {
-	slices.SortFunc(entries, compareRounding)
-}
-
-// compareRounding is sortRoundingEntries' order: value, then density, both
-// descending.
+// profit instead measurably erodes the total reduction. One iteration has
+// at most one entry per (character, row), so the order is strict: any sort
+// or selection gives the same ranking.
 func compareRounding(x, y roundingEntry) int {
-	if x.value != y.value {
-		return descending(x.value, y.value)
+	if c := descending(x.value, y.value); c != 0 {
+		return c
 	}
-	return descending(x.density, y.density)
+	if c := descending(x.density, y.density); c != 0 {
+		return c
+	}
+	if x.char != y.char {
+		return cmp.Compare(x.char, y.char)
+	}
+	return cmp.Compare(x.row, y.row)
 }
 
-// roundingQueue hands out rounding entries in sortRoundingEntries order
+// roundingQueue hands out rounding entries in compareRounding order
 // while sorting only what the rounding loop reads: reset quick-selects the
-// k highest-ranked entries into a scratch copy and sorts just those. When
-// no two of them tie and the k-th ranks strictly above every other entry,
-// they are exactly the first k entries of the full sort, whatever its tie
-// placement. Otherwise, or once the loop reads past k, the queue runs
-// sortRoundingEntries over the unmodified entries and reads on from there,
-// so the sequence it hands out is always the full sort's.
+// k highest-ranked entries to the front and sorts just those, and the rest
+// is sorted only once the loop reads past them.
 type roundingQueue struct {
-	all  []roundingEntry // the entries, in their original order until sorted
-	top  []roundingEntry // scratch copy for the selection, reused
-	cur  []roundingEntry // the sorted sequence being read: a prefix of top, or all
-	full bool            // cur is all, sorted
-	pos  int
+	all    []roundingEntry // all[:sorted] is in rank order and ranks above all[sorted:]
+	sorted int
+	pos    int
 }
 
 // reset starts the queue over entries, ranking their k highest-ranked
-// entries up front.
+// entries up front. k > 0.
 func (q *roundingQueue) reset(entries []roundingEntry, k int) {
-	q.all, q.pos = entries, 0
-	if k >= len(entries) || !q.selectTop(k) {
-		q.sortAll()
+	q.all, q.pos, q.sorted = entries, 0, min(k, len(entries))
+	if q.sorted < len(entries) {
+		selectRoundingTop(entries, q.sorted)
 	}
-}
-
-// selectTop puts the k highest-ranked entries, sorted, in q.cur and reports
-// whether they are the full sort's prefix: no ties among them or with the
-// rest. 0 < k < len(q.all).
-func (q *roundingQueue) selectTop(k int) bool {
-	q.top = append(q.top[:0], q.all...)
-	selectRoundingTop(q.top, k)
-	top := q.top[:k]
-	sortRoundingEntries(top)
-	for i := 1; i < k; i++ {
-		if compareRounding(top[i-1], top[i]) >= 0 {
-			return false
-		}
-	}
-	for _, e := range q.top[k:] {
-		if compareRounding(top[k-1], e) >= 0 {
-			return false
-		}
-	}
-	q.cur, q.full = top, false
-	return true
-}
-
-// sortAll sorts the unmodified entries and reads on from the current
-// position.
-func (q *roundingQueue) sortAll() {
-	sortRoundingEntries(q.all)
-	q.cur, q.full = q.all, true
+	slices.SortFunc(entries[:q.sorted], compareRounding)
 }
 
 // next returns the next entry in rank order; ok is false once every entry
 // has been handed out.
 func (q *roundingQueue) next() (e roundingEntry, ok bool) {
-	if q.pos == len(q.cur) && !q.full {
-		q.sortAll()
+	if q.pos == q.sorted && q.sorted < len(q.all) {
+		slices.SortFunc(q.all[q.sorted:], compareRounding)
+		q.sorted = len(q.all)
 	}
-	if q.pos == len(q.cur) {
+	if q.pos == len(q.all) {
 		return roundingEntry{}, false
 	}
-	e = q.cur[q.pos]
+	e = q.all[q.pos]
 	q.pos++
 	return e, true
 }
 
-// selectRoundingTop reorders es so that es[:k] holds k entries no one of
-// es[k:] ranks above (Hoare quickselect under compareRounding, median-of-
-// three pivot). Among tied entries the split is arbitrary; roundingQueue
-// checks for ties afterwards. 0 < k < len(es).
+// selectRoundingTop reorders es so that es[:k] holds its k highest-ranked
+// entries (Hoare quickselect under compareRounding, median-of-three
+// pivot). 0 < k < len(es).
 func selectRoundingTop(es []roundingEntry, k int) {
 	lo, hi, t := 0, len(es)-1, k-1
 	for lo < hi {
@@ -747,17 +720,9 @@ func selectRoundingTop(es []roundingEntry, k int) {
 	}
 }
 
-// descending orders float keys from high to low for slices.SortFunc.
-// cmp(x, y) < 0 holds exactly when x > y, NaN included. slices.SortFunc and
-// sort.Slice are one pdqsort template that only tests cmp < 0 (less), so
-// the plan's tie order is that of sort.Slice with less x > y; TestSortTieOrder
-// checks it.
+// descending orders float keys from high to low for slices.SortFunc, NaN
+// last: a total order, so two keys compare equal only when they are equal
+// or both NaN.
 func descending(x, y float64) int {
-	switch {
-	case x > y:
-		return -1
-	case x < y:
-		return 1
-	}
-	return 0
+	return cmp.Compare(y, x)
 }
