@@ -3,6 +3,7 @@ package eblow
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,12 +38,35 @@ func instanceSeeds(tb testing.TB) []string {
 	head := c[:len(c)-1] // the instance object without its closing brace
 	ch := `{"id":0,"width":30,"height":40,"blankLeft":2,"blankRight":3,"blankTop":0,"blankBottom":0,"vsbShots":5,"repeats":[1,2]}`
 	deep := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	// chr is a valid character of the instance, with its repeats given.
+	chr := func(id int, repeats string) string {
+		return fmt.Sprintf(`{"id":%d,"width":30,"height":40,"blankLeft":2,"blankRight":3,"vsbShots":5,%s}`, id, repeats)
+	}
+	two := `"repeats":[1,2]`
 	return []string{
 		c,
 		// Repeated keys: later arrays decode into the earlier elements.
 		head + `,"characters":[{"name":"x"}]}`,
 		head + `,"characters":[{"name":"x"}],"characters":[{"id":0},{"id":1},{"id":2,"repeats":[null,7]}]}`,
 		head + `,"characters":[` + ch + `,{"id":1},{"id":2}],"characters":[{"repeats":[4]}],"characters":[{"repeats":[4,null]},{"repeats":[5,null]}]}`,
+		// The characters array sized from a hint: a repeated key whose
+		// array is shorter, then longer than the first, where the elements
+		// past the first array's end must decode from zero; a null element,
+		// which keeps what the earlier array left; and '{' in names and
+		// unknown keys, which only raise the hint.
+		head + `,"characters":[` + chr(0, two) + `],"characters":[{"id":0},{"id":1},{"id":2},` + chr(3, two) + `]}`,
+		head + `,"characters":[` + chr(0, two) + `,` + chr(1, two) + `,` + chr(2, two) + `],"characters":[{"name":"{"}],"characters":[{},{"name":"{{"},null,` + chr(3, two) + `,` + chr(4, two) + `]}`,
+		head + `,"characters":[` + chr(0, two) + `,null,` + chr(2, two) + `]}`,
+		head + `,"characters":[],"characters":[` + chr(0, two) + `]}`,
+		head + `,"characters":[]}`,
+		head + `,"characters":[` + chr(0, `"name":"{{{{}","repeats":[3,4]`) + `,` + chr(1, two) + `],"vendor":{"a":[{},{"b":{}}]}}`,
+		// Each character's repeats carved from one shared array: a repeated
+		// key that is longer the second time, null then an array, and
+		// arrays of other lengths than the first character's.
+		head + `,"characters":[` + chr(0, `"repeats":[7],"repeats":[8,9]`) + `,` + chr(1, `"repeats":[1,2],"repeats":[3],"repeats":[4,5]`) + `]}`,
+		head + `,"characters":[` + chr(0, `"repeats":null,"repeats":[3,4]`) + `,` + chr(1, `"repeats":[],"repeats":[5,6]`) + `]}`,
+		head + `,"characters":[` + chr(0, `"repeats":[5],"repeats":[5,6]`) + `,` + chr(1, two) + `,` + chr(2, two) + `,` + chr(3, two) + `]}`,
+		head + `,"characters":[` + chr(0, `"repeats":[],"repeats":[0,1]`) + `,` + chr(1, two) + `,` + chr(2, `"repeats":[1,2,3]`) + `]}`,
 		head + `,"rowGroups":[{"rows":[0,1]}],"rowGroups":[{"regions":[1]}]}`,
 		head + `,"rowGroups":[{"rows":[0]},{"rows":[1],"regions":[0]}],"rowGroups":[{"rows":[2]}],"rowGroups":[{},{"regions":null}]}`,
 		// [] versus null.

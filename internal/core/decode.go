@@ -1,6 +1,11 @@
 package core
 
-import "eblow/internal/jsonlex"
+import (
+	"bytes"
+	"strings"
+
+	"eblow/internal/jsonlex"
+)
 
 // The JSON field names of Instance, Character and RowGroup, as their struct
 // tags spell them.
@@ -15,10 +20,20 @@ var (
 // insensitively, unknown keys are skipped, a repeated key decodes into
 // what the earlier one left, and mistyped values are recorded on r (see
 // jsonlex.Reader.Mismatch) while decoding goes on. It does not validate.
+//
+// It allocates each character array once: Characters is sized from a hint
+// before its first element, the Repeats of every character are carved,
+// cap-limited, from one shared array, and the character names share one
+// string arena. The hints only size arrays; an array longer than its hint
+// grows as jsonlex.Slice grows it, so the decoded value never depends on
+// them.
 func (in *Instance) ReadJSON(r *jsonlex.Reader) error {
+	d := decoder{r: r}
 	return r.Object(func(key []byte) error {
 		switch jsonlex.Field(key, instanceFields) {
 		case "name":
+			// Not in the names arena: job records keep the instance's name
+			// after they drop the instance.
 			return r.String(&in.Name)
 		case "kind":
 			return jsonlex.Int(r, &in.Kind)
@@ -33,20 +48,62 @@ func (in *Instance) ReadJSON(r *jsonlex.Reader) error {
 		case "rowGroups":
 			return jsonlex.Slice(r, &in.RowGroups, readRowGroup)
 		case "characters":
-			return jsonlex.Slice(r, &in.Characters, readCharacter)
+			if cap(in.Characters) == 0 && r.Peek() == '[' {
+				in.Characters = make([]Character, 0, d.characterHint())
+			}
+			return jsonlex.Slice(r, &in.Characters, d.character)
 		}
 		_, err := r.Skip()
 		return err
 	})
 }
 
-func readCharacter(r *jsonlex.Reader, c *Character) error {
+// decoder holds what one ReadJSON call's characters share.
+type decoder struct {
+	r       *jsonlex.Reader
+	names   strings.Builder
+	repeats []int64 // the uncarved rest of the shared repeats array
+}
+
+// characterHint bounds the length of the array that opens at the reader:
+// every character object has a '{', and no element is shorter than "{},".
+// Names and unknown keys that hold '{' only make it larger.
+func (d *decoder) characterHint() int {
+	rest := d.r.Unread()
+	return min(bytes.Count(rest, []byte("{")), len(rest)/3+1)
+}
+
+// repeatsArray returns an empty slice with room for the repeats array that
+// opens at the reader, carved from the shared array. Its length is guessed
+// from the commas before the first ']'; the shared array, when it runs out,
+// is reallocated for every array still unread (one per '[') at this
+// length, but never for more values than the unread bytes can hold.
+func (d *decoder) repeatsArray() []int64 {
+	rest := d.r.Unread()
+	end := bytes.IndexByte(rest, ']')
+	if end < 0 {
+		end = len(rest)
+	}
+	n := bytes.Count(rest[:end], []byte(",")) + 1
+	if n > len(d.repeats) {
+		size := len(rest)/2 + n
+		if arrays := bytes.Count(rest, []byte("[")); arrays < size/n {
+			size = n * arrays
+		}
+		d.repeats = make([]int64, size)
+	}
+	s := d.repeats[:0:n]
+	d.repeats = d.repeats[n:]
+	return s
+}
+
+func (d *decoder) character(r *jsonlex.Reader, c *Character) error {
 	return r.Object(func(key []byte) error {
 		switch jsonlex.Field(key, characterFields) {
 		case "id":
 			return jsonlex.Int(r, &c.ID)
 		case "name":
-			return r.String(&c.Name)
+			return r.StringIn(&c.Name, &d.names)
 		case "width":
 			return jsonlex.Int(r, &c.Width)
 		case "height":
@@ -62,6 +119,9 @@ func readCharacter(r *jsonlex.Reader, c *Character) error {
 		case "vsbShots":
 			return jsonlex.Int(r, &c.VSBShots)
 		case "repeats":
+			if cap(c.Repeats) == 0 && r.Peek() == '[' {
+				c.Repeats = d.repeatsArray()
+			}
 			return jsonlex.Slice(r, &c.Repeats, jsonlex.Int[int64])
 		}
 		_, err := r.Skip()

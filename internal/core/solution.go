@@ -87,12 +87,16 @@ func (s *Solution) PlacementsFromRows() {
 	}
 }
 
-// Validate1D checks a 1DOSP solution: every selected character is placed in
-// exactly one row, bounding boxes stay inside the stencil, rows fit into the
-// stencil height, and adjacent characters overlap only within their shared
-// blank margins (pattern areas never overlap).
+// Validate1D checks a 1DOSP solution: the selection vector has one entry
+// per character, every selected character is placed in exactly one row,
+// bounding boxes stay inside the stencil, rows fit into the stencil height,
+// and adjacent characters overlap only within their shared blank margins
+// (pattern areas never overlap).
 func (s *Solution) Validate1D(in *Instance) error {
-	placed := make(map[int]bool)
+	placed, err := s.placedSet(in)
+	if err != nil {
+		return err
+	}
 	if len(s.Rows) > in.NumRows() {
 		return fmt.Errorf("core: %d rows exceed stencil capacity of %d", len(s.Rows), in.NumRows())
 	}
@@ -141,19 +145,23 @@ func (s *Solution) Validate1D(in *Instance) error {
 	return nil
 }
 
-// Validate2D checks a 2DOSP solution: every selected character has exactly
-// one placement, bounding boxes stay inside the stencil outline, and no
-// character's pattern area intrudes into another character's bounding box.
+// Validate2D checks a 2DOSP solution: the selection vector has one entry
+// per character, every selected character has exactly one placement,
+// bounding boxes stay inside the stencil outline, and no character's
+// pattern area intrudes into another character's bounding box.
 // Bounding boxes (blank regions) may overlap each other, which is exactly
 // the blank sharing the OSP problem exploits; the pattern-versus-box rule is
 // the 2D generalisation of the 1D spacing rule x_j >= x_i + w_i - o^h_ij.
 func (s *Solution) Validate2D(in *Instance) error {
-	placed := make(map[int]Placement)
+	placed, err := s.placedSet(in)
+	if err != nil {
+		return err
+	}
 	for _, p := range s.Placements {
 		if p.Char < 0 || p.Char >= len(in.Characters) {
 			return fmt.Errorf("core: placement references unknown character %d", p.Char)
 		}
-		if _, dup := placed[p.Char]; dup {
+		if placed[p.Char] {
 			return fmt.Errorf("core: character %d placed more than once", p.Char)
 		}
 		if !s.Selected[p.Char] {
@@ -163,13 +171,11 @@ func (s *Solution) Validate2D(in *Instance) error {
 		if p.X < 0 || p.Y < 0 || p.X+ch.Width > in.StencilWidth || p.Y+ch.Height > in.StencilHeight {
 			return fmt.Errorf("core: character %d at (%d,%d) exceeds stencil outline", p.Char, p.X, p.Y)
 		}
-		placed[p.Char] = p
+		placed[p.Char] = true
 	}
 	for id, sel := range s.Selected {
-		if sel {
-			if _, ok := placed[id]; !ok {
-				return fmt.Errorf("core: character %d selected but not placed", id)
-			}
+		if sel && !placed[id] {
+			return fmt.Errorf("core: character %d selected but not placed", id)
 		}
 	}
 	// Sweep by bounding-box x to avoid the full quadratic pair check on
@@ -205,11 +211,18 @@ func (s *Solution) Validate2D(in *Instance) error {
 	return nil
 }
 
+// placedSet checks that the selection vector has one entry per character
+// and returns an id-indexed set, all false, for the validators to mark
+// placed characters in.
+func (s *Solution) placedSet(in *Instance) ([]bool, error) {
+	if len(s.Selected) != len(in.Characters) {
+		return nil, fmt.Errorf("core: selection vector has %d entries for %d characters", len(s.Selected), len(in.Characters))
+	}
+	return make([]bool, len(in.Characters)), nil
+}
+
 // Validate dispatches to Validate1D or Validate2D based on the instance kind.
 func (s *Solution) Validate(in *Instance) error {
-	if len(s.Selected) != len(in.Characters) {
-		return fmt.Errorf("core: selection vector has %d entries for %d characters", len(s.Selected), len(in.Characters))
-	}
 	if in.Kind == OneD {
 		return s.Validate1D(in)
 	}

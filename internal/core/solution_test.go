@@ -90,6 +90,16 @@ func TestValidate1DRejections(t *testing.T) {
 			"selection vector",
 		},
 		{
+			"short selection with placements",
+			Solution{Selected: []bool{true}, Rows: []Row{{Chars: []int{0, 1}, X: []int{0, 40}}}},
+			"selection vector",
+		},
+		{
+			"long selection",
+			Solution{Selected: []bool{true, false, false, true}, Rows: []Row{{Chars: []int{0}, X: []int{0}}}},
+			"selection vector",
+		},
+		{
 			"too many rows",
 			Solution{Selected: []bool{false, false, false}, Rows: []Row{{}, {}}},
 			"rows exceed",
@@ -126,13 +136,15 @@ func TestValidate1DRejections(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		err := c.sol.Validate(in)
-		if err == nil {
-			t.Errorf("%s: expected error", c.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.frag) {
-			t.Errorf("%s: error %q does not contain %q", c.name, err, c.frag)
+		for _, validate := range []func(*Instance) error{c.sol.Validate, c.sol.Validate1D} {
+			err := validate(in)
+			if err == nil {
+				t.Errorf("%s: expected error", c.name)
+				continue
+			}
+			if !strings.Contains(err.Error(), c.frag) {
+				t.Errorf("%s: error %q does not contain %q", c.name, err, c.frag)
+			}
 		}
 	}
 }
@@ -224,15 +236,27 @@ func TestValidate2DRejections(t *testing.T) {
 			Solution{Selected: []bool{true, false, false}, Placements: []Placement{{Char: 0}, {Char: 0, X: 50}}},
 			"more than once",
 		},
+		{
+			"short selection",
+			Solution{Selected: []bool{true}, Placements: []Placement{{Char: 0}, {Char: 1, X: 50}}},
+			"selection vector",
+		},
+		{
+			"long selection",
+			Solution{Selected: []bool{true, false, false, true}, Placements: []Placement{{Char: 0}}},
+			"selection vector",
+		},
 	}
 	for _, c := range cases {
-		err := c.sol.Validate(in)
-		if err == nil {
-			t.Errorf("%s: expected error", c.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.frag) {
-			t.Errorf("%s: error %q does not contain %q", c.name, err, c.frag)
+		for _, validate := range []func(*Instance) error{c.sol.Validate, c.sol.Validate2D} {
+			err := validate(in)
+			if err == nil {
+				t.Errorf("%s: expected error", c.name)
+				continue
+			}
+			if !strings.Contains(err.Error(), c.frag) {
+				t.Errorf("%s: error %q does not contain %q", c.name, err, c.frag)
+			}
 		}
 	}
 }

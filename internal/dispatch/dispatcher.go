@@ -257,8 +257,8 @@ func (d *Dispatcher) Submit(body []byte) (map[string]any, error) {
 
 	var walErr error
 	if d.cfg.WAL != nil {
-		var line []byte
-		if line, walErr = journal.EncodeSpliced(rec, "body", body); walErr == nil {
+		var line journal.Line
+		if line, walErr = journal.Splice(rec, "body", body); walErr == nil {
 			if walErr = d.cfg.WAL.AppendEncoded(line); walErr == nil {
 				walErr = d.cfg.WAL.Flush()
 			}

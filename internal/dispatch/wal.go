@@ -35,7 +35,7 @@ type walRecord struct {
 
 	// Accepted fields: the submit body plus the derived identity the
 	// dispatcher needs without re-decoding the instance. Submit splices the
-	// body in with journal.EncodeSpliced.
+	// body in with journal.Splice.
 	Body       json.RawMessage `json:"body,omitempty"`
 	RoutingKey string          `json:"routingKey,omitempty"`
 	Name       string          `json:"name,omitempty"`

@@ -1,9 +1,14 @@
 package dispatch
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"eblow/internal/journal"
 )
 
 func TestWALAppendLoadRoundTrip(t *testing.T) {
@@ -81,5 +86,73 @@ func TestSubmitJournalsBodyValue(t *testing.T) {
 	}
 	if got, want := string(recs[0].Body), `{"benchmark":"1T-1","solver":"greedy"}`; got != want {
 		t.Fatalf("accepted body = %s, want %s", got, want)
+	}
+}
+
+// The accepted record reaches the log as journal.Splice's parts, the body
+// never copied into one line, and its bytes are journal.EncodeSpliced's
+// line, what the log held before. The labels cover an empty one, one
+// json.Marshal escapes ('"', '<', '&') and non-ASCII; the last body is
+// indented, so it is compacted before it is journaled.
+func TestSubmitAcceptedRecordBytes(t *testing.T) {
+	_, cfgs := newFleet(t, 1, 1)
+	path := filepath.Join(t.TempDir(), "dispatch.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{Nodes: cfgs, HealthInterval: 25 * time.Millisecond, FailAfter: 3, WAL: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for _, label := range []string{"", `say "hi"`, "<a>&b", "café ☃", "indented"} {
+		quoted, err := json.Marshal(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := []byte(`{"benchmark":"1T-1","solver":"greedy","label":` + string(quoted) + `}`)
+		if label == "indented" {
+			body = []byte("{\n  \"benchmark\": \"1T-1\",\n  \"solver\": \"greedy\",\n  \"label\": \"indented\"\n}")
+		}
+		var value bytes.Buffer
+		if err := json.Compact(&value, body); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := d.Submit(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.mu.Lock()
+		j := d.jobs[doc["id"].(string)]
+		rec := walRecord{
+			Op: walOpAccepted, Job: j.id, Time: j.submitted, RoutingKey: j.routingKey,
+			Name: j.name, Kind: j.kind, Solver: "greedy", Label: j.label,
+		}
+		d.mu.Unlock()
+		line, err := journal.EncodeSpliced(rec, "body", value.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, line)
+	}
+	d.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"op":"accepted",`)) {
+			got = append(got, line)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d accepted records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("accepted record %d is\n%s\nwant\n%s", i, got[i], want[i])
+		}
 	}
 }

@@ -11,10 +11,11 @@
 // atomically replaces the file via a temp-file + rename rewrite.
 //
 // Every record reaches the file through one path, AppendEncoded, as one
-// encoded line: Append is json.Marshal plus AppendEncoded, and an owner
+// encoded Line: Append is json.Marshal plus AppendEncoded, and an owner
 // whose record carries a large value it already holds as JSON (the
-// client's instance bytes) splices it in with EncodeSpliced instead of
-// having json.Marshal scan it again.
+// client's instance bytes) hands it over with Splice, as the record's
+// header, the value and a closing brace written back to back, so the value
+// is neither scanned by json.Marshal nor copied into a line of its own.
 //
 // The record type is the caller's: a Log[R] knows nothing of record
 // semantics beyond the validity predicate given to Open.
@@ -187,22 +188,25 @@ func (l *Log[R]) SetReplayStats(resumed, terminal int) {
 	l.mu.Unlock()
 }
 
+// Line is one encoded record: its JSON without a newline, held as parts
+// that are written back to back.
+type Line [][]byte
+
 // Append buffers one record: its json.Marshal encoding, through
 // AppendEncoded. It does not wait for durability — pair it with Flush for
 // the group-commit guarantee, or let the background flusher sync it within
 // flushInterval.
 func (l *Log[R]) Append(rec R) error {
-	line, err := json.Marshal(rec)
+	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
-	return l.AppendEncoded(line)
+	return l.AppendEncoded(Line{b})
 }
 
-// AppendEncoded buffers one record its owner already encoded: line is the
-// record's JSON, without a newline of its own (see EncodeSpliced). Like
-// Append, it does not wait for durability.
-func (l *Log[R]) AppendEncoded(line []byte) error {
+// AppendEncoded buffers one record its owner already encoded (see Splice).
+// Like Append, it does not wait for durability.
+func (l *Log[R]) AppendEncoded(line Line) error {
 	if err := checkLine(line); err != nil {
 		return err
 	}
@@ -211,33 +215,81 @@ func (l *Log[R]) AppendEncoded(line []byte) error {
 	if l.closed {
 		return ErrClosed
 	}
-	n, err := l.w.Write(line)
-	if err == nil {
-		err = l.w.WriteByte('\n')
-		n++
-	}
+	n, err := writeLine(l.w, line)
 	if err != nil {
 		return fmt.Errorf("journal: appending record: %w", err)
 	}
-	l.size += int64(n)
+	l.size += n
 	l.dirty = true
 	l.kickLocked()
 	return nil
 }
 
+// writeLine writes line's parts and a newline to w and returns the bytes
+// written.
+func writeLine(w *bufio.Writer, line Line) (int64, error) {
+	var size int64
+	for _, part := range line {
+		n, err := w.Write(part)
+		size += int64(n)
+		if err != nil {
+			return size, err
+		}
+	}
+	return size + 1, w.WriteByte('\n')
+}
+
+// errLine rejects a line that would not replay as one record.
+var errLine = errors.New("journal: an encoded record must be one non-empty line")
+
 // checkLine rejects a line that would not replay as one record.
-func checkLine(line []byte) error {
-	if len(line) == 0 || bytes.IndexByte(line, '\n') >= 0 {
-		return errors.New("journal: an encoded record must be one non-empty line")
+func checkLine(line Line) error {
+	n := 0
+	for _, part := range line {
+		if bytes.IndexByte(part, '\n') >= 0 {
+			return errLine
+		}
+		n += len(part)
+	}
+	if n == 0 {
+		return errLine
 	}
 	return nil
 }
 
-// EncodeSpliced returns rec's JSON encoding with one more top-level field,
-// key, whose value is raw as it is: JSON the caller already decoded, so it
-// is neither scanned nor escaped again. raw must be a single valid JSON
-// value with no newline (compact it if it has one), and rec must encode as
-// an object that does not carry key itself. An empty raw adds no field.
+// closeBrace is the last part of every spliced Line.
+var closeBrace = []byte("}")
+
+// Splice encodes rec with one more top-level field, key, whose value is raw
+// as it is: JSON the caller already decoded, so it is neither scanned nor
+// escaped again, nor copied. The Line's parts are rec's json.Marshal
+// encoding up to and including `"key":`, raw itself, and "}". raw must be a
+// single valid JSON value with no newline (compact it if it has one), and
+// rec must encode as an object that does not carry key itself. An empty
+// raw adds no field.
+func Splice(rec any, key string, raw []byte) (Line, error) {
+	head, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("journal: encoding record: %w", err)
+	}
+	if len(raw) == 0 {
+		return Line{head}, nil
+	}
+	if len(head) < 2 || head[len(head)-1] != '}' {
+		return nil, fmt.Errorf("journal: record encodes as %.16q, not an object", head)
+	}
+	name, _ := json.Marshal(key) // a string always encodes
+	head = head[:len(head)-1]
+	if len(head) > 1 { // "{}" has no field to follow
+		head = append(head, ',')
+	}
+	head = append(append(head, name...), ':')
+	return Line{head, raw, closeBrace}, nil
+}
+
+// EncodeSpliced returns Splice's line as one buffer, built on its own: the
+// reference the byte-identity tests of the logs' spliced records compare
+// what they journal against.
 func EncodeSpliced(rec any, key string, raw []byte) ([]byte, error) {
 	head, err := json.Marshal(rec)
 	if err != nil {
@@ -339,7 +391,7 @@ func (l *Log[R]) NeedsCompact() bool {
 // per line (as AppendEncoded takes them): the lines are written to a temp
 // file, fsynced, and renamed over the old log. Any failure leaves the old
 // log intact and appendable.
-func (l *Log[R]) CompactTo(lines [][]byte) error {
+func (l *Log[R]) CompactTo(lines []Line) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -384,7 +436,7 @@ func (l *Log[R]) CompactTo(lines [][]byte) error {
 
 // writeSnapshot writes lines to a new file at path and fsyncs it, returning
 // its size.
-func writeSnapshot(path string, lines [][]byte) (size int64, err error) {
+func writeSnapshot(path string, lines []Line) (size int64, err error) {
 	for _, line := range lines {
 		if err := checkLine(line); err != nil {
 			return 0, err
@@ -402,9 +454,8 @@ func writeSnapshot(path string, lines [][]byte) (size int64, err error) {
 	bw := bufio.NewWriter(f)
 	for _, line := range lines {
 		// A write error sticks and surfaces at Flush.
-		n, _ := bw.Write(line)
-		_ = bw.WriteByte('\n')
-		size += int64(n) + 1
+		n, _ := writeLine(bw, line)
+		size += n
 	}
 	if err := bw.Flush(); err != nil {
 		return 0, err

@@ -29,15 +29,15 @@ func openTest(t *testing.T, path string, maxBytes int64) *Log[rec] {
 }
 
 // encodeAll encodes recs as CompactTo takes them, one line per record.
-func encodeAll(t *testing.T, recs ...rec) [][]byte {
+func encodeAll(t *testing.T, recs ...rec) []Line {
 	t.Helper()
-	lines := make([][]byte, len(recs))
+	lines := make([]Line, len(recs))
 	for i, r := range recs {
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines[i] = b
+		lines[i] = Line{b}
 	}
 	return lines
 }
@@ -203,8 +203,9 @@ func TestClosed(t *testing.T) {
 	}
 }
 
-// A spliced record replays like its json.Marshal twin, and an encoded line
-// that would split into two records is refused before it reaches the file.
+// A spliced record is written as EncodeSpliced's one-buffer line and
+// replays like its json.Marshal twin, and an encoded line that would split
+// into two records, or be empty, is refused before it reaches the file.
 func TestAppendEncoded(t *testing.T) {
 	type big struct {
 		Op   string          `json:"op"`
@@ -218,18 +219,30 @@ func TestAppendEncoded(t *testing.T) {
 	}
 	defer l.Close()
 	raw := []byte(`{"name":"a<b&c","xs":[1,2,3]}`)
-	line, err := EncodeSpliced(big{Op: "accepted", Job: "j1"}, "body", raw)
+	want, err := EncodeSpliced(big{Op: "accepted", Job: "j1"}, "body", raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasSuffix(line, append(append([]byte(`"body":`), raw...), '}')) {
-		t.Fatalf("spliced line %s does not end in the raw value", line)
+	if !bytes.HasSuffix(want, append(append([]byte(`"body":`), raw...), '}')) {
+		t.Fatalf("spliced line %s does not end in the raw value", want)
+	}
+	line, err := Splice(big{Op: "accepted", Job: "j1"}, "body", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Join(line, nil); !bytes.Equal(got, want) {
+		t.Fatalf("Splice parts join to %s, want %s", got, want)
+	}
+	if &line[1][0] != &raw[0] {
+		t.Error("Splice copied the raw value")
 	}
 	if err := l.AppendEncoded(line); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendEncoded([]byte("{\"op\":\"accepted\",\n\"job\":\"j2\"}")); err == nil {
-		t.Error("AppendEncoded took a line with a newline in it")
+	for _, bad := range []Line{{[]byte(`{"op":"accepted",`), []byte("\n\"job\":\"j2\"}")}, {}, {nil, []byte{}}} {
+		if err := l.AppendEncoded(bad); err == nil {
+			t.Errorf("AppendEncoded took the line %q", bad)
+		}
 	}
 	if err := l.Append(big{Op: "started", Job: "j1"}); err != nil {
 		t.Fatal(err)
@@ -242,6 +255,13 @@ func TestAppendEncoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := bytes.Cut(data, []byte("\n")); !bytes.Equal(first, want) {
+		t.Fatalf("journaled %s, want %s", first, want)
+	}
 	got := l2.Replay()
 	if len(got) != 2 || got[0].Job != "j1" || string(got[0].Body) != string(raw) || got[1].Op != "started" {
 		t.Fatalf("replayed %+v, want the spliced accepted record then started", got)

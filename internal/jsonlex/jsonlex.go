@@ -38,6 +38,10 @@ func NewReader(data []byte) *Reader { return &Reader{data: data} }
 // where the next value starts; right after a read, where the value ended.
 func (r *Reader) Pos() int { return r.pos }
 
+// Unread returns the input from Pos on. A caller may scan it for a size
+// hint; it must not modify it.
+func (r *Reader) Unread() []byte { return r.data[r.pos:] }
+
 // Peek skips whitespace and returns the first byte of the next value, or 0
 // at the end of the input.
 func (r *Reader) Peek() byte {
@@ -226,6 +230,31 @@ func (r *Reader) String(dst *string) error {
 	}
 	return err
 }
+
+// StringIn is String with the string's bytes appended to b instead of
+// allocated on their own, so the strings of one document read through b
+// share its few backing arrays (a strings.Builder never changes bytes it
+// has written). Each string keeps the array it was written to alive.
+func (r *Reader) StringIn(dst *string, b *strings.Builder) error {
+	if ok, err := r.begins(`"`, "a string"); !ok {
+		return err
+	}
+	s, err := r.str()
+	if err != nil {
+		return err
+	}
+	if b.Cap()-b.Len() < len(s) {
+		b.Grow(max(len(s), minStringBlock)) // at least doubles the array
+	}
+	start := b.Len()
+	b.Write(s)
+	*dst = b.String()[start:]
+	return nil
+}
+
+// minStringBlock is StringIn's first backing array: room for a few dozen
+// short names before the first regrowth.
+const minStringBlock = 256
 
 // Skip reads the next value, checking its syntax, and returns its bytes.
 func (r *Reader) Skip() ([]byte, error) {

@@ -19,13 +19,17 @@ type doc struct {
 }
 
 type kid struct {
-	X int   `json:"x"`
-	Y []int `json:"y"`
+	X    int    `json:"x"`
+	Y    []int  `json:"y"`
+	Name string `json:"name"`
 }
 
-var docFields, kidFields = []string{"n", "s", "ints", "kids"}, []string{"x", "y"}
+var docFields, kidFields = []string{"n", "s", "ints", "kids"}, []string{"x", "y", "name"}
 
+// readDoc reads the kids' names into one shared builder (StringIn).
 func readDoc(r *Reader, d *doc) error {
+	var names strings.Builder
+	elem := func(r *Reader, k *kid) error { return readKid(r, k, &names) }
 	return r.Object(func(key []byte) error {
 		switch Field(key, docFields) {
 		case "n":
@@ -35,20 +39,22 @@ func readDoc(r *Reader, d *doc) error {
 		case "ints":
 			return Slice(r, &d.Ints, Int[int64])
 		case "kids":
-			return Slice(r, &d.Kids, readKid)
+			return Slice(r, &d.Kids, elem)
 		}
 		_, err := r.Skip()
 		return err
 	})
 }
 
-func readKid(r *Reader, k *kid) error {
+func readKid(r *Reader, k *kid, names *strings.Builder) error {
 	return r.Object(func(key []byte) error {
 		switch Field(key, kidFields) {
 		case "x":
 			return Int(r, &k.X)
 		case "y":
 			return Slice(r, &k.Y, Int[int])
+		case "name":
+			return r.StringIn(&k.Name, names)
 		}
 		_, err := r.Skip()
 		return err
@@ -64,6 +70,7 @@ func FuzzReader(f *testing.F) {
 		`{"n":1,"s":"a","ints":[1,2],"kids":[{"x":1,"y":[1]}]}`,
 		`{"kids":[{"x":1,"y":[1,2,3]},{"x":2}],"kids":[{"y":[4]}],"kids":[{"y":[5,null]},{}]}`,
 		`{"ints":[],"kids":null,"N":-0,"S":"é\ud800","ſ":"long s"}`,
+		`{"kids":[{"name":"a"},{"name":"","NAME":"b\u00e9"},{"name":null},{"name":5}],"kids":[{},{"name":"` + strings.Repeat("c", 300) + `"}]}`,
 		`{"n":1.0}`, `{"n":1e2}`, `{"n":9223372036854775807}`, `{"n":-9223372036854775809}`,
 		`{"ints":[1,],"n":1}`, `{"s":"\x"}`, "{\"s\":\"bad\xff\"}", `{"n":"1"}`, `{"kids":{}}`,
 		`{"z":` + deep(MaxDepth-1) + `}`, `{"z":` + deep(MaxDepth) + `}`,

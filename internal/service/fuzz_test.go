@@ -111,6 +111,19 @@ func FuzzParseSubmit(f *testing.F) {
 	f.Add([]byte(`{"instance":` + head + `,"rowGroups":[{"rows":[0]}],"rowGroups":[{"regions":[1]}]}}`))
 	f.Add([]byte(`{"instance":` + head + `,"rowGroups":[],"kind":-0}}`))
 	f.Add([]byte(`{"instance":` + head + `,"numRegions":2.0,"stencilWidth":1e2}}`))
+	// The decoder's size hints: repeated characters and repeats keys,
+	// shorter and then longer; null then an array; a null element; an
+	// empty array; and '{' in names and in the rest of the body.
+	chr := func(id int, repeats string) string {
+		return fmt.Sprintf(`{"id":%d,"width":30,"height":40,"blankLeft":2,"blankRight":3,"vsbShots":5,%s}`, id, repeats)
+	}
+	two := `"repeats":[1,2]`
+	f.Add([]byte(`{"instance":` + head + `,"characters":[` + chr(0, two) + `],"characters":[{"id":0},{"id":1},{"id":2},{"id":3},{"id":4},{"id":5},` + chr(6, two) + `]}}`))
+	f.Add([]byte(`{"instance":` + head + `,"characters":[` + chr(0, `"repeats":[7],"repeats":[8,9]`) + `,` + chr(1, `"repeats":null,"repeats":[3,4]`) + `]}}`))
+	f.Add([]byte(`{"instance":` + head + `,"characters":[` + chr(0, two) + `,null,` + chr(2, two) + `],"label":"{{"}}`))
+	f.Add([]byte(`{"instance":` + head + `,"characters":[` + chr(0, two) + `,null,` + chr(2, two) + `]}}`))
+	f.Add([]byte(`{"instance":` + head + `,"characters":[]},"solver":"greedy"}`))
+	f.Add([]byte(`{"instance":` + head + `,"characters":[` + chr(0, `"name":"{{{","repeats":[1,2]`) + `]},"label":"{","params":{"seed":2}}`))
 	// Escaped, folded and non-UTF-8 strings.
 	f.Add([]byte(`{"ben\u0063hmark":"1T-1","\u212aey":1}`))
 	f.Add([]byte("{\"benchmark\":\"1T-1\",\"label\":\"bad\xff \\ud800 caf\xc3\xa9\"}"))

@@ -34,6 +34,7 @@ import (
 
 	"eblow"
 	"eblow/internal/batch"
+	"eblow/internal/journal"
 	"eblow/internal/par"
 )
 
@@ -434,7 +435,7 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	// The accepted record is buffered under mu so the WAL's record order
 	// matches the queue order; the fsync wait happens after unlock.
 	if m.cfg.WAL != nil && walErr == nil {
-		var line []byte
+		var line journal.Line
 		if line, walErr = m.walAccepted(j); walErr == nil {
 			walErr = m.cfg.WAL.AppendEncoded(line)
 		}
@@ -555,14 +556,19 @@ func (m *Manager) run(j *job) {
 		m.mu.Unlock()
 		return
 	}
-	spec := j.spec // finishLocked drops the record's instance
+	spec, name := j.spec, j.instName // finishLocked drops the record's instance
 	m.mu.Unlock()
 
 	res, err := solveSpec(j.ctx, spec)
+	// Only a completed solve gets a digest, and it is computed outside mu.
+	var digest string
+	if err == nil {
+		digest = resultDigest(name, res)
+	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.finishLocked(j, res, err)
+	m.finishLocked(j, res, digest, err)
 }
 
 // drainOne is one pool ticket: it pops the job the scheduler picks and
@@ -600,8 +606,9 @@ func (m *Manager) startLocked(j *job) bool {
 }
 
 // finishLocked applies a finished solve's terminal transition: state,
-// result, digest, events, terminal WAL record. Callers hold m.mu.
-func (m *Manager) finishLocked(j *job, res *eblow.Result, err error) {
+// result, digest (resultDigest of res, which the caller computed when err
+// is nil), events, terminal WAL record. Callers hold m.mu.
+func (m *Manager) finishLocked(j *job, res *eblow.Result, digest string, err error) {
 	j.spec.dropInstance()
 	j.finished = time.Now()
 	j.cancel() // release the job's context resources
@@ -643,7 +650,7 @@ func (m *Manager) finishLocked(j *job, res *eblow.Result, err error) {
 	default:
 		j.state = StateDone
 		j.result = res
-		j.digest = resultDigest(j.instName, res)
+		j.digest = digest
 		m.appendEventLocked(j, fmt.Sprintf("done: strategy %s, writing time %d, feasible %v, %s",
 			res.Strategy, res.Objective, res.Feasible, res.Elapsed.Round(time.Millisecond)))
 	}

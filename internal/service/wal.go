@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -79,9 +80,9 @@ func (p *walParams) params() eblow.Params {
 // walRecord is one NDJSON line of the job log. Accepted records carry the
 // full spec so the job can re-run after a crash — the instance as the
 // compact JSON the client sent, which walAccepted splices in rather than
-// re-encoding; terminal records carry the identity fields plus the outcome
-// so a compacted log still renders a complete status without the accepted
-// record.
+// re-encoding or copying; terminal records carry the identity fields plus
+// the outcome so a compacted log still renders a complete status without
+// the accepted record.
 type walRecord struct {
 	Op   string    `json:"op"`
 	Job  string    `json:"job"`
@@ -132,7 +133,8 @@ func OpenWAL(path string, maxBytes int64) (*WAL, error) {
 // geometry — exactly the fields that are deterministic for a fixed seed
 // (the wall-clock Runtime is zeroed out). Bit-identical replayed solves
 // therefore produce bit-identical digests, which is what the chaos test
-// compares across a kill -9 and an uninterrupted run.
+// compares across a kill -9 and an uninterrupted run. The plan's
+// json.Marshal bytes are streamed into the hash, not copied out first.
 func resultDigest(instance string, res *eblow.Result) string {
 	if res == nil {
 		return ""
@@ -142,11 +144,20 @@ func resultDigest(instance string, res *eblow.Result) string {
 	if res.Solution != nil {
 		s := *res.Solution
 		s.Runtime = 0
-		if b, err := json.Marshal(&s); err == nil {
-			h.Write(b)
-		}
+		// A plan that does not encode adds nothing, as with json.Marshal;
+		// a hash never fails a write.
+		_ = json.NewEncoder(dropNewline{h}).Encode(&s)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// dropNewline passes each write on without the newline json.Encoder ends
+// every value with, so an encoded value reaches w as json.Marshal's bytes.
+type dropNewline struct{ w io.Writer }
+
+func (d dropNewline) Write(p []byte) (int, error) {
+	_, err := d.w.Write(bytes.TrimSuffix(p, []byte("\n")))
+	return len(p), err
 }
 
 // walIdentity stamps the record fields shared by accepted and terminal
@@ -164,15 +175,15 @@ func (m *Manager) walIdentity(j *job, rec *walRecord) {
 }
 
 // walAccepted encodes the job's accepted record: the small header through
-// json.Marshal, then the instance JSON spliced in as it is. Callers hold
-// m.mu.
-func (m *Manager) walAccepted(j *job) ([]byte, error) {
+// json.Marshal, then the instance JSON spliced in as it is, uncopied.
+// Callers hold m.mu.
+func (m *Manager) walAccepted(j *job) (journal.Line, error) {
 	if j.spec.instJSON == nil {
 		return nil, fmt.Errorf("service: job %s has no instance JSON to journal", j.id)
 	}
 	rec := walRecord{Op: walOpAccepted, Time: j.submitted}
 	m.walIdentity(j, &rec)
-	return journal.EncodeSpliced(rec, "instance", j.spec.instJSON)
+	return journal.Splice(rec, "instance", j.spec.instJSON)
 }
 
 // instanceJSON returns the compact JSON the accepted record journals: the
@@ -231,13 +242,15 @@ func (m *Manager) maybeCompactWALLocked() {
 		return
 	}
 	m.evictLocked(time.Now()) // expired records need no snapshot
-	lines := make([][]byte, 0, len(m.order))
+	lines := make([]journal.Line, 0, len(m.order))
 	for _, id := range m.order {
 		j := m.jobs[id]
-		var line []byte
+		var line journal.Line
 		var err error
 		if j.state.Terminal() {
-			line, err = json.Marshal(m.walTerminal(j))
+			var b []byte
+			b, err = json.Marshal(m.walTerminal(j))
+			line = journal.Line{b}
 		} else {
 			line, err = m.walAccepted(j) // the live job's bytes, reused
 		}
