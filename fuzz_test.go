@@ -43,17 +43,19 @@ func instanceSeeds(tb testing.TB) []string {
 		return fmt.Sprintf(`{"id":%d,"width":30,"height":40,"blankLeft":2,"blankRight":3,"vsbShots":5,%s}`, id, repeats)
 	}
 	two := `"repeats":[1,2]`
+	long := strings.Trim(strings.Repeat("3,", 300), ",")
 	return []string{
 		c,
 		// Repeated keys: later arrays decode into the earlier elements.
 		head + `,"characters":[{"name":"x"}]}`,
 		head + `,"characters":[{"name":"x"}],"characters":[{"id":0},{"id":1},{"id":2,"repeats":[null,7]}]}`,
 		head + `,"characters":[` + ch + `,{"id":1},{"id":2}],"characters":[{"repeats":[4]}],"characters":[{"repeats":[4,null]},{"repeats":[5,null]}]}`,
-		// The characters array sized from a hint: a repeated key whose
-		// array is shorter, then longer than the first, where the elements
-		// past the first array's end must decode from zero; a null element,
-		// which keeps what the earlier array left; and '{' in names and
-		// unknown keys, which only raise the hint.
+		// The characters array decoded through a reused buffer and copied
+		// out at its length: a repeated key whose array is shorter, then
+		// longer than the first, where the elements past the first array's
+		// end must decode from zero; a null element, which keeps what the
+		// earlier array left; empty arrays, which leave the buffer unused;
+		// and '{' in names and unknown keys, which must not size it.
 		head + `,"characters":[` + chr(0, two) + `],"characters":[{"id":0},{"id":1},{"id":2},` + chr(3, two) + `]}`,
 		head + `,"characters":[` + chr(0, two) + `,` + chr(1, two) + `,` + chr(2, two) + `],"characters":[{"name":"{"}],"characters":[{},{"name":"{{"},null,` + chr(3, two) + `,` + chr(4, two) + `]}`,
 		head + `,"characters":[` + chr(0, two) + `,null,` + chr(2, two) + `]}`,
@@ -67,6 +69,9 @@ func instanceSeeds(tb testing.TB) []string {
 		head + `,"characters":[` + chr(0, `"repeats":null,"repeats":[3,4]`) + `,` + chr(1, `"repeats":[],"repeats":[5,6]`) + `]}`,
 		head + `,"characters":[` + chr(0, `"repeats":[5],"repeats":[5,6]`) + `,` + chr(1, two) + `,` + chr(2, two) + `,` + chr(3, two) + `]}`,
 		head + `,"characters":[` + chr(0, `"repeats":[],"repeats":[0,1]`) + `,` + chr(1, two) + `,` + chr(2, `"repeats":[1,2,3]`) + `]}`,
+		// A repeats array longer than the shared array's first block, which
+		// moves to its own array, then characters carved from a new block.
+		head + `,"characters":[` + chr(0, two) + `,` + chr(1, `"repeats":[`+long+`]`) + `,` + chr(2, `"repeats":[5],"repeats":[6,7]`) + `,` + chr(3, two) + `]}`,
 		head + `,"rowGroups":[{"rows":[0,1]}],"rowGroups":[{"regions":[1]}]}`,
 		head + `,"rowGroups":[{"rows":[0]},{"rows":[1],"regions":[0]}],"rowGroups":[{"rows":[2]}],"rowGroups":[{},{"regions":null}]}`,
 		// [] versus null.
@@ -126,6 +131,9 @@ func FuzzDecodeInstance(f *testing.F) {
 	}
 	f.Add(mustEncode(f, SmallInstance(OneD, 4, 2, 1)))
 	f.Add(mustEncode(f, SmallInstance(TwoD, 4, 2, 1)))
+	// 600 repeats values: several blocks of the shared repeats array, and
+	// arrays that overflow a block's end.
+	f.Add(mustEncode(f, SmallInstance(OneD, 60, 10, 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := decodeInstanceRef(data)

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"bytes"
+	"slices"
 	"strings"
+	"sync"
 
 	"eblow/internal/jsonlex"
 )
@@ -21,14 +22,14 @@ var (
 // what the earlier one left, and mistyped values are recorded on r (see
 // jsonlex.Reader.Mismatch) while decoding goes on. It does not validate.
 //
-// It allocates each character array once: Characters is sized from a hint
-// before its first element, the Repeats of every character are carved,
-// cap-limited, from one shared array, and the character names share one
-// string arena. The hints only size arrays; an array longer than its hint
-// grows as jsonlex.Slice grows it, so the decoded value never depends on
-// them.
+// It allocates each character array once, and only for elements it
+// decodes: Characters is decoded into a reused buffer and copied out at its
+// exact length, the Repeats of every character are carved, cap-limited,
+// from one shared array that doubles when it runs out, and the character
+// names share one string arena. No size is read from bytes it has not
+// decoded.
 func (in *Instance) ReadJSON(r *jsonlex.Reader) error {
-	d := decoder{r: r}
+	var d decoder
 	return r.Object(func(key []byte) error {
 		switch jsonlex.Field(key, instanceFields) {
 		case "name":
@@ -48,10 +49,7 @@ func (in *Instance) ReadJSON(r *jsonlex.Reader) error {
 		case "rowGroups":
 			return jsonlex.Slice(r, &in.RowGroups, readRowGroup)
 		case "characters":
-			if cap(in.Characters) == 0 && r.Peek() == '[' {
-				in.Characters = make([]Character, 0, d.characterHint())
-			}
-			return jsonlex.Slice(r, &in.Characters, d.character)
+			return d.characters(r, &in.Characters)
 		}
 		_, err := r.Skip()
 		return err
@@ -60,41 +58,71 @@ func (in *Instance) ReadJSON(r *jsonlex.Reader) error {
 
 // decoder holds what one ReadJSON call's characters share.
 type decoder struct {
-	r       *jsonlex.Reader
-	names   strings.Builder
-	repeats []int64 // the uncarved rest of the shared repeats array
+	names  strings.Builder
+	room   []int64 // the uncarved rest of the shared repeats array
+	carved int     // the values carved from it so far
 }
 
-// characterHint bounds the length of the array that opens at the reader:
-// every character object has a '{', and no element is shorter than "{},".
-// Names and unknown keys that hold '{' only make it larger.
-func (d *decoder) characterHint() int {
-	rest := d.r.Unread()
-	return min(bytes.Count(rest, []byte("{")), len(rest)/3+1)
+// characterBuffers holds *[]Character buffers that characters decodes into,
+// each zero up to its capacity between uses. Buffers of more than
+// maxPooledCharacters elements are dropped rather than kept.
+var characterBuffers sync.Pool
+
+const maxPooledCharacters = 1 << 14
+
+// minRepeatsBlock is the first block of the shared repeats array; each
+// later block holds as many values as all blocks before it.
+const minRepeatsBlock = 256
+
+// characters reads a characters array into *s. A fresh array (*s has no
+// capacity) is decoded into a pooled buffer, grown as jsonlex.Slice grows
+// it, and copied out at its length; an array that reuses *s, as a repeated
+// key does, is decoded in place.
+func (d *decoder) characters(r *jsonlex.Reader, s *[]Character) error {
+	if cap(*s) > 0 || r.Peek() != '[' {
+		return jsonlex.Slice(r, s, d.character)
+	}
+	buf, _ := characterBuffers.Get().(*[]Character)
+	if buf == nil {
+		buf = new([]Character)
+	}
+	b := (*buf)[:0]
+	err := jsonlex.Slice(r, &b, d.character)
+	*s = slices.Clone(b) // [] stays a non-nil empty slice
+	clear(b)
+	if cap(b) > cap(*buf) { // Slice outgrew the buffer
+		*buf = b[:0]
+	}
+	if cap(*buf) <= maxPooledCharacters {
+		characterBuffers.Put(buf)
+	}
+	return err
 }
 
-// repeatsArray returns an empty slice with room for the repeats array that
-// opens at the reader, carved from the shared array. Its length is guessed
-// from the commas before the first ']'; the shared array, when it runs out,
-// is reallocated for every array still unread (one per '[') at this
-// length, but never for more values than the unread bytes can hold.
-func (d *decoder) repeatsArray() []int64 {
-	rest := d.r.Unread()
-	end := bytes.IndexByte(rest, ']')
-	if end < 0 {
-		end = len(rest)
+// repeats reads a repeats array into c.Repeats. A fresh array is decoded
+// into the uncarved room of the shared array and cut to its length and
+// capacity there, so a later, longer array for the same key reallocates
+// instead of writing into the next character's values. An array longer
+// than the room is moved to its own array by jsonlex.Slice; the room it
+// wrote then no longer reads as zero and is dropped.
+func (d *decoder) repeats(r *jsonlex.Reader, c *Character) error {
+	if cap(c.Repeats) > 0 || r.Peek() != '[' {
+		return jsonlex.Slice(r, &c.Repeats, jsonlex.Int[int64])
 	}
-	n := bytes.Count(rest[:end], []byte(",")) + 1
-	if n > len(d.repeats) {
-		size := len(rest)/2 + n
-		if arrays := bytes.Count(rest, []byte("[")); arrays < size/n {
-			size = n * arrays
-		}
-		d.repeats = make([]int64, size)
+	if len(d.room) == 0 {
+		d.room = make([]int64, max(minRepeatsBlock, d.carved))
 	}
-	s := d.repeats[:0:n]
-	d.repeats = d.repeats[n:]
-	return s
+	s := d.room[:0]
+	err := jsonlex.Slice(r, &s, jsonlex.Int[int64])
+	if n := len(s); n > len(d.room) {
+		d.room = nil
+	} else {
+		s = s[:n:n]
+		d.room = d.room[n:]
+		d.carved += n
+	}
+	c.Repeats = s
+	return err
 }
 
 func (d *decoder) character(r *jsonlex.Reader, c *Character) error {
@@ -119,10 +147,7 @@ func (d *decoder) character(r *jsonlex.Reader, c *Character) error {
 		case "vsbShots":
 			return jsonlex.Int(r, &c.VSBShots)
 		case "repeats":
-			if cap(c.Repeats) == 0 && r.Peek() == '[' {
-				c.Repeats = d.repeatsArray()
-			}
-			return jsonlex.Slice(r, &c.Repeats, jsonlex.Int[int64])
+			return d.repeats(r, c)
 		}
 		_, err := r.Skip()
 		return err

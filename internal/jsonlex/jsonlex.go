@@ -38,10 +38,6 @@ func NewReader(data []byte) *Reader { return &Reader{data: data} }
 // where the next value starts; right after a read, where the value ended.
 func (r *Reader) Pos() int { return r.pos }
 
-// Unread returns the input from Pos on. A caller may scan it for a size
-// hint; it must not modify it.
-func (r *Reader) Unread() []byte { return r.data[r.pos:] }
-
 // Peek skips whitespace and returns the first byte of the next value, or 0
 // at the end of the input.
 func (r *Reader) Peek() byte {

@@ -111,9 +111,10 @@ func FuzzParseSubmit(f *testing.F) {
 	f.Add([]byte(`{"instance":` + head + `,"rowGroups":[{"rows":[0]}],"rowGroups":[{"regions":[1]}]}}`))
 	f.Add([]byte(`{"instance":` + head + `,"rowGroups":[],"kind":-0}}`))
 	f.Add([]byte(`{"instance":` + head + `,"numRegions":2.0,"stencilWidth":1e2}}`))
-	// The decoder's size hints: repeated characters and repeats keys,
-	// shorter and then longer; null then an array; a null element; an
-	// empty array; and '{' in names and in the rest of the body.
+	// The decoder's reused characters buffer and shared repeats array:
+	// repeated characters and repeats keys, shorter and then longer; null
+	// then an array; a null element; an empty array; and '{' in names and
+	// in the rest of the body, which must not size an array.
 	chr := func(id int, repeats string) string {
 		return fmt.Sprintf(`{"id":%d,"width":30,"height":40,"blankLeft":2,"blankRight":3,"vsbShots":5,%s}`, id, repeats)
 	}

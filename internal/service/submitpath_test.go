@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,11 +176,13 @@ func TestResultDigestMatchesMarshal(t *testing.T) {
 
 // TestSubmitPathAllocs caps the allocations of the per-job steps on a
 // node's submit and finish path, each at its count measured with Go 1.24
-// plus at most 25%: the plan1d-shaped body's parse (20: the instance's
-// characters, repeats and names each in one or a few arrays), the plan's
+// plus at most 25%: the plan1d-shaped body's parse (27: the characters'
+// exact copy, the doubling blocks of the shared repeats array and of the
+// names, and the overflows at the blocks' ends), the plan's
 // validation (1: the placed set), its digest (9) and the accepted record's
 // append (9: the small header; the instance bytes are not copied). CI runs
-// it outside the race steps, whose instrumentation allocates.
+// it on Go 1.24 only, outside the race steps, whose instrumentation
+// allocates.
 func TestSubmitPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -212,7 +216,7 @@ func TestSubmitPathAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"ParseSubmit", 23, func() {
+		{"ParseSubmit", 33, func() {
 			if _, err := ParseSubmit(body); err != nil {
 				t.Fatal(err)
 			}
@@ -239,6 +243,67 @@ func TestSubmitPathAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocs", c.name, got)
 		if got > c.max {
 			t.Errorf("%s: %.0f allocs, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call.
+func allocBytes(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// The instance decoder sizes an array only from the elements it decodes:
+// runs of '{' and '[' in the label, in an unknown instance key or after the
+// request object, and a characters key repeated with empty arrays before the
+// real one, leave every decoded array at most twice its length and the
+// parse within the body's own size plus 64 KB.
+func TestParseSubmitSizesOnlyDecodedArrays(t *testing.T) {
+	var inst bytes.Buffer
+	if err := eblow.EncodeInstance(&inst, eblow.SmallInstance(eblow.OneD, 6, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var c bytes.Buffer
+	if err := json.Compact(&c, inst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	in := c.String()
+	head := in[:len(in)-1]
+	junk := strings.Repeat("{[", 1<<17)
+	for _, tc := range []struct{ name, body string }{
+		{"label", `{"instance":` + in + `,"solver":"greedy","label":"` + junk + `"}`},
+		{"unknown instance key", `{"instance":` + head + `,"vendor":"` + junk + `"},"solver":"greedy"}`},
+		{"after the request", `{"instance":` + in + `,"solver":"greedy"}` + junk},
+		{"repeated empty characters", `{"instance":{` + strings.Repeat(`"characters":[],`, 4096) + in[1:] + `,"solver":"greedy"}` + junk},
+	} {
+		body := []byte(tc.body)
+		spec, err := ParseSubmit(body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		chars := spec.Instance.Characters
+		if len(chars) != 6 || cap(chars) > 2*len(chars) {
+			t.Errorf("%s: characters len %d cap %d, want 6 and at most twice the length", tc.name, len(chars), cap(chars))
+		}
+		for i, ch := range chars {
+			if cap(ch.Repeats) > 2*len(ch.Repeats) {
+				t.Errorf("%s: character %d repeats len %d cap %d", tc.name, i, len(ch.Repeats), cap(ch.Repeats))
+			}
+		}
+		bytes := allocBytes(5, func() {
+			if _, err := ParseSubmit(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := uint64(len(body)) + 64<<10; bytes > limit {
+			t.Errorf("%s: the parse allocates %d bytes, want at most %d", tc.name, bytes, limit)
 		}
 	}
 }
