@@ -122,15 +122,9 @@ func run(ctx context.Context, in *eblow.Instance, algorithm string, seed int64, 
 		Restarts:   restarts,
 		Strategies: []string{algorithm},
 	}
+	// Only the exact search, the race and the annealer take the deadline;
+	// the other planners run to completion.
 	switch algorithm {
-	case "eblow":
-		// The 1D planner runs to completion like it always has. For 2D the
-		// deadline truncates the annealing schedule to its best plan so
-		// far; only a deadline that expires before annealing even starts
-		// (pre-filter/clustering overrun) surfaces an error.
-		if in.Kind == eblow.TwoD {
-			p.Deadline = timeout
-		}
 	case "exact", "portfolio", "sa24":
 		p.Deadline = timeout
 	}

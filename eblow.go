@@ -82,7 +82,10 @@ func CellBands(in *Instance) []RowGroup { return gen.CellBands(in) }
 // the paper); Result.Trace carries it when Params.CollectTrace is set.
 type Trace1D = oned.Trace
 
-// ClusterStats reports what the 2D clustering stage did (Result.Stats).
+// ClusterStats reports what the 2D planner's profit pre-filter kept
+// (Result.Stats). The served planner packs the kept characters without
+// clustering, so its cluster and annealing counters read zero; only the
+// paper's clustered flow, which the paper tables run, fills them.
 type ClusterStats = twod.Stats
 
 // ExactResult is the outcome of an exact ILP solve (Result.Exact).

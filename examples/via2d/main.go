@@ -1,6 +1,6 @@
 // 2D stencil planning: plan a stencil holding complex via/wire characters
 // whose blank margins differ in both directions (the 2DOSP problem), using
-// the KD-tree clustering + simulated annealing flow of E-BLOW, and print the
+// E-BLOW's profit pre-filter and blank-sharing shelf packing, and print the
 // resulting placement.
 package main
 
@@ -19,8 +19,7 @@ func main() {
 	in := eblow.SmallInstance(eblow.TwoD, 300, 2, 7)
 	in.Name = "via-layer-demo"
 
-	// The deadline bounds the whole solve; one that fires during annealing
-	// ends the schedule and still returns the best plan found so far.
+	// The deadline bounds the whole solve.
 	res, err := eblow.SolveWith(context.Background(), in, eblow.Params{Seed: 7, Deadline: 5 * time.Second})
 	if err != nil {
 		log.Fatal(err)
@@ -32,7 +31,6 @@ func main() {
 
 	fmt.Printf("candidates            : %d\n", stats.Candidates)
 	fmt.Printf("after profit pre-filter: %d\n", stats.AfterFilter)
-	fmt.Printf("clustered blocks       : %d (%d characters absorbed)\n", stats.Clusters, stats.ClusteredAway)
 	fmt.Printf("characters on stencil  : %d\n", sol.NumSelected())
 	fmt.Printf("writing time           : %d\n", sol.WritingTime)
 	fmt.Printf("planner runtime        : %s\n\n", sol.Runtime)

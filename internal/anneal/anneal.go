@@ -1,5 +1,6 @@
 // Package anneal provides a small, generic simulated-annealing engine. The
-// 2DOSP planner of E-BLOW plugs a sequence-pair floorplanning state into it;
+// paper's clustered 2DOSP flow of E-BLOW plugs a sequence-pair floorplanning
+// state into it;
 // the baseline planner (the prior-work flow the paper compares against) uses
 // the same engine without the clustering front end, so that the measured
 // difference between the two is the algorithmic contribution and not the

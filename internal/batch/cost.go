@@ -13,6 +13,8 @@ func Estimate(in *core.Instance, strategy string) float64 {
 	if regions < 1 {
 		regions = 1
 	}
+	// shelf prices floorsa.Shelf: a sort plus one quadratic exact legalize.
+	shelf := 5*chars + 0.01*chars*chars
 	switch strategy {
 	case "greedy", "row25":
 		// Sort-and-pack passes: near-linear, no annealing.
@@ -22,7 +24,8 @@ func Estimate(in *core.Instance, strategy string) float64 {
 		return 40 * chars
 	case "sa24":
 		// Annealing cost follows the move budget (floorsa.defaultBudget
-		// scales 40n clamped to [2000, 60000]) plus a quadratic legalize.
+		// scales 40n clamped to [2000, 60000]) on top of the shelf the
+		// annealer starts from and legalizes against.
 		moves := 40 * chars
 		if moves < 2000 {
 			moves = 2000
@@ -30,22 +33,15 @@ func Estimate(in *core.Instance, strategy string) float64 {
 		if moves > 60000 {
 			moves = 60000
 		}
-		return 0.5*moves + 0.01*chars*chars
+		return 0.5*moves + shelf
 	case "eblow":
 		if in.Kind == core.OneD {
 			// Successive rounding over an LP relaxation: the matrix grows
 			// with both candidates and regions.
 			return 50 * chars * regions
 		}
-		// Clustering plus annealing: roughly the sa24 shape, doubled.
-		moves := 40 * chars
-		if moves < 2000 {
-			moves = 2000
-		}
-		if moves > 60000 {
-			moves = 60000
-		}
-		return 2 * (0.5*moves + 0.01*chars*chars)
+		// One shelf pack of the pre-filtered characters.
+		return shelf
 	case "exact":
 		// Branch and bound: super-quadratic even on tiny instances.
 		return 1000 * chars * chars

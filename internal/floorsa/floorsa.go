@@ -1,11 +1,15 @@
 // Package floorsa implements fixed-outline floorplanning of OSP blocks with
 // simulated annealing over the sequence-pair representation. A block is
 // either a single character (the prior-work flow of the paper, used as the
-// 2D baseline) or a cluster of characters (the E-BLOW flow, which runs the
-// same engine on the clustered instance). The cost of a floorplan is the MCC
-// writing time computed from the blocks that land inside the stencil
-// outline, so selection and placement are optimized together exactly as in
-// the fixed-outline formulation of the prior work.
+// 2D baseline) or a cluster of characters (the paper's clustered E-BLOW
+// flow, which runs the same engine on the clustered instance). The cost of a
+// floorplan is the MCC writing time computed from the blocks that land
+// inside the stencil outline, so selection and placement are optimized
+// together exactly as in the fixed-outline formulation of the prior work.
+//
+// Shelf is the annealer's starting floorplan on its own: a profit-density
+// shelf packing whose shelves count the blank that neighbours share. The
+// served E-BLOW 2D planner uses it directly.
 //
 // Pack is cancellable through its context and supports multi-start
 // annealing: Restarts independent seeded runs execute on a worker pool and
@@ -52,9 +56,6 @@ type Options struct {
 	// regions. The prior-work baseline of the paper uses the sum; E-BLOW
 	// uses the maximum.
 	SumObjective bool
-	// SkipAnneal evaluates only the shelf initial floorplan (no annealing).
-	// Used by the planner as a fast fallback evaluation.
-	SkipAnneal bool
 }
 
 // Result is the outcome of a packing run.
@@ -216,23 +217,16 @@ func (s *state) Restore(v interface{}) {
 }
 
 func regionTimes(vsb []int64, reds [][]int64, inside []bool) []int64 {
-	return regionTimesInto(make([]int64, len(vsb)), vsb, reds, inside)
-}
-
-// regionTimesInto computes the per-region writing times into dst (len(vsb)),
-// so per-evaluation callers can reuse one scratch buffer instead of
-// allocating a fresh slice each time.
-func regionTimesInto(dst []int64, vsb []int64, reds [][]int64, inside []bool) []int64 {
-	copy(dst, vsb)
+	times := append([]int64(nil), vsb...)
 	for i, in := range inside {
 		if !in {
 			continue
 		}
 		for c, r := range reds[i] {
-			dst[c] -= r
+			times[c] -= r
 		}
 	}
-	return dst
+	return times
 }
 
 func writingTime(vsb []int64, reds [][]int64, inside []bool) int64 {
@@ -250,45 +244,15 @@ func totalTime(vsb []int64, reds [][]int64, inside []bool) int64 {
 // Pack places the blocks on a W x H stencil minimizing the MCC writing time
 // computed against the per-region pure-VSB times vsb. A done context stops
 // the annealing early; the best floorplan found so far is still legalised
-// and returned.
+// and returned. Restart 0 starts from the Shelf floorplan, and the result is
+// never worse than Shelf's.
 func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Options) *Result {
 	n := len(blocks)
-	res := &Result{
-		Inside: make([]bool, n),
-		X:      make([]int, n),
-		Y:      make([]int, n),
-	}
 	if n == 0 {
-		res.WritingTime = core.MaxInt64(vsb)
-		return res
+		return Shelf(blocks, vsb, w, h)
 	}
-
-	raw := make([]pack2d.Block, n)
-	reds := make([][]int64, n)
-	for i, b := range blocks {
-		raw[i] = b.Block
-		reds[i] = b.Reductions
-	}
-
-	// Shelf-pack the blocks in decreasing order of writing-time reduction
-	// per unit area for the initial floorplan, so the annealer starts from a
-	// selection at least as good as a profit-density greedy packing. Density
-	// rather than absolute reduction keeps multi-character cluster blocks
-	// from outranking individually better characters just because they are
-	// bigger.
-	order := make([]int, n)
-	density := make([]float64, n)
-	for i := range order {
-		order[i] = i
-		var t int64
-		for _, r := range reds[i] {
-			t += r
-		}
-		area := max(raw[i].W*raw[i].H, 1)
-		density[i] = float64(t) / float64(area)
-	}
-	slices.SortFunc(order, func(a, b int) int { return compareShelf(density, a, b) })
-	shelf := shelfInitial(raw, order, w)
+	raw, reds := split(blocks)
+	shelf := shelfPair(raw, reds, w)
 
 	mkState := func(sp *seqpair.SeqPair) *state {
 		return newState(sp, raw, reds, vsb, w, h, opt.SumObjective)
@@ -307,103 +271,144 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 	if restarts <= 0 {
 		restarts = 1
 	}
-	if opt.SkipAnneal {
-		restarts = 1
-	}
 
-	// pick legalises a floorplan with the exact pairwise blank sharing and
-	// recomputes the selection from it.
-	timesScratch := make([]int64, len(vsb))
-	pick := func(sp *seqpair.SeqPair) ([]bool, *pack2d.Placement, int64) {
-		exact := pack2d.PackExact(sp, raw)
-		inside := pack2d.InsideOutline(exact, raw, w, h)
-		return inside, exact, core.MaxInt64(regionTimesInto(timesScratch, vsb, reds, inside))
+	// Temperatures are scaled to typical per-move cost deltas (a small
+	// fraction of the total writing time), not to the absolute cost. The
+	// state built for the estimate is handed to restart 0 with its
+	// evaluation cache already warm, so seeding the temperature no longer
+	// costs a second full pack before the loop starts.
+	st0 := mkState(shelf.Clone())
+	initialTemp := st0.Cost() * 0.01
+	if initialTemp < 50 {
+		initialTemp = 50
 	}
+	runs := anneal.MultiStart(ctx, func(r int) anneal.State {
+		if r == 0 {
+			return st0
+		}
+		// Later restarts diversify from seeded random sequence pairs; the
+		// initial depends only on the seed and restart index, so the run
+		// set is reproducible.
+		return mkState(seqpair.Random(n, rand.New(rand.NewSource(opt.Seed+int64(r)*104729))))
+	}, restarts, opt.Workers, anneal.Options{
+		Seed:         opt.Seed + 1,
+		InitialTemp:  initialTemp,
+		FinalTemp:    initialTemp * 2e-3,
+		MovesPerTemp: movesPerTemp,
+		Cooling:      0.93,
+	})
 
-	var inside []bool
-	var exact *pack2d.Placement
-	var wt int64
-	if opt.SkipAnneal {
-		inside, exact, wt = pick(shelf)
-	} else {
-		// Temperatures are scaled to typical per-move cost deltas (a small
-		// fraction of the total writing time), not to the absolute cost.
-		// The state built for the estimate is handed to restart 0 with its
-		// evaluation cache already warm, so seeding the temperature no
-		// longer costs a second full pack before the loop starts.
-		st0 := mkState(shelf.Clone())
-		initialTemp := st0.Cost() * 0.01
-		if initialTemp < 50 {
-			initialTemp = 50
-		}
-		runs := anneal.MultiStart(ctx, func(r int) anneal.State {
-			if r == 0 {
-				return st0
-			}
-			// Later restarts diversify from seeded random sequence pairs;
-			// the initial depends only on the seed and restart index, so
-			// the run set is reproducible.
-			return mkState(seqpair.Random(n, rand.New(rand.NewSource(opt.Seed+int64(r)*104729))))
-		}, restarts, opt.Workers, anneal.Options{
-			Seed:         opt.Seed + 1,
-			InitialTemp:  initialTemp,
-			FinalTemp:    initialTemp * 2e-3,
-			MovesPerTemp: movesPerTemp,
-			Cooling:      0.93,
-		})
-		res.Restarts = len(runs)
-		// Merge in restart order: the exact (legalised) evaluation decides,
-		// ties go to the lowest restart index. Completion order never matters.
-		for _, run := range runs {
-			res.Moves += run.Result.Moves
-			res.Accepted += run.Result.Accepted
-			if ins, ex, w := pick(run.State.(*state).sp); exact == nil || w < wt {
-				inside, exact, wt = ins, ex, w
-			}
-		}
-		// The annealing cost uses the approximate packing; if every annealed
-		// floorplan turns out worse than the initial shelf floorplan under
-		// the exact evaluation, keep the initial.
-		if insideInit, exactInit, wtInit := pick(shelf); wtInit < wt {
-			inside, exact, wt = insideInit, exactInit, wtInit
+	// Merge in restart order: the exact (legalised) evaluation decides, ties
+	// go to the lowest restart index. Completion order never matters.
+	var best *Result
+	var moves, accepted int
+	for _, run := range runs {
+		moves += run.Result.Moves
+		accepted += run.Result.Accepted
+		if res := legalise(run.State.(*state).sp, raw, reds, vsb, w, h); best == nil || res.WritingTime < best.WritingTime {
+			best = res
 		}
 	}
-	copy(res.Inside, inside)
-	copy(res.X, exact.X)
-	copy(res.Y, exact.Y)
-	res.WritingTime = wt
-	return res
+	// The annealing cost uses the approximate packing; if every annealed
+	// floorplan turns out worse than the shelf under the exact evaluation,
+	// keep the shelf.
+	if res := legalise(shelf, raw, reds, vsb, w, h); best == nil || res.WritingTime < best.WritingTime {
+		best = res
+	}
+	best.Moves, best.Accepted, best.Restarts = moves, accepted, len(runs)
+	return best
 }
 
-// compareShelf orders block indices for the initial shelf: by density
-// descending, NaN last, then by index. The order is strict, so the shelf
-// does not depend on how a sort places equal densities.
+// Shelf packs the blocks row by row in decreasing order of writing-time
+// reduction per unit area and legalises the floorplan with the exact
+// pairwise blank sharing. It is one sort and one O(n^2) exact pack; Pack's
+// annealer starts from the same floorplan.
+func Shelf(blocks []Block, vsb []int64, w, h int) *Result {
+	raw, reds := split(blocks)
+	return legalise(shelfPair(raw, reds, w), raw, reds, vsb, w, h)
+}
+
+// split separates the blocks' geometry from their reductions.
+func split(blocks []Block) ([]pack2d.Block, [][]int64) {
+	raw := make([]pack2d.Block, len(blocks))
+	reds := make([][]int64, len(blocks))
+	for i, b := range blocks {
+		raw[i] = b.Block
+		reds[i] = b.Reductions
+	}
+	return raw, reds
+}
+
+// legalise packs a floorplan with the exact pairwise blank sharing and
+// selects the blocks that land inside the outline.
+func legalise(sp *seqpair.SeqPair, raw []pack2d.Block, reds [][]int64, vsb []int64, w, h int) *Result {
+	exact := pack2d.PackExact(sp, raw)
+	inside := pack2d.InsideOutline(exact, raw, w, h)
+	return &Result{Inside: inside, X: exact.X, Y: exact.Y, WritingTime: writingTime(vsb, reds, inside)}
+}
+
+// shelfPair returns the shelf floorplan's sequence pair. Blocks are taken in
+// decreasing order of writing-time reduction per unit area, so the shelf is
+// a profit-density greedy packing. Density rather than absolute reduction
+// keeps multi-character cluster blocks from outranking individually better
+// characters just because they are bigger.
+func shelfPair(raw []pack2d.Block, reds [][]int64, w int) *seqpair.SeqPair {
+	n := len(raw)
+	order := make([]int, n)
+	density := make([]float64, n)
+	for i := range order {
+		order[i] = i
+		var t int64
+		for _, r := range reds[i] {
+			t += r
+		}
+		area := max(raw[i].W*raw[i].H, 1)
+		density[i] = float64(t) / float64(area)
+	}
+	slices.SortFunc(order, func(a, b int) int { return compareShelf(density, a, b) })
+	shelves, _ := fillShelves(raw, order, w)
+	return shelfSeqPair(n, shelves)
+}
+
+// compareShelf orders block indices for the shelf: by density descending,
+// NaN last, then by index. The order is strict, so the shelf does not
+// depend on how a sort places equal densities.
 func compareShelf(density []float64, a, b int) int {
 	return cmp.Or(cmp.Compare(density[b], density[a]), cmp.Compare(a, b))
 }
 
-// shelfInitial builds a sequence pair that realises a shelf (row-by-row)
-// layout of the blocks in their given order: blocks fill a shelf left to
-// right until the stencil width is exceeded, then a new shelf starts above.
-// Starting the annealer from this floorplan rather than a random permutation
-// means it never does worse than a profit-ordered shelf packing.
-func shelfInitial(blocks []pack2d.Block, order []int, stencilW int) *seqpair.SeqPair {
-	n := len(blocks)
-	var shelves [][]int
+// fillShelves cuts the blocks, in their given order, into shelves (rows)
+// filled left to right, and returns each shelf with its width. A block adds
+// its width less the blank it shares with its left neighbour,
+// min(BlankR, BlankL), which is the width PackExact gives the shelf as long
+// as every block has BlankL+BlankR <= W: a non-adjacent left neighbour then
+// never binds. A block that would take the shelf past the stencil width
+// starts a new shelf instead, where it adds its full width.
+func fillShelves(blocks []pack2d.Block, order []int, stencilW int) (shelves [][]int, widths []int) {
 	var cur []int
 	width := 0
 	for _, i := range order {
-		w := blocks[i].W
-		if width > 0 && width+w > stencilW {
-			shelves = append(shelves, cur)
-			cur, width = nil, 0
+		b := blocks[i]
+		add := b.W
+		if len(cur) > 0 {
+			add -= min(blocks[cur[len(cur)-1]].BlankR, b.BlankL)
+			if width+add > stencilW {
+				shelves, widths = append(shelves, cur), append(widths, width)
+				cur, width, add = nil, 0, b.W
+			}
 		}
 		cur = append(cur, i)
-		width += w
+		width += add
 	}
 	if len(cur) > 0 {
-		shelves = append(shelves, cur)
+		shelves, widths = append(shelves, cur), append(widths, width)
 	}
+	return shelves, widths
+}
+
+// shelfSeqPair builds the sequence pair that realises the shelves, bottom
+// shelf first.
+func shelfSeqPair(n int, shelves [][]int) *seqpair.SeqPair {
 	sp := &seqpair.SeqPair{Pos: make([]int, 0, n), Neg: make([]int, 0, n)}
 	// Gamma+: shelves from top to bottom; Gamma-: shelves from bottom to
 	// top; both left to right inside a shelf. A block on a lower shelf then

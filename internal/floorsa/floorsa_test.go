@@ -159,3 +159,47 @@ func TestStrictOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestShelfWidthMatchesPackExact checks the shelf's running width against
+// the exact legaliser. On random blocks whose blanks fit their width
+// (BlankL+BlankR <= W), each shelf's width must be the x-extent PackExact
+// gives it, every shelf must fit the stencil width, and a shelf may close
+// only when the next block would not have fit on it.
+func TestShelfWidthMatchesPackExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		stencilW := 60 + rng.Intn(240)
+		blocks := make([]pack2d.Block, n)
+		for i := range blocks {
+			w := 4 + rng.Intn(57)
+			bl := rng.Intn(w/2 + 1)
+			blocks[i] = pack2d.Block{
+				W: w, H: 4 + rng.Intn(40),
+				BlankL: bl, BlankR: rng.Intn(w - bl + 1),
+				BlankT: rng.Intn(3), BlankB: rng.Intn(3),
+			}
+		}
+		order := rng.Perm(n)
+		shelves, widths := fillShelves(blocks, order, stencilW)
+		pl := pack2d.PackExact(shelfSeqPair(n, shelves), blocks)
+		for s, shelf := range shelves {
+			extent := 0
+			for _, i := range shelf {
+				extent = max(extent, pl.X[i]+blocks[i].W)
+			}
+			if extent != widths[s] {
+				t.Fatalf("trial %d shelf %d: running width %d, PackExact extent %d", trial, s, widths[s], extent)
+			}
+			if widths[s] > stencilW {
+				t.Fatalf("trial %d shelf %d: width %d crosses the stencil width %d", trial, s, widths[s], stencilW)
+			}
+			if s+1 < len(shelves) {
+				last, next := blocks[shelf[len(shelf)-1]], blocks[shelves[s+1][0]]
+				if widths[s]+next.W-min(last.BlankR, next.BlankL) <= stencilW {
+					t.Fatalf("trial %d shelf %d closed although the next block fits", trial, s)
+				}
+			}
+		}
+	}
+}

@@ -57,7 +57,9 @@ func tinyOptimum(in *core.Instance) int64 {
 // one 200-wide row of 8 to 14 candidates, to the proven optimum. 1T-1's
 // optimum of 49 is the one the exact ILP also proves. A plan below the
 // optimum would be a validation bug; each family's gap is pinned, so a
-// change that moves plan quality shows here.
+// change that moves plan quality shows here. The 2D counterpart is
+// TestTiny2TOptimumPinned (internal/twod), which holds the served 2D plan
+// on 2T-1 at the ILP's proven optimum of 22.
 func TestTinyFamilyOptimum(t *testing.T) {
 	want := []struct{ optimum, eblow int64 }{
 		{49, 49}, {67, 67}, {195, 195}, {182, 182}, {193, 215},

@@ -64,12 +64,12 @@ func TestStaticRacePinned(t *testing.T) {
 		{gen.Tiny1T(1), "eblow", 49, 0xab282acabd9d19a3},
 		{gen.Tiny1T(2), "eblow", 67, 0x5b921a2aff733ba3},
 		{gen.Tiny1T(3), "eblow", 195, 0xfdc91669a1c444a3},
-		{gen.Tiny2T(1), "sa24", 22, 0x5226fa71ac59cd47},
-		{gen.Tiny2T(2), "eblow", 33, 0x8693f6b0d853ca9b},
-		{gen.Tiny2T(3), "eblow", 137, 0x82577a183312364c},
-		{gen.Tiny2T(4), "sa24", 199, 0x556a26864de8c0ee},
+		{gen.Tiny2T(1), "eblow", 22, 0xe59ed6d3dad009a},
+		{gen.Tiny2T(2), "eblow", 44, 0xe3534f0d2c1b2ca4},
+		{gen.Tiny2T(3), "eblow", 91, 0x2afde540ceb89fcd},
+		{gen.Tiny2T(4), "eblow", 211, 0xe9a39aa84fafd700},
 		{small1D, "eblow", 653, 0xf6a1364edeac81c9},
-		{small2D, "eblow", 415, 0xb3296877d5ff3e1b},
+		{small2D, "eblow", 415, 0xfee8bb5db6ed976f},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {

@@ -43,7 +43,8 @@ type Config struct {
 	// SATimeLimit bounds the prior-work 2D annealer per case (default 20s).
 	// Each limit becomes the deadline of the call's context.
 	SATimeLimit time.Duration
-	// EBlow2DTimeLimit bounds the E-BLOW 2D planner per case (default 10s).
+	// EBlow2DTimeLimit bounds the paper's clustered E-BLOW 2D flow
+	// (twod.SolveClustered) per case (default 10s).
 	EBlow2DTimeLimit time.Duration
 	// ExactTimeLimit bounds each exact ILP solve of Table 5 (default 20s;
 	// the paper used 3600s, the shape — which cases finish — is the same).
@@ -163,7 +164,7 @@ func Table4(ctx context.Context, cases []string, cfg Config) ([]Row, error) {
 		opt.Seed = cfg.Seed
 		opt.Workers = cfg.Workers
 		eCtx, cancel := context.WithTimeout(ctx, cfg.EBlow2DTimeLimit)
-		e, _, err := twod.Solve(eCtx, in, opt)
+		e, _, err := twod.SolveClustered(eCtx, in, opt)
 		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("%s e-blow: %w", name, err)
@@ -216,7 +217,7 @@ func Table5(ctx context.Context, cfg Config) ([]Row, error) {
 			opt := twod.Defaults()
 			opt.Seed = cfg.Seed
 			opt.Workers = cfg.Workers
-			heur, _, err = twod.Solve(ctx, in, opt)
+			heur, _, err = twod.SolveClustered(ctx, in, opt)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s e-blow: %w", name, err)

@@ -70,18 +70,6 @@ func (p Params) effective1D() oned.Options {
 	return o
 }
 
-// effective2D resolves the 2D planner options from the unified params.
-// Params.Deadline needs no option: it reaches the planner as the context's
-// deadline, and one that fires during annealing truncates the schedule and
-// still returns the best legalised plan found so far.
-func (p Params) effective2D() twod.Options {
-	o := twod.Defaults()
-	o.Workers = p.Workers
-	o.Seed = p.Seed
-	o.Restarts = p.Restarts
-	return o
-}
-
 // Result is the unified outcome of one Solve call.
 type Result struct {
 	// Solution is the stencil plan (nil only alongside a non-nil error).
@@ -100,7 +88,7 @@ type Result struct {
 	// Trace is the 1D successive-rounding trace (only when requested via
 	// Params.CollectTrace).
 	Trace *oned.Trace
-	// Stats reports what the 2D clustering stage did (2D E-BLOW only).
+	// Stats reports what the 2D pre-filter kept (2D E-BLOW only).
 	Stats *twod.Stats
 	// Exact carries the branch-and-bound details of an exact solve.
 	Exact *exact.Result

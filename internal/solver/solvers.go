@@ -18,7 +18,7 @@ import (
 // bit-for-bit: heuristic24 raced with Seed+1 and sa24 with Seed+2.
 func init() {
 	Register(&Entry{
-		Name: "eblow", Doc: "the paper's E-BLOW planner (1D successive rounding with a block-decomposed parallel relaxation / 2D clustering + incremental-cost annealing)",
+		Name: "eblow", Doc: "the paper's E-BLOW planner (1D successive rounding with a block-decomposed parallel relaxation / 2D blank-sharing shelf packing of the pre-filtered characters)",
 		OneD: true, TwoD: true, Heavy: true, Racing: true, Scalable: true,
 	}, solveEBlow)
 	Register(&Entry{
@@ -89,7 +89,9 @@ func solveEBlow(ctx context.Context, in *core.Instance, p Params) (*Result, erro
 		}
 		return &Result{Solution: sol, Trace: trace}, nil
 	}
-	sol, stats, err := twod.Solve(ctx, in, p.effective2D())
+	// The served 2D planner reads no option: its plan is the same for every
+	// seed, restart count and worker count.
+	sol, stats, err := twod.Solve(ctx, in, twod.Defaults())
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,20 @@
-// Package twod implements the E-BLOW planner for the 2DOSP problem (Fig. 9
-// of the paper): a profit pre-filter, KD-tree based clustering of character
-// candidates with similar geometry and profit (Algorithm 4), and a
-// simulated-annealing fixed-outline floorplanner over the clustered blocks
-// (sequence pair representation). After annealing, clusters are expanded
-// back into their member characters and the placement is legalised with the
-// exact pairwise blank-sharing rule.
+// Package twod implements the E-BLOW planner for the 2DOSP problem.
+//
+// Solve is the served planner: a profit pre-filter, then one shelf packing
+// of the remaining characters (floorsa.Shelf) whose shelves count the blank
+// that neighbours share, legalised with the exact pairwise blank-sharing
+// rule. It is one sort and one O(n^2) exact pack, and its plan depends on no
+// option.
+//
+// SolveClustered is the paper's flow (Fig. 9): the same pre-filter, KD-tree
+// based clustering of character candidates with similar geometry and profit
+// (Algorithm 4), and a simulated-annealing fixed-outline floorplanner over
+// the clustered blocks (sequence pair representation), raced against the
+// shelf. After annealing, clusters are expanded back into their member
+// characters and the placement is legalised with the exact pairwise
+// blank-sharing rule. The paper's tables (internal/report) run it. It is
+// the served planner's cost times about 150: on the service's plan2d pools
+// at seeds 1 and 7919 its anneal beats the shelf on 1 of 200 jobs.
 package twod
 
 import (
@@ -34,8 +44,8 @@ const (
 	maxClusterMembers = 3
 )
 
-// Options configures the E-BLOW 2D planner; the clustering parameters are
-// the constants above.
+// Options configures SolveClustered; the clustering parameters are the
+// constants above. Solve reads none of it.
 type Options struct {
 	// MoveBudget is the annealing move budget (0 = automatic).
 	MoveBudget int
@@ -45,12 +55,11 @@ type Options struct {
 	// the floorplanner (best-of wins); 0 means 1.
 	Restarts int
 	// Workers bounds the number of goroutines used by the parallel stages
-	// (block preparation, annealing restarts, and the clustered-vs-fallback
-	// race). 0 means one worker per CPU; 1 forces the sequential flow. As
-	// long as no context deadline truncates the annealing schedule, the
-	// planner returns the same solution for every worker count; a
-	// truncated schedule stops on wall clock, which no worker count can
-	// make reproducible.
+	// (annealing restarts, and the clustered-vs-shelf race). 0 means one
+	// worker per CPU; 1 forces the sequential flow. As long as no context
+	// deadline truncates the annealing schedule, the planner returns the
+	// same solution for every worker count; a truncated schedule stops on
+	// wall clock, which no worker count can make reproducible.
 	Workers int
 }
 
@@ -75,12 +84,13 @@ type cluster struct {
 	reds    []int64
 }
 
-// Stats reports what the clustering stage did and how much annealing work
-// the clustered floorplan took; exposed for tests and the benchmark harness.
-// Moves and Accepted are the clustered anneal's floorsa.Result counters,
-// summed over restarts: deterministic for a given seed at any worker count
-// (as long as no deadline truncates the schedule), but kept out of plans and
-// digests.
+// Stats reports what the pre-filter kept and, for SolveClustered only,
+// what the clustering stage did and how much annealing work the clustered
+// floorplan took; exposed for tests and the benchmark harness. Solve leaves
+// Clusters, ClusteredAway, Moves and Accepted at zero. Moves and Accepted
+// are the clustered anneal's floorsa.Result counters, summed over restarts:
+// deterministic for a given seed at any worker count (as long as no
+// deadline truncates the schedule), but kept out of plans and digests.
 type Stats struct {
 	Candidates    int
 	AfterFilter   int
@@ -90,47 +100,37 @@ type Stats struct {
 	Accepted      int
 }
 
-// Solve runs the E-BLOW 2D flow and returns the stencil plan plus clustering
-// statistics. The context cancels the run: an already-done context returns
-// ctx.Err() before any work happens and a context that expires before the
-// annealing stage surfaces ctx.Err(); one that expires during annealing
-// truncates the schedule and the best legalised floorplan found so far is
-// still returned. The flow is deterministic for a given seed regardless of
-// opt.Workers, provided no deadline cuts the annealing schedule short (see
-// Options.Workers).
-func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution, *Stats, error) {
+// Solve runs the served E-BLOW 2D planner and returns the stencil plan plus
+// the pre-filter's statistics: the pre-filtered characters, packed in one
+// shelf floorplan. An already-done context returns ctx.Err() before any
+// work happens. The plan depends on no field of opt.
+func Solve(ctx context.Context, in *core.Instance, _ Options) (*core.Solution, *Stats, error) {
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
+	ids, reds, stats, err := prepare(ctx, in)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := in.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if in.Kind != core.TwoD {
-		return nil, nil, fmt.Errorf("twod: instance %q is not a 2DOSP instance", in.Name)
-	}
-	workers := opt.workerCount()
-	stats := &Stats{Candidates: in.NumCharacters()}
+	shelf := floorsa.Shelf(charBlocks(in, ids, reds), in.VSBTime(), in.StencilWidth, in.StencilHeight)
+	sol := charPlan(in, ids, shelf)
+	sol.Finalize(in, "E-BLOW-2D", time.Since(start))
+	return sol, stats, nil
+}
 
+// SolveClustered runs the paper's E-BLOW 2D flow (Fig. 9) and returns the
+// stencil plan plus clustering statistics. The context cancels the run: an
+// already-done context returns ctx.Err() before any work happens and a
+// context that expires before the annealing stage surfaces ctx.Err(); one
+// that expires during annealing truncates the schedule and the best
+// legalised floorplan found so far is still returned. The flow is
+// deterministic for a given seed regardless of opt.Workers, provided no
+// deadline cuts the annealing schedule short (see Options.Workers).
+func SolveClustered(ctx context.Context, in *core.Instance, opt Options) (*core.Solution, *Stats, error) {
+	start := time.Now()
+	ids, reds, stats, err := prepare(ctx, in)
+	if err != nil {
+		return nil, nil, err
+	}
 	profits := in.StaticProfits()
-
-	// Pre-filter: keep the most profitable candidates, bounded by a factor
-	// of the estimated stencil capacity.
-	ids := preFilter(in, candidateIDs(in), profits, preFilterFactor)
-	stats.AfterFilter = len(ids)
-
-	// Per-candidate reduction vectors feed both the clustered blocks and the
-	// fallback blocks; each slot is owned by one candidate, so the worker
-	// pool fills them without coordination.
-	reds := make([][]int64, in.NumCharacters())
-	par.For(workers, len(ids), func(k int) {
-		id := ids[k]
-		r := make([]int64, in.NumRegions)
-		for c := range r {
-			r[c] = in.Reduction(id, c)
-		}
-		reds[id] = r
-	})
 
 	// Clustering (Algorithm 4).
 	clusters := buildClusters(in, ids, profits, reds, similarityBound, maxClusterMembers)
@@ -149,20 +149,9 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 	for k, cl := range clusters {
 		blocks[k] = floorsa.Block{Block: cl.block, Reductions: cl.reds}
 	}
-	charBlocks := make([]floorsa.Block, len(ids))
-	par.For(workers, len(ids), func(k int) {
-		id := ids[k]
-		c := in.Characters[id]
-		charBlocks[k] = floorsa.Block{
-			Block: pack2d.Block{
-				W: c.Width, H: c.Height,
-				BlankL: c.BlankLeft, BlankR: c.BlankRight,
-				BlankT: c.BlankTop, BlankB: c.BlankBottom,
-			},
-			Reductions: reds[id],
-		}
-	})
+	chars := charBlocks(in, ids, reds)
 	vsb := in.VSBTime()
+	workers := opt.workerCount()
 	var res, fallback *floorsa.Result
 	par.Do(workers,
 		func() {
@@ -174,46 +163,103 @@ func Solve(ctx context.Context, in *core.Instance, opt Options) (*core.Solution,
 			})
 		},
 		func() {
-			fallback = floorsa.Pack(ctx, charBlocks, vsb, in.StencilWidth, in.StencilHeight, floorsa.Options{
-				Seed:       opt.Seed,
-				SkipAnneal: true,
-			})
+			fallback = floorsa.Shelf(chars, vsb, in.StencilWidth, in.StencilHeight)
 		},
 	)
 	// No ctx check here on purpose: a deadline that expired during the
 	// annealing truncated the schedule, and Pack already legalised the
-	// best floorplan found — returning it beats
-	// discarding finished work (the portfolio relies on this to let a
-	// truncated E-BLOW entrant still compete).
+	// best floorplan found — returning it beats discarding finished work.
 	stats.Moves, stats.Accepted = res.Moves, res.Accepted
 
-	sol := &core.Solution{Selected: make([]bool, in.NumCharacters())}
+	var sol *core.Solution
 	if res.WritingTime <= fallback.WritingTime {
-		// Expand clusters back into characters.
-		for k, cl := range clusters {
-			if !res.Inside[k] {
-				continue
-			}
-			for mi, id := range cl.members {
-				sol.Selected[id] = true
-				sol.Placements = append(sol.Placements, core.Placement{
-					Char: id,
-					X:    res.X[k] + cl.offsets[mi][0],
-					Y:    res.Y[k] + cl.offsets[mi][1],
-				})
-			}
-		}
+		sol = clusterPlan(in, clusters, res)
 	} else {
-		for k, id := range ids {
-			if !fallback.Inside[k] {
-				continue
-			}
-			sol.Selected[id] = true
-			sol.Placements = append(sol.Placements, core.Placement{Char: id, X: fallback.X[k], Y: fallback.Y[k]})
-		}
+		sol = charPlan(in, ids, fallback)
 	}
 	sol.Finalize(in, "E-BLOW-2D", time.Since(start))
 	return sol, stats, nil
+}
+
+// prepare validates the instance and runs the pre-filter. It returns the
+// kept candidates and their per-region reduction vectors, indexed by
+// character id.
+func prepare(ctx context.Context, in *core.Instance) ([]int, [][]int64, *Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := in.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	if in.Kind != core.TwoD {
+		return nil, nil, nil, fmt.Errorf("twod: instance %q is not a 2DOSP instance", in.Name)
+	}
+	stats := &Stats{Candidates: in.NumCharacters()}
+
+	// Pre-filter: keep the most profitable candidates, bounded by a factor
+	// of the estimated stencil capacity.
+	ids := preFilter(in, candidateIDs(in), in.StaticProfits(), preFilterFactor)
+	stats.AfterFilter = len(ids)
+
+	reds := make([][]int64, in.NumCharacters())
+	for _, id := range ids {
+		reds[id] = make([]int64, in.NumRegions)
+		for c := range reds[id] {
+			reds[id][c] = in.Reduction(id, c)
+		}
+	}
+	return ids, reds, stats, nil
+}
+
+// charBlocks returns one floorsa block per candidate in ids.
+func charBlocks(in *core.Instance, ids []int, reds [][]int64) []floorsa.Block {
+	blocks := make([]floorsa.Block, len(ids))
+	for k, id := range ids {
+		c := in.Characters[id]
+		blocks[k] = floorsa.Block{
+			Block: pack2d.Block{
+				W: c.Width, H: c.Height,
+				BlankL: c.BlankLeft, BlankR: c.BlankRight,
+				BlankT: c.BlankTop, BlankB: c.BlankBottom,
+			},
+			Reductions: reds[id],
+		}
+	}
+	return blocks
+}
+
+// charPlan turns a packing of charBlocks(ids) into a plan: the blocks inside
+// the outline are the selected characters.
+func charPlan(in *core.Instance, ids []int, res *floorsa.Result) *core.Solution {
+	sol := &core.Solution{Selected: make([]bool, in.NumCharacters())}
+	for k, id := range ids {
+		if !res.Inside[k] {
+			continue
+		}
+		sol.Selected[id] = true
+		sol.Placements = append(sol.Placements, core.Placement{Char: id, X: res.X[k], Y: res.Y[k]})
+	}
+	return sol
+}
+
+// clusterPlan expands a packing of the clusters' blocks back into
+// characters.
+func clusterPlan(in *core.Instance, clusters []cluster, res *floorsa.Result) *core.Solution {
+	sol := &core.Solution{Selected: make([]bool, in.NumCharacters())}
+	for k, cl := range clusters {
+		if !res.Inside[k] {
+			continue
+		}
+		for mi, id := range cl.members {
+			sol.Selected[id] = true
+			sol.Placements = append(sol.Placements, core.Placement{
+				Char: id,
+				X:    res.X[k] + cl.offsets[mi][0],
+				Y:    res.Y[k] + cl.offsets[mi][1],
+			})
+		}
+	}
+	return sol
 }
 
 func candidateIDs(in *core.Instance) []int {

@@ -11,35 +11,47 @@ import (
 
 func TestSolveSmall2D(t *testing.T) {
 	in := gen.Small(core.TwoD, 60, 2, 5)
-	sol, stats, err := Solve(context.Background(), in, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sol.Validate(in); err != nil {
-		t.Fatalf("invalid solution: %v", err)
-	}
-	if sol.NumSelected() == 0 {
-		t.Error("nothing selected")
-	}
-	if stats.Candidates != 60 || stats.AfterFilter == 0 || stats.Clusters == 0 {
-		t.Errorf("odd stats: %+v", stats)
-	}
 	empty := in.WritingTime(make([]bool, in.NumCharacters()))
-	if sol.WritingTime >= empty {
-		t.Errorf("no improvement over pure VSB: %d >= %d", sol.WritingTime, empty)
-	}
-	if sol.Algorithm != "E-BLOW-2D" {
-		t.Errorf("algorithm %q", sol.Algorithm)
+	for _, flow := range flows {
+		sol, stats, err := flow.solve(context.Background(), in, Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sol.Validate(in); err != nil {
+			t.Fatalf("%s: invalid solution: %v", flow.name, err)
+		}
+		if sol.NumSelected() == 0 {
+			t.Errorf("%s: nothing selected", flow.name)
+		}
+		// Only the clustered flow clusters.
+		if stats.Candidates != 60 || stats.AfterFilter == 0 || (stats.Clusters == 0) != (flow.name == "Solve") {
+			t.Errorf("%s: odd stats: %+v", flow.name, stats)
+		}
+		if sol.WritingTime >= empty {
+			t.Errorf("%s: no improvement over pure VSB: %d >= %d", flow.name, sol.WritingTime, empty)
+		}
+		if sol.Algorithm != "E-BLOW-2D" {
+			t.Errorf("%s: algorithm %q", flow.name, sol.Algorithm)
+		}
 	}
 }
 
+// flows are the two 2D planners: the served shelf and the paper's
+// clustered anneal.
+var flows = []struct {
+	name  string
+	solve func(context.Context, *core.Instance, Options) (*core.Solution, *Stats, error)
+}{{"Solve", Solve}, {"SolveClustered", SolveClustered}}
+
 func TestSolveRejectsBadInput(t *testing.T) {
-	if _, _, err := Solve(context.Background(), &core.Instance{}, Defaults()); err == nil {
-		t.Error("empty instance accepted")
-	}
 	in1d := gen.Small(core.OneD, 20, 1, 3)
-	if _, _, err := Solve(context.Background(), in1d, Defaults()); err == nil {
-		t.Error("1D instance accepted by 2D planner")
+	for _, flow := range flows {
+		if _, _, err := flow.solve(context.Background(), &core.Instance{}, Defaults()); err == nil {
+			t.Errorf("%s: empty instance accepted", flow.name)
+		}
+		if _, _, err := flow.solve(context.Background(), in1d, Defaults()); err == nil {
+			t.Errorf("%s: 1D instance accepted by 2D planner", flow.name)
+		}
 	}
 }
 
@@ -155,14 +167,16 @@ func TestSolveAlwaysValid(t *testing.T) {
 		opt := Defaults()
 		opt.MoveBudget = 3000
 		opt.Seed = seed
-		sol, _, err := Solve(context.Background(), in, opt)
-		if err != nil {
-			return false
+		for _, flow := range flows {
+			sol, _, err := flow.solve(context.Background(), in, opt)
+			if err != nil || sol.Validate(in) != nil {
+				return false
+			}
+			if sol.WritingTime > in.WritingTime(make([]bool, in.NumCharacters())) {
+				return false
+			}
 		}
-		if err := sol.Validate(in); err != nil {
-			return false
-		}
-		return sol.WritingTime <= in.WritingTime(make([]bool, in.NumCharacters()))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
