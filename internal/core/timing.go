@@ -8,7 +8,13 @@ package core
 // VSBTime returns T_VSB_c for every region: the writing time when no
 // character at all is prepared on the stencil (pure VSB writing).
 func (in *Instance) VSBTime() []int64 {
-	t := make([]int64, in.NumRegions)
+	return in.VSBTimeInto(nil)
+}
+
+// VSBTimeInto is VSBTime into t, whose capacity it reuses; it returns the
+// times.
+func (in *Instance) VSBTimeInto(t []int64) []int64 {
+	t = append(t[:0], make([]int64, in.NumRegions)...)
 	for _, c := range in.Characters {
 		for r, rep := range c.Repeats {
 			t[r] += rep * int64(c.VSBShots)
@@ -75,7 +81,13 @@ func (in *Instance) Profits(regionTimes []int64) []float64 {
 // total writing-time reduction of a character across all regions. It is the
 // profit used when region balancing is irrelevant (single-CP systems).
 func (in *Instance) StaticProfits() []float64 {
-	profits := make([]float64, len(in.Characters))
+	return in.StaticProfitsInto(nil)
+}
+
+// StaticProfitsInto is StaticProfits into profits, whose capacity it
+// reuses; it returns the profits.
+func (in *Instance) StaticProfitsInto(profits []float64) []float64 {
+	profits = append(profits[:0], make([]float64, len(in.Characters))...)
 	for i, c := range in.Characters {
 		var p int64
 		for _, rep := range c.Repeats {

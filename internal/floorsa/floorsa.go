@@ -8,8 +8,12 @@
 // together exactly as in the fixed-outline formulation of the prior work.
 //
 // Shelf is the annealer's starting floorplan on its own: a profit-density
-// shelf packing whose shelves count the blank that neighbours share. The
-// served E-BLOW 2D planner uses it directly.
+// shelf packing whose shelves count the blank that neighbours share.
+// Workspace.Shelf is its workspace form: it packs into buffers the caller
+// keeps, so a caller that reuses a Workspace shelf-packs without
+// allocating. The served E-BLOW 2D planner calls it on a pooled workspace;
+// Shelf, Pack's starting floorplan and Pack's legalisation run on a
+// Workspace too, so there is one shelf and one legalisation.
 //
 // Pack is cancellable through its context and supports multi-start
 // annealing: Restarts independent seeded runs execute on a worker pool and
@@ -216,8 +220,10 @@ func (s *state) Restore(v interface{}) {
 	s.inc.Reset()
 }
 
-func regionTimes(vsb []int64, reds [][]int64, inside []bool) []int64 {
-	times := append([]int64(nil), vsb...)
+// regionTimesInto writes into times, whose capacity it reuses, the
+// per-region writing times of the blocks flagged inside, and returns it.
+func regionTimesInto(times, vsb []int64, reds [][]int64, inside []bool) []int64 {
+	times = append(times[:0], vsb...)
 	for i, in := range inside {
 		if !in {
 			continue
@@ -230,12 +236,12 @@ func regionTimes(vsb []int64, reds [][]int64, inside []bool) []int64 {
 }
 
 func writingTime(vsb []int64, reds [][]int64, inside []bool) int64 {
-	return core.MaxInt64(regionTimes(vsb, reds, inside))
+	return core.MaxInt64(regionTimesInto(nil, vsb, reds, inside))
 }
 
 func totalTime(vsb []int64, reds [][]int64, inside []bool) int64 {
 	var s int64
-	for _, t := range regionTimes(vsb, reds, inside) {
+	for _, t := range regionTimesInto(nil, vsb, reds, inside) {
 		s += t
 	}
 	return s
@@ -252,7 +258,8 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 		return Shelf(blocks, vsb, w, h)
 	}
 	raw, reds := split(blocks)
-	shelf := shelfPair(raw, reds, w)
+	var ws Workspace
+	shelf := ws.shelfPair(raw, reds, w)
 
 	mkState := func(sp *seqpair.SeqPair) *state {
 		return newState(sp, raw, reds, vsb, w, h, opt.SumObjective)
@@ -305,14 +312,14 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 	for _, run := range runs {
 		moves += run.Result.Moves
 		accepted += run.Result.Accepted
-		if res := legalise(run.State.(*state).sp, raw, reds, vsb, w, h); best == nil || res.WritingTime < best.WritingTime {
+		if res := new(Workspace).legalise(run.State.(*state).sp, raw, reds, vsb, w, h); best == nil || res.WritingTime < best.WritingTime {
 			best = res
 		}
 	}
 	// The annealing cost uses the approximate packing; if every annealed
 	// floorplan turns out worse than the shelf under the exact evaluation,
 	// keep the shelf.
-	if res := legalise(shelf, raw, reds, vsb, w, h); best == nil || res.WritingTime < best.WritingTime {
+	if res := ws.legalise(shelf, raw, reds, vsb, w, h); best == nil || res.WritingTime < best.WritingTime {
 		best = res
 	}
 	best.Moves, best.Accepted, best.Restarts = moves, accepted, len(runs)
@@ -322,10 +329,36 @@ func Pack(ctx context.Context, blocks []Block, vsb []int64, w, h int, opt Option
 // Shelf packs the blocks row by row in decreasing order of writing-time
 // reduction per unit area and legalises the floorplan with the exact
 // pairwise blank sharing. It is one sort and one O(n^2) exact pack; Pack's
-// annealer starts from the same floorplan.
+// annealer starts from the same floorplan. It is Workspace.Shelf on a fresh
+// workspace, so the Result owns its slices.
 func Shelf(blocks []Block, vsb []int64, w, h int) *Result {
 	raw, reds := split(blocks)
-	return legalise(shelfPair(raw, reds, w), raw, reds, vsb, w, h)
+	return new(Workspace).Shelf(raw, reds, vsb, w, h)
+}
+
+// Workspace holds the buffers of a shelf packing and its legalisation, so a
+// caller that keeps one packs and legalises without allocating once the
+// buffers have grown to its largest input. The zero value is ready to use;
+// a Workspace serves one goroutine at a time. Every buffer is fully written
+// before it is read, so a result does not depend on earlier calls.
+type Workspace struct {
+	order   []int // the blocks in shelf order; also the shelf's Gamma-
+	density []float64
+	ends    []int // ends[s] is the end of shelf s in order
+	widths  []int
+	sp      seqpair.SeqPair
+	pl      pack2d.Placement
+	idx     []int
+	inside  []bool
+	times   []int64
+	res     Result
+}
+
+// Shelf is the package-level Shelf over blocks given as geometry raw and
+// reductions reds (reds[i] belongs to raw[i]). The Result and its slices
+// belong to the workspace: they hold until its next call.
+func (ws *Workspace) Shelf(raw []pack2d.Block, reds [][]int64, vsb []int64, w, h int) *Result {
+	return ws.legalise(ws.shelfPair(raw, reds, w), raw, reds, vsb, w, h)
 }
 
 // split separates the blocks' geometry from their reductions.
@@ -340,22 +373,27 @@ func split(blocks []Block) ([]pack2d.Block, [][]int64) {
 }
 
 // legalise packs a floorplan with the exact pairwise blank sharing and
-// selects the blocks that land inside the outline.
-func legalise(sp *seqpair.SeqPair, raw []pack2d.Block, reds [][]int64, vsb []int64, w, h int) *Result {
-	exact := pack2d.PackExact(sp, raw)
-	inside := pack2d.InsideOutline(exact, raw, w, h)
-	return &Result{Inside: inside, X: exact.X, Y: exact.Y, WritingTime: writingTime(vsb, reds, inside)}
+// selects the blocks that land inside the outline. The Result belongs to
+// the workspace.
+func (ws *Workspace) legalise(sp *seqpair.SeqPair, raw []pack2d.Block, reds [][]int64, vsb []int64, w, h int) *Result {
+	ws.idx = slices.Grow(ws.idx[:0], len(raw))[:len(raw)]
+	pack2d.PackExactInto(&ws.pl, ws.idx, sp, raw)
+	ws.inside = pack2d.InsideOutlineInto(ws.inside, &ws.pl, raw, w, h)
+	ws.times = regionTimesInto(ws.times, vsb, reds, ws.inside)
+	ws.res = Result{Inside: ws.inside, X: ws.pl.X, Y: ws.pl.Y, WritingTime: core.MaxInt64(ws.times)}
+	return &ws.res
 }
 
-// shelfPair returns the shelf floorplan's sequence pair. Blocks are taken in
-// decreasing order of writing-time reduction per unit area, so the shelf is
-// a profit-density greedy packing. Density rather than absolute reduction
-// keeps multi-character cluster blocks from outranking individually better
-// characters just because they are bigger.
-func shelfPair(raw []pack2d.Block, reds [][]int64, w int) *seqpair.SeqPair {
+// shelfPair returns the shelf floorplan's sequence pair, which belongs to
+// the workspace. Blocks are taken in decreasing order of writing-time
+// reduction per unit area, so the shelf is a profit-density greedy packing.
+// Density rather than absolute reduction keeps multi-character cluster
+// blocks from outranking individually better characters just because they
+// are bigger.
+func (ws *Workspace) shelfPair(raw []pack2d.Block, reds [][]int64, w int) *seqpair.SeqPair {
 	n := len(raw)
-	order := make([]int, n)
-	density := make([]float64, n)
+	ws.order, ws.density = slices.Grow(ws.order[:0], n)[:n], slices.Grow(ws.density[:0], n)[:n]
+	order, density := ws.order, ws.density
 	for i := range order {
 		order[i] = i
 		var t int64
@@ -366,8 +404,9 @@ func shelfPair(raw []pack2d.Block, reds [][]int64, w int) *seqpair.SeqPair {
 		density[i] = float64(t) / float64(area)
 	}
 	slices.SortFunc(order, func(a, b int) int { return compareShelf(density, a, b) })
-	shelves, _ := fillShelves(raw, order, w)
-	return shelfSeqPair(n, shelves)
+	ws.ends, ws.widths = fillShelves(raw, order, w, ws.ends[:0], ws.widths[:0])
+	shelfSeqPair(&ws.sp, order, ws.ends)
+	return &ws.sp
 }
 
 // compareShelf orders block indices for the shelf: by density descending,
@@ -378,48 +417,48 @@ func compareShelf(density []float64, a, b int) int {
 }
 
 // fillShelves cuts the blocks, in their given order, into shelves (rows)
-// filled left to right, and returns each shelf with its width. A block adds
-// its width less the blank it shares with its left neighbour,
+// filled left to right. Shelves are contiguous runs of order: it appends to
+// ends where each shelf ends in order, and to widths each shelf's width. A
+// block adds its width less the blank it shares with its left neighbour,
 // min(BlankR, BlankL), which is the width PackExact gives the shelf as long
 // as every block has BlankL+BlankR <= W: a non-adjacent left neighbour then
 // never binds. A block that would take the shelf past the stencil width
 // starts a new shelf instead, where it adds its full width.
-func fillShelves(blocks []pack2d.Block, order []int, stencilW int) (shelves [][]int, widths []int) {
-	var cur []int
-	width := 0
-	for _, i := range order {
+func fillShelves(blocks []pack2d.Block, order []int, stencilW int, ends, widths []int) ([]int, []int) {
+	start, width := 0, 0
+	for k, i := range order {
 		b := blocks[i]
 		add := b.W
-		if len(cur) > 0 {
-			add -= min(blocks[cur[len(cur)-1]].BlankR, b.BlankL)
+		if k > start {
+			add -= min(blocks[order[k-1]].BlankR, b.BlankL)
 			if width+add > stencilW {
-				shelves, widths = append(shelves, cur), append(widths, width)
-				cur, width, add = nil, 0, b.W
+				ends, widths = append(ends, k), append(widths, width)
+				start, width, add = k, 0, b.W
 			}
 		}
-		cur = append(cur, i)
 		width += add
 	}
-	if len(cur) > 0 {
-		shelves, widths = append(shelves, cur), append(widths, width)
+	if len(order) > 0 {
+		ends, widths = append(ends, len(order)), append(widths, width)
 	}
-	return shelves, widths
+	return ends, widths
 }
 
-// shelfSeqPair builds the sequence pair that realises the shelves, bottom
-// shelf first.
-func shelfSeqPair(n int, shelves [][]int) *seqpair.SeqPair {
-	sp := &seqpair.SeqPair{Pos: make([]int, 0, n), Neg: make([]int, 0, n)}
-	// Gamma+: shelves from top to bottom; Gamma-: shelves from bottom to
-	// top; both left to right inside a shelf. A block on a lower shelf then
-	// follows in Gamma+ and precedes in Gamma-, i.e. it is "below".
-	for s := len(shelves) - 1; s >= 0; s-- {
-		sp.Pos = append(sp.Pos, shelves[s]...)
+// shelfSeqPair builds into sp the sequence pair that realises the shelves
+// of order cut at ends, bottom shelf first. Gamma+ lists the shelves from
+// top to bottom, Gamma- from bottom to top, both left to right inside a
+// shelf, so Gamma- is order itself. A block on a lower shelf then follows
+// in Gamma+ and precedes in Gamma-, i.e. it is "below".
+func shelfSeqPair(sp *seqpair.SeqPair, order, ends []int) {
+	sp.Neg = order
+	sp.Pos = slices.Grow(sp.Pos[:0], len(order))
+	for s := len(ends) - 1; s >= 0; s-- {
+		start := 0
+		if s > 0 {
+			start = ends[s-1]
+		}
+		sp.Pos = append(sp.Pos, order[start:ends[s]]...)
 	}
-	for s := 0; s < len(shelves); s++ {
-		sp.Neg = append(sp.Neg, shelves[s]...)
-	}
-	return sp
 }
 
 // defaultBudget scales the move budget sub-linearly with the block count so

@@ -9,6 +9,7 @@ import (
 
 	"eblow/internal/core"
 	"eblow/internal/pack2d"
+	"eblow/internal/seqpair"
 )
 
 func mkBlock(w, h, blank int, red ...int64) Block {
@@ -181,8 +182,14 @@ func TestShelfWidthMatchesPackExact(t *testing.T) {
 			}
 		}
 		order := rng.Perm(n)
-		shelves, widths := fillShelves(blocks, order, stencilW)
-		pl := pack2d.PackExact(shelfSeqPair(n, shelves), blocks)
+		ends, widths := fillShelves(blocks, order, stencilW, nil, nil)
+		var sp seqpair.SeqPair
+		shelfSeqPair(&sp, order, ends)
+		pl := pack2d.PackExact(&sp, blocks)
+		shelves, start := make([][]int, len(ends)), 0
+		for s, end := range ends {
+			shelves[s], start = order[start:end], end
+		}
 		for s, shelf := range shelves {
 			extent := 0
 			for _, i := range shelf {

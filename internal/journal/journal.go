@@ -3,7 +3,10 @@
 // JSON record per line, appended through a buffer and fsynced in batches by
 // a single flusher goroutine (group commit: a Flush blocks until every
 // record appended so far is on disk, and concurrent Flush callers share
-// one fsync). Open parses the existing file for a one-shot replay handoff,
+// one fsync). An append only buffers: the records of callers that do not
+// Flush ride the next Flush's fsync or the flusher's periodic one, and the
+// flusher fsyncs without holding the log's lock, so an append never waits
+// for a disk sync. Open parses the existing file for a one-shot replay handoff,
 // skipping unparseable lines, and terminates a torn tail — the partial last
 // line a kill -9 mid-append leaves behind — so the next record starts on
 // its own line instead of being glued onto the fragment. A log with a size
@@ -31,12 +34,12 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // flushInterval bounds how long an appended record may sit in the buffer
-// before the background flusher fsyncs it; it is also the worst-case extra
-// latency a Flush caller pays for its durability guarantee.
+// before the background flusher fsyncs it.
 const flushInterval = 5 * time.Millisecond
 
 // ErrClosed is returned by Log operations after Close.
@@ -61,6 +64,13 @@ type Stats struct {
 type Log[R any] struct {
 	path     string
 	maxBytes int64
+	interval time.Duration // the flusher's period
+
+	// syncMu is held across the flusher's fsync, which runs outside mu, so
+	// that CompactTo never swaps or closes the file under it. It is taken
+	// before mu.
+	syncMu sync.Mutex
+	syncs  atomic.Int64 // fsyncs of the log file so far
 
 	mu sync.Mutex
 	// guarded by mu
@@ -71,6 +81,9 @@ type Log[R any] struct {
 	size int64
 	// guarded by mu
 	dirty bool
+	// guarded by mu — the flusher is fsyncing records written out before
+	// it released mu
+	syncing bool
 	// guarded by mu
 	waiters []chan error
 	// guarded by mu
@@ -93,6 +106,11 @@ type Log[R any] struct {
 // reports false, are counted in Stats and skipped. maxBytes is the
 // compaction threshold (<= 0 never asks for compaction).
 func Open[R any](path string, maxBytes int64, valid func(*R) bool) (*Log[R], error) {
+	return open(path, maxBytes, valid, flushInterval)
+}
+
+// open is Open with the flusher's period.
+func open[R any](path string, maxBytes int64, valid func(*R) bool, interval time.Duration) (*Log[R], error) {
 	recs, skipped, torn, err := read(path, valid)
 	if err != nil {
 		return nil, err
@@ -116,6 +134,7 @@ func Open[R any](path string, maxBytes int64, valid func(*R) bool) (*Log[R], err
 	l := &Log[R]{
 		path:     path,
 		maxBytes: maxBytes,
+		interval: interval,
 		f:        f,
 		w:        bufio.NewWriter(f),
 		size:     st.Size(),
@@ -193,9 +212,9 @@ func (l *Log[R]) SetReplayStats(resumed, terminal int) {
 type Line [][]byte
 
 // Append buffers one record: its json.Marshal encoding, through
-// AppendEncoded. It does not wait for durability — pair it with Flush for
-// the group-commit guarantee, or let the background flusher sync it within
-// flushInterval.
+// AppendEncoded. It neither waits for durability nor starts an fsync: pair
+// it with Flush for the group-commit guarantee, or let the record ride the
+// next fsync, at most flushInterval later.
 func (l *Log[R]) Append(rec R) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -221,7 +240,6 @@ func (l *Log[R]) AppendEncoded(line Line) error {
 	}
 	l.size += n
 	l.dirty = true
-	l.kickLocked()
 	return nil
 }
 
@@ -321,7 +339,7 @@ func (l *Log[R]) Flush() error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if !l.dirty {
+	if !l.dirty && !l.syncing {
 		l.mu.Unlock()
 		return nil
 	}
@@ -339,12 +357,12 @@ func (l *Log[R]) kickLocked() {
 	}
 }
 
-// flusher is the single goroutine that performs fsyncs: appenders and Flush
-// callers only kick it, so any number of concurrent appends share one disk
-// sync per cycle.
+// flusher is the single goroutine that performs the periodic fsyncs: Flush
+// callers only kick it, and appends do not even do that, so any number of
+// appends share one disk sync per cycle.
 func (l *Log[R]) flusher() {
 	defer close(l.done)
-	tick := time.NewTicker(flushInterval)
+	tick := time.NewTicker(l.interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -353,14 +371,48 @@ func (l *Log[R]) flusher() {
 		case <-l.kick:
 		case <-tick.C:
 		}
+		l.cycle()
+	}
+}
+
+// cycle writes the buffer out under l.mu and fsyncs it after releasing
+// l.mu, then releases the waiters with the outcome. A waiter that Flush
+// registered during the fsync is released with it too if nothing was
+// appended since; otherwise it waits for the next cycle, which its Flush
+// kicked.
+func (l *Log[R]) cycle() {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	waiters, f, dirty := l.waiters, l.f, l.dirty
+	l.waiters = nil
+	var err error
+	if dirty {
+		err = l.w.Flush()
+		l.dirty, l.syncing = false, true
+	}
+	l.mu.Unlock()
+	if dirty {
+		if err == nil {
+			err = f.Sync()
+			l.syncs.Add(1)
+		}
 		l.mu.Lock()
-		_ = l.flushLocked() // the waiters, if any, receive the error
+		l.syncing = false
+		if !l.dirty {
+			waiters = append(waiters, l.waiters...)
+			l.waiters = nil
+		}
 		l.mu.Unlock()
+	}
+	for _, ch := range waiters {
+		ch <- err
 	}
 }
 
 // flushLocked writes the buffer out, fsyncs, and releases waiters with the
-// outcome, which it also returns. Callers hold l.mu.
+// outcome, which it also returns. Callers hold l.mu, and l.syncMu unless
+// the flusher has stopped.
 func (l *Log[R]) flushLocked() error {
 	waiters := l.waiters
 	l.waiters = nil
@@ -368,6 +420,7 @@ func (l *Log[R]) flushLocked() error {
 	if l.dirty {
 		if err = l.w.Flush(); err == nil {
 			err = l.f.Sync()
+			l.syncs.Add(1)
 		}
 		l.dirty = false
 	}
@@ -392,6 +445,8 @@ func (l *Log[R]) NeedsCompact() bool {
 // file, fsynced, and renamed over the old log. Any failure leaves the old
 // log intact and appendable.
 func (l *Log[R]) CompactTo(lines []Line) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

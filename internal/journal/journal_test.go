@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 type rec struct {
@@ -123,6 +124,48 @@ func TestFlushGroupCommit(t *testing.T) {
 	}
 	if s := openTest(t, path, 0).Stats(); s.Records != n {
 		t.Fatalf("%d records on disk after the shared fsync, want %d", s.Records, n)
+	}
+}
+
+// Appends only buffer: they do not kick the flusher, N appends and one
+// Flush cost exactly one fsync, a Flush with nothing new appended costs
+// none, and neither does closing the flushed log. The flusher's period is
+// an hour, so no periodic fsync can run during the test, and it is stopped
+// while the records are appended, so a kick would stay in its channel.
+func TestAppendsRideOneFsync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, err := open(path, 0, (*rec).valid, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(l.stop)
+	<-l.done
+	const n = 32
+	for i := 0; i < n; i++ {
+		appendAll(t, l, rec{Op: "started", Job: string(rune('a' + i))})
+	}
+	if len(l.kick) != 0 {
+		t.Fatal("an append kicked the flusher")
+	}
+	l.stop, l.done = make(chan struct{}), make(chan struct{})
+	go l.flusher()
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.syncs.Load(); got != 1 {
+		t.Fatalf("%d appends and a Flush cost %d fsyncs, want 1", n, got)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.syncs.Load(); got != 1 {
+		t.Fatalf("a clean Flush and Close cost %d more fsyncs, want 0", got-1)
+	}
+	if s := openTest(t, path, 0).Stats(); s.Records != n {
+		t.Fatalf("%d records on disk, want %d", s.Records, n)
 	}
 }
 

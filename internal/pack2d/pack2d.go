@@ -10,9 +10,16 @@
 //     spacing rule of the OSP problem, and analogously in y. Placements
 //     produced by PackExact always satisfy core.Solution.Validate2D for the
 //     characters that remain inside the stencil outline.
+//
+// PackExactInto and InsideOutlineInto are the workspace forms of PackExact
+// and InsideOutline: they write into caller-owned buffers, so a planner that
+// reuses its buffers legalises without allocating. PackExact and
+// InsideOutline are PackExactInto and InsideOutlineInto on fresh storage.
 package pack2d
 
 import (
+	"slices"
+
 	"eblow/internal/seqpair"
 )
 
@@ -62,21 +69,26 @@ func shrunkDims(b Block) (int, int) {
 // PackExact computes the minimal legal positions realising the sequence pair
 // with exact pairwise blank sharing. Complexity is O(n^2).
 func PackExact(sp *seqpair.SeqPair, blocks []Block) *Placement {
+	pl := new(Placement)
+	PackExactInto(pl, make([]int, len(blocks)), sp, blocks)
+	return pl
+}
+
+// PackExactInto is PackExact into caller-owned storage: it overwrites pl,
+// reusing the capacity of pl.X and pl.Y, and uses idx, which must hold at
+// least len(blocks) elements, as its Gamma+ index. It writes every element
+// before it reads it, so the placement does not depend on what the storage
+// held.
+func PackExactInto(pl *Placement, idx []int, sp *seqpair.SeqPair, blocks []Block) {
 	n := len(blocks)
 	if sp.Len() != n {
 		panic("pack2d: sequence pair and block count mismatch")
 	}
-	pl := &Placement{X: make([]int, n), Y: make([]int, n)}
-	if n == 0 {
-		return pl
-	}
-	posIdx := make([]int, n)
-	negIdx := make([]int, n)
+	pl.X, pl.Y = slices.Grow(pl.X[:0], n)[:n], slices.Grow(pl.Y[:0], n)[:n]
+	pl.Width, pl.Height = 0, 0
+	posIdx := idx[:n]
 	for i, b := range sp.Pos {
 		posIdx[b] = i
-	}
-	for i, b := range sp.Neg {
-		negIdx[b] = i
 	}
 
 	// Process blocks in Gamma- order: every horizontal or vertical
@@ -93,7 +105,7 @@ func PackExact(sp *seqpair.SeqPair, blocks []Block) *Placement {
 				if v := pl.X[i] + blocks[i].W - share; v > x {
 					x = v
 				}
-			} else { // i below j (posIdx[i] > posIdx[j], negIdx[i] < negIdx[j])
+			} else { // i below j: after j in Gamma+, before it in Gamma-
 				share := min(blocks[i].BlankT, blocks[j].BlankB)
 				if v := pl.Y[i] + blocks[i].H - share; v > y {
 					y = v
@@ -108,13 +120,18 @@ func PackExact(sp *seqpair.SeqPair, blocks []Block) *Placement {
 			pl.Height = t
 		}
 	}
-	return pl
 }
 
 // InsideOutline reports which blocks of a placement lie fully inside a
 // W x H outline anchored at the origin.
 func InsideOutline(pl *Placement, blocks []Block, w, h int) []bool {
-	inside := make([]bool, len(blocks))
+	return InsideOutlineInto(nil, pl, blocks, w, h)
+}
+
+// InsideOutlineInto is InsideOutline into inside, whose capacity it reuses;
+// it returns the flags, one per block.
+func InsideOutlineInto(inside []bool, pl *Placement, blocks []Block, w, h int) []bool {
+	inside = slices.Grow(inside[:0], len(blocks))[:len(blocks)]
 	for i, b := range blocks {
 		inside[i] = pl.X[i] >= 0 && pl.Y[i] >= 0 && pl.X[i]+b.W <= w && pl.Y[i]+b.H <= h
 	}

@@ -77,13 +77,20 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 
 // BenchmarkSubmitWAL submits a parsed plan1d-shaped spec to a manager with
 // a disk WAL: the accepted record's encoding, its append under the
-// manager's lock and the group-commit fsync the ack waits for. Off the
-// clock, each job is cancelled so the single worker never competes with
-// the submits, and every submitsPerWAL submits the manager starts over on
-// a fresh log, so the disk holds a few MB however long the benchmark runs
-// (only a finished solve compacts a log).
+// manager's lock and the group-commit fsync the ack waits for. The solve is
+// a stub that waits for cancellation, and off the clock each job is
+// cancelled, so no solver work competes with the submits or counts in
+// B/op. Every submitsPerWAL submits the manager starts over on a fresh
+// log, so the disk holds a few MB however long the benchmark runs (only a
+// finished solve compacts a log).
 func BenchmarkSubmitWAL(b *testing.B) {
 	const submitsPerWAL = 64
+	orig := solveSpec
+	defer func() { solveSpec = orig }()
+	solveSpec = func(ctx context.Context, _ JobSpec) (*eblow.Result, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
 	spec, err := ParseSubmit(plan1dBody(b, false))
 	if err != nil {
 		b.Fatal(err)

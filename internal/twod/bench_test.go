@@ -31,8 +31,10 @@ func plan2dPool(seed int64, n int) []*core.Instance {
 
 // BenchmarkSolvePlan2D runs the served E-BLOW 2D planner on the first four
 // instances of the service benchmark's plan2d pool at seed 1, cycling
-// through them. The shelf's O(n^2) exact legalise dominates; wall-clock per
-// op is the number to watch, with bytes and allocs per op as the control.
+// through them. The shelf's O(n^2) exact legalise dominates the time. Every
+// buffer comes from the pooled workspace, so B/op and allocs/op are the
+// returned plan's only: its Solution, Selected, Placements, RegionTimes and
+// Stats.
 func BenchmarkSolvePlan2D(b *testing.B) {
 	benchmarkPlan2D(b, Solve)
 }

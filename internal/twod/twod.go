@@ -1,10 +1,11 @@
 // Package twod implements the E-BLOW planner for the 2DOSP problem.
 //
 // Solve is the served planner: a profit pre-filter, then one shelf packing
-// of the remaining characters (floorsa.Shelf) whose shelves count the blank
-// that neighbours share, legalised with the exact pairwise blank-sharing
-// rule. It is one sort and one O(n^2) exact pack, and its plan depends on no
-// option.
+// of the remaining characters (floorsa.Workspace.Shelf) whose shelves count
+// the blank that neighbours share, legalised with the exact pairwise
+// blank-sharing rule. It is one sort and one O(n^2) exact pack, its plan
+// depends on no option, and it runs on a pooled workspace, so it allocates
+// only the plan it returns.
 //
 // SolveClustered is the paper's flow (Fig. 9): the same pre-filter, KD-tree
 // based clustering of character candidates with similar geometry and profit
@@ -18,11 +19,14 @@
 package twod
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"eblow/internal/core"
@@ -103,15 +107,46 @@ type Stats struct {
 // Solve runs the served E-BLOW 2D planner and returns the stencil plan plus
 // the pre-filter's statistics: the pre-filtered characters, packed in one
 // shelf floorplan. An already-done context returns ctx.Err() before any
-// work happens. The plan depends on no field of opt.
+// work happens. The plan depends on no field of opt. Solve draws its
+// buffers from a pool of workspaces, so the only memory it allocates is
+// the plan and the statistics it returns.
 func Solve(ctx context.Context, in *core.Instance, _ Options) (*core.Solution, *Stats, error) {
+	ws, _ := workspaces.Get().(*workspace)
+	if ws == nil {
+		ws = new(workspace)
+	}
+	defer workspaces.Put(ws)
+	return ws.solve(ctx, in)
+}
+
+// workspaces holds the *workspace buffers Solve reuses across calls.
+var workspaces sync.Pool
+
+// workspace holds the buffers of one Solve: the pre-filter's candidates and
+// profits, the kept characters' reductions and blocks, the pure-VSB region
+// times and the shelf's own buffers. Every buffer is fully written before
+// it is read, so a plan does not depend on what the workspace held.
+type workspace struct {
+	ids     []int // candidates; after the pre-filter, the kept ones
+	profits []float64
+	flat    []int64   // reductions of the kept characters, NumRegions each
+	reds    [][]int64 // reds[k] is ids[k]'s row of flat
+	blocks  []pack2d.Block
+	vsb     []int64
+	shelf   floorsa.Workspace
+}
+
+// solve is Solve on the workspace's buffers.
+func (ws *workspace) solve(ctx context.Context, in *core.Instance) (*core.Solution, *Stats, error) {
 	start := time.Now()
-	ids, reds, stats, err := prepare(ctx, in)
+	stats, err := ws.prepare(ctx, in)
 	if err != nil {
 		return nil, nil, err
 	}
-	shelf := floorsa.Shelf(charBlocks(in, ids, reds), in.VSBTime(), in.StencilWidth, in.StencilHeight)
-	sol := charPlan(in, ids, shelf)
+	ws.charBlocks(in)
+	ws.vsb = in.VSBTimeInto(ws.vsb)
+	shelf := ws.shelf.Shelf(ws.blocks, ws.reds, ws.vsb, in.StencilWidth, in.StencilHeight)
+	sol := charPlan(in, ws.ids, shelf)
 	sol.Finalize(in, "E-BLOW-2D", time.Since(start))
 	return sol, stats, nil
 }
@@ -126,11 +161,16 @@ func Solve(ctx context.Context, in *core.Instance, _ Options) (*core.Solution, *
 // deadline cuts the annealing schedule short (see Options.Workers).
 func SolveClustered(ctx context.Context, in *core.Instance, opt Options) (*core.Solution, *Stats, error) {
 	start := time.Now()
-	ids, reds, stats, err := prepare(ctx, in)
+	ws := new(workspace)
+	stats, err := ws.prepare(ctx, in)
 	if err != nil {
 		return nil, nil, err
 	}
-	profits := in.StaticProfits()
+	ids, profits := ws.ids, ws.profits
+	reds := make([][]int64, in.NumCharacters()) // by character id
+	for k, id := range ids {
+		reds[id] = ws.reds[k]
+	}
 
 	// Clustering (Algorithm 4).
 	clusters := buildClusters(in, ids, profits, reds, similarityBound, maxClusterMembers)
@@ -149,7 +189,7 @@ func SolveClustered(ctx context.Context, in *core.Instance, opt Options) (*core.
 	for k, cl := range clusters {
 		blocks[k] = floorsa.Block{Block: cl.block, Reductions: cl.reds}
 	}
-	chars := charBlocks(in, ids, reds)
+	ws.charBlocks(in)
 	vsb := in.VSBTime()
 	workers := opt.workerCount()
 	var res, fallback *floorsa.Result
@@ -163,7 +203,7 @@ func SolveClustered(ctx context.Context, in *core.Instance, opt Options) (*core.
 			})
 		},
 		func() {
-			fallback = floorsa.Shelf(chars, vsb, in.StencilWidth, in.StencilHeight)
+			fallback = ws.shelf.Shelf(ws.blocks, ws.reds, vsb, in.StencilWidth, in.StencilHeight)
 		},
 	)
 	// No ctx check here on purpose: a deadline that expired during the
@@ -181,57 +221,60 @@ func SolveClustered(ctx context.Context, in *core.Instance, opt Options) (*core.
 	return sol, stats, nil
 }
 
-// prepare validates the instance and runs the pre-filter. It returns the
-// kept candidates and their per-region reduction vectors, indexed by
-// character id.
-func prepare(ctx context.Context, in *core.Instance) ([]int, [][]int64, *Stats, error) {
+// prepare validates the instance and runs the pre-filter into the
+// workspace: ids holds the kept candidates, profits every character's
+// static profit, and reds[k] the per-region reductions of ids[k].
+func (ws *workspace) prepare(ctx context.Context, in *core.Instance) (*Stats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := in.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if in.Kind != core.TwoD {
-		return nil, nil, nil, fmt.Errorf("twod: instance %q is not a 2DOSP instance", in.Name)
+		return nil, fmt.Errorf("twod: instance %q is not a 2DOSP instance", in.Name)
 	}
 	stats := &Stats{Candidates: in.NumCharacters()}
 
 	// Pre-filter: keep the most profitable candidates, bounded by a factor
 	// of the estimated stencil capacity.
-	ids := preFilter(in, candidateIDs(in), in.StaticProfits(), preFilterFactor)
-	stats.AfterFilter = len(ids)
+	ws.profits = in.StaticProfitsInto(ws.profits)
+	ws.ids = preFilter(in, candidateIDs(in, ws.ids[:0]), ws.profits, preFilterFactor)
+	stats.AfterFilter = len(ws.ids)
 
-	reds := make([][]int64, in.NumCharacters())
-	for _, id := range ids {
-		reds[id] = make([]int64, in.NumRegions)
-		for c := range reds[id] {
-			reds[id][c] = in.Reduction(id, c)
+	r, n := in.NumRegions, len(ws.ids)
+	ws.flat = slices.Grow(ws.flat[:0], n*r)[:n*r]
+	ws.reds = slices.Grow(ws.reds[:0], n)
+	for k, id := range ws.ids {
+		row := ws.flat[k*r : (k+1)*r : (k+1)*r]
+		for c := range row {
+			row[c] = in.Reduction(id, c)
 		}
+		ws.reds = append(ws.reds, row)
 	}
-	return ids, reds, stats, nil
+	return stats, nil
 }
 
-// charBlocks returns one floorsa block per candidate in ids.
-func charBlocks(in *core.Instance, ids []int, reds [][]int64) []floorsa.Block {
-	blocks := make([]floorsa.Block, len(ids))
-	for k, id := range ids {
+// charBlocks sets the workspace's blocks to one per kept candidate.
+func (ws *workspace) charBlocks(in *core.Instance) {
+	ws.blocks = slices.Grow(ws.blocks[:0], len(ws.ids))
+	for _, id := range ws.ids {
 		c := in.Characters[id]
-		blocks[k] = floorsa.Block{
-			Block: pack2d.Block{
-				W: c.Width, H: c.Height,
-				BlankL: c.BlankLeft, BlankR: c.BlankRight,
-				BlankT: c.BlankTop, BlankB: c.BlankBottom,
-			},
-			Reductions: reds[id],
-		}
+		ws.blocks = append(ws.blocks, pack2d.Block{
+			W: c.Width, H: c.Height,
+			BlankL: c.BlankLeft, BlankR: c.BlankRight,
+			BlankT: c.BlankTop, BlankB: c.BlankBottom,
+		})
 	}
-	return blocks
 }
 
-// charPlan turns a packing of charBlocks(ids) into a plan: the blocks inside
-// the outline are the selected characters.
+// charPlan turns a packing of the blocks of ids into a plan: the blocks
+// inside the outline are the selected characters.
 func charPlan(in *core.Instance, ids []int, res *floorsa.Result) *core.Solution {
-	sol := &core.Solution{Selected: make([]bool, in.NumCharacters())}
+	sol := &core.Solution{
+		Selected:   make([]bool, in.NumCharacters()),
+		Placements: make([]core.Placement, 0, countTrue(res.Inside)),
+	}
 	for k, id := range ids {
 		if !res.Inside[k] {
 			continue
@@ -242,10 +285,27 @@ func charPlan(in *core.Instance, ids []int, res *floorsa.Result) *core.Solution 
 	return sol
 }
 
+// countTrue returns how many flags are set.
+func countTrue(flags []bool) int {
+	n := 0
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
+}
+
 // clusterPlan expands a packing of the clusters' blocks back into
 // characters.
 func clusterPlan(in *core.Instance, clusters []cluster, res *floorsa.Result) *core.Solution {
-	sol := &core.Solution{Selected: make([]bool, in.NumCharacters())}
+	n := 0
+	for k, cl := range clusters {
+		if res.Inside[k] {
+			n += len(cl.members)
+		}
+	}
+	sol := &core.Solution{Selected: make([]bool, in.NumCharacters()), Placements: make([]core.Placement, 0, n)}
 	for k, cl := range clusters {
 		if !res.Inside[k] {
 			continue
@@ -262,8 +322,8 @@ func clusterPlan(in *core.Instance, clusters []cluster, res *floorsa.Result) *co
 	return sol
 }
 
-func candidateIDs(in *core.Instance) []int {
-	var ids []int
+// candidateIDs appends to ids the characters that fit the stencil.
+func candidateIDs(in *core.Instance, ids []int) []int {
 	for i, c := range in.Characters {
 		if c.Width <= in.StencilWidth && c.Height <= in.StencilHeight {
 			ids = append(ids, i)
@@ -272,7 +332,9 @@ func candidateIDs(in *core.Instance) []int {
 	return ids
 }
 
-// preFilter keeps the top candidates by profit per area.
+// preFilter keeps the top candidates by profit per area. It sorts ids in
+// place when it cuts them, and returns them in their given order when it
+// keeps them all.
 func preFilter(in *core.Instance, ids []int, profits []float64, factor float64) []int {
 	if len(ids) == 0 {
 		return ids
@@ -289,16 +351,13 @@ func preFilter(in *core.Instance, ids []int, profits []float64, factor float64) 
 	if limit >= len(ids) {
 		return ids
 	}
-	sorted := append([]int(nil), ids...)
-	sort.Slice(sorted, func(a, b int) bool {
-		da := profits[sorted[a]] / float64(in.Characters[sorted[a]].Width*in.Characters[sorted[a]].Height)
-		db := profits[sorted[b]] / float64(in.Characters[sorted[b]].Width*in.Characters[sorted[b]].Height)
-		if da != db {
-			return da > db
-		}
-		return sorted[a] < sorted[b]
+	density := func(id int) float64 {
+		return profits[id] / float64(in.Characters[id].Width*in.Characters[id].Height)
+	}
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(density(b), density(a)), cmp.Compare(a, b))
 	})
-	return sorted[:limit]
+	return ids[:limit]
 }
 
 // feature embeds a character into the 5-dimensional space used by the

@@ -58,7 +58,7 @@ func TestSolveRejectsBadInput(t *testing.T) {
 func TestClusteringReducesBlockCount(t *testing.T) {
 	in := gen.Small(core.TwoD, 120, 2, 9)
 	profits := in.StaticProfits()
-	ids := candidateIDs(in)
+	ids := candidateIDs(in, nil)
 	reds := make([][]int64, in.NumCharacters())
 	for _, id := range ids {
 		reds[id] = make([]int64, in.NumRegions)
@@ -80,7 +80,7 @@ func TestClusteringReducesBlockCount(t *testing.T) {
 func TestPreFilterLimitsCandidates(t *testing.T) {
 	in := gen.Small(core.TwoD, 200, 2, 13)
 	profits := in.StaticProfits()
-	ids := candidateIDs(in)
+	ids := candidateIDs(in, nil)
 	if kept := preFilter(in, ids, profits, 0.5); len(kept) >= len(ids) {
 		t.Errorf("pre-filter kept all %d of %d candidates", len(kept), len(ids))
 	}
